@@ -7,10 +7,11 @@ victim, and writeback of every upcoming access are a pure function of the
 current per-set state and the access sequence itself -- none of it
 depends on cycle timing.  This module precomputes all of that with NumPy
 (:func:`classify`), and :class:`BatchBuffer` packages the result for the
-slim commit loop in :meth:`System._run_fast_single
-<repro.timing.system.System._run_fast_single>`, which replays the
-classification to update cycle accounting, stats, and live line state
-bit-for-bit identically to the scalar loop.
+slim commit loop in :meth:`System._run_fast
+<repro.timing.system.System._run_fast>`, which replays the classification
+to update cycle accounting, stats, and live line state bit-for-bit
+identically to the scalar loop.  The fast loop serves one or two cores;
+the kernel engages only when it runs one.
 
 Eligibility (the quiescence predicate) is enforced by the caller; the
 contract this kernel relies on is:

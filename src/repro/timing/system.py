@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
+from math import inf, nextafter
 
 import numpy as np
 
@@ -208,14 +209,14 @@ class System:
         #: reference loop instead of the chunked fast path.  The golden
         #: equivalence tests run both and assert identical results.
         self.reference_loop = reference_loop
-        #: When True (default), the single-core fast loop may classify
-        #: quiescent stretches in bulk with the batch kernel
+        #: When True (default), the fast loop may classify quiescent
+        #: stretches of a single-core run in bulk with the batch kernel
         #: (:mod:`repro.timing.batch_kernel`); False pins the scalar fast
         #: loop (the throughput gate measures both).  Results are
         #: bit-identical either way.
         self.batch_kernel = batch_kernel
         #: Kernel-selection counters: records serviced by the batch
-        #: commit loop vs the scalar fast loops this run.  Exported as
+        #: commit loop vs the scalar loops this run.  Exported as
         #: ``kernel.batch_records`` / ``kernel.scalar_records`` metrics.
         self.kernel_batch_records = 0
         self.kernel_scalar_records = 0
@@ -425,14 +426,16 @@ class System:
         * the straight-line reference loop (:meth:`_run_reference`), kept
           behind the ``reference_loop`` flag as the executable spec;
         * a generic chunked loop used when per-record hooks must fire
-          (enabled tracer, or a subclass overriding :meth:`_service`);
-        * fully inlined single-/multi-core fast loops for the common case.
+          (enabled tracer, or a subclass overriding :meth:`_service`), and
+          for more than two cores;
+        * one fully inlined fast loop (:meth:`_run_fast`) for one or two
+          cores, which interleaves cores in per-core *stints*.
 
         The chunked loops exploit the *event horizon*: between one
         boundary and the next, neither the interval check nor
         ``engine.advance_to`` can do any work, so the inner loop services
         records against hoisted locals and only re-enters the maintenance
-        path when a core's clock crosses
+        path when the smallest core clock crosses
         ``min(next_interval, engine.next_boundary)``.
         """
         cores = [
@@ -454,12 +457,14 @@ class System:
 
         if self.reference_loop:
             end_cycle = self._run_reference(cores)
-        elif type(self)._service is not System._service or self.tracer is not None:
+        elif (
+            type(self)._service is not System._service
+            or self.tracer is not None
+            or len(cores) > 2
+        ):
             end_cycle = self._run_chunked(cores)
-        elif len(cores) == 1:
-            end_cycle = self._run_fast_single(cores[0])
         else:
-            end_cycle = self._run_fast_multi(cores)
+            end_cycle = self._run_fast(cores)
 
         self.engine.advance_to(int(end_cycle))
         self._close_interval(end_cycle, final=True)
@@ -469,7 +474,7 @@ class System:
         """The original per-record service loop (executable specification).
 
         Checks the interval boundary and advances the refresh engine on
-        every record.  Slow, but trivially correct; the fast loops are
+        every record.  Slow, but trivially correct; the other loops are
         asserted bit-identical against it.
         """
         engine = self.engine
@@ -571,8 +576,8 @@ class System:
         set_rows, orders = kb.recency_orders(committed)
         self.l2.import_recency_orders(set_rows, orders)
 
-    def _run_fast_single(self, core: CoreState) -> float:
-        """Fully inlined single-core event-horizon loop.
+    def _run_fast(self, cores: list[CoreState]) -> float:
+        """Fully inlined event-horizon loop for one or two cores.
 
         Everything the reference loop touches per record -- cursor tuple
         build, the cache access itself, the memory-channel queue, the
@@ -586,6 +591,14 @@ class System:
         :meth:`CoreState.retire
         <repro.timing.core_model.CoreState.retire>` exactly, so results
         are bit-identical to the reference loop.
+
+        Cores run in *stints*: the core with the smallest clock (first
+        minimum on ties, like ``min()`` in the reference loop) services
+        records until its clock reaches ``lim`` -- the horizon or the other
+        core's clock, whichever is lower -- so the reference's per-record
+        core selection costs nothing beyond the threshold compare the
+        phase window already pays.  With one core ``lim`` is the horizon
+        and every chunk is a single stint.
         """
         cfg = self.config
         l2 = self.l2
@@ -597,7 +610,6 @@ class System:
         drowsy_wakeup = cfg.esteem.drowsy_wakeup_cycles
         # Cache internals (shared with access(); see cache.py hot path).
         sets = l2.sets
-        asm = l2.active_set_mask
         a = l2.associativity
         state = l2.state
         # Memoryviews over the shared per-line state buffers: element
@@ -615,20 +627,34 @@ class System:
         # Memory-channel internals (shared with MainMemory._enqueue).
         service_cycles = memory.service_cycles
         mem_latency = memory.latency_cycles
-        cursor = core.cursor
-        recs, gi_cum = cursor.trace.retire_records(
-            core.addr_offset, core.base_cpi
+        # Per-core state in parallel lists indexed by core; the running
+        # core's cursor index and clock live in locals during a stint.
+        two = len(cores) == 2
+        recs_, gi_cum_ = zip(
+            *(
+                c.cursor.trace.retire_records(c.addr_offset, c.base_cpi)
+                for c in cores
+            )
         )
-        n_rec = len(recs)
-        mlp = core.mem_mlp
-        i = cursor.index
-        wraps = cursor.wraps
-        cycles = core.cycles
-        instructions = core.instructions
-        # The instruction counter is reconstructed from the cumulative
-        # per-record sums at chunk boundaries; nothing inside a chunk ever
-        # reads it, so the hot loop skips the per-record increment.
-        pass_base = instructions - (gi_cum[i - 1] if i else 0)
+        n_ = [len(r) for r in recs_]
+        mlp_ = [c.mem_mlp for c in cores]
+        i_ = [c.cursor.index for c in cores]
+        wraps_ = [c.cursor.wraps for c in cores]
+        cycles_ = [c.cycles for c in cores]
+        fpc_ = [c.first_pass_cycles for c in cores]
+        fpi_ = [c.first_pass_instructions for c in cores]
+        # Nothing inside a chunk reads the instruction counters, so the hot
+        # loop never increments them: each core keeps the count at the
+        # start of its current pass, and the totals are rebuilt from the
+        # cumulative per-record sums at wraps and at the end, as are the
+        # scalar-record counts from cursor positions.
+        pass_base_ = [
+            c.instructions - (g[i - 1] if i else 0)
+            for c, g, i in zip(cores, gi_cum_, i_)
+        ]
+        pos0 = sum(w * n + i for w, n, i in zip(wraps_, n_, i_))
+        batch0 = self.kernel_batch_records
+        running = sum(1 for w in wraps_ if w == 0)
         next_interval = interval_cycles
         a1 = a - 1
         # In drowsy gating mode lines survive in gated ways, so the
@@ -639,20 +665,24 @@ class System:
         # --- batch-kernel eligibility (static half) --------------------
         # The kernel precomputes hit/miss/victim/position for a stretch of
         # records, which is only sound when nothing timing-dependent can
-        # change the outcome mid-stretch: the refresh engine must never
-        # mutate tags/valid/dirty/recency at boundaries, per-line write
-        # profiling must be off (it is only armed for offline fault-plan
-        # capture), and the core's address offset must be zero so the raw
-        # trace columns are the access stream.  The dynamic half (all ways
-        # active, full set mask) is re-checked before every batch build.
-        trace = cursor.trace
+        # change the outcome mid-stretch: one core only (shared-L2
+        # interleaving depends on per-access latency), the refresh engine
+        # must never mutate tags/valid/dirty/recency at boundaries,
+        # per-line write profiling must be off (it is only armed for
+        # offline fault-plan capture), and the core's address offset must
+        # be zero so the raw trace columns are the access stream.  The
+        # dynamic half (all ways active, full set mask) is re-checked
+        # before every batch build.
+        core0 = cores[0]
+        trace = core0.cursor.trace
         esteem = self.esteem
         injector = self.fault_injector
         use_kernel = (
             self.batch_kernel
+            and not two
             and not type(engine).mutates_cache_state
             and write_counts is None
-            and core.addr_offset == 0
+            and core0.addr_offset == 0
         )
         es_reconfig = (
             esteem.reconfig if isinstance(esteem, EsteemController) else None
@@ -664,7 +694,7 @@ class System:
             module_np = np.asarray(module_of_set, dtype=np.int64)
         if use_kernel:
             addrs_l, writes_l, _gaps_l = trace.columns()
-            gcpi_l = trace.gcpi_list(core.base_cpi)
+            gcpi_l = trace.gcpi_list(core0.base_cpi)
         kb = None
         # Skew fallback: when a stretch is too set-skewed for the kernel,
         # stay scalar through it instead of re-attempting a build every
@@ -675,13 +705,22 @@ class System:
         # only), used to size a batch to its limit cycle.
         cpr_est = 0.0
 
-        while wraps == 0:
+        while running:
+            # Select the core with the smallest clock; ``oc`` is the other
+            # core's.
+            ci = 0
+            cycles = cycles_[0]
+            if two:
+                oc = cycles_[1]
+                if oc < cycles:
+                    ci = 1
+                    cycles, oc = oc, cycles
             now = int(cycles)
             if kb is not None and now >= kb.limit_cycle:
                 # A maintenance event that can mutate cache state (interval
                 # close / fault-injection boundary) is due: write the
                 # deferred recency orders back before it runs.
-                self._retire_batch(kb, i)
+                self._retire_batch(kb, i_[0])
                 kb = None
             while now >= next_interval:
                 self._close_interval(next_interval)
@@ -696,26 +735,18 @@ class System:
             # the queue-empty miss latency (``(mem_latency + 0) / mlp``
             # collapses to a constant; identical float ops either way).
             lat_base = l2_latency + engine.current_stall
-            lat_miss0 = lat_base + mem_latency / mlp
+            lat_miss0_ = [lat_base + mem_latency / m for m in mlp_]
             # The set mask changes only at interval close (selective-sets).
             asm = l2.active_set_mask
             # The phase window advances every ``phase_cycles`` -- track its
             # end as a cycle threshold so the common record pays one float
-            # compare instead of int()+floordiv.  ``cycles`` is monotonic,
-            # and for integral thresholds ``int(cycles) >= t`` is exactly
-            # ``cycles >= t``, so the recomputed window matches the
-            # reference's per-record ``int(cycles) // phase_cycles``.
+            # compare instead of int()+floordiv.  The selected core's clock
+            # is monotonic across stints (it is the minimum), and for
+            # integral thresholds ``int(cycles) >= t`` is exactly ``cycles
+            # >= t``, so the recomputed window matches the reference's
+            # per-record ``int(cycles) // phase_cycles``.
             window = now // phase_cycles
             window_end = (window + 1) * phase_cycles
-            # One merged threshold guards both the window roll-over and
-            # the horizon: the common record pays a single float compare.
-            # Checking the horizon at the *top* of the next record is
-            # equivalent to checking it after the retire -- the previous
-            # record is the last one processed either way -- and a
-            # crossing on the final record of a pass simply exhausts the
-            # for loop, which the wrap branch below already treats as a
-            # wrap (matching the reference's wrap-over-horizon priority).
-            next_chk = window_end if window_end < horizon else horizon
             # Chunk-local counter mirrors; flushed below before any
             # maintenance code reads them.
             hits = stats.hits
@@ -726,15 +757,12 @@ class System:
             mm_reads = mm_reads0 = memory.reads
             mm_writes = mm_writes0 = memory.writes
             mm_qwait = memory.total_queue_wait
-            chunk_i0 = i
-            cyc0 = cycles
-            brk = -1
             # --- batch-kernel eligibility (dynamic half) + build -------
             if (
                 kb is None
                 and use_kernel
-                and i >= kb_skip_until
-                and n_rec - i >= MIN_BATCH_RECORDS
+                and i_[0] >= kb_skip_until
+                and n_[0] - i_[0] >= MIN_BATCH_RECORDS
             ):
                 # Quiescent right now?  Full set mask live (selective-sets
                 # parked) and every module at full associativity (ESTEEM
@@ -752,15 +780,12 @@ class System:
                     # refresh boundary while the fault injector is armed
                     # (it latches flips only at boundaries, so injected
                     # runs stay eligible between them).
-                    if esteem is not None and injector is not None:
-                        limit = next_interval if next_interval < nb else nb
-                    elif esteem is not None:
-                        limit = next_interval
-                    elif injector is not None:
+                    limit = next_interval if esteem is not None else inf
+                    if injector is not None and nb < limit:
                         limit = nb
-                    else:
-                        limit = float("inf")
-                    if limit == float("inf"):
+                    i = i_[0]
+                    n_rec = n_[0]
+                    if limit == inf:
                         end = n_rec
                     else:
                         # Size the batch to its limit cycle from the last
@@ -769,8 +794,8 @@ class System:
                         # one build usually covers the whole stretch.
                         if cpr_est <= 0.0:
                             cpr_est = (
-                                gi_cum[n_rec - 1] / n_rec
-                            ) * core.base_cpi + lat_base + 1.0
+                                gi_cum_[0][n_rec - 1] / n_rec
+                            ) * core0.base_cpi + lat_base + 1.0
                         est = int((limit - now) / cpr_est * 1.25) + 64
                         end = i + est if est < n_rec - i else n_rec
                     kb = build_batch(
@@ -780,80 +805,256 @@ class System:
                         # Too small or too set-skewed: stay scalar through
                         # this stretch rather than re-probing every chunk.
                         kb_skip_until = end
-            if kb is not None:
-                # --- batch commit loop ---------------------------------
-                # Replays the precomputed classification: per-hit work is
-                # one sign test, a dirty/last-window stamp, and the cycle
-                # add; misses keep the full scalar arithmetic (queue
-                # order, int(cycles) capture) so accounting stays
-                # bit-identical.  Recency promotion is the one deferred
-                # piece -- orders are rebuilt at retirement.
-                kstart = kb.start
-                kend = kb.end
-                g_l = kb.g_list
-                mdat = kb.miss_data
-                mi = kb.miss_ptr
-                for i in range(i, kend):
-                    if cycles >= next_chk:
-                        if cycles >= horizon:
-                            brk = i - 1
-                            break
-                        window = int(cycles) // phase_cycles
-                        window_end = (window + 1) * phase_cycles
-                        next_chk = (
-                            window_end if window_end < horizon else horizon
-                        )
-                    g = g_l[i - kstart]
-                    if g >= 0:
-                        # Classified hit on line ``g``.
-                        if writes_l[i]:
-                            dirty_mv[g] = True
-                        lw_mv[g] = window
-                        cycles = cycles + (gcpi_l[i] + lat_base)
+            while True:
+                # --- one stint of core ``ci`` --------------------------
+                i = i0 = i_[ci]
+                n_rec = n_[ci]
+                if kb is not None:
+                    # --- batch commit loop (one core: lim is horizon) --
+                    # Replays the precomputed classification: per-hit
+                    # work is one sign test, a dirty/last-window stamp,
+                    # and the cycle add; misses keep the full scalar
+                    # arithmetic (queue order, int(cycles) capture) so
+                    # accounting stays bit-identical.  Recency promotion
+                    # is the one deferred piece -- orders are rebuilt at
+                    # retirement.
+                    kstart = kb.start
+                    kend = kb.end
+                    g_l = kb.g_list
+                    mdat = kb.miss_data
+                    mi = kb.miss_ptr
+                    lat_miss0 = lat_miss0_[0]
+                    mlp = mlp_[0]
+                    cyc0 = cycles
+                    next_chk = window_end if window_end < horizon else horizon
+                    for i in range(i, kend):
+                        if cycles >= next_chk:
+                            if cycles >= horizon:
+                                break
+                            window = int(cycles) // phase_cycles
+                            window_end = (window + 1) * phase_cycles
+                            next_chk = (
+                                window_end if window_end < horizon else horizon
+                            )
+                        g = g_l[i - kstart]
+                        if g >= 0:
+                            # Classified hit on line ``g``.
+                            if writes_l[i]:
+                                dirty_mv[g] = True
+                            lw_mv[g] = window
+                            cycles = cycles + (gcpi_l[i] + lat_base)
+                        else:
+                            # Classified miss in set ``-1 - g``.
+                            cset = sets[-1 - g]
+                            g, victim, old_tag, wbf = mdat[mi]
+                            mi += 1
+                            tag_map = cset.tag_map
+                            addr = addrs_l[i]
+                            now = int(cycles)
+                            if old_tag >= 0:
+                                del tag_map[old_tag]
+                                if wbf:
+                                    wbs += 1
+                                    if mm_next_free > now:
+                                        mm_qwait += mm_next_free - now
+                                        mm_next_free += service_cycles
+                                    else:
+                                        mm_next_free = now + service_cycles
+                                    mm_writes += 1
+                            else:
+                                valid_mv[g] = True
+                            cset.tags[victim] = addr
+                            tag_map[addr] = victim
+                            dirty_mv[g] = writes_l[i]
+                            lw_mv[g] = window
+                            if mm_next_free > now:
+                                wait = mm_next_free - now
+                                mm_qwait += wait
+                                mm_next_free += service_cycles
+                                latency = lat_base + (mem_latency + wait) / mlp
+                            else:
+                                mm_next_free = now + service_cycles
+                                latency = lat_miss0
+                            mm_reads += 1
+                            cycles = cycles + (gcpi_l[i] + latency)
                     else:
-                        # Classified miss in set ``-1 - g``.
-                        cset = sets[-1 - g]
-                        g, victim, old_tag, wbf = mdat[mi]
-                        mi += 1
-                        tag_map = cset.tag_map
-                        addr = addrs_l[i]
-                        now = int(cycles)
-                        if old_tag >= 0:
-                            del tag_map[old_tag]
-                            if wbf:
-                                wbs += 1
-                                if mm_next_free > now:
-                                    mm_qwait += mm_next_free - now
-                                    mm_next_free += service_cycles
+                        i = kend
+                    kb.miss_ptr = mi
+                else:
+                    recs = recs_[ci]
+                    if two:
+                        # Core 0 keeps the selection on a tie, so it runs
+                        # until strictly past core 1's clock; core 1 stops
+                        # as soon as it reaches core 0's.
+                        lim = oc if ci else nextafter(oc, inf)
+                        if horizon < lim:
+                            lim = horizon
+                    else:
+                        lim = horizon
+                    # One merged threshold guards the window roll-over, the
+                    # horizon and the stint end: the common record pays a
+                    # single float compare.  Checking ``lim`` at the *top*
+                    # of the next record is equivalent to checking it after
+                    # the retire -- the previous record is the last one
+                    # processed either way -- and a crossing on the final
+                    # record of a pass simply exhausts the for loop, which
+                    # counts as a wrap (matching the reference's
+                    # wrap-over-horizon priority).
+                    next_chk = window_end if window_end < lim else lim
+                    for i in range(i, n_rec):
+                        if cycles >= next_chk:
+                            if cycles >= lim:
+                                break
+                            window = int(cycles) // phase_cycles
+                            window_end = (window + 1) * phase_cycles
+                            next_chk = window_end if window_end < lim else lim
+                        addr, is_write, gcpi, _gi = recs[i]
+                        cset = sets[addr & asm]
+                        way = cset.tag_map.get(addr, -1)
+                        if way >= 0:
+                            # Hit: promote to MRU, record recency position.
+                            # In off-mode gating a follower's gated ways
+                            # never hold a line and leaders never gate, so
+                            # the drowsy-way test can only pass in drowsy
+                            # mode -- guard on the mode flag first to spare
+                            # the common path the probes.
+                            if (
+                                drowsy_mode
+                                and way >= cset.n_active
+                                and not cset.is_leader
+                            ):
+                                dhits += 1
+                                latency = lat_base + drowsy_wakeup
+                            else:
+                                latency = lat_base
+                            order = cset.order
+                            if order[0] == way:
+                                pos = 0
+                            else:
+                                pos = order.index(way)
+                                del order[pos]
+                                order.insert(0, way)
+                            hits += 1
+                            hbp[pos] += 1
+                            g = cset.base + way
+                            if is_write:
+                                dirty_mv[g] = True
+                                if write_counts is not None:
+                                    write_counts[g] += 1
+                            lw_mv[g] = window
+                            if profile_hist is not None and cset.is_leader:
+                                profile_hist[module_of_set[cset.index]][pos] += 1
+                        else:
+                            # Miss: victim selection + fill, then the memory
+                            # fetch.
+                            misses += 1
+                            tags = cset.tags
+                            tag_map = cset.tag_map
+                            order = cset.order
+                            n_act = cset.n_active
+                            promote = True
+                            if n_act == a:
+                                if len(tag_map) == a:
+                                    # Full set (steady state): evict the
+                                    # recency tail; its position is known,
+                                    # so no scan.
+                                    victim = order[-1]
+                                    del order[-1]
+                                    order.insert(0, victim)
+                                    promote = False
                                 else:
-                                    mm_next_free = now + service_cycles
-                                mm_writes += 1
-                        else:
-                            valid_mv[g] = True
-                        cset.tags[victim] = addr
-                        tag_map[addr] = victim
-                        dirty_mv[g] = writes_l[i]
-                        lw_mv[g] = window
-                        if mm_next_free > now:
-                            wait = mm_next_free - now
-                            mm_qwait += wait
-                            mm_next_free += service_cycles
-                            latency = lat_base + (mem_latency + wait) / mlp
-                        else:
-                            mm_next_free = now + service_cycles
-                            latency = lat_miss0
-                        mm_reads += 1
-                        cycles = cycles + (gcpi_l[i] + latency)
-                kb.miss_ptr = mi
-                # ``cp``: first uncommitted record (break leaves record
-                # ``i`` unprocessed; natural exhaustion commits through
-                # ``kend``).  The first record of a chunk can never break
-                # (the horizon is strictly ahead at chunk top), so
-                # ``cp > chunk_i0`` whenever any record existed.
-                cp = i if brk >= 0 else kend
-                c0 = chunk_i0 - kstart
-                c1 = cp - kstart
-                if c1 > c0:
+                                    victim = tags.index(None)
+                            elif (
+                                not drowsy_mode and len(tag_map) == n_act
+                            ) or None not in tags[:n_act]:
+                                # Shrunken set, every enabled way resident
+                                # (``len(tag_map)`` tells unless drowsy
+                                # gated ways hold lines too): the victim is
+                                # the LRU enabled way; capture its recency
+                                # position during the scan so promotion
+                                # needs no second pass.
+                                pos = a1
+                                victim = -1
+                                for w in reversed(order):
+                                    if w < n_act:
+                                        victim = w
+                                        break
+                                    pos -= 1
+                                if victim < 0:
+                                    raise RuntimeError(
+                                        f"{l2.name}: set {cset.index} has no "
+                                        f"enabled way to fill (n_active="
+                                        f"{n_act}, associativity={a})"
+                                    )
+                                if pos:
+                                    del order[pos]
+                                    order.insert(0, victim)
+                                promote = False
+                            else:
+                                # A free enabled way exists, and it comes
+                                # before any free gated way.
+                                victim = tags.index(None)
+                            g = cset.base + victim
+                            old_tag = tags[victim]
+                            now = int(cycles)
+                            if old_tag is not None:
+                                del tag_map[old_tag]
+                                if dirty_mv[g]:
+                                    # Dirty eviction: post the writeback
+                                    # first so the demand fetch queues
+                                    # behind it.
+                                    wbs += 1
+                                    if mm_next_free > now:
+                                        mm_qwait += mm_next_free - now
+                                        mm_next_free += service_cycles
+                                    else:
+                                        mm_next_free = now + service_cycles
+                                    mm_writes += 1
+                            else:
+                                valid_mv[g] = True
+                            tags[victim] = addr
+                            tag_map[addr] = victim
+                            dirty_mv[g] = is_write
+                            if is_write and write_counts is not None:
+                                write_counts[g] += 1
+                            lw_mv[g] = window
+                            if promote:
+                                pos = order.index(victim)
+                                if pos:
+                                    del order[pos]
+                                    order.insert(0, victim)
+                            # The demand fetch (MainMemory.read inlined).
+                            if mm_next_free > now:
+                                wait = mm_next_free - now
+                                mm_qwait += wait
+                                mm_next_free += service_cycles
+                                latency = lat_base + (mem_latency + wait) / mlp_[ci]
+                            else:
+                                mm_next_free = now + service_cycles
+                                latency = lat_miss0_[ci]
+                            mm_reads += 1
+                        # ``gcpi`` is the precomputed ``(gap+1) * base_cpi``;
+                        # the parenthesised sum matches retire()'s
+                        # evaluation order bit for bit.
+                        cycles = cycles + (gcpi + latency)
+                    else:
+                        i = n_rec
+                # ``i`` is now the first unprocessed record (``n_rec`` if
+                # the pass was exhausted).  The selected core is strictly
+                # below ``lim`` at the start of every stint, so a stint
+                # that serviced nothing means a wrong ``lim``: it would
+                # spin forever, or count a pass it never ran as a wrap.
+                if i == i0:
+                    raise RuntimeError(
+                        f"core {ci}: stint at record {i} ended before its "
+                        f"first record (clock {cycles}, horizon {horizon})"
+                    )
+                if kb is not None:
+                    # Per-stint batch accounting: counters from the
+                    # kernel's cumulative columns, recency orders written
+                    # back once the whole buffer has been committed.
+                    c0 = i0 - kstart
+                    c1 = i - kstart
                     dh = int(kb.hits_cum[c1] - kb.hits_cum[c0])
                     hits += dh
                     misses += (c1 - c0) - dh
@@ -880,474 +1081,60 @@ class System:
                                         mrow[p] += cnt
                                     fk += 1
                     self.kernel_batch_records += c1 - c0
-                    cpr_est = (cycles - cyc0) / (cp - chunk_i0)
-                if cp >= kend:
-                    # Fully committed: write the recency orders back now.
-                    set_rows, orders = kb.recency_orders(kb.n)
-                    l2.import_recency_orders(set_rows, orders)
-                    kb = None
-                _flush_chunk_counters(
-                    stats, memory, hits, misses, wbs, dhits,
-                    mm_next_free, mm_reads, mm_reads0,
-                    mm_writes, mm_writes0, mm_qwait,
-                )
-                if brk >= 0:
-                    instructions = pass_base + gi_cum[brk]
-                    i = brk + 1
-                elif cp == n_rec:
-                    # Crossing on the final record wraps, exactly like the
-                    # scalar loop's exhausted-pass branch.
-                    instructions = pass_base + gi_cum[n_rec - 1]
-                    pass_base = instructions
-                    i = 0
-                    wraps += 1
-                else:
-                    # Batch exhausted mid-pass: account the committed
-                    # records and rebuild at the next chunk top (an extra
-                    # chunk boundary is observationally neutral -- no
-                    # maintenance can be due before the horizon).
-                    instructions = pass_base + gi_cum[cp - 1]
-                    i = cp
-                continue
-            for i in range(i, n_rec):
-                addr, is_write, gcpi, _gi = recs[i]
-                if cycles >= next_chk:
-                    if cycles >= horizon:
-                        brk = i - 1
-                        break
-                    window = int(cycles) // phase_cycles
-                    window_end = (window + 1) * phase_cycles
-                    next_chk = window_end if window_end < horizon else horizon
-                cset = sets[addr & asm]
-                way = cset.tag_map.get(addr, -1)
-                if way >= 0:
-                    # Hit: promote to MRU, record recency position.  In
-                    # off-mode gating a follower's gated ways never hold a
-                    # line and leaders never gate, so the drowsy-way test
-                    # can only pass in drowsy mode -- guard on the mode
-                    # flag first to spare the common path the probes.
-                    if drowsy_mode and way >= cset.n_active and not cset.is_leader:
-                        dhits += 1
-                        latency = lat_base + drowsy_wakeup
-                    else:
-                        latency = lat_base
-                    order = cset.order
-                    if order[0] == way:
-                        pos = 0
-                    else:
-                        pos = order.index(way)
-                        del order[pos]
-                        order.insert(0, way)
-                    hits += 1
-                    hbp[pos] += 1
-                    g = cset.base + way
-                    if is_write:
-                        dirty_mv[g] = True
-                        if write_counts is not None:
-                            write_counts[g] += 1
-                    lw_mv[g] = window
-                    if profile_hist is not None and cset.is_leader:
-                        profile_hist[module_of_set[cset.index]][pos] += 1
-                else:
-                    # Miss: victim selection + fill, then the memory fetch.
-                    misses += 1
-                    tags = cset.tags
-                    tag_map = cset.tag_map
-                    order = cset.order
-                    n_act = cset.n_active
-                    promote = True
-                    if n_act == a:
-                        if len(tag_map) == a:
-                            # Full set (steady state): evict the recency
-                            # tail; its position is known, so no scan.
-                            victim = order[-1]
-                            del order[-1]
-                            order.insert(0, victim)
-                            promote = False
-                        else:
-                            victim = tags.index(None)
-                    elif not drowsy_mode and len(tag_map) == n_act:
-                        # Shrunken set, every enabled way resident: the
-                        # victim is the LRU enabled way; capture its
-                        # recency position during the scan so promotion
-                        # needs no second pass.
-                        pos = a1
-                        victim = -1
-                        for w in reversed(order):
-                            if w < n_act:
-                                victim = w
-                                break
-                            pos -= 1
-                        if victim < 0:
-                            raise RuntimeError(
-                                f"{l2.name}: set {cset.index} has no "
-                                f"enabled way to fill (n_active="
-                                f"{n_act}, associativity={a})"
-                            )
-                        if pos:
-                            del order[pos]
-                            order.insert(0, victim)
-                        promote = False
-                    else:
-                        head = tags[:n_act]
-                        if None in head:
-                            victim = head.index(None)
-                        else:
-                            victim = -1
-                            for w in reversed(order):
-                                if w < n_act:
-                                    victim = w
-                                    break
-                            if victim < 0:
-                                raise RuntimeError(
-                                    f"{l2.name}: set {cset.index} has no "
-                                    f"enabled way to fill (n_active="
-                                    f"{n_act}, associativity={a})"
-                                )
-                    g = cset.base + victim
-                    old_tag = tags[victim]
-                    now = int(cycles)
-                    if old_tag is not None:
-                        del tag_map[old_tag]
-                        if dirty_mv[g]:
-                            # Dirty eviction: post the writeback first so
-                            # the demand fetch queues behind it.
-                            wbs += 1
-                            if mm_next_free > now:
-                                mm_qwait += mm_next_free - now
-                                mm_next_free += service_cycles
-                            else:
-                                mm_next_free = now + service_cycles
-                            mm_writes += 1
-                    else:
-                        valid_mv[g] = True
-                    tags[victim] = addr
-                    tag_map[addr] = victim
-                    dirty_mv[g] = is_write
-                    if is_write and write_counts is not None:
-                        write_counts[g] += 1
-                    lw_mv[g] = window
-                    if promote:
-                        pos = order.index(victim)
-                        if pos:
-                            del order[pos]
-                            order.insert(0, victim)
-                    # The demand fetch (MainMemory.read inlined).
-                    if mm_next_free > now:
-                        wait = mm_next_free - now
-                        mm_qwait += wait
-                        mm_next_free += service_cycles
-                        latency = lat_base + (mem_latency + wait) / mlp
-                    else:
-                        mm_next_free = now + service_cycles
-                        latency = lat_miss0
-                    mm_reads += 1
-                # ``gcpi`` is the precomputed ``(gap+1) * base_cpi``; the
-                # parenthesised sum matches retire()'s evaluation order
-                # bit for bit.
-                cycles = cycles + (gcpi + latency)
-            self.kernel_scalar_records += (
-                (brk + 1 - chunk_i0) if brk >= 0 else (n_rec - chunk_i0)
-            )
+                    cpr_est = (cycles - cyc0) / (c1 - c0)
+                    if i >= kend:
+                        # Fully committed: write the recency orders back.
+                        set_rows, orders = kb.recency_orders(kb.n)
+                        l2.import_recency_orders(set_rows, orders)
+                        kb = None
+                cycles_[ci] = cycles
+                i_[ci] = i
+                if i == n_rec or not two:
+                    break
+                # The stint ended at ``lim``, so the other core now holds
+                # the smallest clock -- or both are past the horizon.
+                ci ^= 1
+                oc = cycles
+                cycles = cycles_[ci]
+                if cycles >= horizon:
+                    break
+            if i == n_rec:
+                # Core ``ci`` exhausted its pass.  The next chunk top
+                # re-selects the core: the wrapping record may have left
+                # this one still the smallest clock.
+                i_[ci] = 0
+                w = wraps_[ci] + 1
+                wraps_[ci] = w
+                pb = pass_base_[ci] + gi_cum_[ci][n_rec - 1]
+                pass_base_[ci] = pb
+                if w == 1:
+                    # First pass just completed at this exact record
+                    # boundary: snapshot the measured window (Section 6.4).
+                    fpc_[ci] = cycles
+                    fpi_[ci] = pb
+                    running -= 1
             _flush_chunk_counters(
                 stats, memory, hits, misses, wbs, dhits,
                 mm_next_free, mm_reads, mm_reads0,
                 mm_writes, mm_writes0, mm_qwait,
             )
-            if brk < 0:
-                # The for loop exhausted the pass: either no record
-                # crossed the horizon, or the crossing happened on the
-                # final record (the wrap takes priority over a
-                # simultaneous horizon crossing, exactly as in the
-                # reference loop).
-                instructions = pass_base + gi_cum[n_rec - 1]
-                pass_base = instructions
-                i = 0
-                wraps += 1
-            else:
-                instructions = pass_base + gi_cum[brk]
-                i = brk + 1
 
         if kb is not None:
             # Unreachable today (a wrap always retires the batch first),
             # but keeps the deferred-order invariant local to this method.
-            self._retire_batch(kb, i)
-        cursor.index = i
-        cursor.wraps = wraps
-        core.cycles = cycles
-        core.instructions = instructions
-        core.note_wrap_if_any()
-        return cycles
-
-    def _run_fast_multi(self, cores: list[CoreState]) -> float:
-        """Fully inlined multi-core event-horizon loop.
-
-        Cores are still interleaved by smallest local clock *per record*
-        (first-minimum tie-break, exactly like ``min()`` in the reference
-        loop), so shared-L2 interference orderings are unchanged; the
-        cache access and memory queue are inlined exactly as in
-        :meth:`_run_fast_single`.  Per-core state lives in parallel local
-        lists indexed by the selected core.
-        """
-        cfg = self.config
-        l2 = self.l2
-        engine = self.engine
-        memory = self.memory
-        phase_cycles = engine.phase_cycles
-        interval_cycles = cfg.esteem.interval_cycles
-        l2_latency = cfg.l2.latency_cycles
-        drowsy_wakeup = cfg.esteem.drowsy_wakeup_cycles
-        # Cache internals (shared with access(); see cache.py hot path).
-        sets = l2.sets
-        a = l2.associativity
-        state = l2.state
-        # Memoryviews over the shared per-line state buffers: element
-        # get/set is ~2x cheaper than NumPy scalar indexing, and writes
-        # land in the same memory the vectorised refresh/maintenance code
-        # reads.
-        valid_mv = memoryview(state.valid)
-        dirty_mv = memoryview(state.dirty)
-        lw_mv = memoryview(state.last_window)
-        stats = l2.stats
-        hbp = stats.hits_by_position
-        write_counts = l2.write_counts
-        module_of_set = l2.module_of_set
-        profile_hist = l2.profile_hist
-        # Memory-channel internals (shared with MainMemory._enqueue).
-        service_cycles = memory.service_cycles
-        mem_latency = memory.latency_cycles
-        n_cores = len(cores)
-        recs_ = [
-            c.cursor.trace.retire_records(c.addr_offset, c.base_cpi)[0]
-            for c in cores
-        ]
-        n_ = [len(r) for r in recs_]
-        mlp_ = [c.mem_mlp for c in cores]
-        i_ = [c.cursor.index for c in cores]
-        wraps_ = [c.cursor.wraps for c in cores]
-        i0_ = list(i_)
-        wraps0_ = list(wraps_)
-        cycles_ = [c.cycles for c in cores]
-        instr_ = [c.instructions for c in cores]
-        fpc_ = [c.first_pass_cycles for c in cores]
-        fpi_ = [c.first_pass_instructions for c in cores]
-        running = sum(1 for w in wraps_ if w == 0)
-        next_interval = interval_cycles
-        a1 = a - 1
-        drowsy_mode = cfg.esteem.gating_mode == "drowsy"
-
-        while running:
-            ci = 0
-            best = cycles_[0]
-            for k in range(1, n_cores):
-                ck = cycles_[k]
-                if ck < best:
-                    best = ck
-                    ci = k
-            now = int(best)
-            while now >= next_interval:
-                self._close_interval(next_interval)
-                next_interval += interval_cycles
-            engine.advance_to(now)
-            horizon = next_interval
-            nb = engine.next_boundary
-            if nb < horizon:
-                horizon = nb
-            lat_base = l2_latency + engine.current_stall
-            lat_miss0_ = [lat_base + mem_latency / m for m in mlp_]
-            asm = l2.active_set_mask
-            # The interleaved clock min(cycles_) is monotonic, so the
-            # phase window can be tracked by threshold exactly as in the
-            # single-core loop.
-            window = now // phase_cycles
-            window_end = (window + 1) * phase_cycles
-            hits = stats.hits
-            misses = stats.misses
-            wbs = stats.writebacks
-            dhits = stats.drowsy_hits
-            mm_next_free = memory._next_free
-            mm_reads = mm_reads0 = memory.reads
-            mm_writes = mm_writes0 = memory.writes
-            mm_qwait = memory.total_queue_wait
-            while True:
-                i = i_[ci]
-                addr, is_write, gcpi, gi = recs_[ci][i]
-                i += 1
-                if i >= n_[ci]:
-                    i = 0
-                    wr = wraps_[ci] + 1
-                    wraps_[ci] = wr
-                    if wr == 1:
-                        running -= 1
-                i_[ci] = i
-                if best >= window_end:
-                    window = int(best) // phase_cycles
-                    window_end = (window + 1) * phase_cycles
-                cset = sets[addr & asm]
-                way = cset.tag_map.get(addr, -1)
-                if way >= 0:
-                    # Hit: promote to MRU, record recency position.  The
-                    # gated-way (drowsy) test can only pass in drowsy
-                    # mode -- see :meth:`_run_fast_single`.
-                    if drowsy_mode and way >= cset.n_active and not cset.is_leader:
-                        dhits += 1
-                        latency = lat_base + drowsy_wakeup
-                    else:
-                        latency = lat_base
-                    order = cset.order
-                    if order[0] == way:
-                        pos = 0
-                    else:
-                        pos = order.index(way)
-                        del order[pos]
-                        order.insert(0, way)
-                    hits += 1
-                    hbp[pos] += 1
-                    g = cset.base + way
-                    if is_write:
-                        dirty_mv[g] = True
-                        if write_counts is not None:
-                            write_counts[g] += 1
-                    lw_mv[g] = window
-                    if profile_hist is not None and cset.is_leader:
-                        profile_hist[module_of_set[cset.index]][pos] += 1
-                else:
-                    # Miss: victim selection + fill, then the memory fetch.
-                    misses += 1
-                    tags = cset.tags
-                    tag_map = cset.tag_map
-                    order = cset.order
-                    n_act = cset.n_active
-                    promote = True
-                    if n_act == a:
-                        if len(tag_map) == a:
-                            # Full set (steady state): evict the recency
-                            # tail; its position is known, so no scan.
-                            victim = order[-1]
-                            del order[-1]
-                            order.insert(0, victim)
-                            promote = False
-                        else:
-                            victim = tags.index(None)
-                    elif not drowsy_mode and len(tag_map) == n_act:
-                        # Shrunken set, every enabled way resident: the
-                        # victim is the LRU enabled way; capture its
-                        # recency position during the scan so promotion
-                        # needs no second pass.
-                        pos = a1
-                        victim = -1
-                        for w in reversed(order):
-                            if w < n_act:
-                                victim = w
-                                break
-                            pos -= 1
-                        if victim < 0:
-                            raise RuntimeError(
-                                f"{l2.name}: set {cset.index} has no "
-                                f"enabled way to fill (n_active="
-                                f"{n_act}, associativity={a})"
-                            )
-                        if pos:
-                            del order[pos]
-                            order.insert(0, victim)
-                        promote = False
-                    else:
-                        head = tags[:n_act]
-                        if None in head:
-                            victim = head.index(None)
-                        else:
-                            victim = -1
-                            for w in reversed(order):
-                                if w < n_act:
-                                    victim = w
-                                    break
-                            if victim < 0:
-                                raise RuntimeError(
-                                    f"{l2.name}: set {cset.index} has no "
-                                    f"enabled way to fill (n_active="
-                                    f"{n_act}, associativity={a})"
-                                )
-                    g = cset.base + victim
-                    old_tag = tags[victim]
-                    now = int(best)
-                    if old_tag is not None:
-                        del tag_map[old_tag]
-                        if dirty_mv[g]:
-                            # Dirty eviction: post the writeback first so
-                            # the demand fetch queues behind it.
-                            wbs += 1
-                            if mm_next_free > now:
-                                mm_qwait += mm_next_free - now
-                                mm_next_free += service_cycles
-                            else:
-                                mm_next_free = now + service_cycles
-                            mm_writes += 1
-                    else:
-                        valid_mv[g] = True
-                    tags[victim] = addr
-                    tag_map[addr] = victim
-                    dirty_mv[g] = is_write
-                    if is_write and write_counts is not None:
-                        write_counts[g] += 1
-                    lw_mv[g] = window
-                    if promote:
-                        pos = order.index(victim)
-                        if pos:
-                            del order[pos]
-                            order.insert(0, victim)
-                    # The demand fetch (MainMemory.read inlined).
-                    if mm_next_free > now:
-                        wait = mm_next_free - now
-                        mm_qwait += wait
-                        mm_next_free += service_cycles
-                        latency = lat_base + (mem_latency + wait) / mlp_[ci]
-                    else:
-                        mm_next_free = now + service_cycles
-                        latency = lat_miss0_[ci]
-                    mm_reads += 1
-                # ``gcpi`` is the precomputed ``gi * base_cpi``;
-                # parenthesised to match retire()'s `+=` evaluation order
-                # (whole RHS first) -- keeps results bit-identical.
-                cyc = cycles_[ci] + (gcpi + latency)
-                cycles_[ci] = cyc
-                ins = instr_[ci] + gi
-                instr_[ci] = ins
-                if wraps_[ci] == 1 and fpc_[ci] == 0.0:
-                    # First pass just completed at this exact record
-                    # boundary: snapshot the measured window (Section 6.4).
-                    fpc_[ci] = cyc
-                    fpi_[ci] = ins
-                if not running:
-                    break
-                ci = 0
-                best = cycles_[0]
-                for k in range(1, n_cores):
-                    ck = cycles_[k]
-                    if ck < best:
-                        best = ck
-                        ci = k
-                if best >= horizon:
-                    break
-            _flush_chunk_counters(
-                stats, memory, hits, misses, wbs, dhits,
-                mm_next_free, mm_reads, mm_reads0,
-                mm_writes, mm_writes0, mm_qwait,
-            )
-
-        # Multi-core interleaving is cycle-dependent, so the batch kernel
-        # never engages here; every record counts as scalar-serviced.
-        self.kernel_scalar_records += sum(
-            (w - w0) * n + (j - j0)
-            for w, w0, j, j0, n in zip(wraps_, wraps0_, i_, i0_, n_)
+            self._retire_batch(kb, i_[0])
+        self.kernel_scalar_records += (
+            sum(w * n + i for w, n, i in zip(wraps_, n_, i_))
+            - pos0
+            - (self.kernel_batch_records - batch0)
         )
-
-        for core, i, wr, cyc, ins, fc, fi in zip(
-            cores, i_, wraps_, cycles_, instr_, fpc_, fpi_
+        for core, g, pb, i, w, cyc, fc, fi in zip(
+            cores, gi_cum_, pass_base_, i_, wraps_, cycles_, fpc_, fpi_
         ):
             core.cursor.index = i
-            core.cursor.wraps = wr
+            core.cursor.wraps = w
             core.cycles = cyc
-            core.instructions = ins
+            core.instructions = pb + (g[i - 1] if i else 0)
             core.first_pass_cycles = fc
             core.first_pass_instructions = fi
         return max(cycles_)
@@ -1556,11 +1343,11 @@ def _flush_chunk_counters(
 ) -> None:
     """Write a chunk's local counter mirrors back to their owners.
 
-    The fast loops (scalar single/multi and the batch-kernel commit loop)
-    mirror the cache stats and memory-channel counters into plain locals
+    The fast loop (its scalar stints and the batch-kernel commit loop)
+    mirrors the cache stats and memory-channel counters into plain locals
     for the duration of a chunk.  Every chunk exit routes through this one
     helper *before* any maintenance code (interval close, refresh advance,
-    interval tracker) can read the counters, so the three paths cannot
+    interval tracker) can read the counters, so the two paths cannot
     drift on which counters get flushed.
     """
     stats.hits = hits

@@ -215,8 +215,8 @@ class Trace:
         its precomputed base cycle cost -- bit-identical to computing the
         product per record, since the operands are the same.  The second
         element is the running instruction total through each record, which
-        lets the fast loops reconstruct the instruction counter at chunk
-        boundaries instead of incrementing it per record.  Cached per
+        lets the fast loop reconstruct the instruction counter from cursor
+        positions instead of incrementing it per record.  Cached per
         (offset, cpi) and shared by every run over this trace.
         """
         key = (offset, base_cpi)

@@ -2,7 +2,7 @@
 
 The batch kernel (:mod:`repro.timing.batch_kernel`) precomputes hit/miss
 outcomes for quiescent stretches and replays them through a slim commit
-loop.  Like the fast loops it rides in, it is a pure performance
+loop.  Like the fast loop it rides in, it is a pure performance
 transformation: every field of the :class:`SystemResult` -- including the
 fault-injection counters -- must match the straight-line reference loop
 *bit for bit* whenever it engages, and it must engage only when the
@@ -61,14 +61,15 @@ def _assert_batch_identical(config, traces, technique, fault_plan):
         batch_kernel=True,
     )
     batch = batch_system.run()
-    ref = System(
+    ref_system = System(
         config, traces, technique=technique, fault_plan=fault_plan,
         reference_loop=True,
-    ).run()
+    )
+    ref = ref_system.run()
     bf, rf = _fields_with_faults(batch), _fields_with_faults(ref)
     for key in bf:
         assert bf[key] == rf[key], f"{technique}: {key} diverged"
-    return batch_system
+    return batch_system, ref_system
 
 
 class TestSingleCoreBatchEquivalence:
@@ -81,7 +82,7 @@ class TestSingleCoreBatchEquivalence:
         traces = [
             generate_trace(get_profile("sphinx"), SINGLE_INSTRUCTIONS, seed=7)
         ]
-        system = _assert_batch_identical(
+        system, _ = _assert_batch_identical(
             config, traces, technique, FAULT_PLAN if faults else None
         )
         # The kernel must actually have engaged on eligible stretches --
@@ -109,11 +110,17 @@ class TestDualCoreBatchEquivalence:
             generate_trace(p, DUAL_INSTRUCTIONS, seed=7 + i)
             for i, p in enumerate(get_mix("GkNe").profiles)
         ]
-        system = _assert_batch_identical(
+        system, ref_system = _assert_batch_identical(
             config, traces, technique, FAULT_PLAN if faults else None
         )
         assert system.kernel_batch_records == 0
         assert system.kernel_scalar_records > 0
+        # The fast loop derives its scalar count from cursor positions;
+        # the reference counts every record it services.
+        assert (
+            system.kernel_batch_records + system.kernel_scalar_records
+            == ref_system.kernel_scalar_records
+        )
 
 
 class TestBatchKernelMetricsParity:

@@ -1,13 +1,13 @@
 """Regression: chunk-local counter mirrors are flushed before readers.
 
-The fast loops (scalar single/multi-core and the batch-kernel commit
-loop) mirror the L2 stats and memory-channel counters into plain locals
-for the duration of an event-horizon chunk, and write them back through
-the shared :func:`repro.timing.system._flush_chunk_counters` helper at
-every chunk exit.  Maintenance code that runs between chunks -- interval
-closes, the interval tracker, refresh accounting -- reads the *owner*
-objects, so a missing or partial flush shows up as stale counters at
-exactly those read points.
+The fast loop (its scalar stints on one or two cores and the batch-kernel
+commit loop) mirrors the L2 stats and memory-channel counters into plain
+locals for the duration of an event-horizon chunk, and writes them back
+through the shared :func:`repro.timing.system._flush_chunk_counters`
+helper at every chunk exit.  Maintenance code that runs between chunks --
+interval closes, the interval tracker, refresh accounting -- reads the
+*owner* objects, so a missing or partial flush shows up as stale counters
+at exactly those read points.
 
 These tests pin the contract by snapshotting the counters inside
 ``_close_interval`` (the first maintenance reader) on every path and
