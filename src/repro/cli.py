@@ -451,7 +451,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         progress=reporter,
         cache=cache,
         trace_events=args.trace_events,
-        executor=args.executor,
         heartbeat_s=args.heartbeat,
         quarantine_after=args.quarantine_after,
         deadline_s=args.deadline,
@@ -859,10 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-worker event ring capacity; the tail of "
                           "each unit's trace ships home in the manifest "
                           "(default 0: metrics only, keeps the fast path)")
-    swp.add_argument("--executor", default=None,
-                     choices=["pool", "spawn", "inprocess", "remote"],
-                     help="execution backend from the executor registry "
-                          "(default: the warm worker pool)")
     swp.add_argument("--heartbeat", type=float, default=None,
                      metavar="SECONDS",
                      help="worker heartbeat interval; a worker whose "

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.experiments.result_cache import probe_unit
 from repro.experiments.runner import RunComparison, Runner
 from repro.timing.system import SystemResult
 
@@ -71,34 +72,6 @@ class FigureRow:
     esteem_active_ratio_pct: float
 
 
-def _probe_cache(
-    cache, runner: Runner, workload: str, techniques: tuple[str, ...]
-) -> tuple[str, list[RunComparison] | None]:
-    """``(fingerprint, hit-or-None)`` for one figure unit.
-
-    Fingerprint is ``""`` when the unit cannot be fingerprinted; a hit is
-    returned in technique order and validated against the unit it claims
-    to be (anything off counts as a miss).
-    """
-    if cache is None:
-        return "", None
-    from repro.experiments.result_cache import unit_fingerprint
-
-    try:
-        fingerprint = unit_fingerprint(
-            runner.config, workload, techniques, runner.seed, runner.fault_plan
-        )
-    except Exception:
-        return "", None
-    hit = cache.get(fingerprint)
-    if hit is None:
-        return fingerprint, None
-    by_tech = {c.technique: c for c in hit if c.workload == workload}
-    if set(by_tech) != set(techniques) or len(hit) != len(techniques):
-        return fingerprint, None
-    return fingerprint, [by_tech[t] for t in techniques]
-
-
 def per_workload_comparison(
     runner: Runner, workloads: list[str], cache=None
 ) -> tuple[list[FigureRow], dict[str, list[RunComparison]]]:
@@ -116,7 +89,10 @@ def per_workload_comparison(
     rows: list[FigureRow] = []
     raw: dict[str, list[RunComparison]] = {"esteem": [], "rpv": []}
     for workload in workloads:
-        fingerprint, hit = _probe_cache(cache, runner, workload, techniques)
+        fingerprint, hit = probe_unit(
+            cache, runner.config, workload, techniques, runner.seed,
+            runner.fault_plan,
+        )
         if hit is not None:
             esteem, rpv = hit
         else:

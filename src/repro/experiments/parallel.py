@@ -10,14 +10,18 @@ technique) -- the baseline run and the generated traces are shared between
 techniques within a worker, which is the same sharing the sequential
 :class:`~repro.experiments.runner.Runner` exploits.
 
-Execution engines (:mod:`repro.experiments.pool`): by default
-:func:`resilient_sweep` dispatches units to a persistent pool of *warm*
-workers that amortise interpreter start, module imports, trace state and
-memoised warm-L2 images across units, receive traces zero-copy as
-shared-memory handles, and are recycled only on crash or hang
-(``use_pool=False`` restores the one-spawn-per-attempt engine).  Both
-engines run the same timeout/retry/checkpoint/degradation state machine
-in this module, so resilience semantics are engine-independent.
+One execution path: :func:`resilient_sweep` runs every parallel sweep
+(``repro sweep`` directly, ``repro figure --jobs N`` through
+:func:`parallel_compare`, its strict wrapper).  It dispatches units to
+one of two engines (:mod:`repro.experiments.pool`), selected by
+``use_pool``: a persistent pool of *warm* workers that amortise
+interpreter start, module imports, trace state and memoised warm-L2
+images across units, receive traces zero-copy as shared-memory handles,
+and are recycled only on crash or hang; or, with ``use_pool=False``, one
+fresh process per attempt (the bit-for-bit reference and throughput
+baseline).  Both engines run the same timeout/retry/checkpoint/
+degradation state machine in this module, so resilience semantics are
+engine-independent.
 
 Results can additionally be served from a content-addressed
 :class:`~repro.experiments.result_cache.ResultCache`: units whose full
@@ -31,7 +35,7 @@ prints a progress + ETA line to stderr; each worker times its own unit
 with a profiling span and the wall time rides back with the results.
 Worker failures surface as :class:`ParallelWorkerError` naming the failing
 workload, with the worker-side traceback in the message -- not as a bare
-unpicklable exception from the pool.
+unpicklable exception from a worker process.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import os
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as pipe_wait
 from typing import Any, Iterable, Sequence
@@ -48,14 +52,13 @@ from typing import Any, Iterable, Sequence
 from repro.config import SimConfig
 from repro.experiments import _trace_cache
 from repro.experiments.checkpoint import SweepCheckpoint, sweep_fingerprint
-from repro.experiments.result_cache import ResultCache, unit_fingerprint
+from repro.experiments.result_cache import ResultCache, probe_unit
 from repro.experiments.runner import RunComparison, Runner, profiles_for
 from repro.experiments.supervise import (
     DeadlineBudget,
     HeartbeatMonitor,
     ParentSignalWatch,
     QuarantineTracker,
-    create_executor,
     full_jitter_delay,
 )
 from repro.faults.plan import FaultPlan
@@ -89,7 +92,6 @@ TRANSIENT_EXC_TYPES: frozenset[str] = frozenset(
         "WorkerCrash",
         "HeartbeatLost",
         "CorruptResult",
-        "BrokenProcessPool",
         "BrokenPipeError",
         "EOFError",
         "ConnectionResetError",
@@ -166,13 +168,15 @@ def _workload_task(
             shipped = Trace.from_shm(shipped)
         _trace_cache.put(name, budget, trace_seed, shipped)
     profiler = Profiler()
-    # When the resilient harness installed a worker observation context
-    # (see repro.obs.campaign), the unit runs with a fresh per-attempt
-    # metrics registry and attributes its counters per technique -- the
-    # baseline run is attributed explicitly so technique deltas measure
-    # only their own simulation.  Without a context (parallel_compare's
-    # ProcessPoolExecutor path) behaviour is unchanged.
+    # Under the resilient harness's worker observation context (see
+    # repro.obs.campaign) the unit runs with a fresh per-attempt metrics
+    # registry and attributes its counters per technique -- the baseline
+    # run is attributed explicitly so technique deltas measure only their
+    # own simulation.  A direct call has no context and no attribution.
     obs = current_worker_obs()
+    technique_span = (
+        obs.technique_span if obs is not None else lambda _name: nullcontext()
+    )
     try:
         with profiler.span(f"worker:{workload}") as span:
             runner = Runner(
@@ -182,18 +186,12 @@ def _workload_task(
                 metrics=obs.registry if obs is not None else None,
                 tracer=obs.tracer if obs is not None else None,
             )
+            with technique_span("baseline"):
+                runner.baseline(workload)
             comparisons = []
-            if obs is not None:
-                with obs.technique_span("baseline"):
-                    runner.baseline(workload)
-                for technique in techniques:
-                    with obs.technique_span(technique):
-                        comparisons.append(runner.compare(workload, technique))
-            else:
-                comparisons = [
-                    runner.compare(workload, technique)
-                    for technique in techniques
-                ]
+            for technique in techniques:
+                with technique_span(technique):
+                    comparisons.append(runner.compare(workload, technique))
         return comparisons, span.wall_s
     except ParallelWorkerError:
         raise
@@ -201,37 +199,6 @@ def _workload_task(
         raise ParallelWorkerError(
             workload, traceback.format_exc(), type(exc).__name__
         ) from None
-
-
-def _cached_unit(
-    cache: ResultCache | None,
-    config: SimConfig,
-    workload: str,
-    techniques: tuple[str, ...],
-    seed: int,
-    plan: FaultPlan | None,
-) -> tuple[str, list[RunComparison] | None]:
-    """Probe the result cache for one unit.
-
-    Returns ``(fingerprint, comparisons-or-None)``.  The fingerprint is
-    ``""`` when the unit cannot be fingerprinted (unknown workload -- it
-    then runs uncached and fails with its real error).  A hit is
-    re-shaped into technique order and sanity-checked against the unit it
-    claims to be; anything off is a miss.
-    """
-    if cache is None:
-        return "", None
-    try:
-        fingerprint = unit_fingerprint(config, workload, techniques, seed, plan)
-    except Exception:
-        return "", None
-    hit = cache.get(fingerprint)
-    if hit is None:
-        return fingerprint, None
-    by_tech = {c.technique: c for c in hit if c.workload == workload}
-    if set(by_tech) != set(techniques) or len(hit) != len(techniques):
-        return fingerprint, None
-    return fingerprint, [by_tech[t] for t in techniques]
 
 
 def parallel_compare(
@@ -255,98 +222,24 @@ def parallel_compare(
     ``progress=True`` prints one per-workload completion line with an ETA
     to stderr; pass a :class:`~repro.obs.profile.ProgressReporter` to
     control the stream/label (its ``total`` is overridden).
+
+    This is :func:`resilient_sweep` in strict mode, without a checkpoint:
+    once every unit has settled, the first failed unit in workload order
+    raises :class:`ParallelWorkerError`.  Its siblings still finish and
+    are cached first, so a rerun after fixing the failure pays only for
+    the failed unit.  A SIGINT/SIGTERM drain raises ``KeyboardInterrupt``.
     """
-    from repro.experiments.pool import SharedTraceStore
-
     workload_list = list(workloads)
-    if not workload_list:
-        raise ValueError("need at least one workload")
-    technique_tuple = tuple(techniques)
-    if not technique_tuple:
-        raise ValueError("need at least one technique")
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-
-    jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-    jobs = min(jobs, len(workload_list))
-
-    if isinstance(progress, ProgressReporter):
-        reporter = progress
-        reporter.total = len(workload_list)
-    else:
-        reporter = ProgressReporter(
-            len(workload_list), label="sweep", enabled=bool(progress)
-        )
-
-    results: list[list[RunComparison] | None] = [None] * len(workload_list)
-    fingerprints: list[str] = [""] * len(workload_list)
-    pending_units: list[int] = []
-    for i, w in enumerate(workload_list):
-        fingerprints[i], hit = _cached_unit(
-            cache, config, w, technique_tuple, seed, None
-        )
-        if hit is not None:
-            results[i] = hit
-            reporter.advance(f"{w} (cached)", 0.0)
-        else:
-            pending_units.append(i)
-
-    # Generate each needed trace exactly once in the parent (memoised
-    # process-wide, so repeated sweeps pay nothing).  Multi-process runs
-    # export the columns to shared memory and ship ~100-byte handles;
-    # the in-process path hands workers the traces directly.  Best
-    # effort: an unresolvable workload ships nothing, so the worker hits
-    # the same error itself and reports it as ParallelWorkerError.
-    store = SharedTraceStore() if jobs > 1 else None
-    try:
-        tasks = []
-        for i in pending_units:
-            w = workload_list[i]
-            preloaded: dict[Any, Any] = {}
-            try:
-                for key, profile in _trace_needs_for(config, w, seed):
-                    trace = _trace_cache.get_trace(profile, key[1], key[2])
-                    preloaded[key] = (
-                        store.acquire(key, trace) if store is not None
-                        else trace
-                    )
-            except Exception:
-                preloaded = {}
-            tasks.append((config, w, technique_tuple, seed, preloaded))
-
-        def complete(i: int, comparisons: list[RunComparison], wall_s: float):
-            results[i] = comparisons
-            if cache is not None and fingerprints[i]:
-                cache.put(fingerprints[i], comparisons)
-            reporter.advance(workload_list[i], wall_s)
-
-        if jobs == 1:
-            for i, task in zip(pending_units, tasks):
-                comparisons, unit_seconds = _workload_task(task)
-                complete(i, comparisons, unit_seconds)
-        elif tasks:
-            with ProcessPoolExecutor(max_workers=jobs) as executor:
-                pending = {
-                    executor.submit(_workload_task, task): i
-                    for i, task in zip(pending_units, tasks)
-                }
-                while pending:
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        i = pending.pop(future)
-                        comparisons, unit_seconds = future.result()
-                        complete(i, comparisons, unit_seconds)
-    finally:
-        if store is not None:
-            store.close()
-    reporter.finish()
-
-    out: dict[str, list[RunComparison]] = {t: [] for t in technique_tuple}
-    for per_workload in results:
-        assert per_workload is not None
-        for comparison in per_workload:
-            out[comparison.technique].append(comparison)
-    return out
+    result = resilient_sweep(
+        config, workload_list, techniques, seed=seed, jobs=jobs,
+        progress=progress, cache=cache,
+    )
+    if result.interrupted is not None:
+        raise KeyboardInterrupt(result.interrupted)
+    if result.failed:
+        f = min(result.failed, key=lambda f: workload_list.index(f.workload))
+        raise ParallelWorkerError(f.workload, f.detail, f.exc_type)
+    return result.comparisons
 
 
 # ----------------------------------------------------------------------
@@ -511,8 +404,6 @@ class _Unit:
     fingerprint: str = ""
     shm_keys: tuple = ()
     attempt: int = 0  # attempts already consumed
-    last_exc_type: str = ""
-    last_detail: str = ""
     last_telemetry: str = "lost"  # obs outcome of the latest attempt
 
 
@@ -563,13 +454,12 @@ def resilient_sweep(
     cache: ResultCache | None = None,
     use_pool: bool = True,
     trace_events: int = 0,
-    executor: str | None = None,
     heartbeat_s: float | None = None,
     heartbeat_misses: float = 2.0,
     quarantine_after: int | None = None,
     deadline_s: float | None = None,
 ) -> SweepResult:
-    """A :func:`parallel_compare` that survives hostile infrastructure.
+    """Run ``techniques`` on every workload, surviving hostile infrastructure.
 
     Each (workload, all-techniques) unit runs one attempt at a time in a
     worker process connected by a pipe, so the parent can enforce a
@@ -579,13 +469,14 @@ def resilient_sweep(
     persistent warm-worker engine and traces travel as zero-copy
     shared-memory handles; a terminated or crashed worker is recycled,
     every other worker stays warm.  ``use_pool=False`` spawns one
-    process per attempt (the PR 3 engine; the throughput benchmark's
-    baseline).  Failed attempts are classified by exception type:
-    transient ones (:data:`TRANSIENT_EXC_TYPES`: crashes, timeouts,
-    corrupt results, broken pipes) are retried up to ``retries`` times
-    with exponential backoff (``backoff_s * 2**(attempt-1)``);
-    deterministic ones fail fast, because a unit that raised
-    ``ValueError`` once will raise it on every retry.
+    process per attempt (the bit-for-bit reference engine and the
+    throughput benchmark's baseline).  Failed attempts are classified by
+    exception type: transient ones (:data:`TRANSIENT_EXC_TYPES`:
+    crashes, timeouts, corrupt results, broken pipes) are retried up to
+    ``retries`` times with exponential backoff
+    (``backoff_s * 2**(attempt-1)``); deterministic ones fail fast,
+    because a unit that raised ``ValueError`` once will raise it on
+    every retry.
 
     Determinism: a retried unit reproduces the original attempt bit for
     bit -- traces are functions of ``(profile, budget, seed)``, and the
@@ -620,12 +511,10 @@ def resilient_sweep(
     :class:`~repro.obs.campaign.CampaignDashboard`).
 
     Supervision (all off by default; see
-    :mod:`repro.experiments.supervise`): ``executor`` selects a backend
-    from the executor registry by name (``pool`` / ``spawn`` /
-    ``inprocess`` / ``remote``; default: ``use_pool``'s engine).  With
-    ``heartbeat_s`` set, workers beat on their result pipes and a worker
-    whose beats flatline is condemned as *hung* after ``heartbeat_misses``
-    missed intervals -- O(heartbeat interval) detection, retried as
+    :mod:`repro.experiments.supervise`): with ``heartbeat_s`` set,
+    workers beat on their result pipes and a worker whose beats flatline
+    is condemned as *hung* after ``heartbeat_misses`` missed intervals
+    -- O(heartbeat interval) detection, retried as
     ``HeartbeatLost`` -- while a slow-but-alive worker that keeps beating
     runs to its ``timeout_s`` deadline.  With ``quarantine_after=N``, a
     unit whose attempts kill ``N`` *distinct* workers (crash / timeout /
@@ -642,7 +531,12 @@ def resilient_sweep(
     ``seed``) so simultaneous transient failures do not retry in
     lockstep.
     """
-    from repro.experiments.pool import SharedTraceStore, _is_heartbeat
+    from repro.experiments.pool import (
+        SharedTraceStore,
+        SpawnExecutor,
+        WorkerPool,
+        _is_heartbeat,
+    )
 
     workload_list = list(workloads)
     if not workload_list:
@@ -661,14 +555,16 @@ def resilient_sweep(
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
     jobs = min(jobs, len(workload_list))
 
-    executor_name = executor or ("pool" if use_pool else "spawn")
     obs_spec: dict[str, Any] = {}
     if trace_events:
         obs_spec["trace_capacity"] = trace_events
     if heartbeat_s is not None:
         obs_spec["heartbeat_s"] = heartbeat_s
-    executor_obj = create_executor(executor_name, jobs=jobs, obs_spec=obs_spec)
-    jobs = max(1, min(jobs, getattr(executor_obj, "max_concurrency", jobs)))
+    executor_obj = (
+        WorkerPool(jobs, obs_spec=obs_spec)
+        if use_pool
+        else SpawnExecutor(obs_spec=obs_spec)
+    )
 
     hb = (
         HeartbeatMonitor(heartbeat_s, heartbeat_misses)
@@ -734,8 +630,8 @@ def resilient_sweep(
         timeline.append(entry)
 
     # Zero-copy shared-memory trace shipping only pays off for the warm
-    # pool; spawn/inprocess/remote ship traces through the task pickle.
-    store = SharedTraceStore() if executor_name == "pool" else None
+    # pool; the spawn engine ships traces through the task pickle.
+    store = SharedTraceStore() if use_pool else None
     results: list[list[RunComparison] | None] = [None] * len(workload_list)
     resumed: list[str] = []
     cached: list[str] = []
@@ -752,18 +648,9 @@ def resilient_sweep(
             note(w, 0, "resumed", "", rel_now(), rel_now(), "none")
             reporter.advance(w, 0.0)
             continue
-        unit_fp, hit = _cached_unit(
+        unit_fp, hit = probe_unit(
             cache, config, w, technique_tuple, seed, plan
         )
-        if not unit_fp:
-            # The quarantine ledger keys on the unit's content
-            # fingerprint even when no result cache is attached.
-            try:
-                unit_fp = unit_fingerprint(
-                    config, w, technique_tuple, seed, plan
-                )
-            except Exception:
-                unit_fp = ""
         if ckpt is not None and w in ckpt.quarantined_workloads:
             # A previous run of this campaign already condemned this
             # unit; a resume must not re-feed the poison to fresh
@@ -859,31 +746,16 @@ def resilient_sweep(
             for key in unit.shm_keys:
                 store.release(key)
 
-    def abandon(unit: _Unit, exc_type: str, detail: str) -> None:
-        failed.append(
-            FailedWorkload(
-                workload=unit.workload,
-                attempts=unit.attempt,
-                exc_type=exc_type,
-                detail=detail,
-                telemetry=unit.last_telemetry,
-            )
-        )
-        settle(unit)
-        reporter.advance(f"{unit.workload} (FAILED)", 0.0)
-
     def dispose(
-        unit: _Unit, exc_type: str, detail: str, worker: int = -1
-    ) -> str:
-        """Retry, quarantine, or abandon a failed attempt.
+        unit: _Unit, exc_type: str, detail: str, worker: int, started_s: float
+    ) -> None:
+        """Retry, quarantine, or abandon a failed attempt, and note it.
 
-        Returns the outcome label.  Quarantine outranks both retry and
-        abandon: a unit that has now killed ``quarantine_after`` distinct
-        workers is poison regardless of remaining retry budget.
+        Quarantine outranks both retry and abandon: a unit that has now
+        killed ``quarantine_after`` distinct workers is poison regardless
+        of remaining retry budget.
         """
         nonlocal total_retries
-        unit.last_exc_type = exc_type
-        unit.last_detail = detail
         key = unit.fingerprint or unit.workload
         quarantine.record_lethal(key, worker, exc_type)
         if (
@@ -904,11 +776,8 @@ def resilient_sweep(
             )
             if ckpt is not None:
                 ckpt.note_event("quarantined", unit.workload, exc_type)
-            settle(unit)
-            reporter.advance(f"{unit.workload} (QUARANTINED)", 0.0)
-            return "quarantined"
-        transient = exc_type in TRANSIENT_EXC_TYPES
-        if transient and unit.attempt <= retries:
+            outcome = "quarantined"
+        elif exc_type in TRANSIENT_EXC_TYPES and unit.attempt <= retries:
             total_retries += 1
             delay = (
                 full_jitter_delay(backoff_s, seed, unit.workload, unit.attempt)
@@ -916,41 +785,61 @@ def resilient_sweep(
                 else 0.0
             )
             backing_off.append((time.monotonic() + delay, unit))
-            return "retry"
-        abandon(unit, exc_type, detail)
-        return "failed"
+            outcome = "retry"
+        else:
+            failed.append(
+                FailedWorkload(
+                    workload=unit.workload,
+                    attempts=unit.attempt,
+                    exc_type=exc_type,
+                    detail=detail,
+                    telemetry=unit.last_telemetry,
+                )
+            )
+            outcome = "failed"
+        note(
+            unit.workload, unit.attempt, outcome, exc_type,
+            started_s, rel_now(), unit.last_telemetry,
+        )
+        if outcome != "retry":
+            settle(unit)
+            reporter.advance(f"{unit.workload} ({outcome.upper()})", 0.0)
+
+    def retire(conn) -> tuple[_Unit, float, int]:
+        """Abort an in-flight attempt: ``(unit, started_s, worker id)``."""
+        unit, _deadline, started_s = running.pop(conn)
+        if hb is not None:
+            hb.forget(conn)
+        # Worker identity must be read before abort() reaps the worker.
+        wid = executor_obj.worker_id(conn)
+        # abort() SIGTERMs the worker and waits briefly for the partial
+        # telemetry snapshot its abort handler flushes.
+        salvage = executor_obj.abort(conn)
+        unit.last_telemetry = _telemetry_status(
+            telemetry_from_message(salvage)
+        )
+        return unit, started_s, wid
 
     def cancel_remaining(reason: str) -> None:
         """Fair cancellation: abort in-flight attempts, record every
         unfinished unit as ``skipped-<reason>`` -- never silently drop."""
-        for conn in list(running):
-            unit, _deadline, started_s = running.pop(conn)
-            if hb is not None:
-                hb.forget(conn)
-            salvage = executor_obj.abort(conn)
-            telemetry = telemetry_from_message(salvage)
-            unit.last_telemetry = _telemetry_status(telemetry)
-            skipped.append(
-                SkippedWorkload(unit.workload, reason, unit.attempt)
-            )
-            note(
-                unit.workload, unit.attempt, f"skipped-{reason}", "",
-                started_s, rel_now(), unit.last_telemetry, in_flight=True,
-            )
-            if ckpt is not None:
-                ckpt.note_event(f"skipped-{reason}", unit.workload)
-            settle(unit)
-            reporter.advance(f"{unit.workload} (SKIPPED)", 0.0)
-        leftovers = list(units) + [u for _, u in backing_off]
+        # In-flight attempts carry their start time; queued and
+        # backing-off units never started this attempt (``None``).
+        cancelled = [retire(conn)[:2] for conn in list(running)]
+        cancelled += [(u, None) for u in units]
+        cancelled += [(u, None) for _, u in backing_off]
         units.clear()
         backing_off.clear()
-        for unit in leftovers:
+        for unit, started_s in cancelled:
+            in_flight = started_s is not None
             skipped.append(
                 SkippedWorkload(unit.workload, reason, unit.attempt)
             )
             note(
                 unit.workload, unit.attempt, f"skipped-{reason}", "",
-                rel_now(), rel_now(), "none",
+                started_s if in_flight else rel_now(), rel_now(),
+                unit.last_telemetry if in_flight else "none",
+                in_flight=in_flight,
             )
             if ckpt is not None:
                 ckpt.note_event(f"skipped-{reason}", unit.workload)
@@ -1056,59 +945,45 @@ def resilient_sweep(
                     telemetry = telemetry_from_message(message)
                     unit.last_telemetry = _telemetry_status(telemetry)
                     if message is None:
-                        outcome = dispose(
+                        dispose(
                             unit,
                             "WorkerCrash",
                             f"worker exited without a result "
                             f"(exitcode={exitcode})",
-                            worker=wid,
+                            wid,
+                            started_s,
                         )
-                        note(
-                            unit.workload, unit.attempt, outcome,
-                            "WorkerCrash", started_s, rel_now(),
-                            unit.last_telemetry,
-                        )
-                    elif message[0] == "ok":
-                        validated = _validate_unit_result(message[1])
-                        if validated is None:
-                            outcome = dispose(
-                                unit,
-                                "CorruptResult",
-                                f"worker returned a malformed result: "
-                                f"{type(message[1]).__name__}",
-                                worker=wid,
-                            )
-                            note(
-                                unit.workload, unit.attempt, outcome,
-                                "CorruptResult", started_s, rel_now(),
-                                unit.last_telemetry,
-                            )
-                        else:
-                            comparisons, wall_s = validated
-                            results[unit.index] = comparisons
-                            settle(unit)
-                            if ckpt is not None:
-                                ckpt.record(comparisons)
-                            if cache is not None and unit.fingerprint:
-                                cache.put(unit.fingerprint, comparisons)
-                            # Only successful attempts feed the campaign
-                            # totals: merged counters stay the exact sum
-                            # of the units that produced results.
-                            agg.add_unit(unit.workload, telemetry)
-                            note(
-                                unit.workload, unit.attempt, "ok", "",
-                                started_s, rel_now(), unit.last_telemetry,
-                            )
-                            reporter.advance(unit.workload, wall_s)
-                    else:
+                    elif message[0] != "ok":
                         _tag, exc_type, detail, *_rest = message
-                        outcome = dispose(
-                            unit, exc_type, detail, worker=wid
+                        dispose(unit, exc_type, detail, wid, started_s)
+                    elif (
+                        validated := _validate_unit_result(message[1])
+                    ) is None:
+                        dispose(
+                            unit,
+                            "CorruptResult",
+                            f"worker returned a malformed result: "
+                            f"{type(message[1]).__name__}",
+                            wid,
+                            started_s,
                         )
+                    else:
+                        comparisons, wall_s = validated
+                        results[unit.index] = comparisons
+                        settle(unit)
+                        if ckpt is not None:
+                            ckpt.record(comparisons)
+                        if cache is not None and unit.fingerprint:
+                            cache.put(unit.fingerprint, comparisons)
+                        # Only successful attempts feed the campaign
+                        # totals: merged counters stay the exact sum of
+                        # the units that produced results.
+                        agg.add_unit(unit.workload, telemetry)
                         note(
-                            unit.workload, unit.attempt, outcome, exc_type,
+                            unit.workload, unit.attempt, "ok", "",
                             started_s, rel_now(), unit.last_telemetry,
                         )
+                        reporter.advance(unit.workload, wall_s)
                 # Enforce wall-clock deadlines on whoever is still
                 # running.  A worker that is *beating* but slow lands
                 # here -- slow-but-alive runs to its full deadline.
@@ -1119,55 +994,32 @@ def resilient_sweep(
                     if deadline is not None and now >= deadline
                 ]
                 for conn in overdue:
-                    unit, _deadline, started_s = running.pop(conn)
-                    if hb is not None:
-                        hb.forget(conn)
-                    wid = executor_obj.worker_id(conn)
-                    # abort() SIGTERMs the worker and waits briefly for
-                    # the partial telemetry snapshot its abort handler
-                    # flushes.
-                    salvage = executor_obj.abort(conn)
-                    telemetry = telemetry_from_message(salvage)
-                    unit.last_telemetry = _telemetry_status(telemetry)
-                    outcome = dispose(
+                    unit, started_s, wid = retire(conn)
+                    dispose(
                         unit,
                         "TimeoutError",
                         f"attempt exceeded the {timeout_s:g}s wall-clock "
                         f"timeout and was terminated",
-                        worker=wid,
-                    )
-                    note(
-                        unit.workload, unit.attempt, outcome,
-                        "TimeoutError", started_s, rel_now(),
-                        unit.last_telemetry,
+                        wid,
+                        started_s,
                     )
                 # A worker whose beats flatlined is *hung*: condemned in
-                # O(heartbeat window), not O(unit timeout).
+                # O(heartbeat window), not O(unit timeout).  Every conn
+                # the monitor tracks is still running: each exit from
+                # ``running`` forgets its conn.
                 if hb is not None:
                     for conn in hb.overdue():
-                        entry = running.pop(conn, None)
-                        hb.forget(conn)
-                        if entry is None:
-                            continue
-                        unit, _deadline, started_s = entry
                         hung_detected += 1
-                        wid = executor_obj.worker_id(conn)
-                        salvage = executor_obj.abort(conn)
-                        telemetry = telemetry_from_message(salvage)
-                        unit.last_telemetry = _telemetry_status(telemetry)
-                        outcome = dispose(
+                        unit, started_s, wid = retire(conn)
+                        dispose(
                             unit,
                             "HeartbeatLost",
                             f"no heartbeat for more than "
                             f"{hb.window_s:g}s ({hb.interval_s:g}s "
                             f"interval x {hb.misses:g} misses); worker "
                             f"presumed hung and terminated",
-                            worker=wid,
-                        )
-                        note(
-                            unit.workload, unit.attempt, outcome,
-                            "HeartbeatLost", started_s, rel_now(),
-                            unit.last_telemetry,
+                            wid,
+                            started_s,
                         )
                 push_status()
     finally:
@@ -1189,7 +1041,7 @@ def resilient_sweep(
         for comparison in per_workload:
             out[comparison.technique].append(comparison)
     supervision = {
-        "executor": executor_name,
+        "executor": "pool" if use_pool else "spawn",
         "heartbeat_s": heartbeat_s,
         "heartbeat_misses": heartbeat_misses if heartbeat_s else None,
         "heartbeats_received": hb.beats_received if hb is not None else 0,

@@ -14,8 +14,10 @@ module keeps those costs amortised:
   worker is *recycled* (discarded and lazily replaced) only when it
   crashes (pipe EOF) or hangs (the harness aborts it on deadline); a unit
   that merely raises keeps its worker warm.
-* :class:`SpawnExecutor` -- the PR 3 per-unit-spawn path behind the same
-  executor interface, kept as the benchmark reference and fallback.
+* :class:`SpawnExecutor` -- one freshly spawned process per attempt
+  behind the same executor interface, kept as the bit-for-bit reference
+  engine and as the baseline the sweep throughput gate measures the pool
+  against.
 * :class:`SharedTraceStore` -- parent-side refcounted export of traces
   into named ``multiprocessing.shared_memory`` segments, so workers
   attach multi-million-record columns zero-copy instead of receiving a
@@ -25,7 +27,10 @@ module keeps those costs amortised:
   can never leak ``/dev/shm`` entries, because workers never own
   segments.
 
-Both executors speak the same protocol to the resilient harness:
+These are the only two engines.
+:func:`~repro.experiments.parallel.resilient_sweep` -- the one sweep
+path, which ``parallel_compare`` and ``repro figure --jobs N`` also run
+on -- picks one with ``use_pool`` and speaks the same protocol to both:
 ``start()`` returns a pollable connection, ``finish()`` collects the
 attempt's message (``None`` means the worker died without reporting; the
 harness may also pass a message it already received off the pipe),

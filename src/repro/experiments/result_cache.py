@@ -5,8 +5,10 @@ pure function of its inputs: the benchmark profile parameters, the
 instruction budget, the trace seed, the technique list, the system
 configuration, the fault plan, and the simulation engine itself.
 :func:`unit_fingerprint` hashes exactly that closure; :class:`ResultCache`
-maps the hash to the unit's serialised comparisons on disk.  ``repro
-sweep``, ``parallel_compare`` and figure regeneration probe it before
+maps the hash to the unit's serialised comparisons on disk.  Every sweep
+path -- ``repro sweep`` and ``repro figure --jobs N`` through
+``resilient_sweep``, sequential figure regeneration through
+``per_workload_comparison`` -- probes it with :func:`probe_unit` before
 running a unit, so re-plotting a figure after an unrelated edit skips
 straight to rendering.
 
@@ -45,7 +47,7 @@ from repro.obs.metrics import get_default_registry
 from repro.timing.system import SIM_ENGINE_VERSION
 from repro.util import atomic_write_json, stable_fingerprint
 
-__all__ = ["ResultCache", "default_cache_dir", "unit_fingerprint"]
+__all__ = ["ResultCache", "default_cache_dir", "probe_unit", "unit_fingerprint"]
 
 _MAGIC = "repro-sweep-result-cache-v1"
 
@@ -82,6 +84,36 @@ def unit_fingerprint(
         "plan": plan.as_dict() if plan is not None else None,
     }
     return stable_fingerprint(payload, length=64)
+
+
+def probe_unit(
+    cache: ResultCache | None,
+    config: SimConfig,
+    workload: str,
+    techniques: tuple[str, ...],
+    seed: int,
+    plan: FaultPlan | None = None,
+) -> tuple[str, list[RunComparison] | None]:
+    """Fingerprint one unit and look it up: ``(fingerprint, hit-or-None)``.
+
+    The fingerprint is computed even without a cache (the sweep's
+    quarantine ledger keys on it) and is ``""`` when the unit cannot be
+    fingerprinted (unknown workload -- it then runs uncached and fails
+    with its real error).  A hit is re-shaped into technique order and
+    sanity-checked against the unit it claims to be; anything off is a
+    miss.
+    """
+    try:
+        fingerprint = unit_fingerprint(config, workload, techniques, seed, plan)
+    except Exception:
+        return "", None
+    hit = cache.get(fingerprint) if cache is not None else None
+    if hit is None:
+        return fingerprint, None
+    by_tech = {c.technique: c for c in hit if c.workload == workload}
+    if set(by_tech) != set(techniques) or len(hit) != len(techniques):
+        return fingerprint, None
+    return fingerprint, [by_tech[t] for t in techniques]
 
 
 class ResultCache:

@@ -1,29 +1,13 @@
-"""Supervised execution: executor registry + campaign guardrails.
+"""Supervised execution: campaign guardrails for the sweep loop.
 
-The PR 4 executors (warm pool, spawn-per-attempt) speak a small protocol
--- ``start`` / ``finish`` / ``abort`` / ``close`` -- that
-:func:`~repro.experiments.parallel.resilient_sweep` drives.  This module
-generalises that seam in two directions:
-
-**Registry.**  Backends become configuration, not code:
-:func:`create_executor` resolves a name (``pool``, ``spawn``,
-``inprocess``, ``remote``) to a factory registered via
-:func:`register_executor`, so the CLI's ``--executor`` flag and the
-future ``repro serve`` daemon can select engines without importing them.
-Two new backends round out the registry:
-
-* :class:`InProcessExecutor` runs attempts on daemon *threads* in the
-  parent process -- no fork, no pipes to a child, ideal for debugging a
-  unit under ``pdb`` and for environments where ``fork`` is unavailable.
-  It cannot contain a hard crash (an ``os._exit`` chaos action would
-  take the parent down) and cannot interrupt a running attempt, so
-  ``abort`` merely detaches; it advertises ``max_concurrency = 1``.
-* :class:`RemoteStubExecutor` is the shape of the future remote/ssh
-  backend: it validates its host config, accounts the bytes each
-  attempt's payload would ship over the wire, and loops back to a local
-  :class:`~repro.experiments.pool.SpawnExecutor` (one fresh process per
-  attempt is exactly the remote execution model).  Non-local hosts raise
-  ``NotImplementedError`` today instead of silently running locally.
+:func:`~repro.experiments.parallel.resilient_sweep` drives one of two
+executors (:mod:`repro.experiments.pool`), selected by ``use_pool``: the
+warm :class:`~repro.experiments.pool.WorkerPool` or the one-process-per-
+attempt :class:`~repro.experiments.pool.SpawnExecutor`, its bit-for-bit
+reference and throughput baseline.  Both speak a small protocol --
+``start`` / ``finish`` / ``abort`` / ``close`` plus ``worker_id`` and the
+``workers_spawned`` / ``workers_recycled`` counters.  This module holds
+the supervision the loop layers on top of either engine.
 
 **Supervision primitives.**  Small, independently testable pieces the
 sweep loop composes:
@@ -55,28 +39,21 @@ sweep loop composes:
 
 from __future__ import annotations
 
-import pickle
 import random
 import signal
 import threading
 import time
-from typing import Any, Callable
+from typing import Any
 
 from repro.util import stable_fingerprint
 
 __all__ = [
-    "CampaignInterrupted",
     "DeadlineBudget",
     "HeartbeatMonitor",
-    "InProcessExecutor",
     "LETHAL_EXC_TYPES",
     "ParentSignalWatch",
     "QuarantineTracker",
-    "RemoteStubExecutor",
-    "available_executors",
-    "create_executor",
     "full_jitter_delay",
-    "register_executor",
 ]
 
 #: Exception type names that mean an attempt *took its worker down*
@@ -87,255 +64,6 @@ __all__ = [
 LETHAL_EXC_TYPES: frozenset[str] = frozenset(
     {"WorkerCrash", "TimeoutError", "HeartbeatLost"}
 )
-
-
-# ----------------------------------------------------------------------
-# Executor registry
-# ----------------------------------------------------------------------
-
-_REGISTRY: dict[str, Callable[..., Any]] = {}
-
-
-def register_executor(
-    name: str, factory: Callable[..., Any], replace: bool = False
-) -> None:
-    """Register an executor backend under ``name``.
-
-    ``factory(jobs=..., obs_spec=..., **config)`` must return an object
-    speaking the executor protocol (``start``/``finish``/``abort``/
-    ``close`` plus the ``workers_spawned``/``workers_recycled`` counters
-    and ``worker_id``).  Re-registering an existing name requires
-    ``replace=True`` so a typo cannot silently shadow a builtin.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError("executor name must be a non-empty string")
-    if name in _REGISTRY and not replace:
-        raise ValueError(
-            f"executor {name!r} is already registered; "
-            f"pass replace=True to override"
-        )
-    _REGISTRY[name] = factory
-
-
-def available_executors() -> list[str]:
-    """Names the registry can resolve, sorted."""
-    return sorted(_REGISTRY)
-
-
-def create_executor(
-    name: str, jobs: int = 1, obs_spec: dict | None = None, **config: Any
-):
-    """Instantiate the backend registered under ``name``."""
-    factory = _REGISTRY.get(name)
-    if factory is None:
-        raise ValueError(
-            f"unknown executor {name!r}; available: "
-            f"{', '.join(available_executors())}"
-        )
-    return factory(jobs=jobs, obs_spec=obs_spec, **config)
-
-
-def _make_pool(jobs: int = 1, obs_spec: dict | None = None, **config: Any):
-    from repro.experiments.pool import WorkerPool
-
-    return WorkerPool(jobs, obs_spec=obs_spec, **config)
-
-
-def _make_spawn(jobs: int = 1, obs_spec: dict | None = None, **config: Any):
-    from repro.experiments.pool import SpawnExecutor
-
-    return SpawnExecutor(obs_spec=obs_spec, **config)
-
-
-def _make_inprocess(
-    jobs: int = 1, obs_spec: dict | None = None, **config: Any
-):
-    return InProcessExecutor(obs_spec=obs_spec, **config)
-
-
-def _make_remote(jobs: int = 1, obs_spec: dict | None = None, **config: Any):
-    return RemoteStubExecutor(obs_spec=obs_spec, **config)
-
-
-# ----------------------------------------------------------------------
-# In-process executor (thread-backed; debugging / fork-less hosts)
-# ----------------------------------------------------------------------
-
-
-class InProcessExecutor:
-    """Run attempts on daemon threads inside the parent process.
-
-    The attempt still reports through a real ``multiprocessing.Pipe``,
-    so the sweep loop's poll/recv machinery is identical to the process
-    engines'.  Containment is weaker by construction: a chaos ``crash``
-    (``os._exit``) would kill the parent, and ``abort`` cannot stop a
-    Python thread -- it closes the parent's pipe end and detaches (the
-    orphaned thread dies on its next send).  ``max_concurrency = 1``
-    keeps the worker-observation context (a process-wide slot) exact.
-    """
-
-    #: The sweep clamps its in-flight attempts to this.
-    max_concurrency = 1
-
-    def __init__(self, obs_spec: dict | None = None, **_config: Any) -> None:
-        import multiprocessing
-
-        self._ctx = multiprocessing
-        self._obs_spec = obs_spec
-        self._busy: dict[Any, Any] = {}  # conn -> thread
-        self._ids: dict[Any, int] = {}
-        self._next_id = 0
-        self.workers_spawned = 0
-        self.workers_recycled = 0
-
-    def start(
-        self, task: tuple, workload: str, attempt: int, plan: Any
-    ):
-        from repro.experiments.pool import _attempt_message
-
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        send_lock = threading.Lock()
-
-        def run() -> None:
-            message = _attempt_message(
-                task, plan, workload, attempt, self._obs_spec,
-                conn=child_conn, send_lock=send_lock,
-            )
-            try:
-                with send_lock:
-                    child_conn.send(message)
-            except (BrokenPipeError, OSError):
-                pass
-            finally:
-                try:
-                    child_conn.close()
-                except OSError:
-                    pass
-
-        thread = threading.Thread(
-            target=run, name=f"inprocess-{workload}-{attempt}", daemon=True
-        )
-        thread.start()
-        self.workers_spawned += 1
-        self._busy[parent_conn] = thread
-        self._ids[parent_conn] = self._next_id
-        self._next_id += 1
-        return parent_conn
-
-    def worker_id(self, conn) -> int:
-        return self._ids.get(conn, -1)
-
-    def finish(self, conn, message: Any = ...) -> tuple[Any, int | None]:
-        from repro.experiments.pool import _recv_final
-
-        thread = self._busy.pop(conn, None)
-        self._ids.pop(conn, None)
-        if message is ...:
-            try:
-                message = _recv_final(conn)
-            except (EOFError, OSError):
-                message = None
-        if thread is not None:
-            thread.join(timeout=1.0)
-        conn.close()
-        return message, None
-
-    def abort(self, conn) -> Any:
-        """Detach from a running attempt (threads cannot be killed).
-
-        The thread keeps running until its next pipe send fails; no
-        salvage telemetry is available, exactly like a mute crash.
-        """
-        self._busy.pop(conn, None)
-        self._ids.pop(conn, None)
-        try:
-            conn.close()
-        except OSError:
-            pass
-        self.workers_recycled += 1
-        return None
-
-    def close(self) -> None:
-        for conn in list(self._busy):
-            self.abort(conn)
-
-
-# ----------------------------------------------------------------------
-# Remote stub executor (loopback delegate)
-# ----------------------------------------------------------------------
-
-_LOCAL_HOSTS = ("loopback", "localhost", "127.0.0.1")
-
-
-class RemoteStubExecutor:
-    """Stub of the future remote backend.
-
-    Validates its host configuration, accounts the bytes each attempt's
-    request would ship over the wire (task + plan, pickled -- the same
-    payload a real transport would serialise), then executes on a local
-    :class:`~repro.experiments.pool.SpawnExecutor`: one fresh process
-    per attempt is exactly the execution model of a remote host.  A
-    non-local ``host`` raises ``NotImplementedError`` now rather than
-    silently running locally.
-    """
-
-    def __init__(
-        self,
-        host: str = "loopback",
-        obs_spec: dict | None = None,
-        mp_context=None,
-        **_config: Any,
-    ) -> None:
-        from repro.experiments.pool import SpawnExecutor
-
-        if host not in _LOCAL_HOSTS:
-            raise NotImplementedError(
-                f"remote executor host {host!r} is not implemented yet; "
-                f"only the loopback stub ({', '.join(_LOCAL_HOSTS)}) runs"
-            )
-        self.host = host
-        self.shipped_bytes = 0
-        self._delegate = SpawnExecutor(
-            mp_context=mp_context, obs_spec=obs_spec
-        )
-
-    def start(self, task: tuple, workload: str, attempt: int, plan: Any):
-        try:
-            self.shipped_bytes += len(
-                pickle.dumps((task, workload, attempt, plan))
-            )
-        except Exception:
-            pass  # unpicklable payloads fail in the delegate with a real error
-        return self._delegate.start(task, workload, attempt, plan)
-
-    def worker_id(self, conn) -> int:
-        return self._delegate.worker_id(conn)
-
-    def finish(self, conn, message: Any = ...) -> tuple[Any, int | None]:
-        if message is ...:
-            # Translate to the delegate's own "read the pipe" sentinel.
-            return self._delegate.finish(conn)
-        return self._delegate.finish(conn, message)
-
-    def abort(self, conn) -> Any:
-        return self._delegate.abort(conn)
-
-    def close(self) -> None:
-        self._delegate.close()
-
-    @property
-    def workers_spawned(self) -> int:
-        return self._delegate.workers_spawned
-
-    @property
-    def workers_recycled(self) -> int:
-        return self._delegate.workers_recycled
-
-
-register_executor("pool", _make_pool)
-register_executor("spawn", _make_spawn)
-register_executor("inprocess", _make_inprocess)
-register_executor("remote", _make_remote)
 
 
 # ----------------------------------------------------------------------
@@ -460,10 +188,6 @@ class DeadlineBudget:
     def expires_at(self) -> float:
         return self.start + self.deadline_s
 
-    def remaining(self, now: float | None = None) -> float:
-        now = time.monotonic() if now is None else now
-        return max(0.0, self.expires_at - now)
-
     def expired(self, now: float | None = None) -> bool:
         now = time.monotonic() if now is None else now
         return now >= self.expires_at
@@ -472,19 +196,6 @@ class DeadlineBudget:
 # ----------------------------------------------------------------------
 # Parent signal watch (crash-safe campaign recovery)
 # ----------------------------------------------------------------------
-
-
-class CampaignInterrupted(BaseException):
-    """The campaign parent was told to stop (SIGINT/SIGTERM).
-
-    A ``BaseException`` so sweeping ``except Exception`` blocks cannot
-    swallow it; in practice the sweep never *raises* it mid-I/O -- the
-    signal handler only sets a flag and the loop drains gracefully.
-    """
-
-    def __init__(self, signame: str) -> None:
-        super().__init__(signame)
-        self.signame = signame
 
 
 class ParentSignalWatch:

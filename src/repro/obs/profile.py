@@ -7,7 +7,8 @@ sites can write ``with profiler.span("name"):`` unconditionally.
 
 :class:`ProgressReporter` prints per-unit progress with an ETA to stderr
 during multi-workload sweeps -- the visibility layer for
-:func:`repro.experiments.parallel.parallel_compare`.
+:func:`repro.experiments.parallel.resilient_sweep`, the one sweep path
+(``repro sweep``, ``repro figure --jobs N`` and ``parallel_compare``).
 """
 
 from __future__ import annotations

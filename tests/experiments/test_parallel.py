@@ -126,6 +126,26 @@ class TestWorkerFailures:
         # The worker-side traceback crossed the process boundary as text.
         assert excinfo.value.detail
 
+    def test_failure_keeps_finished_siblings_cached(self, tmp_path):
+        # A failing unit must not throw away the results of units that
+        # finished beside it: gamess lands in the cache before the
+        # error is raised.
+        from repro.experiments.result_cache import ResultCache, probe_unit
+
+        config = SimConfig.scaled(**CFG_KW)
+        cache = ResultCache(tmp_path / "results")
+        with pytest.raises(ParallelWorkerError) as excinfo:
+            parallel_compare(
+                config, ["gamess", "no-such-benchmark"], ("esteem",),
+                jobs=2, cache=cache,
+            )
+        assert excinfo.value.workload == "no-such-benchmark"
+        assert excinfo.value.exc_type == "KeyError"
+        _fingerprint, hit = probe_unit(cache, config, "gamess", ("esteem",), 0)
+        assert hit is not None
+        reference = Runner(config).compare("gamess", "esteem")
+        assert hit[0].result == reference.result
+
 
 class TestProgress:
     def test_progress_reporter_sees_every_workload(self):

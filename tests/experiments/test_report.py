@@ -277,9 +277,7 @@ class TestSupervisionManifest:
         assert manifest["quarantined"] == []
         assert manifest["skipped"] == []
         assert manifest["interrupted"] is None
-        assert manifest["supervision"]["executor"] in (
-            "pool", "spawn", "inprocess", "remote"
-        )
+        assert manifest["supervision"]["executor"] in ("pool", "spawn")
 
     def test_quarantined_items_require_full_shape(self, manifest):
         broken = copy.deepcopy(manifest)

@@ -558,8 +558,8 @@ class TestDeadlineBudgets:
 
 
 class TestHardCrashContainment:
-    @pytest.mark.parametrize("executor", ["pool", "spawn"])
-    def test_sigkill_contained_recycled_no_leaks(self, executor):
+    @pytest.mark.parametrize("use_pool", [True, False], ids=["pool", "spawn"])
+    def test_sigkill_contained_recycled_no_leaks(self, use_pool):
         # SIGKILL gives the worker no chance to flush anything: the
         # parent must see a mute death (telemetry lost), recycle the
         # worker, retry to success, and leave no process or shared
@@ -569,7 +569,7 @@ class TestHardCrashContainment:
         children_before = set(multiprocessing.active_children())
         result = resilient_sweep(
             cfg, ["gamess"], ("esteem",), jobs=1,
-            retries=2, backoff_s=0.01, plan=plan, executor=executor,
+            retries=2, backoff_s=0.01, plan=plan, use_pool=use_pool,
         )
         assert not result.degraded
         first = result.timeline[0]

@@ -79,13 +79,21 @@ class TestCommands:
         assert "Figure 2" in capsys.readouterr().out
 
     def test_figure3_subset(self, capsys):
-        code = main(
-            ["figure", "3", "--workloads", "gamess,povray",
-             "--instructions", "300000"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "AVERAGE" in out
+        # --jobs 1 runs the sequential Runner; --jobs 2 runs
+        # parallel_compare on the sweep engine.  Both must print the same
+        # table.  --no-cache keeps the second run from being served by
+        # the first run's cached units.
+        tables = {}
+        for jobs in ("1", "2"):
+            code = main(
+                ["figure", "3", "--workloads", "gamess,povray",
+                 "--instructions", "300000", "--jobs", jobs, "--no-cache",
+                 "-q"]
+            )
+            assert code == 0
+            tables[jobs] = capsys.readouterr().out
+        assert "AVERAGE" in tables["1"]
+        assert tables["2"] == tables["1"]
 
     def test_table3_subset(self, capsys):
         code = main(
@@ -283,20 +291,13 @@ class TestSweepCommand:
 
     def test_supervision_flags_parse(self):
         args = build_parser().parse_args(
-            ["sweep", "--workloads", "gamess", "--executor", "spawn",
+            ["sweep", "--workloads", "gamess",
              "--heartbeat", "0.5", "--deadline", "30",
              "--quarantine-after", "2"]
         )
-        assert args.executor == "spawn"
         assert args.heartbeat == 0.5
         assert args.deadline == 30.0
         assert args.quarantine_after == 2
-
-    def test_unknown_executor_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["sweep", "--workloads", "gamess", "--executor", "abacus"]
-            )
 
     def test_supervision_flag_validation(self, capsys):
         base = ["sweep", "--workloads", "gamess", "-q"]
