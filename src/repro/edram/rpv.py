@@ -60,11 +60,11 @@ class RefrintPolyphaseValid(RefreshEngine):
         w = boundary_cycle // self.config.phase_cycles
         due_window = w - self.phases
         state = self.state
-        due = state.valid & (state.last_window <= due_window)
-        count = int(np.count_nonzero(due))
-        if count:
-            state.last_window[due] = w
-        return count
+        # Restamp by index: a boolean-mask store walks the whole array,
+        # while about a quarter of the lines are due at each boundary.
+        idx = np.flatnonzero(state.valid & (state.last_window <= due_window))
+        state.last_window[idx] = w
+        return idx.size
 
     def lines_due_in_window(self, window_index: int) -> int:
         """Diagnostic: how many valid lines are currently stamped ``window_index``."""

@@ -32,7 +32,11 @@ Algorithm 1 exists for).  The ``stream`` pattern allocates cold lines
 almost exclusively (libquantum/milc-style, ~100% miss rate).
 
 Randomness is drawn vectorised with NumPy per segment; only the recency
-stack maintenance runs in the per-record Python loop.
+stack maintenance runs in the per-record Python loop.  Each segment draws
+its full-size columns (so the random stream never depends on the budget),
+cuts them at the instruction budget, and runs that loop over the kept
+records only.  A virtual set's seeded stack is built on its first touch,
+holding just the lines its depth cap keeps.
 """
 
 from __future__ import annotations
@@ -142,16 +146,16 @@ class SyntheticTraceGenerator:
 
         # Per-virtual-set recency stacks and cold-allocation cursors are
         # shared across phases (phases of one application share its address
-        # space).  The stacks are pre-seeded with the largest phase's working
+        # space).  The stacks are seeded with the largest phase's working
         # set: the trace represents a window 10 B instructions into the
         # run, by which point the working set is resident in the
         # application's reuse structure -- without seeding, a scaled-down
         # trace would start with depth-1 stacks and every near reuse would
-        # collapse to the MRU position.
-        stacks: dict[int, deque] = {}
-        cold_cursor = self._seed_stacks(
-            stacks, max(ph.ws_lines for ph in profile.phases)
-        )
+        # collapse to the MRU position.  The first "new" touch wraps,
+        # modelling steady-state streaming.
+        ws_max = max(ph.ws_lines for ph in profile.phases)
+        stacks = _SeededStacks(ws_max)
+        cold_cursor = ws_max
         scan_cursor = 0
 
         instructions = 0
@@ -164,26 +168,20 @@ class SyntheticTraceGenerator:
             phase_idx += 1
             n = min(phase.segment_records, record_cap - n_records)
             seg = self._generate_segment(
-                phase, n, rng, stacks, cold_cursor, scan_cursor
+                phase,
+                n,
+                max_instructions - instructions,
+                rng,
+                stacks,
+                cold_cursor,
+                scan_cursor,
             )
-            seg_addrs, seg_writes, seg_gaps, cold_cursor, scan_cursor = seg
-            # Truncate the segment at the instruction budget.
-            total = instructions + int(seg_gaps.sum()) + len(seg_gaps)
-            if total > max_instructions:
-                cum = np.cumsum(seg_gaps + 1) + instructions
-                # side="left": when some prefix meets the budget exactly,
-                # the record after it must not ride along (the loop would
-                # never have asked for it).
-                keep = int(np.searchsorted(cum, max_instructions, side="left")) + 1
-                keep = max(1, min(keep, len(seg_addrs)))
-                seg_addrs = seg_addrs[:keep]
-                seg_writes = seg_writes[:keep]
-                seg_gaps = seg_gaps[:keep]
+            seg_addrs, seg_writes, seg_gaps, used, cold_cursor, scan_cursor = seg
             addr_chunks.append(seg_addrs)
             write_chunks.append(seg_writes)
             gap_chunks.append(seg_gaps)
             n_records += len(seg_addrs)
-            instructions += int(seg_gaps.sum()) + len(seg_gaps)
+            instructions += used
 
         return Trace(
             name=profile.name,
@@ -209,33 +207,26 @@ class SyntheticTraceGenerator:
 
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _seed_stacks(stacks: dict[int, deque], ws_lines: int) -> int:
-        """Populate the per-virtual-set recency stacks with ``ws_lines``.
-
-        Lines are laid out exactly as the cold allocator would have placed
-        them; returns the cold-allocation cursor (== ws_lines, so the first
-        "new" touch wraps, modelling steady-state streaming).
-        """
-        vbits = _VSET_BITS
-        for vset in range(min(ws_lines, VIRTUAL_SETS)):
-            per_set = (ws_lines - vset - 1) // VIRTUAL_SETS + 1
-            dq = deque(maxlen=_MAX_STACK_DEPTH)
-            for k in range(per_set):
-                dq.append((k << vbits) | vset)
-            stacks[vset] = dq
-        return ws_lines
-
     def _generate_segment(
         self,
         phase: PhaseSpec,
         n: int,
+        budget: int,
         rng: np.random.Generator,
-        stacks: dict[int, deque],
+        stacks: _SeededStacks,
         cold_cursor: int,
         scan_cursor: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-        """Produce ``n`` records for one phase segment (NumPy columns)."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int, int]:
+        """Draw ``n`` records for one phase segment and keep those within
+        ``budget`` instructions.
+
+        Every random column is drawn at its full size ``n``: the columns
+        come from one stream in turn, so a shorter draw would shift every
+        column after it.  Only the addresses of the kept prefix are
+        resolved.
+        Returns the kept columns, the instructions they cover, and the
+        updated cold/scan cursors.
+        """
         profile = self.profile
         # Vectorised randomness.
         writes = rng.random(n) < profile.write_fraction
@@ -246,25 +237,27 @@ class SyntheticTraceGenerator:
             )
         else:
             gaps = np.zeros(n, dtype=np.int64)
+        # Cut at the instruction budget.  side="left": when some prefix
+        # meets the budget exactly, the record after it must not ride
+        # along (the caller would never have asked for it).
+        cum = np.cumsum(gaps + 1)
+        keep = n
+        if cum[-1] > budget:
+            keep = int(np.searchsorted(cum, budget, side="left")) + 1
+            writes = writes[:keep]
+            gaps = gaps[:keep]
 
         if phase.pattern == "scan":
-            addrs, scan_cursor = self._scan_addresses(phase, n, rng, scan_cursor)
+            addrs, scan_cursor = self._scan_addresses(phase, keep, scan_cursor)
         else:
             addrs, cold_cursor = self._mixture_addresses(
-                phase, n, rng, stacks, cold_cursor
+                phase, n, keep, rng, stacks, cold_cursor
             )
-        return addrs, writes, gaps, cold_cursor, scan_cursor
+        return addrs, writes, gaps, int(cum[keep - 1]), cold_cursor, scan_cursor
 
     @staticmethod
-    def _line_addr(vset: int, k: int) -> int:
-        return (k << _VSET_BITS) | vset
-
     def _scan_addresses(
-        self,
-        phase: PhaseSpec,
-        n: int,
-        rng: np.random.Generator,
-        cursor: int,
+        phase: PhaseSpec, n: int, cursor: int
     ) -> tuple[np.ndarray, int]:
         """Cyclic sequential walk over the working set (anti-LRU)."""
         ws = phase.ws_lines
@@ -274,43 +267,51 @@ class SyntheticTraceGenerator:
         addrs = ((ks << _VSET_BITS) | vsets).astype(np.int64)
         return addrs, (cursor + n) % ws
 
+    @staticmethod
     def _mixture_addresses(
-        self,
         phase: PhaseSpec,
         n: int,
+        keep: int,
         rng: np.random.Generator,
-        stacks: dict[int, deque],
+        stacks: _SeededStacks,
         cold_cursor: int,
     ) -> tuple[np.ndarray, int]:
-        """Near/far/new mixture resolved against the virtual-set stacks."""
+        """Near/far/new mixture resolved against the virtual-set stacks.
+
+        Draws randomness for ``n`` records and resolves the first ``keep``.
+        """
         ws = phase.ws_lines
         p_new = phase.p_new
         p_near = phase.p_near
         if phase.pattern == "stream":
             p_new, p_near = max(p_new, 0.95), min(p_near, 0.05)
 
-        u = rng.random(n)
+        u = rng.random(n)[:keep]
         # kind: 0 = new, 1 = near, 2 = far
-        kinds = np.where(u < p_new, 0, np.where(u < p_new + p_near, 1, 2))
-        depths = np.minimum(
-            rng.geometric(1.0 / phase.d_mean, size=n) - 1, _MAX_STACK_DEPTH - 1
+        kinds_list = np.where(
+            u < p_new, 0, np.where(u < p_new + p_near, 1, 2)
         ).tolist()
-        far_ids = rng.integers(0, ws, size=n).tolist()
-        vset_picks = rng.integers(0, VIRTUAL_SETS, size=n).tolist()
-        kinds_list = kinds.tolist()
+        depths = np.minimum(
+            rng.geometric(1.0 / phase.d_mean, size=n)[:keep] - 1,
+            _MAX_STACK_DEPTH - 1,
+        ).tolist()
+        far_ids = rng.integers(0, ws, size=n)[:keep].tolist()
+        # Near reuses pick among the seeded virtual sets.  Cold lines wrap
+        # at the phase's working set, which never exceeds the seeded one,
+        # so no other set ever gains history.
+        near_vsets = (
+            rng.integers(0, VIRTUAL_SETS, size=n)[:keep] % stacks.n_vsets
+        ).tolist()
 
         vbits = _VSET_BITS
         addrs: list[int] = []
         append = addrs.append
-        active_vsets: list[int] = list(stacks.keys())
 
-        for i in range(n):
+        for i in range(keep):
             kind = kinds_list[i]
-            if kind == 1 and active_vsets:
-                # Near reuse: geometric recency depth inside a virtual set
-                # that has history.
-                v = active_vsets[vset_picks[i] % len(active_vsets)]
-                dq = stacks[v]
+            if kind == 1:
+                # Near reuse: geometric recency depth inside a virtual set.
+                dq = stacks[near_vsets[i]]
                 d = depths[i]
                 ln = len(dq)
                 if d >= ln:
@@ -332,14 +333,35 @@ class SyntheticTraceGenerator:
                 cold_cursor += 1
                 v = line_id % VIRTUAL_SETS
                 addr = ((line_id // VIRTUAL_SETS) << vbits) | v
-                dq = stacks.get(v)
-                if dq is None:
-                    dq = deque(maxlen=_MAX_STACK_DEPTH)
-                    stacks[v] = dq
-                    active_vsets.append(v)
-                dq.append(addr)
+                stacks[v].append(addr)
                 append(addr)
         return np.asarray(addrs, dtype=np.int64), cold_cursor
+
+
+class _SeededStacks(dict):
+    """Per-virtual-set recency stacks, each seeded on first touch.
+
+    Set ``v`` starts as if the cold allocator had already placed every
+    line of a ``ws_lines`` working set that maps to it, in order (line
+    ``k`` of the set at address ``(k << _VSET_BITS) | v``, which is
+    ``k * VIRTUAL_SETS + v``).  The stack's cap keeps only the last
+    ``_MAX_STACK_DEPTH`` of those, so only those are built.  Sets
+    ``0 .. n_vsets - 1`` hold history; near reuses pick among them.
+    """
+
+    def __init__(self, ws_lines: int) -> None:
+        super().__init__()
+        self.ws_lines = ws_lines
+        self.n_vsets = min(ws_lines, VIRTUAL_SETS)
+
+    def __missing__(self, v: int) -> deque:
+        per_set = (self.ws_lines - v - 1) // VIRTUAL_SETS + 1
+        lo = max(0, per_set - _MAX_STACK_DEPTH)
+        dq = self[v] = deque(
+            range(lo * VIRTUAL_SETS + v, per_set * VIRTUAL_SETS + v, VIRTUAL_SETS),
+            maxlen=_MAX_STACK_DEPTH,
+        )
+        return dq
 
 
 def generate_trace(

@@ -85,3 +85,26 @@ def test_generation_is_deterministic_per_seed(seed):
     assert np.array_equal(a.addrs, b.addrs)
     assert np.array_equal(a.gaps, b.gaps)
     assert np.array_equal(a.writes, b.writes)
+
+
+@given(
+    phases=st.lists(phase_specs, min_size=1, max_size=3),
+    gap=st.floats(min_value=0.0, max_value=200.0),
+    seed=st.integers(min_value=0, max_value=100),
+    budgets=st.lists(
+        st.integers(min_value=1, max_value=400_000), min_size=2, max_size=2
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_smaller_budget_is_a_prefix(phases, gap, seed, budgets):
+    """A budget cut never changes the records before it: ``generate(B)``
+    is a prefix of ``generate(B')`` for ``B <= B'``."""
+    small, large = sorted(budgets)
+    profile = make_profile(phases, gap, 0.3)
+    a = SyntheticTraceGenerator(profile, seed=seed).generate(small)
+    b = SyntheticTraceGenerator(profile, seed=seed).generate(large)
+    n = len(a)
+    assert n <= len(b)
+    assert np.array_equal(a.addrs, b.addrs[:n])
+    assert np.array_equal(a.writes, b.writes[:n])
+    assert np.array_equal(a.gaps, b.gaps[:n])

@@ -1,12 +1,16 @@
 """Unit tests for the stack-distance trace generator."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
 from repro.workloads.profiles import BenchmarkProfile, get_profile
 from repro.workloads.synthetic import (
+    _MAX_STACK_DEPTH,
     VIRTUAL_SETS,
     PhaseSpec,
+    _SeededStacks,
     SyntheticTraceGenerator,
     generate_trace,
 )
@@ -75,6 +79,13 @@ class TestBudgets:
         t = SyntheticTraceGenerator(p, seed=0).generate(10**9, max_records=500)
         assert len(t) == 500
 
+    def test_budget_met_exactly_keeps_no_extra_record(self):
+        # gap 0: every record is one instruction, so the budget is met
+        # exactly mid-segment and the next record must not ride along.
+        p = profile_with((PhaseSpec(ws_lines=5_000, segment_records=400),), gap=0.0)
+        t = SyntheticTraceGenerator(p, seed=0).generate(1_234)
+        assert len(t) == t.instructions == 1_234
+
     def test_gap_mean_controls_intensity(self):
         dense = profile_with((PhaseSpec(ws_lines=5_000),), gap=10.0, name="dense")
         sparse = profile_with((PhaseSpec(ws_lines=5_000),), gap=500.0, name="sparse")
@@ -121,6 +132,30 @@ class TestAddressStructure:
         assert t.base_cpi == p.base_cpi
         assert t.mem_mlp == p.mem_mlp
         assert t.footprint_lines == p.footprint_lines
+
+
+class TestSeededStacks:
+    @staticmethod
+    def eager(ws_lines: int) -> dict:
+        """Every line of the working set appended in allocation order."""
+        stacks = {}
+        for v in range(min(ws_lines, VIRTUAL_SETS)):
+            dq = deque(maxlen=_MAX_STACK_DEPTH)
+            for k in range((ws_lines - v - 1) // VIRTUAL_SETS + 1):
+                dq.append((k << 12) | v)
+            stacks[v] = dq
+        return stacks
+
+    @pytest.mark.parametrize(
+        "ws_lines", [1, 10, VIRTUAL_SETS - 1, VIRTUAL_SETS, 5_000, 400_000]
+    )
+    def test_lazy_seed_matches_eager_seed(self, ws_lines):
+        lazy = _SeededStacks(ws_lines)
+        expected = self.eager(ws_lines)
+        assert lazy.n_vsets == len(expected)
+        for v, dq in expected.items():
+            assert lazy[v] == dq
+            assert lazy[v].maxlen == _MAX_STACK_DEPTH
 
 
 class TestPhases:
