@@ -400,7 +400,7 @@ class _Unit:
 
     index: int
     workload: str
-    task: tuple
+    task: tuple | None = None  # set by ``prepare`` at first dispatch
     fingerprint: str = ""
     shm_keys: tuple = ()
     attempt: int = 0  # attempts already consumed
@@ -477,6 +477,12 @@ def resilient_sweep(
     (``backoff_s * 2**(attempt-1)``); deterministic ones fail fast,
     because a unit that raised ``ValueError`` once will raise it on
     every retry.
+
+    A unit's traces are generated (and, on the pool, exported to shared
+    memory) when it is first dispatched, so the first workers start
+    while the parent still owes later units their traces; retries reuse
+    them, and they are unlinked when the unit settles.  Resumed and
+    cached units never generate a trace.
 
     Determinism: a retried unit reproduces the original attempt bit for
     bit -- traces are functions of ``(profile, budget, seed)``, and the
@@ -688,10 +694,14 @@ def resilient_sweep(
             note(w, 0, "cached", "", rel_now(), rel_now(), "none")
             reporter.advance(f"{w} (cached)", 0.0)
             continue
+        units.append(_Unit(index=i, workload=w, fingerprint=unit_fp))
+
+    def prepare(unit: _Unit) -> None:
+        """Generate and export the unit's traces at its first dispatch."""
         preloaded: dict[Any, Any] = {}
         shm_keys: list = []
         try:
-            for key, profile in _trace_needs_for(config, w, seed):
+            for key, profile in _trace_needs_for(config, unit.workload, seed):
                 trace = _trace_cache.get_trace(profile, key[1], key[2])
                 if store is not None:
                     preloaded[key] = store.acquire(key, trace)
@@ -705,16 +715,10 @@ def resilient_sweep(
                 for key in shm_keys:
                     store.release(key)
             preloaded, shm_keys = {}, []
-        task = (config, w, technique_tuple, seed, preloaded, plan)
-        units.append(
-            _Unit(
-                index=i,
-                workload=w,
-                task=task,
-                fingerprint=unit_fp,
-                shm_keys=tuple(shm_keys),
-            )
+        unit.task = (
+            config, unit.workload, technique_tuple, seed, preloaded, plan
         )
+        unit.shm_keys = tuple(shm_keys)
 
     failed: list[FailedWorkload] = []
     total_attempts = 0
@@ -860,38 +864,31 @@ def resilient_sweep(
                     cancel_remaining("deadline")
                     break
                 now = time.monotonic()
-                if backing_off:
-                    still_waiting = []
-                    for ready_at, unit in backing_off:
-                        if ready_at <= now:
-                            units.append(unit)
-                        else:
-                            still_waiting.append((ready_at, unit))
-                    backing_off[:] = still_waiting
+                units.extend(u for t, u in backing_off if t <= now)
+                backing_off[:] = [(t, u) for t, u in backing_off if t > now]
                 while units and len(running) < jobs:
                     unit = units.popleft()
+                    if unit.task is None:  # retries reuse the prepared task
+                        prepare(unit)
                     conn = executor_obj.start(
                         unit.task, unit.workload, unit.attempt, plan
                     )
                     unit.attempt += 1
                     total_attempts += 1
+                    # A fresh clock: trace preparation is not timed.
                     deadline = (
-                        now + timeout_s if timeout_s is not None else None
+                        time.monotonic() + timeout_s
+                        if timeout_s is not None
+                        else None
                     )
                     running[conn] = (unit, deadline, rel_now())
                     if hb is not None:
                         hb.track(conn)
                 if not running:
                     if backing_off:
-                        sleep_until = min(t for t, _ in backing_off)
-                        time.sleep(
-                            max(
-                                0.0,
-                                min(
-                                    sleep_until - time.monotonic(), 0.25
-                                ),
-                            )
-                        )
+                        wake = min(t for t, _ in backing_off)
+                        wait = min(wake - time.monotonic(), 0.25)
+                        time.sleep(max(0.0, wait))
                     continue
                 # Block until a worker reports, dies, or a deadline /
                 # backoff / heartbeat-window / budget expiry needs

@@ -164,11 +164,12 @@ class SharedTraceStore:
     """Refcounted exporter of traces into shared-memory segments.
 
     The sweep parent acquires one reference per unit that ships a given
-    trace (dual-core mixes share profile traces across units, so counts
-    exceed one); the segment is unlinked when the last reference is
-    released or, unconditionally, on :meth:`close`.  Attaching workers
-    never unlink -- segment lifetime is owned entirely by this store, so
-    a worker crash mid-unit cannot leak the segment.
+    trace (the 17 Table 1 mixes are pairwise disjoint, so a count exceeds
+    one only when a trace key repeats within one sweep); the segment is
+    unlinked when the last reference is released or, unconditionally, on
+    :meth:`close`.  Attaching workers never unlink -- segment lifetime is
+    owned entirely by this store, so a worker crash mid-unit cannot leak
+    the segment.
     """
 
     def __init__(self) -> None:

@@ -1,10 +1,12 @@
 """Warm worker pool engine: reuse, recycling, and shm segment lifecycle."""
 
 import os
+import time
 
 import pytest
 
 from repro.config import SimConfig
+from repro.experiments import _trace_cache
 from repro.experiments import pool as poolmod
 from repro.experiments.parallel import parallel_compare, resilient_sweep
 from repro.experiments.runner import Runner
@@ -174,6 +176,63 @@ class TestShmLifecycle:
         assert fresh
         assert poolmod.active_shm_segments() == []
         assert segment_files(fresh) == []
+
+
+class TestLazyPreparation:
+    """A unit's traces are generated and exported at its first dispatch."""
+
+    def test_dispatch_interleaves_with_generation(self, monkeypatch):
+        parent = os.getpid()
+        events = []
+        real_get_trace = _trace_cache.get_trace
+        real_start = poolmod.WorkerPool.start
+
+        def get_trace(profile, *args, **kwargs):
+            if os.getpid() == parent:  # forked workers inherit the patch
+                events.append(("trace", profile.name))
+            return real_get_trace(profile, *args, **kwargs)
+
+        def start(self, task, workload, attempt, plan):
+            # Only the unit being started is running (jobs=1): the shm
+            # footprint is exactly its own traces.
+            shipped = {handle.segment for handle in task[4].values()}
+            assert shipped
+            assert set(poolmod.active_shm_segments()) == shipped
+            events.append(("start", workload))
+            return real_start(self, task, workload, attempt, plan)
+
+        monkeypatch.setattr(_trace_cache, "get_trace", get_trace)
+        monkeypatch.setattr(poolmod.WorkerPool, "start", start)
+        result = resilient_sweep(
+            config(), ["gamess", "povray", "h264ref"], ("esteem",), jobs=1
+        )
+        assert not result.degraded
+        assert [kind for kind, _ in events] == ["trace", "start"] * 3
+        assert [w for kind, w in events if kind == "start"] == [
+            "gamess", "povray", "h264ref"
+        ]
+        assert poolmod.active_shm_segments() == []
+
+    def test_preparation_is_not_charged_to_the_timeout(self, monkeypatch):
+        parent = os.getpid()
+        real_get_trace = _trace_cache.get_trace
+
+        def slow_get_trace(*args, **kwargs):
+            if os.getpid() == parent:
+                time.sleep(1.5)
+            return real_get_trace(*args, **kwargs)
+
+        monkeypatch.setattr(_trace_cache, "get_trace", slow_get_trace)
+        result = resilient_sweep(
+            SimConfig.scaled(
+                instructions_per_core=50_000, interval_cycles=100_000
+            ),
+            ["gamess"], ("esteem",), jobs=1,
+            timeout_s=1.0, retries=2, backoff_s=0.01,
+        )
+        assert not result.degraded
+        assert result.attempts == 1 and result.retries == 0
+        assert [e["outcome"] for e in result.timeline] == ["ok"]
 
 
 class TestSharedTraceStore:

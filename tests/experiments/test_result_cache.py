@@ -176,6 +176,32 @@ class TestSweepIntegration:
         assert sorted(warm.cached) == ["gamess", "povray"]
         assert warm.comparisons == cold.comparisons
 
+    def test_fully_cached_sweep_generates_no_trace(
+        self, tmp_path, monkeypatch
+    ):
+        # Traces are prepared at a unit's first dispatch; a unit served
+        # from the cache is never dispatched, so it must never ask for one.
+        from repro.experiments import _trace_cache
+
+        cfg = config()
+        cache = ResultCache(tmp_path)
+        workloads = ["gamess", "povray", "h264ref"]
+        cold = resilient_sweep(
+            cfg, workloads, ("esteem",), jobs=2, cache=cache
+        )
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a cached unit generated a trace")
+
+        monkeypatch.setattr(_trace_cache, "get_trace", refuse)
+        warm = resilient_sweep(
+            cfg, workloads, ("esteem",), jobs=2, cache=cache
+        )
+        assert warm.attempts == 0
+        assert warm.cached == workloads
+        assert warm.workers_spawned == 0
+        assert warm.comparisons == cold.comparisons
+
     def test_fault_plan_presence_forces_recompute(self, tmp_path):
         cfg = config()
         cache = ResultCache(tmp_path)
