@@ -14,13 +14,8 @@ Drives both planes of the fault subsystem through one scenario:
 * finally the sweep is resumed from its checkpoint and must come back
   instantly (zero new attempts) with identical results.
 
-Two further scenarios exercise the supervision layer end to end:
+A further scenario exercises the supervision layer end to end:
 
-* ``run_supervised_scenario`` -- a sweep under heartbeat supervision
-  where one worker's heartbeat flatlines (caught in O(interval), far
-  below the unit timeout), one worker is slow-but-alive (left to its
-  deadline), and one unit is poison (kills every worker it touches; is
-  quarantined after two distinct workers die, with retry budget left);
 * ``run_interrupt_scenario`` -- a real ``repro sweep`` child process is
   SIGTERMed mid-campaign, must exit with the distinct interrupt code
   (4) after flushing checkpoint + partial manifest, and ``--resume``
@@ -46,7 +41,6 @@ import repro
 from repro.config import SimConfig
 from repro.experiments.checkpoint import SweepCheckpoint, sweep_fingerprint
 from repro.experiments.parallel import resilient_sweep
-from repro.experiments.pool import active_shm_segments
 from repro.experiments.report import validate_manifest
 from repro.experiments.runner import Runner
 from repro.faults import FaultEvent, FaultPlan
@@ -201,87 +195,6 @@ def run_scenario() -> dict:
     }
 
 
-#: Supervised scenario: every supervision failure mode in one sweep.
-SUPERVISED_WORKLOADS = ["gamess", "h264ref", "mcf", "libquantum"]
-HEARTBEAT_S = 0.25
-
-SUPERVISED_PLAN = FaultPlan(
-    seed=11,
-    chaos={
-        "gamess": ("crash",),              # dies once, recovers on retry
-        "h264ref": ("stall-heartbeat",),   # hung: beats stop, main thread
-                                           # sleeps far past the timeout
-        "mcf": ("hang",),                  # slow-but-alive: keeps beating
-        "libquantum": ("poison",) * 8,     # kills every worker -> quarantine
-    },
-    hang_seconds=30.0,
-)
-
-
-def run_supervised_scenario() -> dict:
-    config = _config()
-    result = resilient_sweep(
-        config,
-        SUPERVISED_WORKLOADS,
-        TECHNIQUES,
-        seed=SEED,
-        jobs=2,
-        timeout_s=5.0,
-        retries=3,
-        backoff_s=0.1,
-        plan=SUPERVISED_PLAN,
-        heartbeat_s=HEARTBEAT_S,
-        quarantine_after=2,
-    )
-
-    # The poison unit is quarantined (with retry budget to spare), the
-    # three recoverable faults all recover: nothing lands in failed.
-    assert result.degraded
-    assert not result.failed, [f.workload for f in result.failed]
-    (q,) = result.quarantined
-    assert q.workload == "libquantum"
-    assert q.workers >= 2, "quarantine requires two distinct dead workers"
-    assert q.attempts == 2
-    assert sorted(result.completed) == ["gamess", "h264ref", "mcf"]
-
-    by_attempt = {(t["workload"], t["attempt"]): t for t in result.timeline}
-
-    # The stalled heartbeat is detected in O(heartbeat interval): the
-    # attempt is cut down well inside the 5s unit timeout (and nowhere
-    # near the 30s the worker would have slept).
-    stalled = by_attempt[("h264ref", 1)]
-    assert stalled["exc_type"] == "HeartbeatLost"
-    assert stalled["wall_s"] < 3.0, (
-        f"hung worker took {stalled['wall_s']:.1f}s to detect"
-    )
-    assert result.supervision["hung_detected"] == 1
-
-    # The slow-but-alive hang keeps beating: it must reach its unit
-    # deadline and be classified TimeoutError, not HeartbeatLost.
-    slow = by_attempt[("mcf", 1)]
-    assert slow["exc_type"] == "TimeoutError"
-
-    # Survivors are bit-for-bit identical to a clean sequential run.
-    clean = Runner(config, seed=SEED)
-    for comp in result.comparisons["esteem"]:
-        ref = clean.compare(comp.workload, comp.technique)
-        assert comp.result == ref.result, comp.workload
-
-    # The manifest records the quarantine and validates against the
-    # checked-in schema; no shared-memory segment outlived the sweep.
-    manifest = result.manifest()
-    assert manifest["quarantined"][0]["workload"] == "libquantum"
-    assert active_shm_segments() == [], "leaked shared-memory segments"
-
-    return {
-        "hung_detect_s": round(stalled["wall_s"], 2),
-        "heartbeats_received": result.supervision["heartbeats_received"],
-        "quarantined": [x.workload for x in result.quarantined],
-        "quarantine_workers": q.workers,
-        "slow_but_alive_exc": slow["exc_type"],
-    }
-
-
 #: Interrupt scenario: a real CLI campaign, SIGTERMed mid-run.  The last
 #: unit is scripted to hang (first attempt only) far past the unit
 #: timeout, giving the signal a deterministic mid-campaign window to
@@ -405,7 +318,6 @@ def run_interrupt_scenario() -> dict:
 
 def run_all_scenarios() -> dict:
     summary = run_scenario()
-    summary.update(run_supervised_scenario())
     summary.update(run_interrupt_scenario())
     return summary
 

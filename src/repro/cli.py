@@ -393,8 +393,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Resilient multi-workload sweep: timeouts, retries, checkpoint/resume.
 
-    Exit status: 0 for a complete sweep, 3 for a *degraded* one (some
-    workloads exhausted their retries, were quarantined as poison, or
+    Exit status: 0 for a complete sweep, 2 for a bad flag, 3 for a
+    *degraded* one (some workloads failed or exhausted their retries, or
     were skipped by a deadline; surviving results were still reported
     and checkpointed), 4 for an *interrupted* one (SIGINT/SIGTERM on the
     parent; the checkpoint was flushed and ``--resume`` finishes the
@@ -413,17 +413,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.heartbeat is not None and args.heartbeat <= 0:
-        print("error: --heartbeat must be positive", file=sys.stderr)
-        return 2
-    if args.deadline is not None and args.deadline <= 0:
-        print("error: --deadline must be positive", file=sys.stderr)
-        return 2
-    if args.quarantine_after is not None and args.quarantine_after < 1:
-        print(
-            "error: --quarantine-after must be at least 1", file=sys.stderr
-        )
-        return 2
+    for flag, value, ok, rule in (
+        ("--timeout", args.timeout, lambda v: v > 0, "positive"),
+        ("--deadline", args.deadline, lambda v: v > 0, "positive"),
+        ("--retries", args.retries, lambda v: v >= 0, "non-negative"),
+        ("--backoff", args.backoff, lambda v: v >= 0, "non-negative"),
+        ("--trace-events", args.trace_events, lambda v: v >= 0,
+         "non-negative"),
+    ):
+        if value is not None and not ok(value):
+            print(f"error: {flag} must be {rule}", file=sys.stderr)
+            return 2
     if config.num_cores == 1:
         workloads = [b.name for b in ALL_BENCHMARKS]
     else:
@@ -451,8 +451,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         progress=reporter,
         cache=cache,
         trace_events=args.trace_events,
-        heartbeat_s=args.heartbeat,
-        quarantine_after=args.quarantine_after,
         deadline_s=args.deadline,
     )
 
@@ -490,18 +488,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         atomic_write_json(args.manifest, manifest)
         print(f"manifest written to {args.manifest}")
-    if result.quarantined:
-        print(
-            f"QUARANTINED: {len(result.quarantined)} poison workload(s) "
-            f"pulled from the run queue:",
-            file=sys.stderr,
-        )
-        for q in result.quarantined:
-            print(
-                f"  {q.workload}: [{q.exc_type}] killed {q.workers} "
-                f"distinct worker(s) over {q.attempts} attempt(s)",
-                file=sys.stderr,
-            )
     if result.skipped:
         print(
             f"SKIPPED: {len(result.skipped)} workload(s) cancelled "
@@ -858,23 +844,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-worker event ring capacity; the tail of "
                           "each unit's trace ships home in the manifest "
                           "(default 0: metrics only, keeps the fast path)")
-    swp.add_argument("--heartbeat", type=float, default=None,
-                     metavar="SECONDS",
-                     help="worker heartbeat interval; a worker whose "
-                          "beats flatline is condemned as hung after 2 "
-                          "missed intervals instead of waiting out the "
-                          "full --timeout (default: off)")
     swp.add_argument("--deadline", type=float, default=None,
                      metavar="SECONDS",
                      help="whole-campaign wall-clock budget; on expiry, "
                           "unfinished workloads are recorded as "
                           "skipped-deadline, never silently dropped "
                           "(default: off)")
-    swp.add_argument("--quarantine-after", type=int, default=None,
-                     dest="quarantine_after", metavar="N",
-                     help="quarantine a workload whose attempts kill N "
-                          "distinct workers (poison-unit detection; "
-                          "default: off)")
     _add_machine_args(swp)
     # Sweeps are the bulk workload: default the worker count to the
     # machine instead of 1 (None -> os.cpu_count() in resilient_sweep).

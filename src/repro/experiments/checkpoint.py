@@ -24,10 +24,10 @@ work.  Properties the resilient harness relies on:
   a warning rather than aborting the resume -- the affected unit is
   simply re-executed.
 * **Event lines**: besides completed comparisons the checkpoint carries
-  supervision events (``quarantined``, ``skipped-deadline``,
-  ``skipped-interrupt``) so a resumed campaign knows a unit was pulled
-  deliberately -- a quarantined unit stays quarantined instead of being
-  silently re-fed to fresh workers.
+  supervision events (``skipped-deadline``, ``skipped-interrupt``)
+  recording that a unit was cancelled deliberately, not lost.  A resume
+  runs every skipped unit again; event lines of kinds this version no
+  longer writes are kept but ignored.
 """
 
 from __future__ import annotations
@@ -182,10 +182,10 @@ class SweepCheckpoint:
     def note_event(
         self, event: str, workload: str, detail: str = ""
     ) -> None:
-        """Persist one supervision event (quarantine / deadline skip).
+        """Persist one supervision event (deadline / interrupt skip).
 
         Idempotent per ``(event, workload)`` so a resumed campaign that
-        re-derives the same verdict does not duplicate the record.
+        skips the same unit again does not duplicate the record.
         """
         if any(
             e.get("event") == event and e.get("workload") == workload
@@ -204,10 +204,6 @@ class SweepCheckpoint:
             for e in self.events
             if e.get("event") == event and "workload" in e
         }
-
-    @property
-    def quarantined_workloads(self) -> set[str]:
-        return self.workloads_with_event("quarantined")
 
     @property
     def units(self) -> int:

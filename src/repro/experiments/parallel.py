@@ -56,9 +56,7 @@ from repro.experiments.result_cache import ResultCache, probe_unit
 from repro.experiments.runner import RunComparison, Runner, profiles_for
 from repro.experiments.supervise import (
     DeadlineBudget,
-    HeartbeatMonitor,
     ParentSignalWatch,
-    QuarantineTracker,
     full_jitter_delay,
 )
 from repro.faults.plan import FaultPlan
@@ -73,7 +71,6 @@ from repro.workloads.trace import Trace, TraceShmHandle
 __all__ = [
     "FailedWorkload",
     "ParallelWorkerError",
-    "QuarantinedWorkload",
     "SkippedWorkload",
     "SweepResult",
     "TRANSIENT_EXC_TYPES",
@@ -90,7 +87,6 @@ TRANSIENT_EXC_TYPES: frozenset[str] = frozenset(
     {
         "TimeoutError",
         "WorkerCrash",
-        "HeartbeatLost",
         "CorruptResult",
         "BrokenPipeError",
         "EOFError",
@@ -264,25 +260,6 @@ class FailedWorkload:
 
 
 @dataclass(frozen=True)
-class QuarantinedWorkload:
-    """Manifest entry for a poison unit pulled from the run queue.
-
-    ``workers`` counts the *distinct* workers this unit's attempts took
-    down before the quarantine threshold tripped; ``fingerprint`` is the
-    unit's content fingerprint (result-cache scheme), or ``""`` when the
-    unit could not be fingerprinted (keyed by workload name instead).
-    """
-
-    workload: str
-    fingerprint: str
-    attempts: int
-    workers: int
-    exc_type: str
-    detail: str
-    telemetry: str = "lost"
-
-
-@dataclass(frozen=True)
 class SkippedWorkload:
     """Manifest entry for a unit cancelled by supervision, not failure.
 
@@ -332,18 +309,16 @@ class SweepResult:
     wall_s: float = 0.0
     timeline: list[dict[str, Any]] = field(default_factory=list)
     telemetry: dict[str, Any] = field(default_factory=dict)
-    quarantined: list[QuarantinedWorkload] = field(default_factory=list)
     skipped: list[SkippedWorkload] = field(default_factory=list)
     #: Signal name (``"SIGTERM"``/``"SIGINT"``) when the campaign parent
     #: was interrupted and drained gracefully; ``None`` otherwise.
     interrupted: str | None = None
-    #: Supervision configuration + observations (heartbeat interval,
-    #: beats received, hung workers detected, deadline, executor name).
+    #: Supervision configuration: executor name and campaign deadline.
     supervision: dict[str, Any] = field(default_factory=dict)
 
     @property
     def degraded(self) -> bool:
-        return bool(self.failed or self.quarantined or self.skipped)
+        return bool(self.failed or self.skipped)
 
     def manifest(self) -> dict[str, Any]:
         """JSON-able summary of what completed and what went missing."""
@@ -369,18 +344,6 @@ class SweepResult:
                 }
                 for f in self.failed
             ],
-            "quarantined": [
-                {
-                    "workload": q.workload,
-                    "fingerprint": q.fingerprint,
-                    "attempts": q.attempts,
-                    "workers": q.workers,
-                    "exc_type": q.exc_type,
-                    "detail": q.detail,
-                    "telemetry": q.telemetry,
-                }
-                for q in self.quarantined
-            ],
             "skipped": [
                 {
                     "workload": s.workload,
@@ -405,11 +368,6 @@ class _Unit:
     shm_keys: tuple = ()
     attempt: int = 0  # attempts already consumed
     last_telemetry: str = "lost"  # obs outcome of the latest attempt
-
-
-#: Sentinel for "the pipe yielded only heartbeats; the attempt is still
-#: running" in the supervised receive loop.
-_PENDING = object()
 
 
 def _telemetry_status(telemetry: Any) -> str:
@@ -454,9 +412,6 @@ def resilient_sweep(
     cache: ResultCache | None = None,
     use_pool: bool = True,
     trace_events: int = 0,
-    heartbeat_s: float | None = None,
-    heartbeat_misses: float = 2.0,
-    quarantine_after: int | None = None,
     deadline_s: float | None = None,
 ) -> SweepResult:
     """Run ``techniques`` on every workload, surviving hostile infrastructure.
@@ -516,17 +471,10 @@ def resilient_sweep(
     ``reporter.status(...)`` (see
     :class:`~repro.obs.campaign.CampaignDashboard`).
 
-    Supervision (all off by default; see
-    :mod:`repro.experiments.supervise`): with ``heartbeat_s`` set,
-    workers beat on their result pipes and a worker whose beats flatline
-    is condemned as *hung* after ``heartbeat_misses`` missed intervals
-    -- O(heartbeat interval) detection, retried as
-    ``HeartbeatLost`` -- while a slow-but-alive worker that keeps beating
-    runs to its ``timeout_s`` deadline.  With ``quarantine_after=N``, a
-    unit whose attempts kill ``N`` *distinct* workers (crash / timeout /
-    lost heartbeat) is quarantined out of the run queue as poison and
-    reported in the manifest; a resumed campaign keeps it quarantined.
-    With ``deadline_s`` set, the whole campaign gets a wall-clock budget:
+    Supervision (see :mod:`repro.experiments.supervise`): a hung worker
+    is bounded by ``timeout_s``, and a unit that keeps killing its
+    workers by ``retries`` (at most ``retries + 1`` attempts).  With
+    ``deadline_s`` set, the whole campaign gets a wall-clock budget:
     on expiry, running attempts are aborted and every unfinished unit is
     recorded as ``skipped-deadline`` -- never silently dropped.  SIGINT/
     SIGTERM on the parent triggers the same fair cancellation
@@ -541,7 +489,6 @@ def resilient_sweep(
         SharedTraceStore,
         SpawnExecutor,
         WorkerPool,
-        _is_heartbeat,
     )
 
     workload_list = list(workloads)
@@ -556,28 +503,21 @@ def resilient_sweep(
         raise ValueError("retries must be non-negative")
     if timeout_s is not None and timeout_s <= 0:
         raise ValueError("timeout must be positive")
-    if heartbeat_s is not None and heartbeat_s <= 0:
-        raise ValueError("heartbeat interval must be positive")
+    if backoff_s < 0:
+        raise ValueError("backoff must be non-negative")
+    if trace_events < 0:
+        raise ValueError("trace_events must be non-negative")
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
     jobs = min(jobs, len(workload_list))
 
     obs_spec: dict[str, Any] = {}
     if trace_events:
         obs_spec["trace_capacity"] = trace_events
-    if heartbeat_s is not None:
-        obs_spec["heartbeat_s"] = heartbeat_s
     executor_obj = (
         WorkerPool(jobs, obs_spec=obs_spec)
         if use_pool
         else SpawnExecutor(obs_spec=obs_spec)
     )
-
-    hb = (
-        HeartbeatMonitor(heartbeat_s, heartbeat_misses)
-        if heartbeat_s is not None
-        else None
-    )
-    quarantine = QuarantineTracker(quarantine_after)
     budget: DeadlineBudget | None = None
 
     ckpt: SweepCheckpoint | None = None
@@ -641,7 +581,6 @@ def resilient_sweep(
     results: list[list[RunComparison] | None] = [None] * len(workload_list)
     resumed: list[str] = []
     cached: list[str] = []
-    quarantined: list[QuarantinedWorkload] = []
     skipped: list[SkippedWorkload] = []
     units: deque[_Unit] = deque()
     for i, w in enumerate(workload_list):
@@ -657,35 +596,6 @@ def resilient_sweep(
         unit_fp, hit = probe_unit(
             cache, config, w, technique_tuple, seed, plan
         )
-        if ckpt is not None and w in ckpt.quarantined_workloads:
-            # A previous run of this campaign already condemned this
-            # unit; a resume must not re-feed the poison to fresh
-            # workers.  note_event is idempotent, so re-deriving the
-            # verdict does not duplicate the checkpoint record.
-            prior = next(
-                (
-                    e.get("detail", "")
-                    for e in ckpt.events
-                    if e.get("event") == "quarantined"
-                    and e.get("workload") == w
-                ),
-                "",
-            )
-            quarantine.quarantine(unit_fp or w)
-            quarantined.append(
-                QuarantinedWorkload(
-                    workload=w,
-                    fingerprint=unit_fp,
-                    attempts=0,
-                    workers=0,
-                    exc_type=prior or "WorkerCrash",
-                    detail="quarantined by a previous run of this "
-                    "campaign (resumed)",
-                )
-            )
-            note(w, 0, "quarantined", prior, rel_now(), rel_now(), "none")
-            reporter.advance(f"{w} (QUARANTINED)", 0.0)
-            continue
         if hit is not None:
             results[i] = hit
             cached.append(w)
@@ -723,7 +633,6 @@ def resilient_sweep(
     failed: list[FailedWorkload] = []
     total_attempts = 0
     total_retries = 0
-    hung_detected = 0
     interrupted: str | None = None
     # conn -> (unit, deadline | None, started_at)
     running: dict[Any, tuple[_Unit, float | None, float]] = {}
@@ -737,9 +646,7 @@ def resilient_sweep(
             retries=total_retries,
             recycled=executor_obj.workers_recycled,
             cached=len(cached),
-            quarantined=len(quarantined),
             skipped=len(skipped),
-            hung=hung_detected,
             instructions=agg.counters.get("sim.instructions", 0.0),
             cache_hit_pct=100.0 * len(cached) / len(workload_list),
         )
@@ -751,42 +658,14 @@ def resilient_sweep(
                 store.release(key)
 
     def dispose(
-        unit: _Unit, exc_type: str, detail: str, worker: int, started_s: float
+        unit: _Unit, exc_type: str, detail: str, started_s: float
     ) -> None:
-        """Retry, quarantine, or abandon a failed attempt, and note it.
-
-        Quarantine outranks both retry and abandon: a unit that has now
-        killed ``quarantine_after`` distinct workers is poison regardless
-        of remaining retry budget.
-        """
+        """Retry or abandon a failed attempt, and note it."""
         nonlocal total_retries
-        key = unit.fingerprint or unit.workload
-        quarantine.record_lethal(key, worker, exc_type)
-        if (
-            quarantine.should_quarantine(key)
-            and key not in quarantine.quarantined
-        ):
-            quarantine.quarantine(key)
-            quarantined.append(
-                QuarantinedWorkload(
-                    workload=unit.workload,
-                    fingerprint=unit.fingerprint,
-                    attempts=unit.attempt,
-                    workers=quarantine.distinct_workers(key),
-                    exc_type=exc_type,
-                    detail=detail,
-                    telemetry=unit.last_telemetry,
-                )
-            )
-            if ckpt is not None:
-                ckpt.note_event("quarantined", unit.workload, exc_type)
-            outcome = "quarantined"
-        elif exc_type in TRANSIENT_EXC_TYPES and unit.attempt <= retries:
+        if exc_type in TRANSIENT_EXC_TYPES and unit.attempt <= retries:
             total_retries += 1
-            delay = (
-                full_jitter_delay(backoff_s, seed, unit.workload, unit.attempt)
-                if backoff_s
-                else 0.0
+            delay = full_jitter_delay(
+                backoff_s, seed, unit.workload, unit.attempt
             )
             backing_off.append((time.monotonic() + delay, unit))
             outcome = "retry"
@@ -809,27 +688,23 @@ def resilient_sweep(
             settle(unit)
             reporter.advance(f"{unit.workload} ({outcome.upper()})", 0.0)
 
-    def retire(conn) -> tuple[_Unit, float, int]:
-        """Abort an in-flight attempt: ``(unit, started_s, worker id)``."""
+    def retire(conn) -> tuple[_Unit, float]:
+        """Abort an in-flight attempt: ``(unit, started_s)``."""
         unit, _deadline, started_s = running.pop(conn)
-        if hb is not None:
-            hb.forget(conn)
-        # Worker identity must be read before abort() reaps the worker.
-        wid = executor_obj.worker_id(conn)
         # abort() SIGTERMs the worker and waits briefly for the partial
         # telemetry snapshot its abort handler flushes.
         salvage = executor_obj.abort(conn)
         unit.last_telemetry = _telemetry_status(
             telemetry_from_message(salvage)
         )
-        return unit, started_s, wid
+        return unit, started_s
 
     def cancel_remaining(reason: str) -> None:
         """Fair cancellation: abort in-flight attempts, record every
         unfinished unit as ``skipped-<reason>`` -- never silently drop."""
         # In-flight attempts carry their start time; queued and
         # backing-off units never started this attempt (``None``).
-        cancelled = [retire(conn)[:2] for conn in list(running)]
+        cancelled = [retire(conn) for conn in list(running)]
         cancelled += [(u, None) for u in units]
         cancelled += [(u, None) for _, u in backing_off]
         units.clear()
@@ -882,8 +757,6 @@ def resilient_sweep(
                         else None
                     )
                     running[conn] = (unit, deadline, rel_now())
-                    if hb is not None:
-                        hb.track(conn)
                 if not running:
                     if backing_off:
                         wake = min(t for t, _ in backing_off)
@@ -891,7 +764,7 @@ def resilient_sweep(
                         time.sleep(max(0.0, wait))
                     continue
                 # Block until a worker reports, dies, or a deadline /
-                # backoff / heartbeat-window / budget expiry needs
+                # backoff / budget expiry needs
                 # attention.  Capped at 250ms so the interrupt flag is
                 # polled promptly (PEP 475 retries the wait after a
                 # non-raising signal handler).
@@ -899,10 +772,6 @@ def resilient_sweep(
                     d for _, d, _s in running.values() if d is not None
                 ]
                 wake_times = deadlines + [t for t, _ in backing_off]
-                if hb is not None:
-                    next_check = hb.next_check()
-                    if next_check is not None:
-                        wake_times.append(next_check)
                 if budget is not None:
                     wake_times.append(budget.expires_at)
                 wait_timeout = 0.25
@@ -912,33 +781,8 @@ def resilient_sweep(
                     )
                 ready = pipe_wait(list(running), timeout=wait_timeout)
                 for conn in ready:
-                    unit, _deadline, started_s = running[conn]
-                    # Drain the pipe ourselves so heartbeats are seen:
-                    # beats reset the liveness clock and are swallowed; a
-                    # terminal message (or EOF) resolves the attempt.
-                    terminal: Any = _PENDING
-                    try:
-                        while True:
-                            received = conn.recv()
-                            if _is_heartbeat(received):
-                                if hb is not None:
-                                    hb.beat(conn)
-                                if conn.poll(0):
-                                    continue
-                                break
-                            terminal = received
-                            break
-                    except (EOFError, OSError):
-                        terminal = None
-                    if terminal is _PENDING:
-                        continue  # only beats arrived; still running
-                    running.pop(conn)
-                    if hb is not None:
-                        hb.forget(conn)
-                    # Worker identity must be read before finish(): a
-                    # mute death reaps the worker and drops its id.
-                    wid = executor_obj.worker_id(conn)
-                    message, exitcode = executor_obj.finish(conn, terminal)
+                    unit, _deadline, started_s = running.pop(conn)
+                    message, exitcode = executor_obj.finish(conn)
                     telemetry = telemetry_from_message(message)
                     unit.last_telemetry = _telemetry_status(telemetry)
                     if message is None:
@@ -947,12 +791,11 @@ def resilient_sweep(
                             "WorkerCrash",
                             f"worker exited without a result "
                             f"(exitcode={exitcode})",
-                            wid,
                             started_s,
                         )
                     elif message[0] != "ok":
                         _tag, exc_type, detail, *_rest = message
-                        dispose(unit, exc_type, detail, wid, started_s)
+                        dispose(unit, exc_type, detail, started_s)
                     elif (
                         validated := _validate_unit_result(message[1])
                     ) is None:
@@ -961,7 +804,6 @@ def resilient_sweep(
                             "CorruptResult",
                             f"worker returned a malformed result: "
                             f"{type(message[1]).__name__}",
-                            wid,
                             started_s,
                         )
                     else:
@@ -982,8 +824,7 @@ def resilient_sweep(
                         )
                         reporter.advance(unit.workload, wall_s)
                 # Enforce wall-clock deadlines on whoever is still
-                # running.  A worker that is *beating* but slow lands
-                # here -- slow-but-alive runs to its full deadline.
+                # running.
                 now = time.monotonic()
                 overdue = [
                     conn
@@ -991,33 +832,14 @@ def resilient_sweep(
                     if deadline is not None and now >= deadline
                 ]
                 for conn in overdue:
-                    unit, started_s, wid = retire(conn)
+                    unit, started_s = retire(conn)
                     dispose(
                         unit,
                         "TimeoutError",
                         f"attempt exceeded the {timeout_s:g}s wall-clock "
                         f"timeout and was terminated",
-                        wid,
                         started_s,
                     )
-                # A worker whose beats flatlined is *hung*: condemned in
-                # O(heartbeat window), not O(unit timeout).  Every conn
-                # the monitor tracks is still running: each exit from
-                # ``running`` forgets its conn.
-                if hb is not None:
-                    for conn in hb.overdue():
-                        hung_detected += 1
-                        unit, started_s, wid = retire(conn)
-                        dispose(
-                            unit,
-                            "HeartbeatLost",
-                            f"no heartbeat for more than "
-                            f"{hb.window_s:g}s ({hb.interval_s:g}s "
-                            f"interval x {hb.misses:g} misses); worker "
-                            f"presumed hung and terminated",
-                            wid,
-                            started_s,
-                        )
                 push_status()
     finally:
         try:
@@ -1039,12 +861,7 @@ def resilient_sweep(
             out[comparison.technique].append(comparison)
     supervision = {
         "executor": "pool" if use_pool else "spawn",
-        "heartbeat_s": heartbeat_s,
-        "heartbeat_misses": heartbeat_misses if heartbeat_s else None,
-        "heartbeats_received": hb.beats_received if hb is not None else 0,
-        "hung_detected": hung_detected,
         "deadline_s": deadline_s,
-        "quarantine_after": quarantine_after,
     }
     return SweepResult(
         comparisons=out,
@@ -1059,7 +876,6 @@ def resilient_sweep(
         wall_s=rel_now(),
         timeline=timeline,
         telemetry=agg.as_dict(),
-        quarantined=quarantined,
         skipped=skipped,
         interrupted=interrupted,
         supervision=supervision,

@@ -31,42 +31,27 @@ These are the only two engines.
 :func:`~repro.experiments.parallel.resilient_sweep` -- the one sweep
 path, which ``parallel_compare`` and ``repro figure --jobs N`` also run
 on -- picks one with ``use_pool`` and speaks the same protocol to both:
-``start()`` returns a pollable connection, ``finish()`` collects the
-attempt's message (``None`` means the worker died without reporting; the
-harness may also pass a message it already received off the pipe),
+``start()`` returns a pollable connection, ``finish()`` receives the
+attempt's message (``None`` means the worker died without reporting),
 ``abort()`` terminates a hung attempt -- waiting briefly for the
 SIGTERM-flushed partial telemetry message the worker's abort handler
 tries to send, and returning that salvage (or ``None``) -- and
 ``close()`` tears everything down.  Wire messages carry a telemetry
-snapshot as their last element (see :mod:`repro.obs.campaign`).
-
-Heartbeats: when the ``obs_spec`` carries a positive ``heartbeat_s``,
-every attempt runs a :class:`~repro.experiments.supervise.HeartbeatPump`
-thread that piggybacks ``("hb", seq)`` liveness beats on the *same*
-duplex pipe the result travels on -- no extra file descriptors, no wire
-format change (terminal messages are still the PR 6 tuples; parents that
-do not expect beats simply skip them, see :func:`_recv_final`).  Beats
-share a send lock with the final message because ``Connection.send`` is
-not thread-safe.  The harness's timeout/retry/checkpoint semantics live
-entirely in :func:`repro.experiments.parallel.resilient_sweep` and are
-identical on either engine.
+snapshot as their last element (see :mod:`repro.obs.campaign`).  The
+harness's timeout/retry/checkpoint semantics live entirely in
+:func:`repro.experiments.parallel.resilient_sweep` and are identical on
+either engine.
 """
 
 from __future__ import annotations
 
 import gc
 import multiprocessing
-import threading
-import time
 import traceback
 from typing import Any
 
 from repro.experiments.parallel import ParallelWorkerError, _workload_task
-from repro.faults.chaos import (
-    ChaosWorkerProxy,
-    clear_heartbeat_control,
-    register_heartbeat_control,
-)
+from repro.faults.chaos import ChaosWorkerProxy
 from repro.faults.plan import FaultPlan
 from repro.obs.campaign import (
     WorkerAborted,
@@ -85,53 +70,26 @@ __all__ = [
     "created_shm_segments",
 ]
 
-#: Sentinel distinguishing "no pre-received message" from an explicit
-#: ``None`` ("the worker died mute") in ``finish(conn, message=...)``.
-_NO_MESSAGE = object()
 
-
-def _is_heartbeat(message: Any) -> bool:
-    """Whether a wire message is a liveness beat rather than a result."""
-    return (
-        isinstance(message, tuple)
-        and len(message) == 2
-        and message[0] == "hb"
-    )
-
-
-def _recv_final(conn) -> Any:
-    """Receive the next *terminal* message, skipping queued heartbeats.
-
-    Raises ``EOFError``/``OSError`` like a bare ``recv`` when the worker
-    died -- callers already map that to the mute-crash path.
-    """
-    while True:
-        message = conn.recv()
-        if _is_heartbeat(message):
-            continue
-        return message
+def _recv(conn) -> Any:
+    """Receive the attempt's message; ``None`` when the worker died mute."""
+    try:
+        return conn.recv()
+    except (EOFError, OSError):
+        return None
 
 
 def _drain_salvage(conn, timeout: float = 0.5) -> Any:
     """Poll briefly for an aborted worker's salvage message.
 
-    Heartbeats queued before the SIGTERM landed are skipped; ``None``
-    when nothing terminal arrives in time (telemetry is then *lost*).
+    ``None`` when nothing arrives in time (telemetry is then *lost*).
     """
-    deadline = time.monotonic() + timeout
-    while True:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
+    try:
+        if not conn.poll(timeout):
             return None
-        try:
-            if not conn.poll(remaining):
-                return None
-            message = conn.recv()
-        except (EOFError, OSError):
-            return None
-        if _is_heartbeat(message):
-            continue
-        return message
+    except (EOFError, OSError):
+        return None
+    return _recv(conn)
 
 
 # ----------------------------------------------------------------------
@@ -227,8 +185,6 @@ def _attempt_message(
     workload: str,
     attempt: int,
     obs_spec: dict | None = None,
-    conn: Any = None,
-    send_lock: threading.Lock | None = None,
 ) -> tuple:
     """Run one unit attempt; return the wire message, never raise.
 
@@ -247,27 +203,9 @@ def _attempt_message(
     holds whatever the unit had flushed before dying.  Telemetry rides
     outside the validated result payload, so a chaos-corrupted result
     cannot corrupt its own telemetry.
-
-    When ``obs_spec`` carries a positive ``heartbeat_s`` and a ``conn``
-    is supplied, the attempt runs under a
-    :class:`~repro.experiments.supervise.HeartbeatPump` beating on that
-    connection for its whole duration (including chaos hangs -- a
-    hanging-but-beating worker is *slow*, not *hung*).  The pump is
-    registered as the chaos plane's heartbeat control so a scripted
-    ``stall-heartbeat`` can flatline it without stopping the attempt.
     """
     spec = obs_spec or {}
     obs = begin_worker_obs(trace_capacity=int(spec.get("trace_capacity", 0)))
-    pump = None
-    heartbeat_s = float(spec.get("heartbeat_s") or 0.0)
-    if heartbeat_s > 0 and conn is not None:
-        from repro.experiments.supervise import HeartbeatPump
-
-        pump = HeartbeatPump(
-            conn, send_lock or threading.Lock(), heartbeat_s
-        )
-        register_heartbeat_control(pump.suspend)
-        pump.start()
     try:
         try:
             if plan is not None and plan.has_chaos():
@@ -288,9 +226,6 @@ def _attempt_message(
                 obs.snapshot(partial=True),
             )
     finally:
-        if pump is not None:
-            clear_heartbeat_control()
-            pump.stop()
         end_worker_obs()
 
 
@@ -312,9 +247,6 @@ def _pool_worker_main(conn) -> None:
     # so the in-flight attempt can flush a final partial telemetry
     # snapshot instead of dying mute.
     install_sigterm_flush()
-    # One lock for everything this worker ever sends: the heartbeat pump
-    # thread and the request loop's result sends must not interleave.
-    send_lock = threading.Lock()
     try:
         while True:
             try:
@@ -331,13 +263,9 @@ def _pool_worker_main(conn) -> None:
                 break
             _tag, task, workload, attempt, plan, *rest = request
             obs_spec = rest[0] if rest else None
-            message = _attempt_message(
-                task, plan, workload, attempt, obs_spec,
-                conn=conn, send_lock=send_lock,
-            )
+            message = _attempt_message(task, plan, workload, attempt, obs_spec)
             try:
-                with send_lock:
-                    conn.send(message)
+                conn.send(message)
             except (BrokenPipeError, OSError, WorkerAborted):
                 break
             if message[0] == "aborted":
@@ -363,14 +291,8 @@ def _spawn_entry(
 ) -> None:
     """One-shot child entry for :class:`SpawnExecutor` (PR 3 semantics)."""
     install_sigterm_flush()
-    send_lock = threading.Lock()
     try:
-        message = _attempt_message(
-            task, plan, workload, attempt, obs_spec,
-            conn=conn, send_lock=send_lock,
-        )
-        with send_lock:
-            conn.send(message)
+        conn.send(_attempt_message(task, plan, workload, attempt, obs_spec))
     except (BrokenPipeError, OSError, WorkerAborted):
         pass
     finally:
@@ -404,7 +326,6 @@ class WorkerPool:
         self._obs_spec = obs_spec
         self._idle: list[tuple[Any, Any]] = []  # (conn, process)
         self._busy: dict[Any, Any] = {}  # conn -> process
-        self._ids: dict[Any, int] = {}  # conn -> worker id (spawn order)
         self._closed = False
         self.workers_spawned = 0
         self.workers_recycled = 0
@@ -418,7 +339,6 @@ class WorkerPool:
         )
         proc.start()
         child_conn.close()
-        self._ids[parent_conn] = self.workers_spawned
         self.workers_spawned += 1
         get_default_registry().counter("sweep_pool.spawned").inc()
         return parent_conn, proc
@@ -435,19 +355,8 @@ class WorkerPool:
                 conn.close()
             except OSError:
                 pass
-        self._ids.pop(conn, None)
         self.workers_recycled += 1
         get_default_registry().counter("sweep_pool.recycled").inc()
-
-    def worker_id(self, conn) -> int:
-        """Stable identity of the worker behind a connection.
-
-        Ids follow spawn order and survive warm reuse (the same worker
-        serving ten units keeps one id), so the quarantine tracker can
-        tell "one flaky worker died twice" from "two different workers
-        died under the same unit".
-        """
-        return self._ids.get(conn, -1)
 
     # -- executor protocol ---------------------------------------------
 
@@ -475,22 +384,15 @@ class WorkerPool:
             self._busy[conn] = proc
             return conn
 
-    def finish(self, conn, message: Any = _NO_MESSAGE) -> tuple[Any, int | None]:
-        """Collect an attempt's ``(message, exitcode)``.
+    def finish(self, conn) -> tuple[Any, int | None]:
+        """Receive an attempt's ``(message, exitcode)``.
 
         ``message is None`` means the worker died without reporting (it
         is reaped and counted recycled; ``exitcode`` carries its status).
         Otherwise the worker goes back to the idle list, still warm.
-        The supervised loop receives messages itself (to see heartbeats)
-        and passes the terminal one in; a bare ``finish(conn)`` still
-        receives it here, skipping any queued beats.
         """
         proc = self._busy.pop(conn)
-        if message is _NO_MESSAGE:
-            try:
-                message = _recv_final(conn)
-            except (EOFError, OSError):
-                message = None
+        message = _recv(conn)
         if message is None:
             self._reap(conn, proc)
             return None, proc.exitcode
@@ -502,7 +404,7 @@ class WorkerPool:
 
         The worker's SIGTERM handler gives the dying attempt a moment to
         flush a final partial telemetry message; ``abort`` waits briefly
-        for that salvage (skipping queued heartbeats) and returns it
+        for that salvage and returns it
         (``None`` when nothing arrived -- the attempt's telemetry is
         then *lost*).
         """
@@ -555,7 +457,6 @@ class SpawnExecutor:
     def __init__(self, mp_context=None, obs_spec: dict | None = None) -> None:
         self._ctx = mp_context if mp_context is not None else multiprocessing
         self._busy: dict[Any, Any] = {}
-        self._ids: dict[Any, int] = {}
         self._obs_spec = obs_spec
         self.workers_spawned = 0
         self.workers_recycled = 0
@@ -571,23 +472,13 @@ class SpawnExecutor:
         )
         proc.start()
         child_conn.close()
-        self._ids[parent_conn] = self.workers_spawned
         self.workers_spawned += 1
         self._busy[parent_conn] = proc
         return parent_conn
 
-    def worker_id(self, conn) -> int:
-        """Spawn-order id (every attempt gets a fresh process/id here)."""
-        return self._ids.get(conn, -1)
-
-    def finish(self, conn, message: Any = _NO_MESSAGE) -> tuple[Any, int | None]:
+    def finish(self, conn) -> tuple[Any, int | None]:
         proc = self._busy.pop(conn)
-        self._ids.pop(conn, None)
-        if message is _NO_MESSAGE:
-            try:
-                message = _recv_final(conn)
-            except (EOFError, OSError):
-                message = None
+        message = _recv(conn)
         conn.close()
         proc.join()
         if message is None:
@@ -598,7 +489,6 @@ class SpawnExecutor:
 
     def abort(self, conn) -> Any:
         proc = self._busy.pop(conn)
-        self._ids.pop(conn, None)
         proc.terminate()
         salvage = _drain_salvage(conn)
         proc.join(timeout=2.0)
@@ -615,4 +505,3 @@ class SpawnExecutor:
             proc.join()
             conn.close()
         self._busy.clear()
-        self._ids.clear()

@@ -91,10 +91,11 @@ def format_table(
 # ----------------------------------------------------------------------
 
 MANIFEST_KIND = "repro-sweep-manifest"
-#: v2 added the supervision block: ``quarantined`` / ``skipped`` /
-#: ``interrupted`` / ``supervision`` keys and the quarantine/skip
-#: timeline outcomes.
-MANIFEST_VERSION = 2
+#: v2 added the supervision block: ``skipped`` / ``interrupted`` /
+#: ``supervision`` keys and the skip timeline outcomes.  v3 dropped the
+#: poison-unit list; ``supervision`` keeps only ``executor`` and
+#: ``deadline_s``.
+MANIFEST_VERSION = 3
 
 
 def build_manifest(
@@ -216,7 +217,7 @@ MANIFEST_SCHEMA: dict[str, Any] = {
         "config", "workloads", "techniques", "seed", "plan",
         "degraded", "completed", "resumed", "cached", "attempts",
         "retries", "workers_spawned", "workers_recycled", "wall_s",
-        "timeline", "telemetry", "failed", "quarantined", "skipped",
+        "timeline", "telemetry", "failed", "skipped",
         "interrupted", "supervision", "aggregates", "bench",
         "result_cache",
     ],
@@ -253,8 +254,7 @@ MANIFEST_SCHEMA: dict[str, Any] = {
                     "outcome": {
                         "enum": [
                             "ok", "retry", "failed", "cached", "resumed",
-                            "quarantined", "skipped-deadline",
-                            "skipped-interrupt",
+                            "skipped-deadline", "skipped-interrupt",
                         ],
                     },
                     "exc_type": {"type": "string"},
@@ -285,25 +285,6 @@ MANIFEST_SCHEMA: dict[str, Any] = {
                 },
             },
         },
-        "quarantined": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": [
-                    "workload", "fingerprint", "attempts", "workers",
-                    "exc_type", "detail", "telemetry",
-                ],
-                "properties": {
-                    "workload": {"type": "string"},
-                    "fingerprint": {"type": "string"},
-                    "attempts": {"type": "integer"},
-                    "workers": {"type": "integer"},
-                    "exc_type": {"type": "string"},
-                    "detail": {"type": "string"},
-                    "telemetry": {"enum": ["ok", "partial", "lost"]},
-                },
-            },
-        },
         "skipped": {
             "type": "array",
             "items": {
@@ -319,17 +300,10 @@ MANIFEST_SCHEMA: dict[str, Any] = {
         "interrupted": {"type": ["string", "null"]},
         "supervision": {
             "type": "object",
-            "required": [
-                "executor", "heartbeat_s", "heartbeats_received",
-                "hung_detected", "deadline_s", "quarantine_after",
-            ],
+            "required": ["executor", "deadline_s"],
             "properties": {
                 "executor": {"type": "string"},
-                "heartbeat_s": {"type": ["number", "null"]},
-                "heartbeats_received": {"type": "integer"},
-                "hung_detected": {"type": "integer"},
                 "deadline_s": {"type": ["number", "null"]},
-                "quarantine_after": {"type": ["integer", "null"]},
             },
         },
         "aggregates": {"type": "object"},
@@ -464,17 +438,13 @@ def check_consistency(manifest: Mapping[str, Any]) -> list[str]:
         )
 
     timeline = manifest.get("timeline", [])
-    # One timeline record per dispatched attempt: terminal outcomes with
-    # attempt >= 1 (a resume-re-quarantine records attempt 0 without
-    # dispatching), plus cancelled attempts that were in flight when the
-    # deadline or an interrupt pulled them (marked ``in_flight``).
+    # One timeline record per dispatched attempt: its terminal outcome,
+    # or its cancellation when the deadline or an interrupt pulled it in
+    # flight (marked ``in_flight``).
     attempt_entries = [
         t
         for t in timeline
-        if (
-            t.get("outcome") in ("ok", "retry", "failed", "quarantined")
-            and t.get("attempt", 0) >= 1
-        )
+        if t.get("outcome") in ("ok", "retry", "failed")
         or (
             str(t.get("outcome", "")).startswith("skipped-")
             and t.get("in_flight")
@@ -498,13 +468,12 @@ def check_consistency(manifest: Mapping[str, Any]) -> list[str]:
                 f"workload {entry.get('workload')} is both completed and "
                 f"failed"
             )
-    for label in ("quarantined", "skipped"):
-        for entry in manifest.get(label, []):
-            if entry.get("workload") in completed:
-                failures.append(
-                    f"workload {entry.get('workload')} is both completed "
-                    f"and {label}"
-                )
+    for entry in manifest.get("skipped", []):
+        if entry.get("workload") in completed:
+            failures.append(
+                f"workload {entry.get('workload')} is both completed "
+                f"and skipped"
+            )
     return failures
 
 
@@ -646,8 +615,7 @@ def _retry_timeline_rows(manifest: Mapping[str, Any]) -> list[list[Any]]:
         t.get("workload")
         for t in manifest.get("timeline", [])
         if t.get("outcome")
-        in ("retry", "failed", "quarantined", "skipped-deadline",
-            "skipped-interrupt")
+        in ("retry", "failed", "skipped-deadline", "skipped-interrupt")
     }
     rows = []
     for t in manifest.get("timeline", []):
@@ -685,14 +653,13 @@ def render_markdown(
     out.append("## Summary")
     out.append("")
     out.append(_md_table(
-        ["workloads", "completed", "failed", "quarantined", "skipped",
+        ["workloads", "completed", "failed", "skipped",
          "cached", "resumed", "attempts", "retries", "recycled",
          "wall s", "degraded"],
         [[
             len(manifest.get("workloads", [])),
             len(manifest.get("completed", [])),
             len(manifest.get("failed", [])),
-            len(manifest.get("quarantined", [])),
             len(manifest.get("skipped", [])),
             len(manifest.get("cached", [])),
             len(manifest.get("resumed", [])),
@@ -712,26 +679,12 @@ def render_markdown(
             f"the skipped units."
         )
     if supervision:
-        hb_s = supervision.get("heartbeat_s")
         out.append("")
         out.append(
-            f"Supervision: executor `{supervision.get('executor', '?')}`, "
-            + (
-                f"heartbeat {format_value(hb_s)} s "
-                f"({supervision.get('heartbeats_received', 0)} beats, "
-                f"{supervision.get('hung_detected', 0)} hung detected)"
-                if hb_s
-                else "heartbeat off"
-            )
+            f"Supervision: executor `{supervision.get('executor', '?')}`"
             + (
                 f", deadline {format_value(supervision['deadline_s'])} s"
                 if supervision.get("deadline_s")
-                else ""
-            )
-            + (
-                f", quarantine after "
-                f"{supervision['quarantine_after']} workers"
-                if supervision.get("quarantine_after")
                 else ""
             )
             + "."
@@ -806,20 +759,6 @@ def render_markdown(
                 [f.get("workload"), f.get("attempts"), f.get("exc_type"),
                  f.get("telemetry"), f.get("detail")]
                 for f in manifest.get("failed", [])
-            ],
-        ))
-    if manifest.get("quarantined"):
-        out.append("")
-        out.append("## Quarantined (poison units)")
-        out.append("")
-        out.append(_md_table(
-            ["workload", "fingerprint", "attempts", "workers killed",
-             "exc type", "detail"],
-            [
-                [q.get("workload"), q.get("fingerprint") or "-",
-                 q.get("attempts"), q.get("workers"), q.get("exc_type"),
-                 q.get("detail")]
-                for q in manifest.get("quarantined", [])
             ],
         ))
     if manifest.get("skipped"):

@@ -96,18 +96,19 @@ def probe_unit(
 ) -> tuple[str, list[RunComparison] | None]:
     """Fingerprint one unit and look it up: ``(fingerprint, hit-or-None)``.
 
-    The fingerprint is computed even without a cache (the sweep's
-    quarantine ledger keys on it) and is ``""`` when the unit cannot be
-    fingerprinted (unknown workload -- it then runs uncached and fails
-    with its real error).  A hit is re-shaped into technique order and
-    sanity-checked against the unit it claims to be; anything off is a
-    miss.
+    The fingerprint is ``""`` without a cache (nothing would store it)
+    and when the unit cannot be fingerprinted (unknown workload -- it
+    then runs uncached and fails with its real error).  A hit is
+    re-shaped into technique order and sanity-checked against the unit
+    it claims to be; anything off is a miss.
     """
+    if cache is None:
+        return "", None
     try:
         fingerprint = unit_fingerprint(config, workload, techniques, seed, plan)
     except Exception:
         return "", None
-    hit = cache.get(fingerprint) if cache is not None else None
+    hit = cache.get(fingerprint)
     if hit is None:
         return fingerprint, None
     by_tech = {c.technique: c for c in hit if c.workload == workload}

@@ -5,24 +5,13 @@ executors (:mod:`repro.experiments.pool`), selected by ``use_pool``: the
 warm :class:`~repro.experiments.pool.WorkerPool` or the one-process-per-
 attempt :class:`~repro.experiments.pool.SpawnExecutor`, its bit-for-bit
 reference and throughput baseline.  Both speak a small protocol --
-``start`` / ``finish`` / ``abort`` / ``close`` plus ``worker_id`` and the
+``start`` / ``finish`` / ``abort`` / ``close`` plus the
 ``workers_spawned`` / ``workers_recycled`` counters.  This module holds
 the supervision the loop layers on top of either engine.
 
 **Supervision primitives.**  Small, independently testable pieces the
 sweep loop composes:
 
-* :class:`HeartbeatMonitor` -- tracks the ``("hb", seq)`` beats workers
-  piggyback on their existing result pipes (see
-  :mod:`repro.experiments.pool`).  A worker whose beats stop is *hung*
-  and is detected after ``misses`` missed intervals -- O(heartbeat
-  interval), not O(unit timeout) -- while a slow-but-alive worker keeps
-  beating and is left to run to its deadline.
-* :class:`QuarantineTracker` -- fingerprint-keyed ledger of attempts
-  that *killed their worker* (crash / hang / lost heartbeat).  A unit
-  that takes down ``threshold`` distinct workers is poison: it is pulled
-  from the run queue and reported, instead of burning the whole
-  campaign's retry budget worker by worker.
 * :class:`DeadlineBudget` -- a per-campaign wall-clock budget.  When it
   expires the sweep cancels fairly: running attempts are aborted and
   every unfinished unit is recorded as ``skipped-deadline`` in the
@@ -41,7 +30,6 @@ from __future__ import annotations
 
 import random
 import signal
-import threading
 import time
 from typing import Any
 
@@ -49,125 +37,9 @@ from repro.util import stable_fingerprint
 
 __all__ = [
     "DeadlineBudget",
-    "HeartbeatMonitor",
-    "LETHAL_EXC_TYPES",
     "ParentSignalWatch",
-    "QuarantineTracker",
     "full_jitter_delay",
 ]
-
-#: Exception type names that mean an attempt *took its worker down*
-#: (hard crash, hang past deadline, or a heartbeat flatline) -- the
-#: signals :class:`QuarantineTracker` counts toward poison status.  A
-#: mere ``raise`` inside the unit keeps its worker alive and is never
-#: quarantine-worthy.
-LETHAL_EXC_TYPES: frozenset[str] = frozenset(
-    {"WorkerCrash", "TimeoutError", "HeartbeatLost"}
-)
-
-
-# ----------------------------------------------------------------------
-# Heartbeats
-# ----------------------------------------------------------------------
-
-
-class HeartbeatMonitor:
-    """Parent-side liveness ledger for in-flight attempt connections.
-
-    ``track`` starts the clock at dispatch (a fresh fork's first beat
-    arrives within one interval); ``beat`` resets it; ``overdue``
-    returns connections silent for more than ``misses`` intervals.  The
-    distinction the sweep needs: a *hung* worker stops beating and is
-    caught in O(interval); a *slow-but-alive* worker keeps beating and
-    is left alone until its unit deadline.
-    """
-
-    def __init__(self, interval_s: float, misses: float = 2.0) -> None:
-        if interval_s <= 0:
-            raise ValueError("heartbeat interval must be positive")
-        if misses <= 0:
-            raise ValueError("heartbeat misses must be positive")
-        self.interval_s = float(interval_s)
-        self.misses = float(misses)
-        self.beats_received = 0
-        self._last_beat: dict[Any, float] = {}
-
-    @property
-    def window_s(self) -> float:
-        """Silence longer than this condemns a connection."""
-        return self.interval_s * self.misses
-
-    def track(self, conn, now: float | None = None) -> None:
-        self._last_beat[conn] = time.monotonic() if now is None else now
-
-    def beat(self, conn, now: float | None = None) -> None:
-        if conn in self._last_beat:
-            self._last_beat[conn] = (
-                time.monotonic() if now is None else now
-            )
-            self.beats_received += 1
-
-    def forget(self, conn) -> None:
-        self._last_beat.pop(conn, None)
-
-    def overdue(self, now: float | None = None) -> list[Any]:
-        now = time.monotonic() if now is None else now
-        window = self.window_s
-        return [
-            conn
-            for conn, last in self._last_beat.items()
-            if now - last > window
-        ]
-
-    def next_check(self, now: float | None = None) -> float | None:
-        """Earliest absolute (monotonic) instant a check could condemn."""
-        if not self._last_beat:
-            return None
-        return min(self._last_beat.values()) + self.window_s
-
-
-# ----------------------------------------------------------------------
-# Poison-unit quarantine
-# ----------------------------------------------------------------------
-
-
-class QuarantineTracker:
-    """Ledger of units whose attempts kill their workers.
-
-    Keys are unit fingerprints (same ``stable_fingerprint`` scheme as
-    the result cache); each lethal outcome records the *worker id* it
-    took down.  Only ``threshold`` lethal outcomes on *distinct* workers
-    flip a unit to poison -- one flaky worker crashing twice under the
-    same unit proves nothing about the unit.
-    """
-
-    def __init__(self, threshold: int | None) -> None:
-        if threshold is not None and threshold < 1:
-            raise ValueError("quarantine threshold must be at least 1")
-        self.threshold = threshold
-        self._lethal_workers: dict[str, set[int]] = {}
-        self.quarantined: set[str] = set()
-
-    @property
-    def enabled(self) -> bool:
-        return self.threshold is not None
-
-    def record_lethal(self, key: str, worker: int, exc_type: str) -> None:
-        """Note that ``key``'s attempt killed ``worker`` via ``exc_type``."""
-        if not self.enabled or exc_type not in LETHAL_EXC_TYPES:
-            return
-        self._lethal_workers.setdefault(key, set()).add(worker)
-
-    def distinct_workers(self, key: str) -> int:
-        return len(self._lethal_workers.get(key, ()))
-
-    def should_quarantine(self, key: str) -> bool:
-        if not self.enabled:
-            return False
-        return self.distinct_workers(key) >= int(self.threshold)
-
-    def quarantine(self, key: str) -> None:
-        self.quarantined.add(key)
 
 
 # ----------------------------------------------------------------------
@@ -268,57 +140,3 @@ def full_jitter_delay(
     )
     rng = random.Random(int(digest, 16))
     return window * rng.random()
-
-
-# ----------------------------------------------------------------------
-# Worker-side heartbeat pump
-# ----------------------------------------------------------------------
-
-
-class HeartbeatPump:
-    """Daemon thread beating ``("hb", seq)`` down a connection.
-
-    Shares ``send_lock`` with the attempt's final result send, because
-    ``Connection.send`` is not thread-safe.  The chaos plane can
-    :meth:`suspend` the pump (the ``stall-heartbeat`` action) to
-    simulate a worker whose main thread still runs but whose event loop
-    -- here, the pump -- has flatlined.  A send failure (parent gone)
-    stops the pump silently; the attempt's own send will surface it.
-    """
-
-    def __init__(self, conn, send_lock: threading.Lock,
-                 interval_s: float) -> None:
-        self._conn = conn
-        self._lock = send_lock
-        self._interval = float(interval_s)
-        self._stop = threading.Event()
-        self._suspended = threading.Event()
-        self.sent = 0
-        self._thread = threading.Thread(
-            target=self._run, name="heartbeat-pump", daemon=True
-        )
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def _run(self) -> None:
-        seq = 0
-        while not self._stop.is_set():
-            if not self._suspended.is_set():
-                try:
-                    with self._lock:
-                        self._conn.send(("hb", seq))
-                except (BrokenPipeError, OSError):
-                    return
-                seq += 1
-                self.sent = seq
-            if self._stop.wait(self._interval):
-                return
-
-    def suspend(self) -> None:
-        """Stop beating without stopping the attempt (chaos hook)."""
-        self._suspended.set()
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=1.0)

@@ -15,23 +15,9 @@ sweep worker.  Before (and after) running the unit it consults the
 ``hang``
     Sleeps ``plan.hang_seconds`` before starting the unit, tripping the
     harness's wall-clock timeout (the parent terminates the worker).
-    With heartbeats enabled the worker keeps *beating* through the sleep
-    -- it is slow-but-alive, and the supervised sweep correctly waits
-    for the full unit deadline rather than the heartbeat window.
 ``corrupt``
     Runs the unit to completion, then mangles the result so the
     harness's result validation rejects it.
-``stall-heartbeat``
-    Suspends the worker's heartbeat pump (via the control hook the pump
-    registers), then sleeps like ``hang``.  To the parent this is a
-    *hung* worker -- beats flatline while the process lives -- and the
-    supervised sweep must detect it within the heartbeat window, not the
-    full unit timeout.  Without heartbeats it degrades to a plain hang.
-``poison``
-    ``os._exit(POISON_EXIT_CODE)`` on every scripted attempt -- the
-    signature of a poison unit that kills whichever worker picks it up.
-    Distinct exit code so tests can tell a scripted poison death from a
-    generic chaos crash.
 ``kill``
     ``SIGKILL`` to self -- the hardest crash there is: no exit handler,
     no SIGTERM flush, telemetry unconditionally lost.
@@ -52,43 +38,18 @@ from repro.faults.plan import FaultPlan
 
 __all__ = [
     "CHAOS_EXIT_CODE",
-    "POISON_EXIT_CODE",
     "ChaosError",
     "ChaosWorkerProxy",
-    "clear_heartbeat_control",
     "corrupt_result",
-    "register_heartbeat_control",
 ]
 
 #: Exit status used by ``crash`` so tests can tell a scripted crash from a
 #: genuine interpreter death.
 CHAOS_EXIT_CODE = 86
 
-#: Exit status used by ``poison`` -- distinct from ``crash`` so the
-#: quarantine path is distinguishable from garden-variety chaos.
-POISON_EXIT_CODE = 87
-
 
 class ChaosError(RuntimeError):
     """Deterministic failure raised by the ``raise`` chaos action."""
-
-
-# The worker's heartbeat pump registers its suspend callable here so the
-# ``stall-heartbeat`` action can flatline the beats without touching the
-# attempt itself.  Worker-process-local by construction (each worker is
-# its own process with its own module state).
-_HEARTBEAT_CONTROL: Callable[[], None] | None = None
-
-
-def register_heartbeat_control(suspend: Callable[[], None]) -> None:
-    """Install the active attempt's heartbeat-suspend hook."""
-    global _HEARTBEAT_CONTROL
-    _HEARTBEAT_CONTROL = suspend
-
-
-def clear_heartbeat_control() -> None:
-    global _HEARTBEAT_CONTROL
-    _HEARTBEAT_CONTROL = None
 
 
 def corrupt_result(result):
@@ -113,8 +74,6 @@ class ChaosWorkerProxy:
         action = self.action
         if action == "crash":
             os._exit(CHAOS_EXIT_CODE)
-        if action == "poison":
-            os._exit(POISON_EXIT_CODE)
         if action == "kill":
             os.kill(os.getpid(), signal.SIGKILL)
         if action == "raise":
@@ -122,10 +81,6 @@ class ChaosWorkerProxy:
                 f"scripted failure for workload {self.workload!r} "
                 f"(attempt {self.attempt})"
             )
-        if action == "stall-heartbeat":
-            if _HEARTBEAT_CONTROL is not None:
-                _HEARTBEAT_CONTROL()
-            time.sleep(self.plan.hang_seconds)
         if action == "hang":
             time.sleep(self.plan.hang_seconds)
         result = fn()

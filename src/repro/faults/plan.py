@@ -48,18 +48,12 @@ __all__ = ["CHAOS_ACTIONS", "FaultEvent", "FaultPlan"]
 #: ``crash`` hard-kills the worker process (no Python traceback, like a
 #: segfault or OOM kill); ``raise`` raises a :class:`~repro.faults.chaos.
 #: ChaosError` inside the worker; ``hang`` sleeps ``hang_seconds`` before
-#: running (tripping the harness timeout -- with heartbeats on, the
-#: worker keeps beating: slow-but-alive); ``corrupt`` completes the unit
-#: but mangles the returned results (tripping result validation);
-#: ``stall-heartbeat`` flatlines the worker's heartbeat pump and then
-#: hangs (a *hung* worker the supervised sweep must catch in O(heartbeat
-#: interval)); ``poison`` hard-kills with its own exit code on every
-#: scripted attempt (the poison-unit quarantine signature); ``kill``
-#: SIGKILLs the worker (no SIGTERM flush, telemetry unconditionally
-#: lost).
+#: running (tripping the harness timeout); ``corrupt`` completes the
+#: unit but mangles the returned results (tripping result validation);
+#: ``kill`` SIGKILLs the worker (no SIGTERM flush, telemetry
+#: unconditionally lost).
 CHAOS_ACTIONS: tuple[str, ...] = (
-    "ok", "crash", "raise", "hang", "corrupt",
-    "stall-heartbeat", "poison", "kill",
+    "ok", "crash", "raise", "hang", "corrupt", "kill",
 )
 
 

@@ -453,9 +453,7 @@ recycled 1 | ETA 1m40s
         self.retries = 0
         self.recycled = 0
         self.cached = 0
-        self.quarantined = 0
         self.skipped = 0
-        self.hung = 0
         self.instructions = 0.0
         self.cache_hit_pct: float | None = None
         self._last_width = 0
@@ -495,11 +493,8 @@ recycled 1 | ETA 1m40s
         ]
         if self.cache_hit_pct is not None:
             parts.append(f"cache {self.cache_hit_pct:.0f}%")
-        if self.quarantined or self.skipped or self.hung:
-            parts.append(
-                f"quar {self.quarantined} skip {self.skipped} "
-                f"hung {self.hung}"
-            )
+        if self.skipped:
+            parts.append(f"skip {self.skipped}")
         parts.append(f"recycled {self.recycled}")
         parts.append(f"ETA {format_seconds(eta)}")
         line = " | ".join(parts)

@@ -265,27 +265,22 @@ class TestRenderers:
 
 
 class TestSupervisionManifest:
-    """Manifest v2: quarantined / skipped / interrupted / supervision."""
+    """Manifest v3: skipped / interrupted / supervision."""
 
-    QUARANTINE_ENTRY = {
-        "workload": "povray", "fingerprint": "f" * 16, "attempts": 2,
-        "workers": 2, "exc_type": "WorkerCrash", "detail": "poison",
-        "telemetry": "lost",
-    }
+    SKIPPED_ENTRY = {"workload": "mcf", "reason": "deadline", "attempts": 0}
 
     def test_clean_manifest_has_empty_supervision_outcomes(self, manifest):
-        assert manifest["quarantined"] == []
+        assert "quarantined" not in manifest
+        assert set(manifest["supervision"]) == {"executor", "deadline_s"}
         assert manifest["skipped"] == []
         assert manifest["interrupted"] is None
         assert manifest["supervision"]["executor"] in ("pool", "spawn")
 
-    def test_quarantined_items_require_full_shape(self, manifest):
+    def test_skipped_items_require_full_shape(self, manifest):
         broken = copy.deepcopy(manifest)
-        broken["quarantined"] = [{"workload": "povray"}]
+        broken["skipped"] = [{"workload": "povray"}]
         errors = validate_manifest(broken)
-        assert any(
-            "quarantined[0]" in e and "required" in e for e in errors
-        )
+        assert any("skipped[0]" in e and "required" in e for e in errors)
 
     def test_skipped_reason_enum_enforced(self, manifest):
         broken = copy.deepcopy(manifest)
@@ -309,10 +304,7 @@ class TestSupervisionManifest:
 
     def test_well_formed_supervision_outcomes_validate(self, manifest):
         full = copy.deepcopy(manifest)
-        full["quarantined"] = [dict(self.QUARANTINE_ENTRY)]
-        full["skipped"] = [
-            {"workload": "mcf", "reason": "deadline", "attempts": 0}
-        ]
+        full["skipped"] = [dict(self.SKIPPED_ENTRY)]
         full["interrupted"] = "SIGTERM"
         assert validate_manifest(full) == []
 
@@ -323,24 +315,17 @@ class TestSupervisionManifest:
         tagged["timeline"][0]["in_flight"] = True
         assert validate_manifest(tagged) == []
 
-    def test_quarantined_completed_overlap_detected(self, manifest):
+    def test_skipped_completed_overlap_detected(self, manifest):
         broken = copy.deepcopy(manifest)
-        entry = dict(self.QUARANTINE_ENTRY, workload="gamess")
-        broken["quarantined"] = [entry]
+        broken["skipped"] = [dict(self.SKIPPED_ENTRY, workload="gamess")]
         errors = check_consistency(broken)
-        assert any(
-            "both completed and quarantined" in e for e in errors
-        )
+        assert any("both completed and skipped" in e for e in errors)
 
     def test_markdown_renders_supervision_sections(self, manifest):
         m = copy.deepcopy(manifest)
-        m["quarantined"] = [dict(self.QUARANTINE_ENTRY)]
-        m["skipped"] = [
-            {"workload": "mcf", "reason": "deadline", "attempts": 0}
-        ]
+        m["skipped"] = [dict(self.SKIPPED_ENTRY)]
         m["interrupted"] = "SIGTERM"
         text = render_markdown(m)
-        assert "## Quarantined (poison units)" in text
         assert "## Skipped (cancelled, not failed)" in text
         assert "Interrupted by SIGTERM" in text
 

@@ -4,7 +4,6 @@ checkpoint/resume, degradation) and the sweep checkpoint format."""
 import json
 import multiprocessing
 import pickle
-import time
 
 import pytest
 
@@ -17,7 +16,6 @@ from repro.experiments.parallel import (
     resilient_sweep,
 )
 from repro.experiments.pool import active_shm_segments
-from repro.experiments.supervise import LETHAL_EXC_TYPES
 from repro.experiments.runner import (
     Runner,
     comparison_from_dict,
@@ -83,6 +81,27 @@ class TestCleanSweep:
             resilient_sweep(config(), ["gamess"], ("esteem",), retries=-1)
         with pytest.raises(ValueError):
             resilient_sweep(config(), ["gamess"], ("esteem",), timeout_s=0)
+
+    @pytest.mark.parametrize(
+        "bad", [{"trace_events": -5}, {"backoff_s": -1.0}],
+        ids=["trace_events", "backoff_s"],
+    )
+    def test_negative_knobs_rejected_before_any_worker(
+        self, bad, monkeypatch
+    ):
+        # A negative ring capacity would reach every worker and kill it:
+        # the unit would be retried as WorkerCrash and the sweep would
+        # degrade.  It is refused before an executor, or any worker,
+        # exists.
+        from repro.experiments import pool
+
+        def no_executor(*args, **kwargs):
+            raise AssertionError("an executor was built")
+
+        monkeypatch.setattr(pool, "WorkerPool", no_executor)
+        monkeypatch.setattr(pool, "SpawnExecutor", no_executor)
+        with pytest.raises(ValueError):
+            resilient_sweep(config(), ["gamess"], ("esteem",), **bad)
 
 
 class TestRetries:
@@ -388,122 +407,6 @@ class TestCheckpointFormat:
         assert not ckpt.has_workload("povray", ("esteem",))
 
 
-class TestHeartbeatSupervision:
-    def test_stalled_heartbeat_detected_in_o_interval(self):
-        # The worker's main thread sleeps for 60s with its heartbeat pump
-        # suspended -- indistinguishable from a hung process.  With a
-        # 0.25s heartbeat the parent must catch it in ~2 intervals, far
-        # below the 30s unit timeout the legacy path would have waited.
-        cfg = config()
-        plan = FaultPlan(
-            chaos={"gamess": ("stall-heartbeat",)}, hang_seconds=60.0
-        )
-        start = time.monotonic()
-        result = resilient_sweep(
-            cfg, ["gamess"], ("esteem",), jobs=1,
-            timeout_s=30.0, retries=2, backoff_s=0.01, plan=plan,
-            heartbeat_s=0.25,
-        )
-        wall = time.monotonic() - start
-        assert not result.degraded
-        first = result.timeline[0]
-        assert first["outcome"] == "retry"
-        assert first["exc_type"] == "HeartbeatLost"
-        assert result.supervision["hung_detected"] == 1
-        assert result.supervision["heartbeats_received"] >= 1
-        assert wall < 10.0, f"hung worker took {wall:.1f}s to detect"
-
-    def test_slow_but_alive_worker_is_left_to_its_deadline(self):
-        # A plain hang keeps the heartbeat pump beating: the supervisor
-        # must NOT kill it early -- it runs to the unit timeout and is
-        # classified TimeoutError, not HeartbeatLost.
-        cfg = config()
-        plan = FaultPlan(chaos={"gamess": ("hang",)}, hang_seconds=60.0)
-        result = resilient_sweep(
-            cfg, ["gamess"], ("esteem",), jobs=1,
-            timeout_s=2.0, retries=2, backoff_s=0.01, plan=plan,
-            heartbeat_s=0.25,
-        )
-        assert not result.degraded
-        first = result.timeline[0]
-        assert first["exc_type"] == "TimeoutError"
-        assert result.supervision["hung_detected"] == 0
-
-    def test_heartbeats_off_by_default(self):
-        result = resilient_sweep(config(), ["gamess"], ("esteem",), jobs=1)
-        assert result.supervision["heartbeat_s"] is None
-        assert result.supervision["heartbeats_received"] == 0
-
-    def test_heartbeat_validation(self):
-        with pytest.raises(ValueError):
-            resilient_sweep(
-                config(), ["gamess"], ("esteem",), heartbeat_s=0.0
-            )
-
-
-class TestQuarantine:
-    def test_poison_unit_is_quarantined_not_retried_forever(self):
-        # povray kills every worker it touches; after 2 distinct workers
-        # die it is pulled from the queue with retry budget to spare,
-        # and the healthy workload still completes.
-        cfg = config()
-        plan = FaultPlan(chaos={"povray": ("poison",) * 8})
-        result = resilient_sweep(
-            cfg, ["gamess", "povray"], ("esteem",), jobs=1,
-            retries=5, backoff_s=0.01, plan=plan, quarantine_after=2,
-        )
-        assert result.degraded
-        assert result.completed == ["gamess"]
-        assert not result.failed
-        (q,) = result.quarantined
-        assert q.workload == "povray"
-        assert q.attempts == 2
-        assert q.workers >= 2
-        assert q.exc_type in LETHAL_EXC_TYPES
-        manifest = result.manifest()
-        json.dumps(manifest)
-        assert manifest["quarantined"][0]["workload"] == "povray"
-        assert manifest["quarantined"][0]["workers"] >= 2
-        assert manifest["supervision"]["quarantine_after"] == 2
-
-    def test_quarantine_disabled_by_default(self):
-        # Without --quarantine-after the poison unit burns its retry
-        # budget and lands in failed -- the pre-supervision behaviour.
-        cfg = config()
-        plan = FaultPlan(chaos={"gamess": ("poison",) * 8})
-        result = resilient_sweep(
-            cfg, ["gamess"], ("esteem",), jobs=1,
-            retries=2, backoff_s=0.01, plan=plan,
-        )
-        assert result.failed and not result.quarantined
-
-    def test_quarantine_persists_across_resume(self, tmp_path):
-        cfg = config()
-        ckpt = tmp_path / "sweep.ckpt.jsonl"
-        plan = FaultPlan(chaos={"povray": ("poison",) * 8})
-        first = resilient_sweep(
-            cfg, ["gamess", "povray"], ("esteem",), jobs=1,
-            retries=5, backoff_s=0.01, plan=plan, quarantine_after=2,
-            checkpoint=ckpt,
-        )
-        assert first.quarantined
-        # The verdict is in the checkpoint: a resume must not spend a
-        # single attempt re-proving that povray is poison.
-        resumed = resilient_sweep(
-            cfg, ["gamess", "povray"], ("esteem",), jobs=1,
-            retries=5, backoff_s=0.01, plan=plan, quarantine_after=2,
-            checkpoint=ckpt, resume=True,
-        )
-        assert resumed.attempts == 0
-        assert resumed.resumed == ["gamess"]
-        (q,) = resumed.quarantined
-        assert q.workload == "povray" and q.attempts == 0
-        loaded = SweepCheckpoint.load(
-            ckpt, sweep_fingerprint(cfg, ("esteem",), 0, plan)
-        )
-        assert loaded.quarantined_workloads == {"povray"}
-
-
 class TestDeadlineBudgets:
     def test_expired_budget_skips_fairly(self):
         cfg = config()
@@ -588,24 +491,24 @@ class TestCheckpointEvents:
     def test_event_roundtrip_and_idempotence(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
         ckpt = SweepCheckpoint(path, "fp")
-        ckpt.note_event("quarantined", "povray", detail="WorkerCrash x2")
-        ckpt.note_event("quarantined", "povray", detail="duplicate")
+        ckpt.note_event("skipped-interrupt", "povray", detail="first")
+        ckpt.note_event("skipped-interrupt", "povray", detail="duplicate")
         ckpt.note_event("skipped-deadline", "mcf")
         loaded = SweepCheckpoint.load(path, "fp")
-        assert loaded.quarantined_workloads == {"povray"}
+        assert loaded.workloads_with_event("skipped-interrupt") == {"povray"}
         assert loaded.workloads_with_event("skipped-deadline") == {"mcf"}
         assert len(loaded.events) == 2  # idempotent per (event, workload)
-        assert loaded.events[0]["detail"] == "WorkerCrash x2"
+        assert loaded.events[0]["detail"] == "first"
 
     def test_corrupt_event_line_dropped(self, tmp_path, capsys):
         path = tmp_path / "ckpt.jsonl"
         ckpt = SweepCheckpoint(path, "fp")
-        ckpt.note_event("quarantined", "povray")
+        ckpt.note_event("skipped-deadline", "povray")
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"event": "quarantined", "workload"\n')  # torn write
+            fh.write('{"event": "skipped-deadline", "workload"\n')  # torn
             fh.write("\x00\x01 binary junk\n")
         loaded = SweepCheckpoint.load(path, "fp")
-        assert loaded.quarantined_workloads == {"povray"}
+        assert loaded.workloads_with_event("skipped-deadline") == {"povray"}
         assert "dropping unparsable" in capsys.readouterr().err
 
     def test_events_interleave_with_comparisons(self, tmp_path):

@@ -160,6 +160,13 @@ class TestSerialisation:
         with pytest.raises(ValueError, match="unknown fault-plan field"):
             FaultPlan.from_dict({"seed": 1, "flip_rat": 0.1})
 
+    @pytest.mark.parametrize("action", ["poison", "stall-heartbeat"])
+    def test_from_dict_rejects_removed_chaos_actions(self, action):
+        with pytest.raises(ValueError, match=f"unknown chaos action '{action}'"):
+            FaultPlan.from_dict({"chaos": {"povray": [action]}})
+        with pytest.raises(ValueError, match=f"chaos_rates key '{action}'"):
+            FaultPlan.from_dict({"chaos_rates": {action: 0.5}})
+
     def test_save_load_roundtrip(self, tmp_path):
         plan = FaultPlan(seed=2, flip_rate=1e-5)
         path = tmp_path / "plan.json"

@@ -270,6 +270,7 @@ class TestSweepCommand:
     def test_degraded_sweep_exits_3_with_manifest(self, capsys, tmp_path):
         import json
 
+        from repro.experiments.report import validate_manifest
         from repro.faults import FaultPlan
 
         plan_path = tmp_path / "plan.json"
@@ -286,58 +287,74 @@ class TestSweepCommand:
         assert "DEGRADED" in captured.err
         assert "[WorkerCrash]" in captured.err
         manifest = json.loads(manifest_path.read_text())
+        assert validate_manifest(manifest) == []
         assert manifest["degraded"] is True
         assert manifest["failed"][0]["workload"] == "gamess"
-
-    def test_supervision_flags_parse(self):
-        args = build_parser().parse_args(
-            ["sweep", "--workloads", "gamess",
-             "--heartbeat", "0.5", "--deadline", "30",
-             "--quarantine-after", "2"]
-        )
-        assert args.heartbeat == 0.5
-        assert args.deadline == 30.0
-        assert args.quarantine_after == 2
-
-    def test_supervision_flag_validation(self, capsys):
-        base = ["sweep", "--workloads", "gamess", "-q"]
-        assert main(base + ["--heartbeat", "0"]) == 2
-        assert "--heartbeat must be positive" in capsys.readouterr().err
-        assert main(base + ["--deadline", "-1"]) == 2
-        assert "--deadline must be positive" in capsys.readouterr().err
-        assert main(base + ["--quarantine-after", "0"]) == 2
-        assert (
-            "--quarantine-after must be at least 1"
-            in capsys.readouterr().err
-        )
-
-    def test_poison_quarantine_exits_3_and_report_checks(
-        self, capsys, tmp_path
-    ):
-        import json
-
-        from repro.experiments.report import validate_manifest
-        from repro.faults import FaultPlan
-
-        plan_path = tmp_path / "plan.json"
-        FaultPlan(chaos={"povray": ("poison",) * 8}).save(plan_path)
-        manifest_path = tmp_path / "manifest.json"
-        code = main(
-            ["sweep", "--workloads", "gamess,povray", "-t", "esteem",
-             "--instructions", "200000", "--retries", "5",
-             "--backoff", "0.01", "--quarantine-after", "2",
-             "--inject", str(plan_path),
-             "--manifest", str(manifest_path), "-q"]
-        )
-        assert code == 3
-        assert "QUARANTINED" in capsys.readouterr().err
-        manifest = json.loads(manifest_path.read_text())
-        assert validate_manifest(manifest) == []
-        assert manifest["quarantined"][0]["workload"] == "povray"
-        assert manifest["completed"] == ["gamess"]
         # A degraded-but-consistent manifest still passes report --check.
         assert main(["report", str(manifest_path), "--check", "-q"]) == 0
         capsys.readouterr()
+
+    def test_supervision_flags_parse(self):
+        args = build_parser().parse_args(
+            ["sweep", "--workloads", "gamess", "--deadline", "30"]
+        )
+        assert args.deadline == 30.0
+
+    @pytest.mark.parametrize("flag", ["--heartbeat", "--quarantine-after"])
+    def test_removed_supervision_flags_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["sweep", flag, "2"])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_supervision_flag_validation(self, capsys):
+        base = ["sweep", "--workloads", "gamess", "-q"]
+        assert main(base + ["--deadline", "-1"]) == 2
+        assert "--deadline must be positive" in capsys.readouterr().err
+        for flag, value, rule in (
+            ("--timeout", "0", "positive"),
+            ("--timeout", "-2", "positive"),
+            ("--retries", "-1", "non-negative"),
+            ("--backoff", "-1", "non-negative"),
+            ("--trace-events", "-5", "non-negative"),
+        ):
+            assert main(base + [flag, value]) == 2, flag
+            assert f"{flag} must be {rule}" in capsys.readouterr().err
+
+    def test_old_checkpoint_event_line_still_resumes(self, capsys, tmp_path):
+        # Checkpoints written before poison-unit quarantine was removed
+        # may carry a "quarantined" event line.  Such a line is kept but
+        # ignored: the unit runs like any other on resume.
+        import json
+
+        from repro.faults import FaultPlan
+
+        plan_path = tmp_path / "plan.json"
+        FaultPlan(chaos={"gamess": ("crash",)}).save(plan_path)
+        ckpt = tmp_path / "sweep.ckpt.jsonl"
+        manifest_path = tmp_path / "manifest.json"
+        base = ["sweep", "-t", "esteem", "--instructions", "200000",
+                "--backoff", "0.01", "--inject", str(plan_path),
+                "--checkpoint", str(ckpt), "--no-cache", "-q"]
+        assert main(base + ["--workloads", "gamess"]) == 0
+        with open(ckpt, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(
+                {"detail": "WorkerCrash", "event": "quarantined",
+                 "workload": "povray"},
+                sort_keys=True,
+            ) + "\n")
+        code = main(base + ["--workloads", "gamess,povray", "--resume",
+                            "--manifest", str(manifest_path)])
+        assert code == 0, capsys.readouterr().err
+        capsys.readouterr()
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["resumed"] == ["gamess"]
+        assert manifest["completed"] == ["gamess", "povray"]
+        assert manifest["attempts"] == 1
+        (povray,) = [
+            t for t in manifest["timeline"] if t["workload"] == "povray"
+        ]
+        assert povray["outcome"] == "ok" and povray["attempt"] == 1
 
     def test_bad_inject_plan_reported(self, capsys, tmp_path):
         plan_path = tmp_path / "bad.json"
@@ -378,6 +395,24 @@ class TestReportCommand:
         code = main(["report", str(path), "-q"])
         assert code == 2
         assert "schema" in capsys.readouterr().err
+
+    def test_v2_manifest_rejected(self, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "manifest.json"
+        code = main(
+            ["sweep", "--workloads", "gamess", "-t", "esteem",
+             "--instructions", "30000", "--jobs", "1", "--no-cache",
+             "--manifest", str(path), "-q"]
+        )
+        assert code == 0
+        assert main(["report", str(path), "-q"]) == 0
+        capsys.readouterr()
+        manifest = json.loads(path.read_text())
+        manifest["manifest_version"] = 2
+        path.write_text(json.dumps(manifest))
+        assert main(["report", str(path), "-q"]) == 2
+        assert "manifest_version" in capsys.readouterr().err
 
 
 class TestCampaignAcceptance:
