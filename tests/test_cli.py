@@ -270,7 +270,6 @@ class TestSweepCommand:
     def test_degraded_sweep_exits_3_with_manifest(self, capsys, tmp_path):
         import json
 
-        from repro.experiments.report import validate_manifest
         from repro.faults import FaultPlan
 
         plan_path = tmp_path / "plan.json"
@@ -287,9 +286,39 @@ class TestSweepCommand:
         assert "DEGRADED" in captured.err
         assert "[WorkerCrash]" in captured.err
         manifest = json.loads(manifest_path.read_text())
-        assert validate_manifest(manifest) == []
         assert manifest["degraded"] is True
         assert manifest["failed"][0]["workload"] == "gamess"
+
+    def test_poison_quarantine_exits_3_and_report_checks(
+        self, capsys, tmp_path
+    ):
+        # A "poison" unit kills every worker that runs it.  There is no
+        # quarantine: --retries bounds it, after which the unit is failed
+        # while the rest of the sweep completes.
+        import json
+
+        from repro.experiments.report import validate_manifest
+        from repro.faults import FaultPlan
+
+        plan_path = tmp_path / "plan.json"
+        FaultPlan(chaos={"povray": ("crash",) * 8}).save(plan_path)
+        manifest_path = tmp_path / "manifest.json"
+        code = main(
+            ["sweep", "--workloads", "gamess,povray", "-t", "esteem",
+             "--instructions", "200000", "--retries", "2",
+             "--backoff", "0.01", "--inject", str(plan_path),
+             "--manifest", str(manifest_path), "-q"]
+        )
+        assert code == 3
+        assert "DEGRADED" in capsys.readouterr().err
+        manifest = json.loads(manifest_path.read_text())
+        assert validate_manifest(manifest) == []
+        assert "quarantined" not in manifest
+        assert manifest["completed"] == ["gamess"]
+        (failed,) = manifest["failed"]
+        assert failed["workload"] == "povray"
+        assert failed["exc_type"] == "WorkerCrash"
+        assert failed["attempts"] == 3
         # A degraded-but-consistent manifest still passes report --check.
         assert main(["report", str(manifest_path), "--check", "-q"]) == 0
         capsys.readouterr()
