@@ -325,7 +325,7 @@ class SimConfig:
     instructions_per_core: int = 400_000_000
 
     def __post_init__(self) -> None:
-        _require(self.num_cores >= 1, "need at least one core")
+        _require(self.num_cores in (1, 2), "the paper evaluates 1 and 2 cores")
         _require(self.frequency_hz > 0, "frequency must be positive")
         _require(self.base_cpi > 0, "base CPI must be positive")
         _require(self.instructions_per_core > 0, "instruction budget required")
@@ -342,7 +342,6 @@ class SimConfig:
         Single-core: 4 MB L2, 8 modules, 10 GB/s memory.
         Dual-core:   8 MB L2, 16 modules, 15 GB/s memory.
         """
-        _require(num_cores in (1, 2), "the paper evaluates 1 and 2 cores")
         if num_cores == 1:
             l2_bytes = 4 * 1024 * 1024
             modules = 8

@@ -84,10 +84,10 @@ class RefreshEngine(ABC):
         #: is maintenance-path, not per-record).  Injected retention
         #: faults latch at the refresh boundary at/after their due cycle:
         #: physically, a decayed cell's corruption is *discovered* when
-        #: the line is next refreshed or scrubbed, and latching keeps all
-        #: three simulation loops (reference / chunked / fast) on the
-        #: identical maintenance schedule, so faulted runs stay
-        #: loop-independent and bit-for-bit reproducible.
+        #: the line is next refreshed or scrubbed, and latching keeps both
+        #: simulation loops (reference and fast) on the identical
+        #: maintenance schedule, so faulted runs stay loop-independent and
+        #: bit-for-bit reproducible.
         self.injector = None
 
     # ------------------------------------------------------------------
@@ -143,7 +143,7 @@ class RefreshEngine(ABC):
     def next_boundary(self) -> int:
         """First cycle at which :meth:`advance_to` would do any work.
 
-        The chunked fast loop uses this as one input to its event horizon:
+        The fast loop uses this as one input to its event horizon:
         strictly before this cycle, ``advance_to`` is a guaranteed no-op
         and ``current_stall`` cannot change.
         """

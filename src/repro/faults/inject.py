@@ -6,9 +6,9 @@ supplied, and is consulted by :meth:`~repro.edram.refresh.RefreshEngine.
 advance_to` at every refresh boundary.  Faults latch at boundaries (not
 at their exact due cycle): a decayed cell's corruption is discovered when
 the refresh logic next touches the line, and boundary-latching keeps the
-reference / chunked / fast simulation loops on the identical fault
-schedule, so a faulted run is loop-independent and reproduces bit for
-bit under retry.
+reference and fast simulation loops on the identical fault schedule, so
+a faulted run is loop-independent and reproduces bit for bit under
+retry.
 
 Each injected fault resolves to one of four outcomes:
 

@@ -62,6 +62,9 @@ class FullHierarchySystem(System):
             return latency
         self.l1_misses += 1
         latency += self.config.l2.latency_cycles + self.engine.current_stall
+        if self.l2.drowsy_flag:
+            latency += self.config.esteem.drowsy_wakeup_cycles
+            self.l2.drowsy_flag = False
         for _wb in result.memory_writebacks:
             self.memory.write(now)
         if result.l2_hit is False:

@@ -206,7 +206,7 @@ class System:
             profiler if profiler is not None and profiler.enabled else None
         )
         #: When True, :meth:`run` uses the straight-line per-record
-        #: reference loop instead of the chunked fast path.  The golden
+        #: reference loop even where the fast loop could run.  The golden
         #: equivalence tests run both and assert identical results.
         self.reference_loop = reference_loop
         #: When True (default), the fast loop may classify quiescent
@@ -420,23 +420,17 @@ class System:
     def _run(self) -> SystemResult:
         """Build the cores, drive the selected loop, produce the result.
 
-        Three loops implement identical semantics (verified bit-identical
+        Two loops implement identical semantics (verified bit-identical
         by ``tests/timing/test_fast_loop_equivalence.py``):
 
-        * the straight-line reference loop (:meth:`_run_reference`), kept
-          behind the ``reference_loop`` flag as the executable spec;
-        * a generic chunked loop used when per-record hooks must fire
-          (enabled tracer, or a subclass overriding :meth:`_service`), and
-          for more than two cores;
-        * one fully inlined fast loop (:meth:`_run_fast`) for one or two
-          cores, which interleaves cores in per-core *stints*.
-
-        The chunked loops exploit the *event horizon*: between one
-        boundary and the next, neither the interval check nor
-        ``engine.advance_to`` can do any work, so the inner loop services
-        records against hoisted locals and only re-enters the maintenance
-        path when the smallest core clock crosses
-        ``min(next_interval, engine.next_boundary)``.
+        * the straight-line reference loop (:meth:`_run_reference`), the
+          executable spec, runs when ``reference_loop`` is set or
+          per-record hooks must fire (an enabled tracer, or a subclass
+          overriding :meth:`_service`);
+        * the fully inlined fast loop (:meth:`_run_fast`) runs otherwise.
+          It skips all maintenance work until the smallest core clock
+          crosses the *event horizon*,
+          ``min(next_interval, engine.next_boundary)``.
         """
         cores = [
             CoreState(i, trace, i << _CORE_OFFSET_SHIFT)
@@ -455,14 +449,12 @@ class System:
                 prefill_fraction=self.prefill_fraction,
             )
 
-        if self.reference_loop:
-            end_cycle = self._run_reference(cores)
-        elif (
-            type(self)._service is not System._service
+        if (
+            self.reference_loop
             or self.tracer is not None
-            or len(cores) > 2
+            or type(self)._service is not System._service
         ):
-            end_cycle = self._run_chunked(cores)
+            end_cycle = self._run_reference(cores)
         else:
             end_cycle = self._run_fast(cores)
 
@@ -507,56 +499,6 @@ class System:
             core.note_wrap_if_any()
             # The batch kernel never runs here; counting every record as
             # scalar keeps the kernel.* metrics comparable across loops.
-            self.kernel_scalar_records += 1
-
-        return max(c.cycles for c in cores)
-
-    def _run_chunked(self, cores: list[CoreState]) -> float:
-        """Event-horizon loop that still routes through :meth:`_service`.
-
-        Used when per-record observability must fire (enabled tracer) or a
-        subclass overrides the service path: the maintenance work (interval
-        close + refresh advance) is hoisted behind a single ``now >=
-        horizon`` test, but every record still goes through the virtual
-        :meth:`_service`, so the emitted event stream and subclass
-        behaviour are exactly those of the reference loop.
-        """
-        engine = self.engine
-        advance_to = engine.advance_to
-        phase_cycles = engine.phase_cycles
-        interval_cycles = self.config.esteem.interval_cycles
-        next_interval = interval_cycles
-        service = self._service
-        single = len(cores) == 1
-        core0 = cores[0]
-        horizon = -1  # forces maintenance before the first record
-
-        while True:
-            if single:
-                core = core0
-                if core.wrapped:
-                    break
-            else:
-                core = min(cores, key=_core_cycles)
-                if all(c.wrapped for c in cores):
-                    break
-            now = int(core.cycles)
-            if now >= horizon:
-                while now >= next_interval:
-                    self._close_interval(next_interval)
-                    next_interval += interval_cycles
-                advance_to(now)
-                horizon = next_interval
-                nb = engine.next_boundary
-                if nb < horizon:
-                    horizon = nb
-            addr, is_write, gap = core.cursor.next_record()
-            latency = service(
-                core, addr | core.addr_offset, is_write, now,
-                now // phase_cycles,
-            )
-            core.retire(gap, latency)
-            core.note_wrap_if_any()
             self.kernel_scalar_records += 1
 
         return max(c.cycles for c in cores)

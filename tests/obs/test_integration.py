@@ -84,16 +84,17 @@ class TestTracing:
 
 
 class TestFastLoopObservability:
-    """The chunked fast loop must feed observability identically to the
-    reference loop -- same events, same order, same payloads."""
+    """Observation is loop-independent: an untraced run takes the fast
+    loop, a traced one the reference loop, and both must agree."""
 
-    def _traced(self, reference_loop):
-        tracer = Tracer()
+    _KERNEL_KEYS = {"kernel.batch_records", "kernel.scalar_records"}
+
+    def _observed(self, tracer, reference_loop=False):
         metrics = MetricsRegistry()
         trace = generate_trace(
             get_profile("h264ref"), CFG.instructions_per_core, seed=0
         )
-        System(
+        result = System(
             CFG,
             [trace],
             "esteem",
@@ -101,19 +102,40 @@ class TestFastLoopObservability:
             metrics=metrics,
             reference_loop=reference_loop,
         ).run()
-        return tracer, metrics
+        return result, metrics.snapshot()
 
     def test_event_stream_identical_to_reference_loop(self):
-        fast_tracer, _ = self._traced(reference_loop=False)
-        ref_tracer, _ = self._traced(reference_loop=True)
+        # A tracer forces the reference loop whatever ``reference_loop``
+        # asks for, so the stream cannot depend on that flag.
+        fast_tracer, ref_tracer = Tracer(), Tracer()
+        self._observed(tracer=fast_tracer, reference_loop=False)
+        self._observed(tracer=ref_tracer, reference_loop=True)
         fast_events = [(e.type, e.cycle, e.data) for e in fast_tracer.events()]
         ref_events = [(e.type, e.cycle, e.data) for e in ref_tracer.events()]
         assert fast_events == ref_events
+        # The untraced fast loop reaches the same interval decisions.
+        untraced, _ = self._observed(tracer=None)
+        decisions = ref_tracer.events(EVENT_INTERVAL_DECISION)
+        assert decisions
+        assert [
+            (r.interval_index, r.cycle, r.n_active_way) for r in untraced.timeline
+        ] == [
+            (e.data["interval"], e.cycle, tuple(e.data["n_active_way"]))
+            for e in decisions
+        ]
 
     def test_metrics_identical_to_reference_loop(self):
-        _, fast_metrics = self._traced(reference_loop=False)
-        _, ref_metrics = self._traced(reference_loop=True)
-        assert fast_metrics.snapshot() == ref_metrics.snapshot()
+        fast, fast_snap = self._observed(tracer=None)
+        ref, ref_snap = self._observed(tracer=Tracer())
+        assert fast == ref
+        keys = self._KERNEL_KEYS
+        assert {k: v for k, v in fast_snap.items() if k not in keys} == {
+            k: v for k, v in ref_snap.items() if k not in keys
+        }
+        # Same total records, differently attributed.
+        assert sum(fast_snap[k]["value"] for k in keys) == sum(
+            ref_snap[k]["value"] for k in keys
+        )
 
 
 class TestMetrics:

@@ -108,6 +108,11 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig.paper_scale(4)
 
+    @pytest.mark.parametrize("cores", [0, 3, 4])
+    def test_rejects_unsupported_core_counts(self, cores):
+        with pytest.raises(ValueError, match="1 and 2 cores"):
+            SimConfig(num_cores=cores)
+
     def test_scaled_keeps_geometry(self):
         cfg = SimConfig.scaled()
         assert cfg.l2.size_bytes == 4 * 1024 * 1024

@@ -1,0 +1,130 @@
+"""Pinned simulator output for the runs that use the reference loop.
+
+Traced runs and the ``_service`` subclasses (``TechSystem``,
+``FullHierarchySystem``) run through :meth:`System._run_reference
+<repro.timing.system.System._run_reference>`.  These sha256 digests pin
+what they produce -- the ``repro trace`` event stream, a traced faulted
+run, technology comparisons, and the L1-inclusive hierarchy -- so a
+change to how those runs are driven must leave every byte in place.
+
+Regenerate the fixture only for a deliberate change in simulated
+behaviour::
+
+    PYTHONPATH=src python tests/test_golden_runs.py --write
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main as cli_main
+from repro.config import SimConfig
+from repro.experiments.runner import Runner, _system_result_to_dict
+from repro.faults import FaultPlan
+from repro.obs import Tracer
+from repro.tech import TECHNOLOGIES, evaluate_technology
+from repro.timing.full_system import FullHierarchySystem
+from repro.workloads.profiles import get_profile
+from repro.workloads.synthetic import generate_trace
+
+FIXTURE = Path(__file__).with_name("golden_runs.json")
+
+#: The fault-injection scale of ``tests/faults/test_inject.py``.
+FAULT_CFG = SimConfig.scaled(
+    retention_us=12.5, instructions_per_core=200_000, interval_cycles=100_000
+)
+#: Technology comparisons and the L1-inclusive hierarchy.
+SMALL_INSTRUCTIONS = 300_000
+SMALL_CFG = SimConfig.scaled(instructions_per_core=SMALL_INSTRUCTIONS)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _result_digest(result) -> str:
+    return _sha(json.dumps(_system_result_to_dict(result), sort_keys=True))
+
+
+def _small_trace(workload: str):
+    return generate_trace(get_profile(workload), SMALL_INSTRUCTIONS, seed=0)
+
+
+def cli_trace() -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(
+            ["trace", "-w", "h264ref", "-t", "esteem", "--format", "jsonl", "-q"]
+        )
+    assert code == 0
+    text = out.getvalue()
+    return {"events": text.count("\n"), "sha256": _sha(text)}
+
+
+def faulted_traced() -> dict:
+    tracer = Tracer()
+    result = Runner(
+        FAULT_CFG,
+        seed=0,
+        tracer=tracer,
+        fault_plan=FaultPlan(seed=5, flip_rate=2e-4),
+    ).run("gamess", "esteem")
+    return {
+        "events": len(tracer),
+        "events_sha256": _sha(tracer.to_jsonl()),
+        "result_sha256": _result_digest(result),
+    }
+
+
+def technology(name: str, technique: str) -> dict:
+    r = evaluate_technology(
+        TECHNOLOGIES[name], SMALL_CFG, [_small_trace("gamess")], technique
+    )
+    return {"result_sha256": _result_digest(r.result)}
+
+
+def full_hierarchy(technique: str) -> dict:
+    result = FullHierarchySystem(
+        SMALL_CFG, [_small_trace("sphinx")], technique
+    ).run()
+    return {"result_sha256": _result_digest(result)}
+
+
+CASES = {
+    "trace/h264ref/esteem/jsonl": cli_trace,
+    "faults/gamess/esteem/traced": faulted_traced,
+    "tech/edram/esteem": lambda: technology("edram", "esteem"),
+    "tech/sttram/baseline": lambda: technology("sttram", "baseline"),
+    "full/sphinx/baseline": lambda: full_hierarchy("baseline"),
+    "full/sphinx/esteem": lambda: full_hierarchy("esteem"),
+}
+
+
+def _load() -> dict:
+    return json.loads(FIXTURE.read_text())
+
+
+def test_fixture_covers_every_case():
+    assert sorted(_load()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_run_matches_pinned_digest(case):
+    assert CASES[case]() == _load()[case]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_golden_runs.py --write")
+    FIXTURE.write_text(
+        json.dumps({name: make() for name, make in sorted(CASES.items())}, indent=1)
+        + "\n"
+    )
+    print(f"wrote {len(CASES)} digests to {FIXTURE}")

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.config import SimConfig
 from repro.timing.full_system import FullHierarchySystem
 from repro.timing.system import System
+from repro.workloads.profiles import get_profile
+from repro.workloads.synthetic import generate_trace
 from repro.workloads.trace import Trace
 
 
@@ -63,3 +66,22 @@ class TestFullHierarchy:
         res = FullHierarchySystem(small_sim_config, [trace], "baseline").run()
         assert res.mem_reads == res.l2_misses
         assert res.mem_writes == res.l2_writebacks
+
+
+class TestDrowsyWakeup:
+    def test_wakeup_latency_is_charged(self):
+        # sphinx under esteem-drowsy hits gated-but-retaining ways; each
+        # such L1 miss must pay the wake-up and clear the L2's flag.
+        config = SimConfig.scaled(instructions_per_core=600_000)
+        trace = generate_trace(get_profile("sphinx"), 600_000, seed=0)
+        cycles = {}
+        for wakeup in (0, 200):
+            sysm = FullHierarchySystem(
+                config.with_esteem(drowsy_wakeup_cycles=wakeup),
+                [trace],
+                "esteem-drowsy",
+            )
+            cycles[wakeup] = sysm.run().total_cycles
+            assert sysm.l2.stats.drowsy_hits > 0
+            assert sysm.l2.drowsy_flag is False
+        assert cycles[200] > cycles[0]
