@@ -1,10 +1,10 @@
 """Microbenchmarks of the simulator itself (true pytest-benchmark timing).
 
-These are the only benches where wall-clock time is the result: the cache
-hot path, the refresh engines' boundary scans, and end-to-end simulated
-instructions per second.  Useful for catching performance regressions in
-the substrate (the optimisation guide's "no optimization without
-measuring").
+Two substrate hot paths, timed on their own: the L2 lookup/fill path and
+the refresh engines' boundary scans.  Useful for catching performance
+regressions in the substrate (the optimisation guide's "no optimization
+without measuring").  The end-to-end simulation rate, fast path against
+reference loop, is measured and gated by ``benchmarks/check_throughput.py``.
 """
 
 from __future__ import annotations
@@ -12,11 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.cache import SetAssociativeCache
-from repro.config import CacheGeometry, RefreshConfig, SimConfig
+from repro.config import CacheGeometry, RefreshConfig
 from repro.edram.rpv import RefrintPolyphaseValid
-from repro.timing.system import System
-from repro.workloads.profiles import get_profile
-from repro.workloads.synthetic import generate_trace
 
 
 def bench_cache_access_hot_path(benchmark):
@@ -51,37 +48,3 @@ def bench_rpv_boundary_scan(benchmark):
         engine.advance_to(horizon["t"])
 
     benchmark(run)
-
-
-def bench_end_to_end_simulation_rate(benchmark):
-    """Simulated instructions per wall-clock second, full ESTEEM stack."""
-    cfg = SimConfig.scaled(instructions_per_core=1_500_000)
-    trace = generate_trace(
-        get_profile("sphinx"), cfg.instructions_per_core, seed=0
-    )
-
-    def run():
-        return System(cfg, [trace], "esteem").run()
-
-    result = benchmark.pedantic(run, rounds=3, iterations=1)
-    benchmark.extra_info["instructions"] = result.total_instructions
-    benchmark.extra_info["l2_accesses"] = result.l2_hits + result.l2_misses
-
-
-def bench_reference_loop_rate(benchmark):
-    """The retained straight-line loop, for the fast-path speedup ratio.
-
-    ``bench_end_to_end_simulation_rate / bench_reference_loop_rate`` is a
-    machine-independent measure of what the event-horizon chunking buys
-    (both run in the same process, same thermal envelope).
-    """
-    cfg = SimConfig.scaled(instructions_per_core=1_500_000)
-    trace = generate_trace(
-        get_profile("sphinx"), cfg.instructions_per_core, seed=0
-    )
-
-    def run():
-        return System(cfg, [trace], "esteem", reference_loop=True).run()
-
-    result = benchmark.pedantic(run, rounds=3, iterations=1)
-    benchmark.extra_info["instructions"] = result.total_instructions

@@ -11,7 +11,6 @@ Subcommands::
     repro trace -w h264ref -t esteem --format jsonl     # event trace dump
     repro sweep -w gamess,povray --resume --inject PLAN.json  # resilient sweep
     repro report MANIFEST.json --check  # campaign report + regression gate
-    repro bench -v                      # throughput bench + regression gate
 
 All experiment subcommands accept ``--instructions`` (trace scale),
 ``--retention`` (us), and the ESTEEM knobs (``--alpha``, ``--a-min``,
@@ -49,6 +48,14 @@ from repro.workloads.profiles import ALL_BENCHMARKS
 __all__ = ["main"]
 
 
+def _positive_int(text: str) -> int:
+    """An integer of at least 1, for ``--jobs`` (else a usage error)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cores", type=int, default=1, choices=(1, 2))
     parser.add_argument("--retention", type=float, default=50.0,
@@ -63,7 +70,7 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sampling-ratio", type=int, default=None,
                         dest="sampling_ratio")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes for workload sweeps")
     parser.add_argument("--cache-dir", default=None, dest="cache_dir",
                         metavar="DIR",
@@ -174,10 +181,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    config = _build_config(args)
     profiler = _make_profiler(args)
     if args.number == 2:
-        runner = Runner(config, seed=args.seed, profiler=profiler)
+        runner = Runner(_build_config(args), seed=args.seed, profiler=profiler)
         _result, points = fig2_reconfiguration_timeline(runner, args.workload)
         rows = [
             [p.interval, p.active_ratio_pct, " ".join(map(str, p.ways_per_module))]
@@ -190,21 +196,17 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         _finish_profile(profiler)
         return 0
 
-    cores = 2 if args.number in (4, 6) else 1
-    retention = 40.0 if args.number in (5, 6) else 50.0
-    config = SimConfig.scaled(
-        num_cores=cores,
-        retention_us=retention,
-        instructions_per_core=args.instructions,
-    )
-    if cores == 1:
+    # Figures 3-6 fix the core count and retention; the ESTEEM knobs
+    # still apply on top of them.
+    args.cores = 2 if args.number in (4, 6) else 1
+    args.retention = 40.0 if args.number in (5, 6) else 50.0
+    config = _build_config(args)
+    if args.cores == 1:
         workloads = [b.name for b in ALL_BENCHMARKS]
     else:
         workloads = [m.acronym for m in DUAL_CORE_MIXES]
     if args.workloads:
         workloads = args.workloads.split(",")
-    if args.jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     cache = _result_cache(args)
     if args.jobs > 1:
         raw = parallel_compare(
@@ -212,29 +214,27 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             seed=args.seed, jobs=args.jobs,
             progress=not args.quiet, cache=cache,
         )
-        rows = _figure_rows_from_raw(raw)
     else:
+        from repro.obs import ProgressReporter
+
         runner = Runner(config, seed=args.seed, profiler=profiler)
-        if args.verbose and not args.quiet:
-            from repro.obs import ProgressReporter
-
-            reporter = ProgressReporter(len(workloads), label="figure")
-            rows, raw = [], {"esteem": [], "rpv": []}
-            from repro.experiments.figures import per_workload_comparison as _pwc
-
-            for workload in workloads:
-                r, partial = _pwc(runner, [workload], cache=cache)
-                rows.extend(r)
-                raw["esteem"].extend(partial["esteem"])
-                raw["rpv"].extend(partial["rpv"])
-                reporter.advance(workload)
-            reporter.finish()
-        else:
-            rows, raw = per_workload_comparison(runner, workloads, cache=cache)
+        reporter = ProgressReporter(
+            len(workloads), label="figure",
+            enabled=bool(args.verbose) and not args.quiet,
+        )
+        raw = {"esteem": [], "rpv": []}
+        for workload in workloads:
+            _rows, one = per_workload_comparison(
+                runner, [workload], cache=cache
+            )
+            for technique, comps in one.items():
+                raw[technique].extend(comps)
+            reporter.advance(workload)
+        reporter.finish()
     table = [
-        [r.workload, r.esteem_energy_saving_pct, r.rpv_energy_saving_pct,
-         r.esteem_weighted_speedup, r.rpv_weighted_speedup]
-        for r in rows
+        [es.workload, es.energy_saving_pct, rpv.energy_saving_pct,
+         es.weighted_speedup, rpv.weighted_speedup]
+        for es, rpv in zip(raw["esteem"], raw["rpv"])
     ]
     es, rpv = aggregate(raw["esteem"]), aggregate(raw["rpv"])
     table.append(["AVERAGE", es.energy_saving_pct, rpv.energy_saving_pct,
@@ -242,7 +242,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     print(format_table(
         ["workload", "ES sav%", "RPV sav%", "ES WS", "RPV WS"],
         table,
-        title=f"Figure {args.number}: {cores}-core, {retention:.0f}us retention",
+        title=f"Figure {args.number}: {args.cores}-core, "
+              f"{args.retention:.0f}us retention",
     ))
     if args.csv:
         from repro.experiments.export import write_comparisons_csv
@@ -251,27 +252,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         print(f"CSV written to {path}")
     _finish_profile(profiler)
     return 0
-
-
-def _figure_rows_from_raw(raw):
-    from repro.experiments.figures import FigureRow
-
-    rows = []
-    for es, rpv in zip(raw["esteem"], raw["rpv"]):
-        rows.append(
-            FigureRow(
-                workload=es.workload,
-                esteem_energy_saving_pct=es.energy_saving_pct,
-                rpv_energy_saving_pct=rpv.energy_saving_pct,
-                esteem_weighted_speedup=es.weighted_speedup,
-                rpv_weighted_speedup=rpv.weighted_speedup,
-                esteem_rpki_decrease=es.rpki_decrease,
-                rpv_rpki_decrease=rpv.rpki_decrease,
-                esteem_mpki_increase=es.mpki_increase,
-                esteem_active_ratio_pct=es.active_ratio_pct,
-            )
-        )
-    return rows
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -406,12 +386,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _build_config(args)
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint", file=sys.stderr)
-        return 2
-    if args.jobs is not None and args.jobs < 1:
-        print(
-            f"error: --jobs must be at least 1, got {args.jobs}",
-            file=sys.stderr,
-        )
         return 2
     for flag, value, ok, rule in (
         ("--timeout", args.timeout, lambda v: v > 0, "positive"),
@@ -607,84 +581,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 f"check ok: {len(passed)} passed, {len(skipped)} skipped",
                 file=sys.stderr,
             )
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the end-to-end throughput bench and gate locally.
-
-    Same measurement and gates as ``benchmarks/check_throughput.py`` (and
-    the CI bench-smoke job): per-technique batch/scalar/reference timings
-    with the batch-kernel >= 1.3x floor.  Exit status 0 on pass, 1 on
-    regression, 0 with a note when no baseline is recorded.
-    """
-    import json
-
-    from repro.experiments.throughput import (
-        BASELINE_PATH,
-        check,
-        make_record,
-        measure,
-    )
-
-    profiler = _make_profiler(args)
-
-    def on_row(technique, row):
-        if args.verbose and not args.quiet:
-            print(
-                f"bench: {technique}: batch {row['batch_seconds']:.3f}s, "
-                f"scalar {row['scalar_seconds']:.3f}s, reference "
-                f"{row['reference_seconds']:.3f}s "
-                f"({row['batch_speedup_vs_scalar']:.2f}x batch/scalar)",
-                file=sys.stderr,
-            )
-
-    kwargs = {}
-    if args.instructions is not None:
-        kwargs["instructions"] = args.instructions
-    if args.workload is not None:
-        kwargs["workload"] = args.workload
-    current = measure(
-        rounds=args.rounds, profiler=profiler, on_row=on_row, **kwargs
-    )
-    rows = [
-        [t, row["minstr_per_s"], row["batch_speedup_vs_scalar"],
-         row["speedup_vs_reference"], row["kernel_batch_records"],
-         row["kernel_scalar_records"]]
-        for t, row in current["techniques"].items()
-    ]
-    print(format_table(
-        ["technique", "Minstr/s", "batch/scalar", "vs reference",
-         "batch recs", "scalar recs"],
-        rows,
-        title=(
-            f"throughput: {current['workload']}, "
-            f"{current['instructions']:,} instructions"
-        ),
-    ))
-    _finish_profile(profiler)
-
-    if args.update or not BASELINE_PATH.exists():
-        from repro.util import atomic_write_json
-
-        atomic_write_json(BASELINE_PATH, make_record(current))
-        print(f"baseline written to {BASELINE_PATH}")
-        return 0
-
-    baseline = json.loads(BASELINE_PATH.read_text())
-    failures = check(
-        current,
-        baseline["bench_end_to_end_simulation_rate"],
-        tolerance=args.tolerance,
-    )
-    if failures:
-        for f in failures:
-            print("REGRESSION:", f, file=sys.stderr)
-        return 1
-    print(
-        f"ok: batch kernel {current['best_batch_speedup_vs_scalar']:.2f}x "
-        f"over the scalar fast loop"
-    )
     return 0
 
 
@@ -884,31 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("-q", "--quiet", action="store_true",
                      help="suppress stderr status output")
 
-    ben = sub.add_parser(
-        "bench",
-        help="run the end-to-end throughput bench and regression gate",
-    )
-    ben.add_argument("--update", action="store_true",
-                     help="record the measurement as the new baseline "
-                          "(BENCH_throughput.json)")
-    ben.add_argument("--tolerance", type=float, default=0.25,
-                     help="allowed fractional regression in absolute rate "
-                          "(default 0.25)")
-    ben.add_argument("--rounds", type=int, default=3,
-                     help="timing rounds per path (best-of, default 3)")
-    ben.add_argument("--instructions", type=int, default=None,
-                     help="trace scale (default: the bench module's "
-                          "recorded scale; smaller runs understate the "
-                          "batch kernel)")
-    ben.add_argument("-w", "--workload", default=None,
-                     help="bench workload (default: the recorded one)")
-    ben.add_argument("--profile", action="store_true",
-                     help="print a wall/CPU-time span report on stderr")
-    ben.add_argument("-v", "--verbose", action="count", default=0,
-                     help="per-technique progress lines on stderr")
-    ben.add_argument("-q", "--quiet", action="store_true",
-                     help="suppress stderr progress output")
-
     ovh = sub.add_parser("overhead", help="evaluate Eq. 1 counter overhead")
     ovh.add_argument("--sets", type=int, default=4096)
     ovh.add_argument("--ways", type=int, default=16)
@@ -934,7 +805,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "run": _cmd_run,
         "figure": _cmd_figure,
         "table": _cmd_table,
-        "bench": _cmd_bench,
         "overhead": _cmd_overhead,
         "trace": _cmd_trace,
         "trace-stats": _cmd_trace_stats,

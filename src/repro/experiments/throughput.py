@@ -28,6 +28,10 @@ cross-machine absolute rates last):
   rate.  Cross-machine wall times are noisy; the recorded baseline
   carries the machine string and this check is deliberately generous.
 
+``benchmarks/check_throughput.py`` is the one front end: it runs
+:func:`measure`, gates it with :func:`check` and, with ``--update``,
+records it with :func:`make_record` (CI ``bench-smoke`` runs it).
+
 The workload scale matters: the kernel's win comes from hit-dominated
 steady state, and short traces are cold-miss dominated (the warm-up
 transient understates any hit-path optimisation).  The default scale is
@@ -81,49 +85,31 @@ def _best_of(fn, rounds: int) -> float:
 
 def measure(
     instructions: int = DEFAULT_INSTRUCTIONS,
-    workload: str = DEFAULT_WORKLOAD,
-    techniques: tuple[str, ...] = TECHNIQUES,
     rounds: int = 3,
     reference_rounds: int = 2,
-    profiler=None,
-    on_row=None,
 ) -> dict:
-    """Best-of-N timings for every (technique, engine path) pair.
-
-    ``on_row(technique, row)`` is invoked as each technique completes
-    (progress reporting for the CLI); ``profiler`` wraps every timed
-    section in a ``bench:<technique>:<path>`` span.
-    """
+    """Best-of-N timings for every (technique, engine path) pair."""
     cfg = SimConfig.scaled(num_cores=1, instructions_per_core=instructions)
-    trace = generate_trace(get_profile(workload), instructions, seed=0)
+    trace = generate_trace(get_profile(DEFAULT_WORKLOAD), instructions, seed=0)
 
     rows: dict[str, dict] = {}
     best_batch_speedup = 0.0
-    for technique in techniques:
+    for technique in TECHNIQUES:
         # One warm-up run per technique populates the trace column caches
         # and the warm-image cache so the timed rounds measure the steady
         # state CI cares about; it also yields the kernel-selection split.
         warm = System(cfg, [trace], technique)
         result = warm.run()
 
-        def timed(label, fn, n):
-            if profiler is not None:
-                with profiler.span(f"bench:{technique}:{label}"):
-                    return _best_of(fn, n)
-            return _best_of(fn, n)
-
-        batch_s = timed(
-            "batch",
+        batch_s = _best_of(
             lambda: System(cfg, [trace], technique).run(),
             rounds,
         )
-        scalar_s = timed(
-            "scalar",
+        scalar_s = _best_of(
             lambda: System(cfg, [trace], technique, batch_kernel=False).run(),
             rounds,
         )
-        ref_s = timed(
-            "reference",
+        ref_s = _best_of(
             lambda: System(cfg, [trace], technique, reference_loop=True).run(),
             reference_rounds,
         )
@@ -139,11 +125,9 @@ def measure(
             "kernel_batch_records": warm.kernel_batch_records,
             "kernel_scalar_records": warm.kernel_scalar_records,
         }
-        if on_row is not None:
-            on_row(technique, rows[technique])
 
     return {
-        "workload": workload,
+        "workload": DEFAULT_WORKLOAD,
         "instructions": instructions,
         "techniques": rows,
         "best_batch_speedup_vs_scalar": round(best_batch_speedup, 2),
@@ -166,7 +150,8 @@ def make_record(current: dict) -> dict:
 def check(current: dict, baseline: dict, tolerance: float = 0.25) -> list[str]:
     """Gate ``current`` against the recorded ``baseline``.
 
-    Returns a list of human-readable failure strings (empty = pass).
+    Returns a list of human-readable failure strings (empty = pass).  An
+    empty ``baseline`` applies only the batch-kernel floor.
     """
     failures: list[str] = []
 

@@ -249,7 +249,7 @@ class TestCliIntegration:
     def test_cli_rejects_bad_jobs(self, capsys):
         from repro.cli import main
 
-        assert (
-            main(["sweep", "--workloads", "gamess", "--jobs", "0"]) == 2
-        )
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--workloads", "gamess", "--jobs", "0"])
+        assert exc.value.code == 2
         assert "jobs" in capsys.readouterr().err

@@ -7,7 +7,6 @@ from repro.experiments.tables import (
     SENSITIVITY_VARIANTS,
     sensitivity_row,
 )
-from repro.experiments.sweep import sweep
 
 
 class TestVariantCatalogue:
@@ -57,18 +56,3 @@ class TestSensitivityRow:
         )
         row = sensitivity_row(base, variant, ["gamess"])
         assert row.technique == "esteem[2MB L2]"
-
-
-class TestSweep:
-    def test_sweep_labels(self):
-        cfg = SimConfig.scaled(instructions_per_core=200_000)
-        out = sweep(
-            {"a": cfg, "b": cfg.with_esteem(a_min=2)},
-            ["gamess"],
-            technique="esteem",
-        )
-        assert set(out) == {"a", "b"}
-
-    def test_sweep_requires_workloads(self):
-        with pytest.raises(ValueError):
-            sweep({"a": SimConfig.scaled()}, [])

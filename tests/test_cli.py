@@ -31,15 +31,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_bench_parses_knobs(self):
-        args = build_parser().parse_args(
-            ["bench", "--update", "--rounds", "2", "--instructions",
-             "200000", "-w", "gamess", "-v"]
-        )
-        assert args.command == "bench"
-        assert args.update and args.rounds == 2
-        assert args.instructions == 200_000
-        assert args.workload == "gamess"
+    def test_bench_subcommand_removed(self, capsys):
+        # The throughput gate's one front end is
+        # benchmarks/check_throughput.py; `repro bench` is no command.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["figure 3", "sweep"])
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    def test_bad_jobs_is_a_usage_error(self, command, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command.split() + ["--workloads", "gamess", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "argument --jobs" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -94,6 +100,54 @@ class TestCommands:
             tables[jobs] = capsys.readouterr().out
         assert "AVERAGE" in tables["1"]
         assert tables["2"] == tables["1"]
+
+    def test_figure_sequential_progress_only_with_verbose(self, capsys):
+        argv = ["figure", "3", "--workloads", "gamess,povray",
+                "--instructions", "100000", "--jobs", "1", "--no-cache"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert main(argv + ["-v"]) == 0
+        err = capsys.readouterr().err
+        assert "figure: [1/2] gamess done" in err
+        assert "figure: [2/2] povray done" in err
+        assert "figure: finished 2/2 units" in err
+
+    @pytest.mark.parametrize("number,cores,retention", [
+        (3, 1, 50.0), (4, 2, 50.0), (5, 1, 40.0), (6, 2, 40.0),
+    ])
+    def test_figure_applies_esteem_flags(
+        self, number, cores, retention, capsys, monkeypatch
+    ):
+        # The ESTEEM flags apply on top of the figure's own core count
+        # and retention period.
+        import repro.cli as cli
+        from repro.config import SimConfig
+
+        configs = []
+
+        class RecordingRunner(cli.Runner):
+            def __init__(self, config, **kwargs):
+                configs.append(config)
+                super().__init__(config, **kwargs)
+
+        monkeypatch.setattr(cli, "Runner", RecordingRunner)
+        workload = "gamess" if cores == 1 else "GkNe"
+        code = main(
+            ["figure", str(number), "--workloads", workload,
+             "--instructions", "100000", "--no-cache", "-q",
+             "--alpha", "0.95", "--a-min", "2", "--modules", "4",
+             "--interval", "400000", "--sampling-ratio", "32"]
+        )
+        assert code == 0
+        assert f"Figure {number}: {cores}-core" in capsys.readouterr().out
+        expected = SimConfig.scaled(
+            num_cores=cores, retention_us=retention,
+            instructions_per_core=100_000,
+        ).with_esteem(
+            alpha=0.95, a_min=2, num_modules=4, interval_cycles=400_000,
+            sampling_ratio=32,
+        )
+        assert configs == [expected]
 
     def test_table3_subset(self, capsys):
         code = main(
@@ -191,32 +245,6 @@ class TestCommands:
         )
         assert code == 0
         assert capsys.readouterr().err == ""
-
-    def test_bench_update_writes_baseline(self, capsys, tmp_path, monkeypatch):
-        import repro.experiments.throughput as throughput
-
-        baseline = tmp_path / "BENCH_throughput.json"
-        monkeypatch.setattr(throughput, "BASELINE_PATH", baseline)
-        code = main(
-            ["bench", "--update", "--rounds", "1", "--instructions",
-             "200000", "-w", "sphinx", "--profile", "-v"]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "throughput: sphinx" in captured.out
-        assert "batch/scalar" in captured.out
-        assert f"baseline written to {baseline}" in captured.out
-        assert "bench: baseline:" in captured.err  # -v progress
-        assert "bench:rpv:reference" in captured.err  # --profile spans
-        import json
-
-        record = json.loads(baseline.read_text())
-        rows = record["bench_end_to_end_simulation_rate"]["techniques"]
-        assert set(rows) == {"baseline", "rpv", "esteem"}
-        for row in rows.values():
-            assert row["batch_seconds"] > 0
-            assert row["scalar_seconds"] > 0
-            assert row["reference_seconds"] > 0
 
     def test_run_profile_reports_spans(self, capsys):
         code = main(
