@@ -1,10 +1,8 @@
-"""Sweep-engine throughput: warm worker pool + result cache vs cold spawn.
+"""Sweep-engine throughput: warm worker pool and result cache.
 
 Measures the same full-paper sweep (every Table 1 workload under the
-reconfiguring and refresh-reduction techniques) four ways:
+reconfiguring and refresh-reduction techniques) three ways:
 
-* **spawn**     -- the pre-pool execution engine: one freshly forked
-  process per unit attempt, no result cache;
 * **pool**      -- the warm worker pool with shared-memory trace
   shipping, no result cache (isolates the engine itself);
 * **pool+store** -- the pool over a *cold* result cache (every unit
@@ -12,16 +10,20 @@ reconfiguring and refresh-reduction techniques) four ways:
 * **cached**    -- the same sweep again over the now-warm cache (every
   unit served by fingerprint, nothing simulated).
 
-Gates (machine-independent ratios, measured back to back in-process):
+Gates (measured back to back in-process), in both modes:
 
-* all engines agree bit-for-bit, and the cached pass runs zero attempts;
+* every pass is bit-for-bit identical to the sequential
+  :class:`~repro.experiments.runner.Runner` for every (workload,
+  technique), and the cached pass runs zero attempts;
+* one warm worker serves every unit of the one-job sweep;
 * no shared-memory segment outlives its sweep;
-* the *two-pass* scenario -- run a sweep, then regenerate it after an
-  unrelated edit, i.e. ``2 x spawn`` vs ``pool+store + cached`` -- must
-  be at least 2x faster with the new engine;
-* in ``--smoke`` mode (CI-sized: 4 workloads x 2 techniques at a tiny
-  instruction budget, where process startup dominates each unit) the
-  warm pool alone must beat per-unit spawning by at least 1.3x.
+* the warm-cache pass is at least 10x faster than the pass that filled
+  the cache (a machine-independent ratio).
+
+``--smoke`` runs the CI scale: 4 workloads x 2 techniques at a tiny
+instruction budget.  The pool's own speed is gated elsewhere: by the
+end-to-end ``sweep-cold`` workload and by ``repro report --check``
+against this file's recorded ``pool_seconds``.
 
 Usage::
 
@@ -61,16 +63,13 @@ FULL_TECHNIQUES = ("esteem", "rpv", "decay")
 FULL_INSTRUCTIONS = 150_000
 FULL_ROUNDS = 2
 
-#: CI smoke: small enough that the whole bench fits in the job budget,
-#: short enough per unit that process startup is the dominant cost --
-#: which is precisely what the pool exists to amortise.
+#: CI smoke: small enough that the whole bench fits in the job budget.
 SMOKE_WORKLOADS = ["gamess", "h264ref", "libquantum", "mcf"]
 SMOKE_TECHNIQUES = ("esteem", "rpv")
 SMOKE_INSTRUCTIONS = 20_000
 SMOKE_ROUNDS = 3
 
-TWO_PASS_FLOOR = 2.0
-SMOKE_POOL_FLOOR = 1.3
+WARM_CACHE_FLOOR = 10.0
 
 
 def _config(instructions: int) -> SimConfig:
@@ -105,9 +104,9 @@ def run_scenario(workloads, techniques, instructions, rounds) -> dict:
     config = _config(instructions)
 
     # Prewarm the trace cache -- including each trace's lazily
-    # materialised per-run views -- so forked workers of *both* engines
-    # inherit identical warm state and the timings isolate engine
-    # overhead rather than first-touch costs.
+    # materialised per-run views -- so forked workers inherit warm state
+    # and the timings isolate engine overhead rather than first-touch
+    # costs.
     runner = Runner(config, seed=SEED)
     for workload in workloads:
         runner.traces_for(workload)
@@ -115,9 +114,6 @@ def run_scenario(workloads, techniques, instructions, rounds) -> dict:
 
     segments_before = set(poolmod.created_shm_segments())
 
-    spawn_s, spawn = _best_of(
-        rounds, config, workloads, techniques, use_pool=False
-    )
     pool_s, pooled = _best_of(rounds, config, workloads, techniques)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -130,17 +126,19 @@ def run_scenario(workloads, techniques, instructions, rounds) -> dict:
         )
 
     # Correctness gates before any speed claims.
-    assert pooled.comparisons == spawn.comparisons, (
-        "pooled sweep must be bit-for-bit identical to per-unit spawn"
+    sequential = {
+        t: [runner.compare(w, t) for w in workloads] for t in techniques
+    }
+    assert pooled.comparisons == sequential, (
+        "pooled sweep must be bit-for-bit identical to the sequential Runner"
     )
-    assert stored.comparisons == spawn.comparisons
+    assert stored.comparisons == sequential
     assert cached.comparisons == stored.comparisons, (
         "cached sweep must be bit-for-bit identical to the run it cached"
     )
     assert cached.attempts == 0, "warm cache must serve every unit"
     assert sorted(cached.cached) == sorted(workloads)
     assert pooled.workers_spawned == 1, "one warm worker serves every unit"
-    assert spawn.workers_spawned == len(workloads)
 
     leaked = [
         s
@@ -154,15 +152,11 @@ def run_scenario(workloads, techniques, instructions, rounds) -> dict:
         "techniques": list(techniques),
         "instructions": instructions,
         "rounds": rounds,
-        "spawn_seconds": round(spawn_s, 4),
         "pool_seconds": round(pool_s, 4),
         "pool_store_seconds": round(store_s, 4),
         "cached_seconds": round(cached_s, 4),
-        "pool_speedup": round(spawn_s / pool_s, 3),
-        "cached_speedup": round(spawn_s / max(cached_s, 1e-9), 1),
-        "two_pass_speedup": round(2 * spawn_s / (store_s + cached_s), 3),
+        "warm_cache_speedup": round(store_s / max(cached_s, 1e-9), 1),
         "workers_spawned_pool": pooled.workers_spawned,
-        "workers_spawned_spawn": spawn.workers_spawned,
         "leaked_segments": len(leaked),
     }
 
@@ -187,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI scale: 4 workloads x 2 techniques, pool-speedup gate",
+        help="CI scale: 4 workloads x 2 techniques",
     )
     parser.add_argument(
         "--update",
@@ -211,16 +205,10 @@ def main(argv: list[str] | None = None) -> int:
     failures = []
     if summary["leaked_segments"]:
         failures.append(f"{summary['leaked_segments']} leaked shm segments")
-    if args.smoke:
-        if summary["pool_speedup"] < SMOKE_POOL_FLOOR:
-            failures.append(
-                f"pool speedup {summary['pool_speedup']}x is below the "
-                f"{SMOKE_POOL_FLOOR}x floor"
-            )
-    elif summary["two_pass_speedup"] < TWO_PASS_FLOOR:
+    if summary["warm_cache_speedup"] < WARM_CACHE_FLOOR:
         failures.append(
-            f"two-pass speedup {summary['two_pass_speedup']}x is below "
-            f"the {TWO_PASS_FLOOR}x floor"
+            f"warm-cache speedup {summary['warm_cache_speedup']}x is below "
+            f"the {WARM_CACHE_FLOOR}x floor"
         )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
@@ -232,9 +220,10 @@ def main(argv: list[str] | None = None) -> int:
             "bench_sweep_throughput": summary,
             "machine": platform.platform(),
             "note": (
-                "best-of-N in-process wall times; two_pass_speedup "
-                "(run + regenerate vs 2x spawn) is the headline "
-                "machine-independent figure"
+                "best-of-N in-process wall times for pool_seconds, single "
+                "passes for the cache; warm_cache_speedup (cache-filling "
+                "pass over warm-cache pass) is the machine-independent "
+                "figure"
             ),
         }
         atomic_write_json(BASELINE_PATH, payload)

@@ -56,6 +56,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """A fraction in ``[0, 1)``, for ``report --tolerance`` (else a usage
+    error): a negative one fails every rate check, one of 1 or more
+    passes them all."""
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value}")
+    return value
+
+
 def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cores", type=int, default=1, choices=(1, 2))
     parser.add_argument("--retention", type=float, default=50.0,
@@ -507,9 +517,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     """Render a run manifest as markdown/CSV and optionally gate on it.
 
-    Exit status: 2 for an unreadable or schema-invalid manifest, 1 when
-    ``--check`` finds an internal inconsistency or a bench regression,
-    0 otherwise.
+    Exit status: 2 for an unreadable or schema-invalid manifest or an
+    unreadable baseline, 1 when ``--check`` finds an internal
+    inconsistency or a bench regression, 0 otherwise.
     """
     import json
     from pathlib import Path
@@ -538,17 +548,28 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.check:
         consistency = check_consistency(manifest)
 
-        def load_baseline(path, default):
-            p = Path(path) if path else default
-            if not p.exists():
-                return None
-            return json.loads(p.read_text(encoding="utf-8"))
-
         repo_root = Path(__file__).resolve().parents[2]
-        throughput = load_baseline(
-            args.bench_throughput, repo_root / "BENCH_throughput.json"
-        )
-        sweep = load_baseline(args.bench_sweep, repo_root / "BENCH_sweep.json")
+        baselines = []
+        for path, default in (
+            (args.bench_throughput, repo_root / "BENCH_throughput.json"),
+            (args.bench_sweep, repo_root / "BENCH_sweep.json"),
+        ):
+            # A baseline named on the command line must load; the repo's
+            # own baselines are optional.
+            if path is None and not default.exists():
+                baselines.append(None)
+                continue
+            p = Path(path) if path is not None else default
+            try:
+                baseline = json.loads(p.read_text(encoding="utf-8"))
+                if not isinstance(baseline, dict):
+                    raise ValueError("not a JSON object")
+            except (OSError, ValueError) as exc:
+                print(f"error: cannot read baseline {p}: {exc}",
+                      file=sys.stderr)
+                return 2
+            baselines.append(baseline)
+        throughput, sweep = baselines
         checks = check_regressions(
             manifest, throughput, sweep, tolerance=args.tolerance
         )
@@ -766,9 +787,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="verify internal consistency and compare rates "
                           "against the committed BENCH baselines; exit 1 "
                           "on failure")
-    rep.add_argument("--tolerance", type=float, default=0.10,
-                     help="allowed fractional rate regression for --check "
-                          "(default 0.10)")
+    rep.add_argument("--tolerance", type=_tolerance, default=0.10,
+                     help="allowed fractional rate regression for --check, "
+                          "in [0, 1) (default 0.10)")
     rep.add_argument("--bench-throughput", default=None, metavar="FILE.json",
                      dest="bench_throughput",
                      help="throughput baseline (default: the repo's "

@@ -129,8 +129,8 @@ def put(
 ) -> None:
     """Seed the cache with an externally built trace.
 
-    Sweep workers receive the parent's already-generated traces (as
-    shared-memory handles or pickled arrays) and install them here, so a
+    Sweep workers receive the parent's already-generated traces as
+    shared-memory handles and install them here, so a
     worker never regenerates a trace the parent (or an earlier sweep) has
     built.  Counts as neither a hit nor a miss.
     """

@@ -13,15 +13,13 @@ techniques within a worker, which is the same sharing the sequential
 One execution path: :func:`resilient_sweep` runs every parallel sweep
 (``repro sweep`` directly, ``repro figure --jobs N`` through
 :func:`parallel_compare`, its strict wrapper).  It dispatches units to
-one of two engines (:mod:`repro.experiments.pool`), selected by
-``use_pool``: a persistent pool of *warm* workers that amortise
-interpreter start, module imports, trace state and memoised warm-L2
-images across units, receive traces zero-copy as shared-memory handles,
-and are recycled only on crash or hang; or, with ``use_pool=False``, one
-fresh process per attempt (the bit-for-bit reference and throughput
-baseline).  Both engines run the same timeout/retry/checkpoint/
-degradation state machine in this module, so resilience semantics are
-engine-independent.
+one engine, the :class:`~repro.experiments.pool.WorkerPool`: a
+persistent pool of *warm* workers that amortise interpreter start,
+module imports, trace state and memoised warm-L2 images across units,
+receive traces zero-copy as shared-memory handles, and are recycled
+only on crash or hang.  The timeout/retry/checkpoint/degradation state
+machine lives in this module; the sequential
+:class:`~repro.experiments.runner.Runner` is its bit-for-bit reference.
 
 Results can additionally be served from a content-addressed
 :class:`~repro.experiments.result_cache.ResultCache`: units whose full
@@ -66,7 +64,7 @@ from repro.obs.campaign import (
     telemetry_from_message,
 )
 from repro.obs.profile import Profiler, ProgressReporter
-from repro.workloads.trace import Trace, TraceShmHandle
+from repro.workloads.trace import Trace
 
 __all__ = [
     "FailedWorkload",
@@ -138,31 +136,26 @@ def _workload_task(
 ) -> tuple[list[RunComparison], float]:
     """Worker: all techniques for one workload (module-level: picklable).
 
-    ``args`` is ``(config, workload, techniques, seed, preloaded)`` with
-    an optional sixth element carrying a :class:`FaultPlan` whose
-    hardware faults (Plane 1) are injected into every simulated system.
+    ``args`` is ``(config, workload, techniques, seed, preloaded, plan)``;
+    ``plan`` is a :class:`FaultPlan` whose hardware faults (Plane 1) are
+    injected into every simulated system, or ``None``.
 
-    ``preloaded`` carries the parent's already-generated traces for this
-    workload, either as :class:`Trace` objects (the NumPy columns ride
-    the pickle path; list/record caches are rebuilt lazily worker-side)
-    or as :class:`TraceShmHandle` descriptors naming shared-memory
-    segments the worker attaches zero-copy.  Either way the worker seeds
-    its trace cache instead of regenerating; a handle whose trace is
-    already cached (e.g. inherited across a fork, or installed by an
-    earlier unit on a warm pool worker) is skipped so the warm copy and
-    its materialised list views survive.  Returns the comparisons plus
-    the unit's wall time; failures are re-raised as
-    :class:`ParallelWorkerError` so the parent knows which workload died
-    and (via ``exc_type``) what kind of exception killed it.
+    ``preloaded`` maps trace cache keys to the
+    :class:`~repro.workloads.trace.TraceShmHandle` descriptors of the
+    shared-memory segments the parent exported this workload's traces
+    into.  The worker attaches them zero-copy and seeds its trace cache
+    instead of regenerating; a handle whose trace is already cached
+    (e.g. inherited across a fork, or installed by an earlier unit on a
+    warm pool worker) is skipped so the warm copy and its materialised
+    list views survive.  Returns the comparisons plus the unit's wall
+    time; failures are re-raised as :class:`ParallelWorkerError` so the
+    parent knows which workload died and (via ``exc_type``) what kind
+    of exception killed it.
     """
-    config, workload, techniques, seed, preloaded, *rest = args
-    fault_plan: FaultPlan | None = rest[0] if rest else None
-    for (name, budget, trace_seed), shipped in preloaded.items():
-        if isinstance(shipped, TraceShmHandle):
-            if _trace_cache.contains(name, budget, trace_seed):
-                continue
-            shipped = Trace.from_shm(shipped)
-        _trace_cache.put(name, budget, trace_seed, shipped)
+    config, workload, techniques, seed, preloaded, fault_plan = args
+    for (name, budget, trace_seed), handle in preloaded.items():
+        if not _trace_cache.contains(name, budget, trace_seed):
+            _trace_cache.put(name, budget, trace_seed, Trace.from_shm(handle))
     profiler = Profiler()
     # Under the resilient harness's worker observation context (see
     # repro.obs.campaign) the unit runs with a fresh per-attempt metrics
@@ -284,9 +277,8 @@ class SweepResult:
     unit was abandoned -- the surviving results are still exact (each
     unit is independent), the sweep is just incomplete.  ``cached``
     lists units served whole from the result cache, and the
-    ``workers_*`` counters describe the execution engine's process
-    economy (a spawn-per-unit run spawns once per attempt; a pooled run
-    spawns at most ``jobs`` plus one per crash/hang recycle).
+    ``workers_*`` counters describe the worker pool's process economy
+    (it spawns at most ``jobs`` plus one per crash/hang recycle).
 
     Campaign telemetry: ``timeline`` holds one record per attempt (and
     per cached/resumed unit) with wall-clock offsets relative to the
@@ -313,7 +305,8 @@ class SweepResult:
     #: Signal name (``"SIGTERM"``/``"SIGINT"``) when the campaign parent
     #: was interrupted and drained gracefully; ``None`` otherwise.
     interrupted: str | None = None
-    #: Supervision configuration: executor name and campaign deadline.
+    #: Supervision configuration: executor name (always ``"pool"``) and
+    #: campaign deadline.
     supervision: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -410,7 +403,6 @@ def resilient_sweep(
     plan: FaultPlan | None = None,
     progress: bool | ProgressReporter = False,
     cache: ResultCache | None = None,
-    use_pool: bool = True,
     trace_events: int = 0,
     deadline_s: float | None = None,
 ) -> SweepResult:
@@ -420,23 +412,20 @@ def resilient_sweep(
     worker process connected by a pipe, so the parent can enforce a
     per-attempt wall-clock ``timeout_s`` by terminating a hung worker --
     something a ``ProcessPoolExecutor`` cannot do to a running task.
-    With ``use_pool=True`` (the default) attempts are dispatched to the
-    persistent warm-worker engine and traces travel as zero-copy
-    shared-memory handles; a terminated or crashed worker is recycled,
-    every other worker stays warm.  ``use_pool=False`` spawns one
-    process per attempt (the bit-for-bit reference engine and the
-    throughput benchmark's baseline).  Failed attempts are classified by
-    exception type: transient ones (:data:`TRANSIENT_EXC_TYPES`:
-    crashes, timeouts, corrupt results, broken pipes) are retried up to
-    ``retries`` times with exponential backoff
-    (``backoff_s * 2**(attempt-1)``); deterministic ones fail fast,
-    because a unit that raised ``ValueError`` once will raise it on
-    every retry.
+    Attempts are dispatched to the persistent warm-worker pool and
+    traces travel as zero-copy shared-memory handles; a terminated or
+    crashed worker is recycled, every other worker stays warm.  Failed
+    attempts are classified by exception type: transient ones
+    (:data:`TRANSIENT_EXC_TYPES`: crashes, timeouts, corrupt results,
+    broken pipes) are retried up to ``retries`` times with exponential
+    backoff (``backoff_s * 2**(attempt-1)``); deterministic ones fail
+    fast, because a unit that raised ``ValueError`` once will raise it
+    on every retry.
 
-    A unit's traces are generated (and, on the pool, exported to shared
-    memory) when it is first dispatched, so the first workers start
-    while the parent still owes later units their traces; retries reuse
-    them, and they are unlinked when the unit settles.  Resumed and
+    A unit's traces are generated and exported to shared memory when it
+    is first dispatched, so the first workers start while the parent
+    still owes later units their traces; retries reuse them, and they
+    are unlinked when the unit settles.  Resumed and
     cached units never generate a trace.
 
     Determinism: a retried unit reproduces the original attempt bit for
@@ -485,11 +474,7 @@ def resilient_sweep(
     ``seed``) so simultaneous transient failures do not retry in
     lockstep.
     """
-    from repro.experiments.pool import (
-        SharedTraceStore,
-        SpawnExecutor,
-        WorkerPool,
-    )
+    from repro.experiments.pool import SharedTraceStore, WorkerPool
 
     workload_list = list(workloads)
     if not workload_list:
@@ -510,14 +495,7 @@ def resilient_sweep(
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
     jobs = min(jobs, len(workload_list))
 
-    obs_spec: dict[str, Any] = {}
-    if trace_events:
-        obs_spec["trace_capacity"] = trace_events
-    executor_obj = (
-        WorkerPool(jobs, obs_spec=obs_spec)
-        if use_pool
-        else SpawnExecutor(obs_spec=obs_spec)
-    )
+    executor_obj = WorkerPool(trace_capacity=trace_events)
     budget: DeadlineBudget | None = None
 
     ckpt: SweepCheckpoint | None = None
@@ -575,9 +553,7 @@ def resilient_sweep(
             entry["in_flight"] = True
         timeline.append(entry)
 
-    # Zero-copy shared-memory trace shipping only pays off for the warm
-    # pool; the spawn engine ships traces through the task pickle.
-    store = SharedTraceStore() if use_pool else None
+    store = SharedTraceStore()
     results: list[list[RunComparison] | None] = [None] * len(workload_list)
     resumed: list[str] = []
     cached: list[str] = []
@@ -609,26 +585,20 @@ def resilient_sweep(
     def prepare(unit: _Unit) -> None:
         """Generate and export the unit's traces at its first dispatch."""
         preloaded: dict[Any, Any] = {}
-        shm_keys: list = []
         try:
             for key, profile in _trace_needs_for(config, unit.workload, seed):
                 trace = _trace_cache.get_trace(profile, key[1], key[2])
-                if store is not None:
-                    preloaded[key] = store.acquire(key, trace)
-                    shm_keys.append(key)
-                else:
-                    preloaded[key] = trace
+                preloaded[key] = store.acquire(key, trace)
         except Exception:
             # Unresolvable workload: ship nothing; the worker hits the
             # same error itself and reports it deterministically.
-            if store is not None:
-                for key in shm_keys:
-                    store.release(key)
-            preloaded, shm_keys = {}, []
+            for key in preloaded:
+                store.release(key)
+            preloaded = {}
         unit.task = (
             config, unit.workload, technique_tuple, seed, preloaded, plan
         )
-        unit.shm_keys = tuple(shm_keys)
+        unit.shm_keys = tuple(preloaded)
 
     failed: list[FailedWorkload] = []
     total_attempts = 0
@@ -653,9 +623,8 @@ def resilient_sweep(
 
     def settle(unit: _Unit) -> None:
         """Release the unit's shared segments once its fate is final."""
-        if store is not None:
-            for key in unit.shm_keys:
-                store.release(key)
+        for key in unit.shm_keys:
+            store.release(key)
 
     def dispose(
         unit: _Unit, exc_type: str, detail: str, started_s: float
@@ -745,9 +714,7 @@ def resilient_sweep(
                     unit = units.popleft()
                     if unit.task is None:  # retries reuse the prepared task
                         prepare(unit)
-                    conn = executor_obj.start(
-                        unit.task, unit.workload, unit.attempt, plan
-                    )
+                    conn = executor_obj.start(unit.task, unit.attempt)
                     unit.attempt += 1
                     total_attempts += 1
                     # A fresh clock: trace preparation is not timed.
@@ -847,8 +814,7 @@ def resilient_sweep(
                 executor_obj.abort(conn)
             executor_obj.close()
         finally:
-            if store is not None:
-                store.close()
+            store.close()
     reporter.finish()
 
     out: dict[str, list[RunComparison]] = {t: [] for t in technique_tuple}
@@ -859,10 +825,7 @@ def resilient_sweep(
         completed.append(w)
         for comparison in per_workload:
             out[comparison.technique].append(comparison)
-    supervision = {
-        "executor": "pool" if use_pool else "spawn",
-        "deadline_s": deadline_s,
-    }
+    supervision = {"executor": "pool", "deadline_s": deadline_s}
     return SweepResult(
         comparisons=out,
         completed=completed,

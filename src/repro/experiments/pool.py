@@ -1,4 +1,4 @@
-"""Sweep execution engines: warm worker pool, spawn-per-unit, shm store.
+"""Sweep execution engine: warm worker pool and shared-memory trace store.
 
 The figure/table sweeps run many independent ``(workload, techniques)``
 units.  PR 3's resilient harness paid a full process spawn per *attempt*:
@@ -14,10 +14,6 @@ module keeps those costs amortised:
   worker is *recycled* (discarded and lazily replaced) only when it
   crashes (pipe EOF) or hangs (the harness aborts it on deadline); a unit
   that merely raises keeps its worker warm.
-* :class:`SpawnExecutor` -- one freshly spawned process per attempt
-  behind the same executor interface, kept as the bit-for-bit reference
-  engine and as the baseline the sweep throughput gate measures the pool
-  against.
 * :class:`SharedTraceStore` -- parent-side refcounted export of traces
   into named ``multiprocessing.shared_memory`` segments, so workers
   attach multi-million-record columns zero-copy instead of receiving a
@@ -27,20 +23,19 @@ module keeps those costs amortised:
   can never leak ``/dev/shm`` entries, because workers never own
   segments.
 
-These are the only two engines.
 :func:`~repro.experiments.parallel.resilient_sweep` -- the one sweep
 path, which ``parallel_compare`` and ``repro figure --jobs N`` also run
-on -- picks one with ``use_pool`` and speaks the same protocol to both:
-``start()`` returns a pollable connection, ``finish()`` receives the
-attempt's message (``None`` means the worker died without reporting),
-``abort()`` terminates a hung attempt -- waiting briefly for the
-SIGTERM-flushed partial telemetry message the worker's abort handler
-tries to send, and returning that salvage (or ``None``) -- and
-``close()`` tears everything down.  Wire messages carry a telemetry
-snapshot as their last element (see :mod:`repro.obs.campaign`).  The
-harness's timeout/retry/checkpoint semantics live entirely in
-:func:`repro.experiments.parallel.resilient_sweep` and are identical on
-either engine.
+on -- drives the pool through four calls: ``start()`` returns a pollable
+connection, ``finish()`` receives the attempt's message (``None`` means
+the worker died without reporting), ``abort()`` terminates a hung
+attempt -- waiting briefly for the SIGTERM-flushed partial telemetry
+message the worker's abort handler tries to send, and returning that
+salvage (or ``None``) -- and ``close()`` tears everything down.  A
+request is ``(task, attempt)`` (``None`` stops the worker); wire
+messages carry a telemetry snapshot as their last element (see
+:mod:`repro.obs.campaign`).  The harness's timeout/retry/checkpoint
+semantics live entirely in
+:func:`repro.experiments.parallel.resilient_sweep`.
 """
 
 from __future__ import annotations
@@ -52,7 +47,6 @@ from typing import Any
 
 from repro.experiments.parallel import ParallelWorkerError, _workload_task
 from repro.faults.chaos import ChaosWorkerProxy
-from repro.faults.plan import FaultPlan
 from repro.obs.campaign import (
     WorkerAborted,
     begin_worker_obs,
@@ -64,7 +58,6 @@ from repro.workloads.trace import Trace
 
 __all__ = [
     "SharedTraceStore",
-    "SpawnExecutor",
     "WorkerPool",
     "active_shm_segments",
     "created_shm_segments",
@@ -175,25 +168,21 @@ class SharedTraceStore:
 
 
 # ----------------------------------------------------------------------
-# Attempt execution (shared by both executors' children)
+# Attempt execution (worker side)
 # ----------------------------------------------------------------------
 
 
-def _attempt_message(
-    task: tuple,
-    plan: FaultPlan | None,
-    workload: str,
-    attempt: int,
-    obs_spec: dict | None = None,
-) -> tuple:
+def _attempt_message(task: tuple, attempt: int, trace_capacity: int) -> tuple:
     """Run one unit attempt; return the wire message, never raise.
 
-    Applies the fault plan's Plane-2 chaos scripting exactly as the PR 3
-    spawn path did: a scripted ``crash`` is an ``os._exit`` inside the
-    proxy and never returns (the parent sees the pipe close with no
-    message, like a real segfault), ``hang`` sleeps past the harness
-    deadline, ``corrupt`` mangles the payload for parent-side validation
-    to catch, ``raise`` surfaces as a deterministic error message.
+    ``task`` is the :func:`~repro.experiments.parallel._workload_task`
+    argument tuple; its workload and fault plan select the plan's
+    Plane-2 chaos scripting: a scripted ``crash`` is an ``os._exit``
+    inside the proxy and never returns (the parent sees the pipe close
+    with no message, like a real segfault), ``hang`` sleeps past the
+    harness deadline, ``corrupt`` mangles the payload for parent-side
+    validation to catch, ``raise`` surfaces as a deterministic error
+    message.
 
     Every message carries the attempt's telemetry snapshot as its last
     element: ``("ok", payload, telemetry)`` on success, ``("error",
@@ -204,8 +193,8 @@ def _attempt_message(
     outside the validated result payload, so a chaos-corrupted result
     cannot corrupt its own telemetry.
     """
-    spec = obs_spec or {}
-    obs = begin_worker_obs(trace_capacity=int(spec.get("trace_capacity", 0)))
+    _config, workload, _techniques, _seed, _preloaded, plan = task
+    obs = begin_worker_obs(trace_capacity=trace_capacity)
     try:
         try:
             if plan is not None and plan.has_chaos():
@@ -229,12 +218,14 @@ def _attempt_message(
         end_worker_obs()
 
 
-def _pool_worker_main(conn) -> None:
+def _pool_worker_main(conn, trace_capacity: int) -> None:
     """Warm worker request loop: serve unit attempts until told to stop.
 
     State deliberately persists across requests -- the process-wide trace
     cache, memoised warm-L2 images, and imported modules are the warmth
-    the pool exists to amortise.  The loop exits on a ``stop`` request or
+    the pool exists to amortise.  Each ``(task, attempt)`` request runs
+    under a fresh observation context with a ``trace_capacity``-event
+    ring (0: metrics only).  The loop exits on a ``None`` request or
     when the parent end of the pipe disappears.
     """
     # A warm worker lives for the whole sweep with a large inherited heap
@@ -255,15 +246,10 @@ def _pool_worker_main(conn) -> None:
                 break
             except WorkerAborted:
                 break
-            if (
-                not isinstance(request, tuple)
-                or not request
-                or request[0] != "run"
-            ):
+            if request is None:
                 break
-            _tag, task, workload, attempt, plan, *rest = request
-            obs_spec = rest[0] if rest else None
-            message = _attempt_message(task, plan, workload, attempt, obs_spec)
+            task, attempt = request
+            message = _attempt_message(task, attempt, trace_capacity)
             try:
                 conn.send(message)
             except (BrokenPipeError, OSError, WorkerAborted):
@@ -281,34 +267,18 @@ def _pool_worker_main(conn) -> None:
             pass
 
 
-def _spawn_entry(
-    conn,
-    task: tuple,
-    plan: FaultPlan | None,
-    workload: str,
-    attempt: int,
-    obs_spec: dict | None = None,
-) -> None:
-    """One-shot child entry for :class:`SpawnExecutor` (PR 3 semantics)."""
-    install_sigterm_flush()
-    try:
-        conn.send(_attempt_message(task, plan, workload, attempt, obs_spec))
-    except (BrokenPipeError, OSError, WorkerAborted):
-        pass
-    finally:
-        conn.close()
-
-
 # ----------------------------------------------------------------------
-# Executors
+# Executor
 # ----------------------------------------------------------------------
 
 
 class WorkerPool:
     """Persistent warm-worker executor.
 
-    Workers are forked lazily (the first ``jobs`` concurrent attempts
-    each fork one) and reused for every later attempt.  ``finish`` on a
+    Workers are forked lazily (a ``start`` with no idle worker forks
+    one, so the sweep's ``jobs`` concurrent attempts fork at most
+    ``jobs``) and reused for every later attempt.  Every worker runs its
+    attempts with a ``trace_capacity``-event tracer ring (0: none).  ``finish`` on a
     cleanly-reporting worker returns it to the idle list; a worker that
     died mid-attempt (crash) or was :meth:`abort`-ed (hang) is reaped and
     counted in ``workers_recycled`` -- its replacement forks lazily on
@@ -316,14 +286,8 @@ class WorkerPool:
     rebuild.
     """
 
-    def __init__(
-        self, jobs: int, mp_context=None, obs_spec: dict | None = None
-    ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {jobs}")
-        self._ctx = mp_context if mp_context is not None else multiprocessing
-        self._jobs = jobs
-        self._obs_spec = obs_spec
+    def __init__(self, trace_capacity: int = 0) -> None:
+        self._trace_capacity = trace_capacity
         self._idle: list[tuple[Any, Any]] = []  # (conn, process)
         self._busy: dict[Any, Any] = {}  # conn -> process
         self._closed = False
@@ -333,9 +297,11 @@ class WorkerPool:
     # -- worker lifecycle ----------------------------------------------
 
     def _spawn(self) -> tuple[Any, Any]:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
-            target=_pool_worker_main, args=(child_conn,), daemon=True
+        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
+        proc = multiprocessing.Process(
+            target=_pool_worker_main,
+            args=(child_conn, self._trace_capacity),
+            daemon=True,
         )
         proc.start()
         child_conn.close()
@@ -360,14 +326,12 @@ class WorkerPool:
 
     # -- executor protocol ---------------------------------------------
 
-    def start(
-        self, task: tuple, workload: str, attempt: int, plan: FaultPlan | None
-    ):
+    def start(self, task: tuple, attempt: int):
         """Dispatch one attempt to a warm (or freshly forked) worker.
 
         Returns the pollable connection the attempt will report on.
         """
-        request = ("run", task, workload, attempt, plan, self._obs_spec)
+        request = (task, attempt)
         while True:
             if self._idle:
                 conn, proc = self._idle.pop()
@@ -421,7 +385,7 @@ class WorkerPool:
         self._closed = True
         for conn, proc in self._idle:
             try:
-                conn.send(("stop",))
+                conn.send(None)
             except (BrokenPipeError, OSError):
                 pass
             proc.join(timeout=2.0)
@@ -443,65 +407,4 @@ class WorkerPool:
                 conn.close()
             except OSError:
                 pass
-        self._busy.clear()
-
-
-class SpawnExecutor:
-    """PR 3 semantics: one freshly spawned process per attempt.
-
-    Kept behind the executor protocol as the cold-start reference the
-    throughput benchmark compares against, and as a fallback engine
-    (``resilient_sweep(..., use_pool=False)``).
-    """
-
-    def __init__(self, mp_context=None, obs_spec: dict | None = None) -> None:
-        self._ctx = mp_context if mp_context is not None else multiprocessing
-        self._busy: dict[Any, Any] = {}
-        self._obs_spec = obs_spec
-        self.workers_spawned = 0
-        self.workers_recycled = 0
-
-    def start(
-        self, task: tuple, workload: str, attempt: int, plan: FaultPlan | None
-    ):
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_spawn_entry,
-            args=(child_conn, task, plan, workload, attempt, self._obs_spec),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        self.workers_spawned += 1
-        self._busy[parent_conn] = proc
-        return parent_conn
-
-    def finish(self, conn) -> tuple[Any, int | None]:
-        proc = self._busy.pop(conn)
-        message = _recv(conn)
-        conn.close()
-        proc.join()
-        if message is None:
-            # The one-shot worker died without reporting; count the loss
-            # like the pool does so recycle accounting is engine-agnostic.
-            self.workers_recycled += 1
-        return message, proc.exitcode
-
-    def abort(self, conn) -> Any:
-        proc = self._busy.pop(conn)
-        proc.terminate()
-        salvage = _drain_salvage(conn)
-        proc.join(timeout=2.0)
-        if proc.is_alive():
-            proc.kill()
-            proc.join()
-        conn.close()
-        self.workers_recycled += 1
-        return salvage
-
-    def close(self) -> None:
-        for conn, proc in self._busy.items():
-            proc.terminate()
-            proc.join()
-            conn.close()
         self._busy.clear()

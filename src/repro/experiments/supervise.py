@@ -1,13 +1,10 @@
 """Supervised execution: campaign guardrails for the sweep loop.
 
-:func:`~repro.experiments.parallel.resilient_sweep` drives one of two
-executors (:mod:`repro.experiments.pool`), selected by ``use_pool``: the
-warm :class:`~repro.experiments.pool.WorkerPool` or the one-process-per-
-attempt :class:`~repro.experiments.pool.SpawnExecutor`, its bit-for-bit
-reference and throughput baseline.  Both speak a small protocol --
+:func:`~repro.experiments.parallel.resilient_sweep` drives the warm
+:class:`~repro.experiments.pool.WorkerPool` through a small protocol --
 ``start`` / ``finish`` / ``abort`` / ``close`` plus the
 ``workers_spawned`` / ``workers_recycled`` counters.  This module holds
-the supervision the loop layers on top of either engine.
+the supervision the loop layers on top of it.
 
 **Supervision primitives.**  Small, independently testable pieces the
 sweep loop composes:

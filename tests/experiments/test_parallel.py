@@ -2,6 +2,7 @@
 
 import io
 
+import numpy as np
 import pytest
 
 from repro.config import SimConfig
@@ -60,21 +61,64 @@ class TestParallelCompare:
 class TestTracePreloading:
     """Parent-generated traces ride to workers instead of being rebuilt."""
 
-    def test_worker_task_uses_preloaded_trace(self):
+    @staticmethod
+    def _ship_gamess(store):
+        """Generate gamess's trace and export it: ``(config, key, profile,
+        trace, handle)``."""
         from repro.experiments import _trace_cache
-        from repro.experiments.parallel import _trace_needs_for, _workload_task
-        from repro.workloads.profiles import get_profile
+        from repro.experiments.parallel import _trace_needs_for
 
         config = SimConfig.scaled(**CFG_KW)
         needs = _trace_needs_for(config, "gamess", 0)
         assert [p.name for _, p in needs] == ["gamess"]
         (key, profile), = needs
         trace = _trace_cache.get_trace(profile, key[1], key[2])
-        _trace_cache.clear()
-        # After the worker installs the shipped trace, the runner's own
-        # lookup must return the very same object -- no regeneration.
-        _workload_task((config, "gamess", ("esteem",), 0, {key: trace}))
-        assert _trace_cache.get_trace(get_profile("gamess"), key[1], key[2]) is trace
+        return config, key, profile, trace, store.acquire(key, trace)
+
+    def test_worker_task_uses_preloaded_trace(self, monkeypatch):
+        from repro.experiments import _trace_cache
+        from repro.experiments.parallel import _workload_task
+        from repro.experiments.pool import SharedTraceStore
+
+        store = SharedTraceStore()
+        try:
+            config, key, profile, trace, handle = self._ship_gamess(store)
+            _trace_cache.clear()
+
+            def no_generation(*args, **kwargs):
+                raise AssertionError("the worker regenerated a shipped trace")
+
+            # The worker attaches the shipped segment; the runner's own
+            # lookup then finds it instead of regenerating.
+            monkeypatch.setattr(_trace_cache, "generate_trace", no_generation)
+            _workload_task(
+                (config, "gamess", ("esteem",), 0, {key: handle}, None)
+            )
+            attached = _trace_cache.get_trace(profile, key[1], key[2])
+            assert attached is not trace
+            assert np.array_equal(attached.addrs, trace.addrs)
+            assert np.array_equal(attached.gaps, trace.gaps)
+            assert np.array_equal(attached.writes, trace.writes)
+        finally:
+            _trace_cache.clear()
+            store.close()
+
+    def test_worker_task_keeps_an_already_cached_trace(self):
+        # A warm worker already holding the trace (and its materialised
+        # list views) must not swap it for a fresh attachment.
+        from repro.experiments import _trace_cache
+        from repro.experiments.parallel import _workload_task
+        from repro.experiments.pool import SharedTraceStore
+
+        store = SharedTraceStore()
+        try:
+            config, key, profile, trace, handle = self._ship_gamess(store)
+            _workload_task(
+                (config, "gamess", ("esteem",), 0, {key: handle}, None)
+            )
+            assert _trace_cache.get_trace(profile, key[1], key[2]) is trace
+        finally:
+            store.close()
 
     def test_dual_core_needs_cover_every_mix_member(self):
         from repro.experiments.parallel import _trace_needs_for

@@ -274,7 +274,7 @@ class TestSupervisionManifest:
         assert set(manifest["supervision"]) == {"executor", "deadline_s"}
         assert manifest["skipped"] == []
         assert manifest["interrupted"] is None
-        assert manifest["supervision"]["executor"] in ("pool", "spawn")
+        assert manifest["supervision"]["executor"] == "pool"
 
     def test_skipped_items_require_full_shape(self, manifest):
         broken = copy.deepcopy(manifest)

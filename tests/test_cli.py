@@ -439,6 +439,43 @@ class TestReportCommand:
         assert args.check is True
         assert args.tolerance == 0.2
 
+    @pytest.mark.parametrize("value", ["-0.1", "1", "2"])
+    def test_out_of_range_tolerance_is_a_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["report", "m.json", "--check", "--tolerance", value]
+            )
+        assert exc.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def manifest(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("report") / "manifest.json"
+        code = main(
+            ["sweep", "--workloads", "gamess", "-t", "esteem",
+             "--instructions", "30000", "--jobs", "1", "--no-cache",
+             "--manifest", str(path), "-q"]
+        )
+        assert code == 0
+        return path
+
+    @pytest.mark.parametrize("flag", ["--bench-throughput", "--bench-sweep"])
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                             ids=["missing", "corrupt", "not-an-object"])
+    def test_named_baseline_must_load(
+        self, manifest, flag, content, capsys, tmp_path
+    ):
+        baseline = tmp_path / "baseline.json"
+        if content is not None:
+            baseline.write_text(content)
+        code = main(
+            ["report", str(manifest), "--check", flag, str(baseline), "-q"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: cannot read baseline" in err
+        assert str(baseline) in err
+
     def test_unreadable_manifest_exits_2(self, capsys, tmp_path):
         code = main(["report", str(tmp_path / "missing.json"), "-q"])
         assert code == 2
