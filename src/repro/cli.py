@@ -49,7 +49,8 @@ __all__ = ["main"]
 
 
 def _positive_int(text: str) -> int:
-    """An integer of at least 1, for ``--jobs`` (else a usage error)."""
+    """An integer of at least 1, for counts and sizes such as ``--jobs``
+    (else a usage error)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -384,11 +385,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     """Resilient multi-workload sweep: timeouts, retries, checkpoint/resume.
 
     Exit status: 0 for a complete sweep, 2 for a bad flag, 3 for a
-    *degraded* one (some workloads failed or exhausted their retries, or
-    were skipped by a deadline; surviving results were still reported
-    and checkpointed), 4 for an *interrupted* one (SIGINT/SIGTERM on the
-    parent; the checkpoint was flushed and ``--resume`` finishes the
-    rest bit-for-bit).
+    *degraded* one (some workloads failed or exhausted their retries;
+    surviving results were still reported and checkpointed), 4 for an
+    *interrupted* one (SIGINT/SIGTERM; the checkpoint was flushed and
+    ``--resume`` finishes the rest bit-for-bit).  A signal is the one
+    early stop: ``timeout --preserve-status S repro sweep ...`` bounds a
+    campaign's wall time.
     """
     from repro.experiments.parallel import resilient_sweep
     from repro.obs.campaign import CampaignDashboard
@@ -399,11 +401,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     for flag, value, ok, rule in (
         ("--timeout", args.timeout, lambda v: v > 0, "positive"),
-        ("--deadline", args.deadline, lambda v: v > 0, "positive"),
         ("--retries", args.retries, lambda v: v >= 0, "non-negative"),
         ("--backoff", args.backoff, lambda v: v >= 0, "non-negative"),
-        ("--trace-events", args.trace_events, lambda v: v >= 0,
-         "non-negative"),
     ):
         if value is not None and not ok(value):
             print(f"error: {flag} must be {rule}", file=sys.stderr)
@@ -434,8 +433,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         plan=plan,
         progress=reporter,
         cache=cache,
-        trace_events=args.trace_events,
-        deadline_s=args.deadline,
     )
 
     rows = []
@@ -474,13 +471,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"manifest written to {args.manifest}")
     if result.skipped:
         print(
-            f"SKIPPED: {len(result.skipped)} workload(s) cancelled "
-            f"({result.skipped[0].reason}); rerun with --resume to "
-            f"finish them:",
+            f"SKIPPED: {len(result.skipped)} workload(s) cancelled; "
+            f"rerun with --resume to finish them:",
             file=sys.stderr,
         )
         for s in result.skipped:
-            print(f"  {s.workload}: skipped-{s.reason}", file=sys.stderr)
+            print(f"  {s.workload}: skipped-interrupt", file=sys.stderr)
     if result.failed:
         print(
             f"DEGRADED: {len(result.failed)} workload(s) lost after "
@@ -713,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="event dump format (default: jsonl)")
     trc.add_argument("--output", default=None,
                      help="write the trace to a file instead of stdout")
-    trc.add_argument("--capacity", type=int, default=65_536,
+    trc.add_argument("--capacity", type=_positive_int, default=65_536,
                      help="event ring-buffer capacity")
     _add_machine_args(trc)
     # Default to the quick bench scale so the emitted interval-decision
@@ -756,17 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--manifest", default=None, metavar="FILE.json",
                      help="write the structured run manifest as JSON "
                           "(input for `repro report`)")
-    swp.add_argument("--trace-events", type=int, default=0,
-                     dest="trace_events", metavar="N",
-                     help="per-worker event ring capacity; the tail of "
-                          "each unit's trace ships home in the manifest "
-                          "(default 0: metrics only, keeps the fast path)")
-    swp.add_argument("--deadline", type=float, default=None,
-                     metavar="SECONDS",
-                     help="whole-campaign wall-clock budget; on expiry, "
-                          "unfinished workloads are recorded as "
-                          "skipped-deadline, never silently dropped "
-                          "(default: off)")
     _add_machine_args(swp)
     # Sweeps are the bulk workload: default the worker count to the
     # machine instead of 1 (None -> os.cpu_count() in resilient_sweep).
@@ -802,9 +787,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="suppress stderr status output")
 
     ovh = sub.add_parser("overhead", help="evaluate Eq. 1 counter overhead")
-    ovh.add_argument("--sets", type=int, default=4096)
-    ovh.add_argument("--ways", type=int, default=16)
-    ovh.add_argument("--modules", type=int, default=16)
+    ovh.add_argument("--sets", type=_positive_int, default=4096)
+    ovh.add_argument("--ways", type=_positive_int, default=16)
+    ovh.add_argument("--modules", type=_positive_int, default=16)
 
     ts = sub.add_parser(
         "trace-stats", help="generate a workload trace and characterise it"

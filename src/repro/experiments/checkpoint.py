@@ -24,10 +24,10 @@ work.  Properties the resilient harness relies on:
   a warning rather than aborting the resume -- the affected unit is
   simply re-executed.
 * **Event lines**: besides completed comparisons the checkpoint carries
-  supervision events (``skipped-deadline``, ``skipped-interrupt``)
-  recording that a unit was cancelled deliberately, not lost.  A resume
-  runs every skipped unit again; event lines of kinds this version no
-  longer writes are kept but ignored.
+  ``skipped-interrupt`` events recording that a signal cancelled a unit
+  deliberately, not that it was lost.  A resume runs every skipped unit
+  again; event lines of kinds this version no longer writes (such as
+  ``skipped-deadline``) are kept but ignored.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class SweepCheckpoint:
         self.fingerprint = fingerprint
         #: workload -> list of completed comparisons for that workload.
         self.completed: dict[str, list[RunComparison]] = {}
-        #: Supervision event records ({"event", "workload", "detail"}).
+        #: Skip event records ({"event", "workload", "detail"}).
         self.events: list[dict[str, Any]] = []
         self._lines: list[str] = [
             json.dumps({"magic": _MAGIC, "fingerprint": fingerprint})
@@ -98,15 +98,12 @@ class SweepCheckpoint:
     # ------------------------------------------------------------------
 
     @classmethod
-    def load(
-        cls, path: str | Path, fingerprint: str, strict: bool = True
-    ) -> "SweepCheckpoint":
+    def load(cls, path: str | Path, fingerprint: str) -> "SweepCheckpoint":
         """Load an existing checkpoint for resumption.
 
         A missing file yields an empty checkpoint.  A fingerprint
-        mismatch raises ``ValueError`` when ``strict`` (the sweep
-        parameters changed; its results would not belong to this sweep)
-        and otherwise discards the stale records.  A truncated or
+        mismatch raises ``ValueError`` (the sweep parameters changed;
+        its results would not belong to this sweep).  A truncated or
         unparsable trailing line is dropped with a warning.
         """
         ckpt = cls(path, fingerprint)
@@ -125,14 +122,12 @@ class SweepCheckpoint:
                 f"{path} is not a sweep checkpoint (bad or missing header)"
             )
         if header.get("fingerprint") != fingerprint:
-            if strict:
-                raise ValueError(
-                    f"checkpoint {path} was written by a different sweep "
-                    f"(fingerprint {header.get('fingerprint')!r} != "
-                    f"{fingerprint!r}); refusing to resume -- delete it or "
-                    f"rerun with matching parameters"
-                )
-            return ckpt
+            raise ValueError(
+                f"checkpoint {path} was written by a different sweep "
+                f"(fingerprint {header.get('fingerprint')!r} != "
+                f"{fingerprint!r}); refusing to resume -- delete it or "
+                f"rerun with matching parameters"
+            )
         for n, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
@@ -182,7 +177,7 @@ class SweepCheckpoint:
     def note_event(
         self, event: str, workload: str, detail: str = ""
     ) -> None:
-        """Persist one supervision event (deadline / interrupt skip).
+        """Persist one skip event (``skipped-interrupt``).
 
         Idempotent per ``(event, workload)`` so a resumed campaign that
         skips the same unit again does not duplicate the record.
@@ -198,7 +193,7 @@ class SweepCheckpoint:
         atomic_write(self.path, "\n".join(self._lines) + "\n")
 
     def workloads_with_event(self, event: str) -> set[str]:
-        """Workloads carrying a given supervision event."""
+        """Workloads carrying a given skip event."""
         return {
             e["workload"]
             for e in self.events

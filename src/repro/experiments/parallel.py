@@ -39,6 +39,7 @@ unpicklable exception from a worker process.
 from __future__ import annotations
 
 import os
+import signal
 import time
 import traceback
 from collections import deque
@@ -52,11 +53,6 @@ from repro.experiments import _trace_cache
 from repro.experiments.checkpoint import SweepCheckpoint, sweep_fingerprint
 from repro.experiments.result_cache import ResultCache, probe_unit
 from repro.experiments.runner import RunComparison, Runner, profiles_for
-from repro.experiments.supervise import (
-    DeadlineBudget,
-    ParentSignalWatch,
-    full_jitter_delay,
-)
 from repro.faults.plan import FaultPlan
 from repro.obs.campaign import (
     CampaignAggregator,
@@ -69,6 +65,7 @@ from repro.workloads.trace import Trace
 __all__ = [
     "FailedWorkload",
     "ParallelWorkerError",
+    "ParentSignalWatch",
     "SkippedWorkload",
     "SweepResult",
     "TRANSIENT_EXC_TYPES",
@@ -173,7 +170,6 @@ def _workload_task(
                 seed=seed,
                 fault_plan=fault_plan,
                 metrics=obs.registry if obs is not None else None,
-                tracer=obs.tracer if obs is not None else None,
             )
             with technique_span("baseline"):
                 runner.baseline(workload)
@@ -254,16 +250,14 @@ class FailedWorkload:
 
 @dataclass(frozen=True)
 class SkippedWorkload:
-    """Manifest entry for a unit cancelled by supervision, not failure.
+    """Manifest entry for a unit cancelled by a signal, not by failure.
 
-    ``reason`` is ``"deadline"`` (the campaign budget expired) or
-    ``"interrupt"`` (the parent was signalled); ``attempts`` counts the
-    attempts consumed before cancellation (0 for never-started units).
-    Skips are recorded in the checkpoint too -- never silently dropped.
+    ``attempts`` counts the attempts consumed before cancellation (0 for
+    never-started units).  Skips are recorded in the checkpoint too --
+    never silently dropped.
     """
 
     workload: str
-    reason: str
     attempts: int = 0
 
 
@@ -305,9 +299,6 @@ class SweepResult:
     #: Signal name (``"SIGTERM"``/``"SIGINT"``) when the campaign parent
     #: was interrupted and drained gracefully; ``None`` otherwise.
     interrupted: str | None = None
-    #: Supervision configuration: executor name (always ``"pool"``) and
-    #: campaign deadline.
-    supervision: dict[str, Any] = field(default_factory=dict)
 
     @property
     def degraded(self) -> bool:
@@ -338,15 +329,10 @@ class SweepResult:
                 for f in self.failed
             ],
             "skipped": [
-                {
-                    "workload": s.workload,
-                    "reason": s.reason,
-                    "attempts": s.attempts,
-                }
+                {"workload": s.workload, "attempts": s.attempts}
                 for s in self.skipped
             ],
             "interrupted": self.interrupted,
-            "supervision": dict(self.supervision),
         }
 
 
@@ -389,6 +375,48 @@ def _validate_unit_result(payload: Any) -> tuple[list[RunComparison], float] | N
     return comparisons, float(wall_s)
 
 
+class ParentSignalWatch:
+    """Context manager turning SIGINT/SIGTERM into a graceful-drain flag.
+
+    Handlers never raise: they record the signal name, and the sweep
+    loop polls :attr:`signame` at its (bounded-wait) top, so a signal
+    can never land mid-``os.replace`` or mid-pipe-read.  A second signal
+    of the same kind while draining restores the previous handler and
+    re-raises it -- an impatient operator can still force-kill.  Outside
+    the main thread, signal handlers cannot be installed; the watch then
+    degrades to an inert flag holder.
+    """
+
+    def __init__(self) -> None:
+        self.signame: str | None = None
+        self._previous: dict[int, Any] = {}
+
+    def _handle(self, signum, frame) -> None:  # pragma: no cover - signals
+        if self.signame is not None:
+            # Second signal: stop being graceful.
+            previous = self._previous.get(signum, signal.SIG_DFL)
+            signal.signal(signum, previous)
+            signal.raise_signal(signum)
+            return
+        self.signame = signal.Signals(signum).name
+
+    def __enter__(self) -> "ParentSignalWatch":
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            try:
+                self._previous[signum] = signal.signal(signum, self._handle)
+            except (ValueError, OSError):
+                pass  # non-main thread: poll-only, signals use defaults
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for signum, previous in self._previous.items():
+            try:
+                signal.signal(signum, previous)
+            except (ValueError, OSError):
+                pass
+        self._previous.clear()
+
+
 def resilient_sweep(
     config: SimConfig,
     workloads: Iterable[str],
@@ -403,8 +431,6 @@ def resilient_sweep(
     plan: FaultPlan | None = None,
     progress: bool | ProgressReporter = False,
     cache: ResultCache | None = None,
-    trace_events: int = 0,
-    deadline_s: float | None = None,
 ) -> SweepResult:
     """Run ``techniques`` on every workload, surviving hostile infrastructure.
 
@@ -449,9 +475,8 @@ def resilient_sweep(
     True.  Callers decide whether partial results are acceptable.
 
     Campaign telemetry: every worker attempt runs under a fresh
-    per-attempt metrics registry (plus a small tracer ring when
-    ``trace_events`` > 0) and ships its snapshot back with the wire
-    message -- including partial snapshots flushed on SIGTERM when the
+    per-attempt metrics registry and ships its snapshot back with the
+    wire message -- including partial snapshots flushed on SIGTERM when the
     harness aborts a hung attempt.  Snapshots of *successful* attempts
     merge into the campaign totals (so the merged counters are exactly
     the sum of the per-unit truths); failed attempts keep their
@@ -460,19 +485,17 @@ def resilient_sweep(
     ``reporter.status(...)`` (see
     :class:`~repro.obs.campaign.CampaignDashboard`).
 
-    Supervision (see :mod:`repro.experiments.supervise`): a hung worker
-    is bounded by ``timeout_s``, and a unit that keeps killing its
-    workers by ``retries`` (at most ``retries + 1`` attempts).  With
-    ``deadline_s`` set, the whole campaign gets a wall-clock budget:
-    on expiry, running attempts are aborted and every unfinished unit is
-    recorded as ``skipped-deadline`` -- never silently dropped.  SIGINT/
-    SIGTERM on the parent triggers the same fair cancellation
-    (``skipped-interrupt``) after flushing the checkpoint, and the
+    Supervision: a hung worker is bounded by ``timeout_s``, and a unit
+    that keeps killing its workers by ``retries`` (at most ``retries +
+    1`` attempts).  A signal is the one early stop.  SIGINT/SIGTERM on
+    the parent (see :class:`ParentSignalWatch`) aborts running attempts
+    and records every unfinished unit as ``skipped-interrupt`` in the
+    checkpoint and the result -- never silently dropped -- and the
     result's ``interrupted`` carries the signal name so the CLI can exit
-    with a distinct resumable code.  Retry backoff is seeded full jitter
-    (uniform in ``[0, backoff_s * 2**(attempt-1))``, reproducible from
-    ``seed``) so simultaneous transient failures do not retry in
-    lockstep.
+    with a distinct resumable code.  A signal sent to the whole process
+    group (``timeout``, ``kill -TERM -PGID``) also reaches the workers:
+    they ignore SIGINT, and an attempt a SIGTERM aborts is cancelled the
+    same way, never failed.
     """
     from repro.experiments.pool import SharedTraceStore, WorkerPool
 
@@ -490,13 +513,10 @@ def resilient_sweep(
         raise ValueError("timeout must be positive")
     if backoff_s < 0:
         raise ValueError("backoff must be non-negative")
-    if trace_events < 0:
-        raise ValueError("trace_events must be non-negative")
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
     jobs = min(jobs, len(workload_list))
 
-    executor_obj = WorkerPool(trace_capacity=trace_events)
-    budget: DeadlineBudget | None = None
+    executor_obj = WorkerPool()
 
     ckpt: SweepCheckpoint | None = None
     if checkpoint is not None:
@@ -517,8 +537,6 @@ def resilient_sweep(
         )
 
     sweep_start = time.monotonic()
-    if deadline_s is not None:
-        budget = DeadlineBudget(deadline_s, start=sweep_start)
 
     def rel_now() -> float:
         return time.monotonic() - sweep_start
@@ -547,9 +565,9 @@ def resilient_sweep(
             "telemetry": telemetry_status,
         }
         if in_flight:
-            # The attempt was cancelled mid-run (deadline/interrupt) --
-            # it consumed an executor dispatch without reaching a
-            # terminal outcome of its own.
+            # The attempt was cancelled mid-run by a signal -- it
+            # consumed an executor dispatch without reaching a terminal
+            # outcome of its own.
             entry["in_flight"] = True
         timeline.append(entry)
 
@@ -633,9 +651,7 @@ def resilient_sweep(
         nonlocal total_retries
         if exc_type in TRANSIENT_EXC_TYPES and unit.attempt <= retries:
             total_retries += 1
-            delay = full_jitter_delay(
-                backoff_s, seed, unit.workload, unit.attempt
-            )
+            delay = backoff_s * 2 ** (unit.attempt - 1)
             backing_off.append((time.monotonic() + delay, unit))
             outcome = "retry"
         else:
@@ -668,29 +684,32 @@ def resilient_sweep(
         )
         return unit, started_s
 
-    def cancel_remaining(reason: str) -> None:
+    def cancel_remaining(cut: list[tuple[_Unit, float]]) -> None:
         """Fair cancellation: abort in-flight attempts, record every
-        unfinished unit as ``skipped-<reason>`` -- never silently drop."""
+        unfinished unit as ``skipped-interrupt`` -- never silently drop.
+
+        ``cut`` holds the ``(unit, started_s)`` attempts a signal has
+        already stopped.
+        """
         # In-flight attempts carry their start time; queued and
         # backing-off units never started this attempt (``None``).
-        cancelled = [retire(conn) for conn in list(running)]
+        cancelled: list[tuple[_Unit, float | None]] = list(cut)
+        cancelled += [retire(conn) for conn in list(running)]
         cancelled += [(u, None) for u in units]
         cancelled += [(u, None) for _, u in backing_off]
         units.clear()
         backing_off.clear()
         for unit, started_s in cancelled:
             in_flight = started_s is not None
-            skipped.append(
-                SkippedWorkload(unit.workload, reason, unit.attempt)
-            )
+            skipped.append(SkippedWorkload(unit.workload, unit.attempt))
             note(
-                unit.workload, unit.attempt, f"skipped-{reason}", "",
+                unit.workload, unit.attempt, "skipped-interrupt", "",
                 started_s if in_flight else rel_now(), rel_now(),
                 unit.last_telemetry if in_flight else "none",
                 in_flight=in_flight,
             )
             if ckpt is not None:
-                ckpt.note_event(f"skipped-{reason}", unit.workload)
+                ckpt.note_event("skipped-interrupt", unit.workload)
             settle(unit)
             reporter.advance(f"{unit.workload} (SKIPPED)", 0.0)
 
@@ -702,10 +721,7 @@ def resilient_sweep(
                 # can never corrupt a checkpoint write mid-os.replace.
                 if watch.signame is not None:
                     interrupted = watch.signame
-                    cancel_remaining("interrupt")
-                    break
-                if budget is not None and budget.expired():
-                    cancel_remaining("deadline")
+                    cancel_remaining([])
                     break
                 now = time.monotonic()
                 units.extend(u for t, u in backing_off if t <= now)
@@ -731,28 +747,37 @@ def resilient_sweep(
                         time.sleep(max(0.0, wait))
                     continue
                 # Block until a worker reports, dies, or a deadline /
-                # backoff / budget expiry needs
-                # attention.  Capped at 250ms so the interrupt flag is
-                # polled promptly (PEP 475 retries the wait after a
-                # non-raising signal handler).
+                # backoff expiry needs attention.  Capped at 250ms so the
+                # interrupt flag is polled promptly (PEP 475 retries the
+                # wait after a non-raising signal handler).
                 deadlines = [
                     d for _, d, _s in running.values() if d is not None
                 ]
                 wake_times = deadlines + [t for t, _ in backing_off]
-                if budget is not None:
-                    wake_times.append(budget.expires_at)
                 wait_timeout = 0.25
                 if wake_times:
                     wait_timeout = max(
                         0.0, min(min(wake_times) - time.monotonic(), 0.25)
                     )
                 ready = pipe_wait(list(running), timeout=wait_timeout)
+                cut: list[tuple[_Unit, float]] = []
                 for conn in ready:
                     unit, _deadline, started_s = running.pop(conn)
                     message, exitcode = executor_obj.finish(conn)
                     telemetry = telemetry_from_message(message)
                     unit.last_telemetry = _telemetry_status(telemetry)
-                    if message is None:
+                    tag = message[0] if message is not None else None
+                    if tag == "aborted" or (
+                        tag != "ok" and watch.signame is not None
+                    ):
+                        # The parent's own aborts are consumed by
+                        # WorkerPool.abort, so a signal sent to the
+                        # whole process group stopped this attempt (or,
+                        # once the parent is signalled, may have killed
+                        # it before its handlers were installed): it is
+                        # cancelled with the rest, never failed.
+                        cut.append((unit, started_s))
+                    elif message is None:
                         dispose(
                             unit,
                             "WorkerCrash",
@@ -760,7 +785,7 @@ def resilient_sweep(
                             f"(exitcode={exitcode})",
                             started_s,
                         )
-                    elif message[0] != "ok":
+                    elif tag != "ok":
                         _tag, exc_type, detail, *_rest = message
                         dispose(unit, exc_type, detail, started_s)
                     elif (
@@ -790,6 +815,10 @@ def resilient_sweep(
                             started_s, rel_now(), unit.last_telemetry,
                         )
                         reporter.advance(unit.workload, wall_s)
+                if cut:
+                    interrupted = watch.signame or "SIGTERM"
+                    cancel_remaining(cut)
+                    break
                 # Enforce wall-clock deadlines on whoever is still
                 # running.
                 now = time.monotonic()
@@ -825,7 +854,6 @@ def resilient_sweep(
         completed.append(w)
         for comparison in per_workload:
             out[comparison.technique].append(comparison)
-    supervision = {"executor": "pool", "deadline_s": deadline_s}
     return SweepResult(
         comparisons=out,
         completed=completed,
@@ -841,5 +869,4 @@ def resilient_sweep(
         telemetry=agg.as_dict(),
         skipped=skipped,
         interrupted=interrupted,
-        supervision=supervision,
     )

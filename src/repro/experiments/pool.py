@@ -12,8 +12,8 @@ module keeps those costs amortised:
   its imported modules, its process-wide trace cache, and the memoised
   warm-L2 images, so only the first unit a worker sees pays setup.  A
   worker is *recycled* (discarded and lazily replaced) only when it
-  crashes (pipe EOF) or hangs (the harness aborts it on deadline); a unit
-  that merely raises keeps its worker warm.
+  crashes (pipe EOF) or hangs (the harness aborts it at its per-attempt
+  timeout); a unit that merely raises keeps its worker warm.
 * :class:`SharedTraceStore` -- parent-side refcounted export of traces
   into named ``multiprocessing.shared_memory`` segments, so workers
   attach multi-million-record columns zero-copy instead of receiving a
@@ -42,7 +42,9 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
+import signal
 import traceback
+from multiprocessing import resource_tracker
 from typing import Any
 
 from repro.experiments.parallel import ParallelWorkerError, _workload_task
@@ -172,7 +174,7 @@ class SharedTraceStore:
 # ----------------------------------------------------------------------
 
 
-def _attempt_message(task: tuple, attempt: int, trace_capacity: int) -> tuple:
+def _attempt_message(task: tuple, attempt: int) -> tuple:
     """Run one unit attempt; return the wire message, never raise.
 
     ``task`` is the :func:`~repro.experiments.parallel._workload_task`
@@ -180,21 +182,21 @@ def _attempt_message(task: tuple, attempt: int, trace_capacity: int) -> tuple:
     Plane-2 chaos scripting: a scripted ``crash`` is an ``os._exit``
     inside the proxy and never returns (the parent sees the pipe close
     with no message, like a real segfault), ``hang`` sleeps past the
-    harness deadline, ``corrupt`` mangles the payload for parent-side
+    per-attempt timeout, ``corrupt`` mangles the payload for parent-side
     validation to catch, ``raise`` surfaces as a deterministic error
     message.
 
     Every message carries the attempt's telemetry snapshot as its last
     element: ``("ok", payload, telemetry)`` on success, ``("error",
     exc_type, detail, telemetry)`` on failure, and ``("aborted",
-    exc_type, detail, telemetry)`` when the harness SIGTERMed the
-    attempt mid-flight -- the snapshot is then flagged *partial* and
+    exc_type, detail, telemetry)`` when a SIGTERM stopped the attempt
+    mid-flight -- the snapshot is then flagged *partial* and
     holds whatever the unit had flushed before dying.  Telemetry rides
     outside the validated result payload, so a chaos-corrupted result
     cannot corrupt its own telemetry.
     """
     _config, workload, _techniques, _seed, _preloaded, plan = task
-    obs = begin_worker_obs(trace_capacity=trace_capacity)
+    obs = begin_worker_obs()
     try:
         try:
             if plan is not None and plan.has_chaos():
@@ -218,15 +220,14 @@ def _attempt_message(task: tuple, attempt: int, trace_capacity: int) -> tuple:
         end_worker_obs()
 
 
-def _pool_worker_main(conn, trace_capacity: int) -> None:
+def _pool_worker_main(conn) -> None:
     """Warm worker request loop: serve unit attempts until told to stop.
 
     State deliberately persists across requests -- the process-wide trace
     cache, memoised warm-L2 images, and imported modules are the warmth
     the pool exists to amortise.  Each ``(task, attempt)`` request runs
-    under a fresh observation context with a ``trace_capacity``-event
-    ring (0: metrics only).  The loop exits on a ``None`` request or
-    when the parent end of the pipe disappears.
+    under a fresh observation context.  The loop exits on a ``None``
+    request or when the parent end of the pipe disappears.
     """
     # A warm worker lives for the whole sweep with a large inherited heap
     # (modules, traces, materialised record views).  Freeze it out of the
@@ -234,9 +235,13 @@ def _pool_worker_main(conn, trace_capacity: int) -> None:
     # collections stop rescanning -- and COW-unsharing -- objects that
     # live until exit anyway.
     gc.freeze()
-    # SIGTERM (the harness aborting a hung attempt) raises WorkerAborted
-    # so the in-flight attempt can flush a final partial telemetry
-    # snapshot instead of dying mute.
+    # A Ctrl-C reaches the whole foreground process group; only the
+    # parent acts on it, by aborting the attempts it wants stopped.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # SIGTERM (the harness aborting a hung attempt, or a signal sent to
+    # the whole process group) raises WorkerAborted so the in-flight
+    # attempt can flush a final partial telemetry snapshot instead of
+    # dying mute.
     install_sigterm_flush()
     try:
         while True:
@@ -249,13 +254,13 @@ def _pool_worker_main(conn, trace_capacity: int) -> None:
             if request is None:
                 break
             task, attempt = request
-            message = _attempt_message(task, attempt, trace_capacity)
+            message = _attempt_message(task, attempt)
             try:
                 conn.send(message)
             except (BrokenPipeError, OSError, WorkerAborted):
                 break
             if message[0] == "aborted":
-                # The harness condemned this worker; exit promptly so the
+                # This worker was told to stop; exit promptly so the
                 # parent's reap join does not have to escalate.
                 break
     except WorkerAborted:
@@ -277,8 +282,7 @@ class WorkerPool:
 
     Workers are forked lazily (a ``start`` with no idle worker forks
     one, so the sweep's ``jobs`` concurrent attempts fork at most
-    ``jobs``) and reused for every later attempt.  Every worker runs its
-    attempts with a ``trace_capacity``-event tracer ring (0: none).  ``finish`` on a
+    ``jobs``) and reused for every later attempt.  ``finish`` on a
     cleanly-reporting worker returns it to the idle list; a worker that
     died mid-attempt (crash) or was :meth:`abort`-ed (hang) is reaped and
     counted in ``workers_recycled`` -- its replacement forks lazily on
@@ -286,8 +290,7 @@ class WorkerPool:
     rebuild.
     """
 
-    def __init__(self, trace_capacity: int = 0) -> None:
-        self._trace_capacity = trace_capacity
+    def __init__(self) -> None:
         self._idle: list[tuple[Any, Any]] = []  # (conn, process)
         self._busy: dict[Any, Any] = {}  # conn -> process
         self._closed = False
@@ -297,11 +300,16 @@ class WorkerPool:
     # -- worker lifecycle ----------------------------------------------
 
     def _spawn(self) -> tuple[Any, Any]:
+        # Before Python 3.13 a worker's attach registers the segment with
+        # its resource tracker.  Running before the fork, that tracker is
+        # the parent's, and the parent's unlink clears the registration.
+        # A worker forked before the parent's first export would start a
+        # tracker of its own, which unlinks the segment when the worker
+        # exits -- under every other worker still attached to it.
+        resource_tracker.ensure_running()
         parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
         proc = multiprocessing.Process(
-            target=_pool_worker_main,
-            args=(child_conn, self._trace_capacity),
-            daemon=True,
+            target=_pool_worker_main, args=(child_conn,), daemon=True
         )
         proc.start()
         child_conn.close()

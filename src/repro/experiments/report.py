@@ -91,11 +91,11 @@ def format_table(
 # ----------------------------------------------------------------------
 
 MANIFEST_KIND = "repro-sweep-manifest"
-#: v2 added the supervision block: ``skipped`` / ``interrupted`` /
-#: ``supervision`` keys and the skip timeline outcomes.  v3 dropped the
-#: poison-unit list; ``supervision`` keeps only ``executor`` and
-#: ``deadline_s``.
-MANIFEST_VERSION = 3
+#: v2 added the ``skipped`` / ``interrupted`` keys and the skip timeline
+#: outcomes.  v3 dropped the poison-unit list.  v4 dropped the constant
+#: executor block, the deadline and the skip reason: a signal is the one
+#: way a unit is skipped.
+MANIFEST_VERSION = 4
 
 
 def build_manifest(
@@ -218,7 +218,7 @@ MANIFEST_SCHEMA: dict[str, Any] = {
         "degraded", "completed", "resumed", "cached", "attempts",
         "retries", "workers_spawned", "workers_recycled", "wall_s",
         "timeline", "telemetry", "failed", "skipped",
-        "interrupted", "supervision", "aggregates", "bench",
+        "interrupted", "aggregates", "bench",
         "result_cache",
     ],
     "properties": {
@@ -254,7 +254,7 @@ MANIFEST_SCHEMA: dict[str, Any] = {
                     "outcome": {
                         "enum": [
                             "ok", "retry", "failed", "cached", "resumed",
-                            "skipped-deadline", "skipped-interrupt",
+                            "skipped-interrupt",
                         ],
                     },
                     "exc_type": {"type": "string"},
@@ -289,23 +289,14 @@ MANIFEST_SCHEMA: dict[str, Any] = {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": ["workload", "reason", "attempts"],
+                "required": ["workload", "attempts"],
                 "properties": {
                     "workload": {"type": "string"},
-                    "reason": {"enum": ["deadline", "interrupt"]},
                     "attempts": {"type": "integer"},
                 },
             },
         },
         "interrupted": {"type": ["string", "null"]},
-        "supervision": {
-            "type": "object",
-            "required": ["executor", "deadline_s"],
-            "properties": {
-                "executor": {"type": "string"},
-                "deadline_s": {"type": ["number", "null"]},
-            },
-        },
         "aggregates": {"type": "object"},
         "bench": {
             "type": "object",
@@ -439,8 +430,8 @@ def check_consistency(manifest: Mapping[str, Any]) -> list[str]:
 
     timeline = manifest.get("timeline", [])
     # One timeline record per dispatched attempt: its terminal outcome,
-    # or its cancellation when the deadline or an interrupt pulled it in
-    # flight (marked ``in_flight``).
+    # or its cancellation when an interrupt pulled it in flight (marked
+    # ``in_flight``).
     attempt_entries = [
         t
         for t in timeline
@@ -615,7 +606,7 @@ def _retry_timeline_rows(manifest: Mapping[str, Any]) -> list[list[Any]]:
         t.get("workload")
         for t in manifest.get("timeline", [])
         if t.get("outcome")
-        in ("retry", "failed", "skipped-deadline", "skipped-interrupt")
+        in ("retry", "failed", "skipped-interrupt")
     }
     rows = []
     for t in manifest.get("timeline", []):
@@ -670,24 +661,12 @@ def render_markdown(
             manifest.get("degraded", False),
         ]],
     ))
-    supervision = manifest.get("supervision") or {}
     if manifest.get("interrupted"):
         out.append("")
         out.append(
             f"**Interrupted by {manifest['interrupted']}** -- the "
             f"checkpoint was flushed; rerun with `--resume` to finish "
             f"the skipped units."
-        )
-    if supervision:
-        out.append("")
-        out.append(
-            f"Supervision: executor `{supervision.get('executor', '?')}`"
-            + (
-                f", deadline {format_value(supervision['deadline_s'])} s"
-                if supervision.get("deadline_s")
-                else ""
-            )
-            + "."
         )
     rows = _aggregate_rows(manifest)
     if rows:
@@ -766,9 +745,9 @@ def render_markdown(
         out.append("## Skipped (cancelled, not failed)")
         out.append("")
         out.append(_md_table(
-            ["workload", "reason", "attempts consumed"],
+            ["workload", "attempts consumed"],
             [
-                [s.get("workload"), s.get("reason"), s.get("attempts")]
+                [s.get("workload"), s.get("attempts")]
                 for s in manifest.get("skipped", [])
             ],
         ))

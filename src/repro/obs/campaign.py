@@ -1,16 +1,15 @@
-"""Campaign-level telemetry: worker snapshots, mergeable aggregation,
-and the live sweep dashboard.
+"""Campaign-level telemetry: worker snapshots, aggregation, and the live
+sweep dashboard.
 
-PR 1's observability layer is strictly per-process: metrics and trace
-events recorded inside a sweep worker die with that worker.  This module
-is the bridge that carries them home and rolls them up:
+The observability layer is strictly per-process: metrics recorded
+inside a sweep worker die with that worker.  This module is the bridge
+that carries them home and rolls them up:
 
 * **Worker side** -- :func:`begin_worker_obs` installs a
   :class:`WorkerObs` context for one unit attempt: a fresh
   :class:`~repro.obs.metrics.MetricsRegistry` (so per-attempt counters
   are exact deltas, and campaign totals are exact sums of per-unit
-  truths), an optional small :class:`~repro.obs.trace.Tracer` whose ring
-  tail ships home, and per-technique counter/wall-time attribution via
+  truths) and per-technique counter/wall-time attribution via
   :meth:`WorkerObs.technique_span`.  :meth:`WorkerObs.snapshot` is the
   picklable ``WorkerTelemetry`` payload that rides the executor wire
   protocol -- it is O(#instruments), never O(records), so shipping it
@@ -18,13 +17,14 @@ is the bridge that carries them home and rolls them up:
 * **Abort path** -- :func:`install_sigterm_flush` rebinds SIGTERM to
   raise :class:`WorkerAborted` (a ``BaseException``, so it pierces the
   unit's ``except Exception`` handlers), letting a worker that the
-  harness terminates on deadline flush its last partial snapshot before
-  dying.  A worker that could not flush (hard crash, ``os._exit``) is
-  recorded as ``telemetry: "lost"`` in the manifest.
-* **Parent side** -- :class:`CampaignAggregator` merges snapshots with
-  proper mergeable semantics: counters add, histograms add bucket-wise
-  (associative, commutative, empty snapshot is the identity), gauges are
-  kept per-unit only (a "last write wins" value has no meaningful sum).
+  harness terminates at its per-attempt timeout flush its last partial
+  snapshot before dying.  A worker that could not flush (hard crash,
+  ``os._exit``) is recorded as ``telemetry: "lost"`` in the manifest.
+* **Parent side** -- :class:`CampaignAggregator` folds snapshots in:
+  counters add, histograms add bucket-wise (so the totals do not depend
+  on the order units complete in, and an empty snapshot changes
+  nothing), gauges are kept per-unit only (a "last write wins" value has
+  no meaningful sum).
 * **Display** -- :class:`CampaignDashboard` is a
   :class:`~repro.obs.profile.ProgressReporter` that renders the campaign
   live on a TTY (units done/running/failed, aggregate simulation rate,
@@ -41,7 +41,6 @@ from typing import Any, Iterator, Mapping
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profile import ProgressReporter, format_seconds
-from repro.obs.trace import Tracer
 
 __all__ = [
     "CampaignAggregator",
@@ -62,10 +61,6 @@ __all__ = [
 #: Version stamp carried by every worker snapshot so a parent can reject
 #: payloads produced by an incompatible worker build.
 TELEMETRY_VERSION = 1
-
-#: How many trailing trace events a snapshot ships home when the worker
-#: runs with a tracer (the full ring stays worker-side).
-TRACE_TAIL_EVENTS = 32
 
 
 class WorkerAborted(BaseException):
@@ -113,9 +108,8 @@ class WorkerObs:
     reuse.
     """
 
-    def __init__(self, trace_capacity: int = 0) -> None:
+    def __init__(self) -> None:
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(capacity=trace_capacity) if trace_capacity else None
         #: technique -> {"wall_s": float, "counters": {name: delta}}
         self.per_technique: dict[str, dict[str, Any]] = {}
 
@@ -149,11 +143,10 @@ class WorkerObs:
     def snapshot(self, partial: bool = False) -> dict[str, Any]:
         """The picklable ``WorkerTelemetry`` payload for the wire.
 
-        O(#instruments): it walks the registry's instrument table and the
-        tracer's bounded tail, never anything proportional to the number
-        of simulated records.
+        O(#instruments): it walks the registry's instrument table, never
+        anything proportional to the number of simulated records.
         """
-        out: dict[str, Any] = {
+        return {
             "v": TELEMETRY_VERSION,
             "partial": bool(partial),
             "metrics": self.registry.snapshot(),
@@ -165,17 +158,12 @@ class WorkerObs:
                 for name, entry in self.per_technique.items()
             },
         }
-        if self.tracer is not None:
-            tail = self.tracer.events()[-TRACE_TAIL_EVENTS:]
-            out["events_tail"] = [e.as_dict() for e in tail]
-            out["events_emitted"] = self.tracer.emitted
-        return out
 
 
-def begin_worker_obs(trace_capacity: int = 0) -> WorkerObs:
+def begin_worker_obs() -> WorkerObs:
     """Install (and return) a fresh observation context for one attempt."""
     global _ACTIVE_OBS
-    _ACTIVE_OBS = WorkerObs(trace_capacity=trace_capacity)
+    _ACTIVE_OBS = WorkerObs()
     return _ACTIVE_OBS
 
 
@@ -299,16 +287,15 @@ def _merge_technique_maps(
 
 
 class CampaignAggregator:
-    """Mergeable campaign rollup of per-unit worker snapshots.
+    """Campaign rollup of per-unit worker snapshots.
 
-    ``add_unit`` folds one unit's snapshot in; ``merge`` combines two
-    aggregators into a new one.  The merge is associative and
-    commutative for integer-valued counters and histograms (floating
-    counters are associative up to IEEE rounding), and an empty
-    aggregator is the identity -- the properties the merge tests pin
-    down.  Gauges are deliberately *not* merged into campaign totals
-    (last-write-wins values have no meaningful cross-process sum); they
-    stay visible in the per-unit section.
+    ``add_unit`` folds one unit's snapshot in.  Pool workers complete
+    units in no fixed order, so the fold is order-independent for
+    integer-valued counters and histograms (floating counters up to IEEE
+    rounding) -- the property the aggregator tests pin down.  Gauges are
+    deliberately *not* merged into campaign totals (last-write-wins
+    values have no meaningful cross-process sum); they stay visible in
+    the per-unit section.
     """
 
     def __init__(self) -> None:
@@ -339,9 +326,6 @@ class CampaignAggregator:
                 for name, e in per_technique.items()
             },
         }
-        if "events_tail" in telemetry:
-            entry["events_tail"] = telemetry["events_tail"]
-            entry["events_emitted"] = telemetry.get("events_emitted", 0)
         self.per_unit[unit] = entry
         self.counters = merge_counter_maps(self.counters, counters)
         for name, state in histograms.items():
@@ -353,28 +337,6 @@ class CampaignAggregator:
         )
         self.units_merged += 1
         return True
-
-    def merge(self, other: "CampaignAggregator") -> "CampaignAggregator":
-        """Pure merge of two aggregators (neither operand is mutated)."""
-        out = CampaignAggregator()
-        out.counters = merge_counter_maps(self.counters, other.counters)
-        out.histograms = dict(self.histograms)
-        for name, state in other.histograms.items():
-            out.histograms[name] = merge_histogram_states(
-                out.histograms.get(name, {}), state
-            )
-        out.per_unit = {**self.per_unit, **other.per_unit}
-        out.per_technique = _merge_technique_maps(
-            self.per_technique, other.per_technique
-        )
-        out.lost = sorted(set(self.lost) | set(other.lost))
-        out.units_merged = self.units_merged + other.units_merged
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CampaignAggregator):
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
 
     # -- rollups --------------------------------------------------------
 

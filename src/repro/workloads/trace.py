@@ -65,26 +65,21 @@ def _attach_shm(segment: str):
     """Attach to an existing shared-memory segment without adopting its
     lifetime.
 
-    On Python < 3.13 plain attachment also registers the segment with the
-    process's resource tracker, which would unlink it when *this* process
-    exits -- destroying it for the creator and every sibling.  The
-    ``track=False`` keyword (3.13+) is the sanctioned fix; older versions
-    need the explicit unregister.
+    ``track=False`` (3.13+) keeps the attachment out of the resource
+    tracker.  On Python < 3.13 attaching registers the segment again
+    with the attacher's tracker.  Every attacher shares the creator's
+    tracker -- it is the creator itself or a pool worker forked from it
+    after the tracker started -- so the registration is a duplicate that
+    the creator's ``unlink`` clears.  Unregistering here instead would erase the creator's own
+    registration, and that ``unlink`` would then make the tracker fail
+    with a ``KeyError``.
     """
     from multiprocessing import shared_memory
 
     try:
         return shared_memory.SharedMemory(name=segment, track=False)
     except TypeError:
-        pass
-    shm = shared_memory.SharedMemory(name=segment)
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
-    return shm
+        return shared_memory.SharedMemory(name=segment)
 
 
 class TraceCorruptionError(ValueError):

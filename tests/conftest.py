@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+import repro
 from repro.config import (
     CacheGeometry,
     EsteemConfig,
@@ -24,6 +27,16 @@ def _isolated_result_cache(tmp_path_factory, monkeypatch):
     monkeypatch.setenv(
         "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("result-cache"))
     )
+
+
+@pytest.fixture(scope="session")
+def repro_env() -> dict[str, str]:
+    """Environment for a child ``python -m repro`` that imports this
+    checkout's ``src``."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 @pytest.fixture

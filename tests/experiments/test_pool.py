@@ -1,6 +1,8 @@
 """Warm worker pool engine: reuse, recycling, and shm segment lifecycle."""
 
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -149,6 +151,29 @@ class TestShmLifecycle:
         assert result.degraded
         assert poolmod.active_shm_segments() == []
         assert segment_files(new_segments(before)) == []
+
+    @pytest.mark.skipif(
+        sys.version_info >= (3, 13),
+        reason="track=False keeps attachments out of the resource tracker",
+    )
+    def test_worker_forked_before_any_export_shares_the_tracker(
+        self, repro_env
+    ):
+        # The first unit cannot be resolved, so its worker forks before
+        # the parent has exported anything.  Had that worker started a
+        # resource tracker of its own on its first attach, the tracker
+        # would unlink the parent's segments when the worker exits and
+        # warn about them on stderr.
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep",
+             "--workloads", "nosuch,gamess", "-t", "esteem",
+             "--instructions", "200000", "--jobs", "1", "--retries", "0",
+             "--no-cache", "-q"],
+            env=repro_env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "nosuch: [KeyError]" in proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr
 
     def test_parallel_compare_unlinks_every_segment(self):
         before = set(poolmod.created_shm_segments())

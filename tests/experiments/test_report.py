@@ -265,16 +265,15 @@ class TestRenderers:
 
 
 class TestSupervisionManifest:
-    """Manifest v3: skipped / interrupted / supervision."""
+    """Manifest v4: skipped / interrupted."""
 
-    SKIPPED_ENTRY = {"workload": "mcf", "reason": "deadline", "attempts": 0}
+    SKIPPED_ENTRY = {"workload": "mcf", "attempts": 0}
 
     def test_clean_manifest_has_empty_supervision_outcomes(self, manifest):
         assert "quarantined" not in manifest
-        assert set(manifest["supervision"]) == {"executor", "deadline_s"}
+        assert "supervision" not in manifest
         assert manifest["skipped"] == []
         assert manifest["interrupted"] is None
-        assert manifest["supervision"]["executor"] == "pool"
 
     def test_skipped_items_require_full_shape(self, manifest):
         broken = copy.deepcopy(manifest)
@@ -283,19 +282,20 @@ class TestSupervisionManifest:
         assert any("skipped[0]" in e and "required" in e for e in errors)
 
     def test_skipped_reason_enum_enforced(self, manifest):
+        # A signal is the one reason a unit is skipped: the retired
+        # campaign deadline's outcome no longer validates.
         broken = copy.deepcopy(manifest)
-        broken["skipped"] = [
-            {"workload": "mcf", "reason": "boredom", "attempts": 0}
-        ]
+        broken["timeline"][0]["outcome"] = "skipped-deadline"
         assert any(
-            "skipped[0].reason" in e for e in validate_manifest(broken)
+            "timeline[0].outcome" in e for e in validate_manifest(broken)
         )
 
     def test_supervision_required_keys(self, manifest):
-        broken = copy.deepcopy(manifest)
-        del broken["supervision"]["executor"]
-        errors = validate_manifest(broken)
-        assert any("supervision" in e and "executor" in e for e in errors)
+        for key in ("skipped", "interrupted"):
+            broken = copy.deepcopy(manifest)
+            del broken[key]
+            errors = validate_manifest(broken)
+            assert any("required" in e and key in e for e in errors), key
 
     def test_interrupted_must_be_string_or_null(self, manifest):
         broken = copy.deepcopy(manifest)

@@ -1,13 +1,15 @@
 """Tests for campaign telemetry: snapshots, merge semantics, dashboard.
 
-The merge-semantics tests pin the algebra the campaign aggregation relies
-on: counter and histogram merging is associative and commutative, and an
-empty snapshot/aggregator is the identity.  Integer-valued counters are
-used so equality is exact (float addition of integers below 2**53 never
-rounds) -- the same property the manifest consistency check exploits.
+The aggregator tests pin what the campaign rollup relies on: pool
+workers finish units in no fixed order, so folding them in any order
+gives the same totals, and an empty snapshot changes nothing.
+Integer-valued counters are used so equality is exact (float addition of
+integers below 2**53 never rounds) -- the same property the manifest
+consistency check exploits.
 """
 
 import io
+import itertools
 import signal
 
 import pytest
@@ -45,7 +47,7 @@ def agg_of(*unit_snapshots):
     """Aggregator over (unit-name, snapshot) pairs.
 
     Unit names are workload names in real sweeps -- globally unique --
-    so the algebra tests must not reuse a name across operands.
+    so the tests must not reuse a name.
     """
     agg = CampaignAggregator()
     for name, snap in unit_snapshots:
@@ -94,25 +96,10 @@ class TestMergeHistogramStates:
 
 
 class TestAggregatorAlgebra:
-    def test_merge_is_commutative(self):
-        ab = agg_of(SNAP_A).merge(agg_of(SNAP_B, SNAP_C))
-        ba = agg_of(SNAP_B, SNAP_C).merge(agg_of(SNAP_A))
-        assert ab == ba
-
-    def test_merge_is_associative(self):
-        a, b, c = agg_of(SNAP_A), agg_of(SNAP_B), agg_of(SNAP_C)
-        # Rebuild operands each side: merge() is pure but aliasing the
-        # same instances would weaken the test.
-        left = agg_of(SNAP_A).merge(agg_of(SNAP_B)).merge(agg_of(SNAP_C))
-        right = agg_of(SNAP_A).merge(agg_of(SNAP_B).merge(agg_of(SNAP_C)))
-        assert left == right
-        assert left == a.merge(b).merge(c)
-
-    def test_empty_aggregator_is_identity(self):
-        a = agg_of(SNAP_A, SNAP_B)
-        empty = CampaignAggregator()
-        assert empty.merge(a) == a
-        assert a.merge(empty) == a
+    def test_add_unit_order_does_not_matter(self):
+        orders = itertools.permutations((SNAP_A, SNAP_B, SNAP_C))
+        rollups = [agg_of(*order).as_dict() for order in orders]
+        assert all(r == rollups[0] for r in rollups[1:])
 
     def test_empty_snapshot_is_identity(self):
         base = agg_of(SNAP_A)
@@ -173,15 +160,6 @@ class TestWorkerObs:
         assert snap["v"] == TELEMETRY_VERSION
         assert snap["partial"] is True
         assert is_telemetry(snap)
-
-    def test_tracer_tail_ships_when_enabled(self):
-        obs = WorkerObs(trace_capacity=8)
-        for i in range(20):
-            obs.tracer.emit("tick", cycle=i)
-        snap = obs.snapshot()
-        assert snap["events_emitted"] == 20
-        assert len(snap["events_tail"]) <= 20
-        assert "events_tail" not in WorkerObs().snapshot()
 
     def test_begin_current_end_lifecycle(self):
         assert current_worker_obs() is None

@@ -47,6 +47,19 @@ class TestParser:
         assert exc.value.code == 2
         assert "argument --jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        "trace -w gamess --capacity 0",
+        "overhead --sets 0",
+        "overhead --ways 0",
+        "overhead --modules 0",
+    ])
+    def test_non_positive_size_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        flag = argv.split()[-2]
+        assert f"argument {flag}" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -353,11 +366,15 @@ class TestSweepCommand:
 
     def test_supervision_flags_parse(self):
         args = build_parser().parse_args(
-            ["sweep", "--workloads", "gamess", "--deadline", "30"]
+            ["sweep", "--workloads", "gamess", "--timeout", "30",
+             "--retries", "4", "--backoff", "0.25"]
         )
-        assert args.deadline == 30.0
+        assert (args.timeout, args.retries, args.backoff) == (30.0, 4, 0.25)
 
-    @pytest.mark.parametrize("flag", ["--heartbeat", "--quarantine-after"])
+    @pytest.mark.parametrize(
+        "flag",
+        ["--heartbeat", "--quarantine-after", "--deadline", "--trace-events"],
+    )
     def test_removed_supervision_flags_rejected(self, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["sweep", flag, "2"])
@@ -366,14 +383,11 @@ class TestSweepCommand:
 
     def test_supervision_flag_validation(self, capsys):
         base = ["sweep", "--workloads", "gamess", "-q"]
-        assert main(base + ["--deadline", "-1"]) == 2
-        assert "--deadline must be positive" in capsys.readouterr().err
         for flag, value, rule in (
             ("--timeout", "0", "positive"),
             ("--timeout", "-2", "positive"),
             ("--retries", "-1", "non-negative"),
             ("--backoff", "-1", "non-negative"),
-            ("--trace-events", "-5", "non-negative"),
         ):
             assert main(base + [flag, value]) == 2, flag
             assert f"{flag} must be {rule}" in capsys.readouterr().err
@@ -490,7 +504,7 @@ class TestReportCommand:
         assert code == 2
         assert "schema" in capsys.readouterr().err
 
-    def test_v2_manifest_rejected(self, capsys, tmp_path):
+    def _rejects_manifest_version(self, version, capsys, tmp_path):
         import json
 
         path = tmp_path / "manifest.json"
@@ -503,10 +517,16 @@ class TestReportCommand:
         assert main(["report", str(path), "-q"]) == 0
         capsys.readouterr()
         manifest = json.loads(path.read_text())
-        manifest["manifest_version"] = 2
+        manifest["manifest_version"] = version
         path.write_text(json.dumps(manifest))
         assert main(["report", str(path), "-q"]) == 2
         assert "manifest_version" in capsys.readouterr().err
+
+    def test_v2_manifest_rejected(self, capsys, tmp_path):
+        self._rejects_manifest_version(2, capsys, tmp_path)
+
+    def test_v3_manifest_rejected(self, capsys, tmp_path):
+        self._rejects_manifest_version(3, capsys, tmp_path)
 
 
 class TestCampaignAcceptance:

@@ -2,9 +2,12 @@
 
 import multiprocessing
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
 
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import generate_trace
@@ -191,3 +194,31 @@ class TestCrossProcess:
         finally:
             shm.close()
             shm.unlink()
+
+    @pytest.mark.skipif(
+        sys.version_info >= (3, 13),
+        reason="track=False keeps attachments out of the resource tracker",
+    )
+    def test_attach_leaves_the_creators_registration_alone(self, repro_env):
+        # Before 3.13 an attacher shares the creator's resource tracker.
+        # Unregistering on attach erased the creator's registration, so
+        # the creator's unlink made the tracker raise KeyError.
+        script = (
+            "from multiprocessing import resource_tracker\n"
+            "from repro.experiments.pool import SharedTraceStore\n"
+            "from repro.workloads.profiles import get_profile\n"
+            "from repro.workloads.synthetic import generate_trace\n"
+            "from repro.workloads.trace import Trace\n"
+            "store = SharedTraceStore()\n"
+            "trace = generate_trace(get_profile('gamess'), 20_000, seed=0)\n"
+            "attached = Trace.from_shm(store.acquire('k', trace))\n"
+            "store.close()\n"
+            "resource_tracker._resource_tracker._stop()\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=repro_env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "KeyError" not in proc.stderr, proc.stderr
+        assert "leaked" not in proc.stderr, proc.stderr
