@@ -416,25 +416,8 @@ class SetAssociativeCache:
             sets[s].order = row
 
     # ------------------------------------------------------------------
-    # Warm-image snapshot / restore (fast construction path)
+    # Warm-image clone (fast construction path)
     # ------------------------------------------------------------------
-
-    def snapshot_image(self) -> tuple:
-        """Capture resident lines + line state for :meth:`from_image`.
-
-        Only meaningful for a cache in its post-construction steady state
-        (all ways active, untouched LRU order, no profiling hooks): the
-        image stores just the per-set tag state and the line-state
-        arrays, which is everything a freshly prefilled cache has.
-        """
-        state = self.state
-        return (
-            [cset.tags.copy() for cset in self.sets],
-            [cset.tag_map.copy() for cset in self.sets],
-            state.valid.copy(),
-            state.dirty.copy(),
-            state.last_window.copy(),
-        )
 
     @classmethod
     def from_image(
@@ -443,12 +426,15 @@ class SetAssociativeCache:
         image: tuple,
         name: str = "cache",
     ) -> "SetAssociativeCache":
-        """Rebuild a cache from :meth:`snapshot_image` output.
+        """A cache in its post-construction shape holding ``image``.
 
-        Cloning per-set lists/dicts is several times cheaper than
-        re-running construction plus prefill, which matters when a sweep
-        builds many systems over the same geometry.  The clone shares
-        nothing mutable with the image.
+        ``image`` is ``(tags_rows, tag_maps, valid, dirty, last_window)``:
+        per-set ``tags`` lists and ``tag_map`` dicts plus the line-state
+        arrays.  Every way is active, recency order is untouched and no
+        set is a leader.  Cloning per-set lists and dicts is several times
+        cheaper than filling a cache line by line, which matters when a
+        sweep builds many systems over the same geometry.  The clone
+        shares nothing mutable with the image.
         """
         self = cls.__new__(cls)
         self.geometry = geometry
@@ -462,29 +448,29 @@ class SetAssociativeCache:
         self.set_bits = geometry.set_index_bits
         tags_rows, maps, valid, dirty, last_window = image
         order_proto = list(range(a))
-        proto_copy = order_proto.copy
         sets = []
         append = sets.append
         new_set = CacheSet.__new__
-        base = 0
-        index = 0
-        for row, tag_map in zip(tags_rows, maps):
+        for index, row, tag_map in zip(
+            range(s), map(list.copy, tags_rows), map(dict.copy, maps)
+        ):
             cset = new_set(CacheSet)
             cset.index = index
-            cset.base = base
-            cset.tags = row.copy()
-            cset.tag_map = tag_map.copy()
-            cset.order = proto_copy()
+            cset.base = index * a
+            cset.tags = row
+            cset.tag_map = tag_map
+            cset.order = order_proto.copy()
             cset.n_active = a
             cset.is_leader = False
             append(cset)
-            index += 1
-            base += a
         self.sets = sets
-        state = LineState(s, a)
+        state = LineState.__new__(LineState)
+        state.num_sets = s
+        state.associativity = a
         state.valid = valid.copy()
         state.dirty = dirty.copy()
         state.last_window = last_window.copy()
+        state.active = np.ones(s * a, dtype=bool)
         self.state = state
         self.stats = CacheStats(hits_by_position=[0] * a)
         self.module_of_set = None

@@ -19,13 +19,16 @@ Methodology notes straight from the paper (Section 6.4):
 from __future__ import annotations
 
 import gc
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import wraps
+from itertools import chain, repeat
 from math import inf, nextafter
 
 import numpy as np
 
 from repro.cache.cache import SetAssociativeCache
-from repro.config import SimConfig
+from repro.config import CacheGeometry, SimConfig
 from repro.core.esteem import EsteemController, IntervalDecision
 from repro.core.selective_sets import SelectiveSetsController
 from repro.edram.refresh import (
@@ -92,12 +95,75 @@ TECHNIQUES: tuple[str, ...] = (
 #: disjoint without disturbing set indexing).
 _CORE_OFFSET_SHIFT = 40
 
-#: Warmed-L2 images keyed by (geometry, phases, footprint): building and
-#: prefilling a 4 MB cache costs ~20 ms, cloning an image a couple; sweeps
-#: and repeated runs construct many systems over identical inputs.  Bounded
-#: LRU so a long multi-workload sweep cannot grow it without limit.
-_L2_IMAGE_CACHE: dict[tuple, tuple[tuple, float]] = {}
+#: Warm-L2 images keyed by (sets, ways, phases, prefill target).  For the
+#: 4 MB L2 a build costs ~10 ms and a clone ~3 ms, and a sweep constructs
+#: many systems over few keys.  LRU: a hit moves its key to the end, and
+#: past 8 keys the least recently used one goes.
+_L2_IMAGE_CACHE: OrderedDict[tuple, tuple] = OrderedDict()
 _L2_IMAGE_CACHE_MAX = 8
+
+
+def _gc_paused(method):
+    """Run ``method`` with the cyclic garbage collector paused, restored
+    as found (also on error).  Decorates ``System.__init__`` and ``run``.
+
+    Both allocate many short-lived acyclic objects (the cloned L2's sets,
+    per-record tuples) whose generation-0 collections find nothing, and a
+    generation-2 one scans the large, immortal cached traces and L2
+    images.  Disabling is the wrapper's first step, so the objects a
+    construction leaves young trigger no collection on entry to ``run``.
+    """
+
+    @wraps(method)
+    def paused(self, *args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return method(self, *args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
+
+
+def _warm_image(geo: CacheGeometry, phases: int, target: int) -> tuple:
+    """A :meth:`SetAssociativeCache.from_image` image of the warm L2.
+
+    The paper fast-forwards 10 B instructions and measures 400 M; by then
+    a workload's distinct-line footprint (capped at the LLC capacity) sits
+    in the cache as valid-but-stale data that the refresh policies must
+    keep alive.  ``target`` lines hold unique junk tags (valid, clean),
+    way-major: every set fills ``target // sets`` ways and the first
+    ``target % sets`` sets one more.  Hit/miss behaviour is unaffected --
+    junk is never hit and loses victim arbitration to invalid ways -- but
+    valid-line refresh counts (RPV, periodic-valid, ESTEEM) see it.
+    """
+    s_count = geo.num_sets
+    a = geo.associativity
+    full_ways, remainder = divmod(target, s_count)
+    filled = np.arange(a) < (full_ways + (np.arange(s_count) < remainder))[:, None]
+    # A fabricated but self-consistent line address per way: maps back to
+    # its set and collides with no real workload line.
+    way_tags = ((1 << 45) + np.arange(a, dtype=np.int64)) << geo.set_index_bits
+    junk = way_tags[None, :] | np.arange(s_count, dtype=np.int64)[:, None]
+    rows = np.where(filled, junk, None).tolist()
+    way_ranges = chain(
+        repeat(range(full_ways + 1), remainder),
+        repeat(range(full_ways), s_count - remainder),
+    )
+    valid = filled.reshape(-1)
+    # Stagger stale lines across the refresh phases: real steady-state data
+    # is phase-distributed, and synchronised stamps would make RPV refresh
+    # the whole cache in one burst window.
+    stamps = -(np.arange(valid.size, dtype=np.int64) % phases)
+    return (
+        rows,
+        list(map(dict, map(zip, rows, way_ranges))),
+        valid,
+        np.zeros(valid.size, dtype=bool),
+        np.where(valid, stamps, -1),
+    )
 
 
 @dataclass
@@ -171,6 +237,7 @@ class SystemResult:
 class System:
     """One simulated machine: cores + shared eDRAM L2 + memory + technique."""
 
+    @_gc_paused
     def __init__(
         self,
         config: SimConfig,
@@ -308,114 +375,46 @@ class System:
         return EsteemValidActiveRefresh(state, refresh_cfg)
 
     def _build_prefilled_l2(self) -> tuple[SetAssociativeCache, float]:
-        """Build the shared L2 and warm it with the workloads' footprint.
+        """Clone the warm L2 from its image, building the image on a miss.
 
-        The result of construction + prefill is fully determined by the
-        geometry, the phase count, and the footprint target, so it is
-        snapshotted once per distinct key and cloned on every later
-        construction (sweeps build many systems over identical inputs).
+        The target is the summed footprint clamped to the cache size, so
+        every workload at least as large as the L2 shares one image.
         """
         geo = self.config.l2
-        key = (
-            geo.num_sets,
-            geo.associativity,
-            self.config.refresh.rpv_phases,
-            sum(t.footprint_lines for t in self.traces),
-        )
-        cached = _L2_IMAGE_CACHE.get(key)
-        if cached is None:
-            l2 = SetAssociativeCache(geo, name="L2")
-            fraction = self._prefill_cache(l2)
-            while len(_L2_IMAGE_CACHE) >= _L2_IMAGE_CACHE_MAX:
-                _L2_IMAGE_CACHE.pop(next(iter(_L2_IMAGE_CACHE)))
-            _L2_IMAGE_CACHE[key] = (l2.snapshot_image(), fraction)
-            return l2, fraction
-        image, fraction = cached
-        return SetAssociativeCache.from_image(geo, image, name="L2"), fraction
-
-    def _prefill_cache(self, l2: SetAssociativeCache) -> float:
-        """Warm the L2 with the workloads' paper-scale stale footprint.
-
-        The paper fast-forwards 10 B instructions and measures 400 M; by
-        then a workload's distinct-line footprint (capped at the LLC
-        capacity) sits in the cache as valid-but-stale data that the
-        refresh policies must keep alive.  We pre-fill that fraction with
-        unique junk tags (valid, clean, phase-window 0) spread way-major
-        across the sets.  Hit/miss behaviour is unaffected -- junk is never
-        hit and loses victim arbitration to invalid ways -- but valid-line
-        refresh counts (RPV, periodic-valid, ESTEEM) see the warmed state.
-        """
-        total_footprint = sum(t.footprint_lines for t in self.traces)
-        num_lines = l2.state.num_lines
-        if total_footprint <= 0:
-            return 0.0
-        target = min(total_footprint, num_lines)
-        sets = l2.sets
-        state = l2.state
-        a = l2.associativity
-        s_count = l2.num_sets
-        full_ways = min(target // s_count, a)
-        remainder = target % s_count
-        set_bits = l2.set_bits
-        junk_high = 1 << 45  # far above any real tag bits
         phases = self.config.refresh.rpv_phases
-
-        # Per-line state is filled with whole-array operations; only the
-        # per-set tag list / tag map need a Python pass.  A fabricated but
-        # self-consistent line address per way: maps back to its set and
-        # collides with no real workload line.
-        filled = np.zeros((s_count, a), dtype=bool)
-        filled[:, :full_ways] = True
-        if remainder and full_ways < a:
-            filled[:remainder, full_ways] = True
-        g = np.arange(num_lines, dtype=np.int64)
-        # Stagger stale lines across the refresh phases: real steady-state
-        # data is phase-distributed, and synchronised stamps would make RPV
-        # refresh the whole cache in one burst window.
-        flat = filled.reshape(num_lines)
-        state.valid[flat] = True
-        state.dirty[flat] = False
-        state.last_window[flat] = (-(g % phases))[flat]
-        junk_rows = (
-            ((junk_high + np.arange(a, dtype=np.int64)) << set_bits)[None, :]
-            | np.arange(s_count, dtype=np.int64)[:, None]
-        ).tolist()
-        way_range = range(a)
-        for s_idx, cset in enumerate(sets):
-            ways = full_ways + 1 if s_idx < remainder else full_ways
-            ways = min(ways, a)
-            if not ways:
-                break
-            row = junk_rows[s_idx][:ways]
-            cset.tags[:ways] = row
-            cset.tag_map = dict(zip(row, way_range))
-        return target / num_lines
+        num_lines = geo.num_lines
+        target = max(0, min(sum(t.footprint_lines for t in self.traces), num_lines))
+        key = (geo.num_sets, geo.associativity, phases, target)
+        image = _L2_IMAGE_CACHE.get(key)
+        if image is None:
+            image = _L2_IMAGE_CACHE[key] = _warm_image(geo, phases, target)
+            if len(_L2_IMAGE_CACHE) > _L2_IMAGE_CACHE_MAX:
+                _L2_IMAGE_CACHE.popitem(last=False)
+            counter = "l2_image.builds"
+        else:
+            _L2_IMAGE_CACHE.move_to_end(key)
+            counter = "l2_image.hits"
+        if self.metrics is not None:
+            self.metrics.counter(counter).inc()
+        return SetAssociativeCache.from_image(geo, image, name="L2"), target / num_lines
 
     # ------------------------------------------------------------------
 
+    @_gc_paused
     def run(self) -> SystemResult:
         """Simulate until every core finishes its first trace pass.
 
-        The cyclic garbage collector is paused for the duration: the hot
-        loop allocates only short-lived acyclic objects, but a generation-2
-        collection triggered mid-run scans the (large, immortal) cached
-        trace columns and cache images, costing milliseconds for nothing.
+        The cyclic garbage collector is paused for the duration, as it
+        is for construction (see :func:`_gc_paused`).
         """
-        was_enabled = gc.isenabled()
-        if was_enabled:
-            gc.disable()
-        try:
-            if self.profiler is not None:
-                with self.profiler.span(
-                    f"system.run:{self.workload}:{self.technique}",
-                    workload=self.workload,
-                    technique=self.technique,
-                ):
-                    return self._run()
-            return self._run()
-        finally:
-            if was_enabled:
-                gc.enable()
+        if self.profiler is not None:
+            with self.profiler.span(
+                f"system.run:{self.workload}:{self.technique}",
+                workload=self.workload,
+                technique=self.technique,
+            ):
+                return self._run()
+        return self._run()
 
     def _run(self) -> SystemResult:
         """Build the cores, drive the selected loop, produce the result.

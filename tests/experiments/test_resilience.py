@@ -232,6 +232,11 @@ class TestCampaignTelemetry:
         for entry in per.values():
             assert entry["wall_s"] > 0
             assert entry["counters"]["sim.runs"] == 1
+            # One warm-L2 image per construction: built, or a hit on an
+            # image the worker already holds (it may inherit some).
+            assert entry["counters"].get("l2_image.builds", 0) + entry[
+                "counters"
+            ].get("l2_image.hits", 0) == 1
 
     def test_timeline_records_wall_clock_per_attempt(self):
         result = resilient_sweep(
