@@ -44,7 +44,7 @@ from repro.experiments import (
 from repro.experiments.parallel import ParallelWorkerError, parallel_compare
 from repro.obs import MetricsRegistry, Profiler, ProgressReporter, Tracer
 from repro.tech import TECHNOLOGIES, evaluate_technology
-from repro.timing import FullHierarchySystem, System, SystemResult
+from repro.timing import System, SystemResult
 from repro.workloads import (
     ALL_BENCHMARKS,
     DUAL_CORE_MIXES,
@@ -58,7 +58,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ALL_BENCHMARKS",
     "CacheDecayRefresh",
-    "FullHierarchySystem",
     "RefrintPolyphaseDirty",
     "SelectiveSetsController",
     "TECHNOLOGIES",

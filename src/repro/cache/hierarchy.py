@@ -1,9 +1,10 @@
 """Two-level cache hierarchy (system S2) for instruction-level traces.
 
 The headline experiments drive the L2 with post-L1-filtered traces (see
-DESIGN.md section 1), but the full hierarchy is part of the substrate: the
-``full`` trace mode and several examples route every load/store through a
-private L1 first, with L1 writebacks installed into the shared L2.
+DESIGN.md section 1), but the full hierarchy is part of the substrate:
+driven directly (``examples/custom_workload.py``), it routes every
+load/store through a private L1 first, with L1 writebacks installed into
+the shared L2.
 
 The hierarchy is non-inclusive / writeback / write-allocate at both levels,
 matching the simple latency model of the paper's platform (Section 6.1).

@@ -3,7 +3,8 @@
 The defaults mirror the experimental platform of the paper (Section 6.1):
 
 * 2 GHz cores, 64-byte cache lines.
-* Private 32 KB / 4-way / 2-cycle L1 caches.
+* Private 32 KB / 4-way / 2-cycle L1 caches, folded into the LLC-mode
+  traces (post-L1 access streams) and each workload's base CPI.
 * A shared 16-way / 12-cycle eDRAM L2 (4 MB for one core, 8 MB for two),
   organised in 4 banks, each able to refresh one line per cycle.
 * 220-cycle main memory with a bandwidth-limited queue (10 GB/s single-core,
@@ -309,11 +310,6 @@ class SimConfig:
     l2: CacheGeometry = field(
         default_factory=lambda: CacheGeometry(
             size_bytes=4 * 1024 * 1024, associativity=16, latency_cycles=12
-        )
-    )
-    l1: CacheGeometry = field(
-        default_factory=lambda: CacheGeometry(
-            size_bytes=32 * 1024, associativity=4, latency_cycles=2
         )
     )
     refresh: RefreshConfig = field(default_factory=RefreshConfig)

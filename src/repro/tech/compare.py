@@ -21,7 +21,6 @@ import numpy as np
 from repro.config import SimConfig
 from repro.energy.params import EnergyParams
 from repro.tech.params import TechnologyParams
-from repro.timing.core_model import CoreState
 from repro.timing.system import System, SystemResult
 from repro.workloads.trace import Trace
 
@@ -59,7 +58,12 @@ class TechResult:
 
 
 class TechSystem(System):
-    """A :class:`System` with technology-specific write latency/energy."""
+    """A :class:`System` with technology-specific latency and energy.
+
+    The L2 read latency comes from the technology; a slower write pays
+    the difference as :attr:`System.write_penalty`, which both simulation
+    loops add to write records, so technology runs take the fast loop.
+    """
 
     def __init__(
         self,
@@ -80,7 +84,7 @@ class TechSystem(System):
         config = config.with_l2(latency_cycles=technology.read_latency_cycles)
         super().__init__(config, traces, effective)
         self.technology = technology
-        self._write_penalty = float(
+        self.write_penalty = float(
             technology.write_latency_cycles - technology.read_latency_cycles
         )
         # Scale the calibrated eDRAM constants to this technology.
@@ -95,19 +99,6 @@ class TechSystem(System):
         self._base_dynamic_j = base.l2_dynamic_j
         if technology.write_endurance is not None:
             self.l2.write_counts = np.zeros(self.l2.state.num_lines, dtype=np.int64)
-
-    def _service(
-        self,
-        core: CoreState,
-        addr: int,
-        is_write: bool,
-        now: int,
-        window: int,
-    ) -> float:
-        latency = super()._service(core, addr, is_write, now, window)
-        if is_write:
-            latency += self._write_penalty
-        return latency
 
 
 def evaluate_technology(

@@ -2,12 +2,10 @@
 
 from repro.timing.core_model import CoreResult, CoreState
 from repro.timing.system import System, SystemResult, TECHNIQUES
-from repro.timing.full_system import FullHierarchySystem
 
 __all__ = [
     "CoreResult",
     "CoreState",
-    "FullHierarchySystem",
     "System",
     "SystemResult",
     "TECHNIQUES",

@@ -273,7 +273,7 @@ class System:
             profiler if profiler is not None and profiler.enabled else None
         )
         #: When True, :meth:`run` uses the straight-line per-record
-        #: reference loop even where the fast loop could run.  The golden
+        #: reference loop instead of the fast loop, traced or not.  The
         #: equivalence tests run both and assert identical results.
         self.reference_loop = reference_loop
         #: When True (default), the fast loop may classify quiescent
@@ -287,6 +287,8 @@ class System:
         #: ``kernel.batch_records`` / ``kernel.scalar_records`` metrics.
         self.kernel_batch_records = 0
         self.kernel_scalar_records = 0
+        #: Cycles both loops add last to a write record's latency (TechSystem).
+        self.write_penalty = 0.0
 
         self.l2, self.prefill_fraction = self._build_prefilled_l2()
         self.memory = MainMemory(config.memory)
@@ -419,16 +421,14 @@ class System:
     def _run(self) -> SystemResult:
         """Build the cores, drive the selected loop, produce the result.
 
-        Two loops implement identical semantics (verified bit-identical
-        by ``tests/timing/test_fast_loop_equivalence.py``):
+        Two loops implement identical semantics, events included (verified
+        bit-identical by ``tests/timing/test_fast_loop_equivalence.py``):
 
         * the straight-line reference loop (:meth:`_run_reference`), the
-          executable spec, runs when ``reference_loop`` is set or
-          per-record hooks must fire (an enabled tracer, or a subclass
-          overriding :meth:`_service`);
-        * the fully inlined fast loop (:meth:`_run_fast`) runs otherwise.
-          It skips all maintenance work until the smallest core clock
-          crosses the *event horizon*,
+          executable spec, runs only when ``reference_loop`` is set;
+        * the fully inlined fast loop (:meth:`_run_fast`) runs otherwise,
+          traced or not.  It skips all maintenance work until the
+          smallest core clock crosses the *event horizon*,
           ``min(next_interval, engine.next_boundary)``.
         """
         cores = [
@@ -448,11 +448,7 @@ class System:
                 prefill_fraction=self.prefill_fraction,
             )
 
-        if (
-            self.reference_loop
-            or self.tracer is not None
-            or type(self)._service is not System._service
-        ):
+        if self.reference_loop:
             end_cycle = self._run_reference(cores)
         else:
             end_cycle = self._run_fast(cores)
@@ -563,6 +559,9 @@ class System:
         stats = l2.stats
         hbp = stats.hits_by_position
         write_counts = l2.write_counts
+        wpen = self.write_penalty
+        # mshr.stall carries the growth of the float mm_qwait, as _service does.
+        tracer = self.tracer
         module_of_set = l2.module_of_set
         profile_hist = l2.profile_hist
         # Memory-channel internals (shared with MainMemory._enqueue).
@@ -608,10 +607,10 @@ class System:
         # records, which is only sound when nothing timing-dependent can
         # change the outcome mid-stretch: one core only (shared-L2
         # interleaving depends on per-access latency), the refresh engine
-        # must never mutate tags/valid/dirty/recency at boundaries,
-        # per-line write profiling must be off (it is only armed for
-        # offline fault-plan capture), and the core's address offset must
-        # be zero so the raw trace columns are the access stream.  The
+        # must never mutate tags/valid/dirty/recency at boundaries, the
+        # per-line write counts and the write penalty must be off (every
+        # technology run arms the counts), and the core's address offset
+        # must be zero so the raw trace columns are the access stream.  The
         # dynamic half (all ways active, full set mask) is re-checked
         # before every batch build.
         core0 = cores[0]
@@ -623,6 +622,7 @@ class System:
             and not two
             and not type(engine).mutates_cache_state
             and write_counts is None
+            and not wpen
             and core0.addr_offset == 0
         )
         es_reconfig = (
@@ -810,6 +810,11 @@ class System:
                             lw_mv[g] = window
                             if mm_next_free > now:
                                 wait = mm_next_free - now
+                                if tracer is not None and mm_qwait + wait > mm_qwait:
+                                    tracer.emit(
+                                        EVENT_MSHR_STALL, now, core=0,
+                                        wait_cycles=(mm_qwait + wait) - mm_qwait,
+                                    )
                                 mm_qwait += wait
                                 mm_next_free += service_cycles
                                 latency = lat_base + (mem_latency + wait) / mlp
@@ -882,6 +887,7 @@ class System:
                                 dirty_mv[g] = True
                                 if write_counts is not None:
                                     write_counts[g] += 1
+                                latency += wpen
                             lw_mv[g] = window
                             if profile_hist is not None and cset.is_leader:
                                 profile_hist[module_of_set[cset.index]][pos] += 1
@@ -967,6 +973,11 @@ class System:
                             # The demand fetch (MainMemory.read inlined).
                             if mm_next_free > now:
                                 wait = mm_next_free - now
+                                if tracer is not None and mm_qwait + wait > mm_qwait:
+                                    tracer.emit(
+                                        EVENT_MSHR_STALL, now, core=ci,
+                                        wait_cycles=(mm_qwait + wait) - mm_qwait,
+                                    )
                                 mm_qwait += wait
                                 mm_next_free += service_cycles
                                 latency = lat_base + (mem_latency + wait) / mlp_[ci]
@@ -974,6 +985,8 @@ class System:
                                 mm_next_free = now + service_cycles
                                 latency = lat_miss0_[ci]
                             mm_reads += 1
+                            if is_write:
+                                latency += wpen
                         # ``gcpi`` is the precomputed ``(gap+1) * base_cpi``;
                         # the parenthesised sum matches retire()'s
                         # evaluation order bit for bit.
@@ -1170,13 +1183,8 @@ class System:
         now: int,
         window: int,
     ) -> float:
-        """Serve one trace record; returns the exposed access latency.
-
-        The base system interprets trace records as L2-level accesses
-        (LLC-mode traces); :class:`~repro.timing.full_system.
-        FullHierarchySystem` overrides this to route records through a
-        private L1 first.
-        """
+        """Serve one trace record (an L2 access: traces are LLC-mode);
+        returns the exposed access latency."""
         l2 = self.l2
         hit, _pos, wb = l2.access(addr, is_write, window)
         latency = self.config.l2.latency_cycles + self.engine.current_stall
@@ -1189,22 +1197,17 @@ class System:
         if not hit:
             # The exposed miss penalty is divided by the workload's
             # memory-level parallelism (overlapped outstanding misses).
-            if self.tracer is not None:
-                wait_before = self.memory.total_queue_wait
-                read_latency = self.memory.read(now)
-                queue_wait = self.memory.total_queue_wait - wait_before
-                if queue_wait > 0:
-                    # The MSHR/memory-queue analogue: a demand miss that
-                    # found the channel busy and had to wait in line.
-                    self.tracer.emit(
-                        EVENT_MSHR_STALL,
-                        now,
-                        core=core.core_id,
-                        wait_cycles=queue_wait,
-                    )
-                latency += read_latency / core.mem_mlp
-            else:
-                latency += self.memory.read(now) / core.mem_mlp
+            wait_before = self.memory.total_queue_wait
+            latency += self.memory.read(now) / core.mem_mlp
+            queue_wait = self.memory.total_queue_wait - wait_before
+            if queue_wait > 0 and self.tracer is not None:
+                # The MSHR/memory-queue analogue: a demand miss that found
+                # the channel busy and had to wait in line.
+                self.tracer.emit(
+                    EVENT_MSHR_STALL, now, core=core.core_id, wait_cycles=queue_wait
+                )
+        if is_write:
+            latency += self.write_penalty
         return latency
 
     def _close_interval(self, boundary_cycle: float, final: bool = False) -> None:

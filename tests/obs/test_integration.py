@@ -1,12 +1,17 @@
 """Integration: the simulation stack feeding the observability layer."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import SimConfig
 from repro.experiments.runner import Runner
+from repro.faults import FaultPlan
 from repro.obs import (
+    EVENT_FAULT_INJECT,
     EVENT_INTERVAL_DECISION,
     EVENT_INTERVAL_ENERGY,
+    EVENT_MSHR_STALL,
     EVENT_REFRESH_BURST,
     EVENT_SIM_END,
     EVENT_SIM_START,
@@ -15,6 +20,7 @@ from repro.obs import (
     Tracer,
 )
 from repro.timing.system import System
+from repro.workloads.multiprog import get_mix
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import generate_trace
 
@@ -83,9 +89,40 @@ class TestTracing:
         assert system.engine.tracer is None
 
 
+def _sphinx_narrow_channel():
+    # A 0.5 GB/s channel makes the batch commit loop's misses queue, so
+    # its stall emission is exercised too.
+    cfg = replace(CFG, memory=replace(CFG.memory, bandwidth_bytes_per_sec=0.5e9))
+    trace = generate_trace(get_profile("sphinx"), cfg.instructions_per_core, seed=0)
+    return cfg, [trace], "baseline", None
+
+
+def _h264ref_esteem():
+    trace = generate_trace(get_profile("h264ref"), CFG.instructions_per_core, seed=0)
+    return CFG, [trace], "esteem", None
+
+
+def _dual_core_mix():
+    cfg = SimConfig.scaled(num_cores=2, instructions_per_core=250_000)
+    traces = [
+        generate_trace(p, cfg.instructions_per_core, seed=7 + i)
+        for i, p in enumerate(get_mix("GkNe").profiles)
+    ]
+    return cfg, traces, "esteem", None
+
+
+def _faulted():
+    cfg = SimConfig.scaled(
+        retention_us=12.5, instructions_per_core=200_000, interval_cycles=100_000
+    )
+    trace = generate_trace(get_profile("gamess"), cfg.instructions_per_core, seed=0)
+    return cfg, [trace], "esteem", FaultPlan(seed=5, flip_rate=2e-4)
+
+
 class TestFastLoopObservability:
-    """Observation is loop-independent: an untraced run takes the fast
-    loop, a traced one the reference loop, and both must agree."""
+    """Observation is loop-independent: traced or not, a run takes the
+    fast loop unless ``reference_loop`` is set, and both loops must emit
+    the same event stream and metrics."""
 
     _KERNEL_KEYS = {"kernel.batch_records", "kernel.scalar_records"}
 
@@ -104,18 +141,47 @@ class TestFastLoopObservability:
         ).run()
         return result, metrics.snapshot()
 
+    #: (name, run builder, an event type the stream must hold).
+    _TRACED_RUNS = [
+        ("sphinx-baseline-kernel", _sphinx_narrow_channel, EVENT_MSHR_STALL),
+        ("h264ref-esteem", _h264ref_esteem, EVENT_MSHR_STALL),
+        ("GkNe-esteem", _dual_core_mix, EVENT_MSHR_STALL),
+        ("faulted", _faulted, EVENT_FAULT_INJECT),
+    ]
+
     def test_event_stream_identical_to_reference_loop(self):
-        # A tracer forces the reference loop whatever ``reference_loop``
-        # asks for, so the stream cannot depend on that flag.
-        fast_tracer, ref_tracer = Tracer(), Tracer()
-        self._observed(tracer=fast_tracer, reference_loop=False)
-        self._observed(tracer=ref_tracer, reference_loop=True)
-        fast_events = [(e.type, e.cycle, e.data) for e in fast_tracer.events()]
-        ref_events = [(e.type, e.cycle, e.data) for e in ref_tracer.events()]
-        assert fast_events == ref_events
-        # The untraced fast loop reaches the same interval decisions.
+        for name, make, must_see in self._TRACED_RUNS:
+            config, traces, technique, plan = make()
+            streams, results = [], []
+            for reference_loop in (False, True):
+                tracer = Tracer()
+                system = System(
+                    config,
+                    traces,
+                    technique,
+                    tracer=tracer,
+                    reference_loop=reference_loop,
+                    fault_plan=plan,
+                )
+                results.append(system.run())
+                streams.append(
+                    [(e.type, e.cycle, e.data) for e in tracer.events()]
+                )
+                if not reference_loop and make is _sphinx_narrow_channel:
+                    # Every record went through the batch commit loop, so
+                    # its demand-miss site emitted the stalls.
+                    assert system.kernel_scalar_records == 0, name
+                    assert tracer.events(EVENT_MSHR_STALL), name
+            fast, ref = streams
+            assert fast == ref, name
+            assert any(event[0] == must_see for event in fast), name
+            assert results[0] == results[1], name
+
+    def test_untraced_run_reaches_the_traced_decisions(self):
+        tracer = Tracer()
+        self._observed(tracer=tracer)
         untraced, _ = self._observed(tracer=None)
-        decisions = ref_tracer.events(EVENT_INTERVAL_DECISION)
+        decisions = tracer.events(EVENT_INTERVAL_DECISION)
         assert decisions
         assert [
             (r.interval_index, r.cycle, r.n_active_way) for r in untraced.timeline
@@ -126,7 +192,7 @@ class TestFastLoopObservability:
 
     def test_metrics_identical_to_reference_loop(self):
         fast, fast_snap = self._observed(tracer=None)
-        ref, ref_snap = self._observed(tracer=Tracer())
+        ref, ref_snap = self._observed(tracer=Tracer(), reference_loop=True)
         assert fast == ref
         keys = self._KERNEL_KEYS
         assert {k: v for k, v in fast_snap.items() if k not in keys} == {

@@ -1,11 +1,12 @@
-"""Pinned simulator output for the runs that use the reference loop.
+"""Pinned simulator output for traced and technology runs.
 
-Traced runs and the ``_service`` subclasses (``TechSystem``,
-``FullHierarchySystem``) run through :meth:`System._run_reference
-<repro.timing.system.System._run_reference>`.  These sha256 digests pin
-what they produce -- the ``repro trace`` event stream, a traced faulted
-run, technology comparisons, and the L1-inclusive hierarchy -- so a
-change to how those runs are driven must leave every byte in place.
+These sha256 digests pin what those runs produce -- the ``repro trace``
+event stream, a traced faulted run, and technology comparisons (a
+``TechSystem`` with per-line write counts armed and, off eDRAM, a write
+penalty) -- so a change to how they are driven must leave every byte in
+place.  They were recorded when such runs took the reference loop
+(:meth:`System._run_reference <repro.timing.system.System._run_reference>`)
+and hold on the fast loop they take now.
 
 Regenerate the fixture only for a deliberate change in simulated
 behaviour::
@@ -30,7 +31,6 @@ from repro.experiments.runner import Runner, _system_result_to_dict
 from repro.faults import FaultPlan
 from repro.obs import Tracer
 from repro.tech import TECHNOLOGIES, evaluate_technology
-from repro.timing.full_system import FullHierarchySystem
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import generate_trace
 
@@ -40,7 +40,7 @@ FIXTURE = Path(__file__).with_name("golden_runs.json")
 FAULT_CFG = SimConfig.scaled(
     retention_us=12.5, instructions_per_core=200_000, interval_cycles=100_000
 )
-#: Technology comparisons and the L1-inclusive hierarchy.
+#: Technology comparisons.
 SMALL_INSTRUCTIONS = 300_000
 SMALL_CFG = SimConfig.scaled(instructions_per_core=SMALL_INSTRUCTIONS)
 
@@ -90,20 +90,11 @@ def technology(name: str, technique: str) -> dict:
     return {"result_sha256": _result_digest(r.result)}
 
 
-def full_hierarchy(technique: str) -> dict:
-    result = FullHierarchySystem(
-        SMALL_CFG, [_small_trace("sphinx")], technique
-    ).run()
-    return {"result_sha256": _result_digest(result)}
-
-
 CASES = {
     "trace/h264ref/esteem/jsonl": cli_trace,
     "faults/gamess/esteem/traced": faulted_traced,
     "tech/edram/esteem": lambda: technology("edram", "esteem"),
     "tech/sttram/baseline": lambda: technology("sttram", "baseline"),
-    "full/sphinx/baseline": lambda: full_hierarchy("baseline"),
-    "full/sphinx/esteem": lambda: full_hierarchy("esteem"),
 }
 
 

@@ -14,9 +14,11 @@ loops together; a mismatch here means the fast path silently diverged.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.config import SimConfig
+from repro.tech import TECHNOLOGIES, TechSystem
 from repro.timing.system import System
 from repro.workloads.multiprog import get_mix
 from repro.workloads.profiles import get_profile
@@ -29,6 +31,17 @@ TECHNIQUES = ("baseline", "rpv", "esteem", "esteem-drowsy")
 
 SINGLE_INSTRUCTIONS = 300_000
 DUAL_INSTRUCTIONS = 250_000
+
+
+def _single_traces(workload):
+    return [generate_trace(get_profile(workload), SINGLE_INSTRUCTIONS, seed=7)]
+
+
+def _dual_traces(mix):
+    return [
+        generate_trace(p, DUAL_INSTRUCTIONS, seed=7 + i)
+        for i, p in enumerate(get_mix(mix).profiles)
+    ]
 
 
 def _result_fields(r):
@@ -82,10 +95,7 @@ class TestSingleCoreEquivalence:
         config = SimConfig.scaled(
             num_cores=1, instructions_per_core=SINGLE_INSTRUCTIONS
         )
-        traces = [
-            generate_trace(get_profile(workload), SINGLE_INSTRUCTIONS, seed=7)
-        ]
-        _assert_identical(config, traces, technique)
+        _assert_identical(config, _single_traces(workload), technique)
 
 
 class TestDualCoreEquivalence:
@@ -95,11 +105,7 @@ class TestDualCoreEquivalence:
         config = SimConfig.scaled(
             num_cores=2, instructions_per_core=DUAL_INSTRUCTIONS
         )
-        traces = [
-            generate_trace(p, DUAL_INSTRUCTIONS, seed=7 + i)
-            for i, p in enumerate(get_mix(mix).profiles)
-        ]
-        _assert_identical(config, traces, technique)
+        _assert_identical(config, _dual_traces(mix), technique)
 
     @pytest.mark.parametrize("technique", TECHNIQUES)
     def test_equal_clock_ties(self, technique):
@@ -124,3 +130,31 @@ class TestDualCoreEquivalence:
         assert (
             fast.l2.stats.hits_by_position == ref.l2.stats.hits_by_position
         )
+
+
+class TestTechnologyEquivalence:
+    """``TechSystem`` runs on both loops: the write penalty every write
+    record pays, and the per-line write counts an NVM run keeps."""
+
+    @pytest.mark.parametrize("technology", ["sttram", "reram"])
+    @pytest.mark.parametrize(
+        "cores, workload", [(1, "sphinx"), (1, "mcf"), (2, "GkNe")]
+    )
+    def test_identical_results_and_write_counts(
+        self, technology, cores, workload
+    ):
+        tech = TECHNOLOGIES[technology]
+        if cores == 1:
+            instructions, traces = SINGLE_INSTRUCTIONS, _single_traces(workload)
+        else:
+            instructions, traces = DUAL_INSTRUCTIONS, _dual_traces(workload)
+        config = SimConfig.scaled(
+            num_cores=cores, instructions_per_core=instructions
+        )
+        fast = TechSystem(config, traces, tech)
+        ref = TechSystem(config, traces, tech)
+        ref.reference_loop = True
+        assert fast.write_penalty > 0
+        assert fast.run() == ref.run()
+        assert fast.l2.write_counts.sum() > 0
+        np.testing.assert_array_equal(fast.l2.write_counts, ref.l2.write_counts)
