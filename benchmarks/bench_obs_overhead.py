@@ -19,6 +19,7 @@ the number of *instruments*, never with the number of simulated records.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro.config import SimConfig
@@ -94,39 +95,64 @@ def bench_noop_instrumentation_overhead(benchmark):
     )
 
 
+#: The enabled-vs-no-op check weighs two near-equal costs, so it takes
+#: many short paired rounds: a 500k-instruction ESTEEM run is ~15 ms.
+_PAIRED_CFG = SimConfig.scaled(instructions_per_core=500_000)
+_PAIRED_ROUNDS = 31
+
+
 def bench_enabled_vs_noop_tracing(benchmark):
     """Wall-time ratio of fully-enabled tracing+metrics vs the no-op path."""
-    trace = _trace()
+    trace = generate_trace(
+        get_profile("sphinx"), _PAIRED_CFG.instructions_per_core, seed=0
+    )
 
     def run_noop():
-        return System(_CFG, [trace], "esteem").run()
+        return System(_PAIRED_CFG, [trace], "esteem").run()
 
     def run_enabled():
         return System(
-            _CFG,
+            _PAIRED_CFG,
             [trace],
             "esteem",
             tracer=Tracer(),
             metrics=MetricsRegistry(),
         ).run()
 
-    noop_seconds, noop_result = _time_best_of(run_noop)
-    enabled_seconds, enabled_result = _time_best_of(run_enabled)
+    run_noop()  # builds the trace's cached views, untimed
+    # One no-op and one enabled run per round, the side that goes first
+    # alternating.  A shared host's slow spells swing one run by up to
+    # 1.7x, so a best-of per side picks up lucky runs (its ratio spans
+    # 0.7-1.4 between invocations); the two runs of a round share a
+    # spell, and the median round discards the rounds a spell split.
+    ratios, noop_times, enabled_times = [], [], []
+    for r in range(_PAIRED_ROUNDS):
+        if r % 2:
+            enabled_seconds, enabled_result = _time_best_of(run_enabled, 1)
+            noop_seconds, noop_result = _time_best_of(run_noop, 1)
+        else:
+            noop_seconds, noop_result = _time_best_of(run_noop, 1)
+            enabled_seconds, enabled_result = _time_best_of(run_enabled, 1)
+        ratios.append(noop_seconds / enabled_seconds)
+        noop_times.append(noop_seconds)
+        enabled_times.append(enabled_seconds)
 
     # Observation must not perturb simulation outcomes.
     assert enabled_result.total_cycles == noop_result.total_cycles
     assert enabled_result.refreshes == noop_result.refreshes
 
-    ratio = enabled_seconds / noop_seconds
-    benchmark.extra_info["noop_seconds"] = round(noop_seconds, 4)
-    benchmark.extra_info["enabled_seconds"] = round(enabled_seconds, 4)
-    benchmark.extra_info["enabled_over_noop"] = round(ratio, 4)
+    noop_over_enabled = statistics.median(ratios)
+    benchmark.extra_info["noop_seconds"] = round(statistics.median(noop_times), 4)
+    benchmark.extra_info["enabled_seconds"] = round(
+        statistics.median(enabled_times), 4
+    )
+    benchmark.extra_info["enabled_over_noop"] = round(1 / noop_over_enabled, 4)
     benchmark.pedantic(run_enabled, rounds=1, iterations=1)
 
     # The no-op path must be the cheap branch (5% slack for timer noise).
-    assert noop_seconds <= enabled_seconds * 1.05, (
-        f"no-op path ({noop_seconds:.3f}s) slower than enabled tracing "
-        f"({enabled_seconds:.3f}s)"
+    assert noop_over_enabled <= 1.05, (
+        f"no-op path slower than enabled tracing: median round ratio "
+        f"{noop_over_enabled:.3f} over {_PAIRED_ROUNDS} rounds"
     )
 
 

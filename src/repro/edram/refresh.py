@@ -60,7 +60,7 @@ class RefreshEngine(ABC):
     #: re-stamp ``last_window`` leave this False.  The batch
     #: classification kernel keys its quiescence predicate on this flag:
     #: a True engine can change hit/miss outcomes at any refresh
-    #: boundary, so chunks under it are never batch-classified.
+    #: boundary, so runs under it are never batch-classified.
     mutates_cache_state: bool = False
 
     def __init__(self, state: LineState, config: RefreshConfig) -> None:

@@ -17,9 +17,10 @@ cross-machine absolute rates last):
   techniques must stay at or above :data:`BATCH_SPEEDUP_FLOOR` (1.3x).
   Machine-independent and absolute: losing the kernel (or its
   eligibility) trips this even on a freshly rebaselined record.
-  Techniques whose maintenance schedule legitimately limits the kernel
-  (ESTEEM reconfigures away from full associativity; RPV under fault
-  injection) are why this is a max, not a per-row bound.
+  ESTEEM is why this is a max, not a per-row bound: its interval
+  controller makes every ESTEEM run scalar by design (see
+  :mod:`repro.timing.batch_kernel`), so its batch and scalar paths time
+  the same loop and its ``kernel_batch_records`` is 0.
 * **reference speedup floor** -- per technique, the batch path vs the
   reference loop must stay above half the recorded speedup (floored at
   1.5x), so CI noise cannot trip it but losing the fast path will.

@@ -1,39 +1,44 @@
-"""Vectorised batch classification kernel for quiescent L2 segments.
+"""Vectorised batch classification kernel for controller-free L2 runs.
 
-Between maintenance events the shared L2 is *quiescent*: no
-reconfiguration, decay, selective-sets change, or refresh-driven
-invalidation can occur, so the hit/miss outcome, recency position, fill
-victim, and writeback of every upcoming access are a pure function of the
-current per-set state and the access sequence itself -- none of it
-depends on cycle timing.  This module precomputes all of that with NumPy
-(:func:`classify`), and :class:`BatchBuffer` packages the result for the
-slim commit loop in :meth:`System._run_fast
-<repro.timing.system.System._run_fast>`, which replays the classification
-to update cycle accounting, stats, and live line state bit-for-bit
-identically to the scalar loop.  The fast loop serves one or two cores;
-the kernel engages only when it runs one.
+With no interval controller and no fault injector, nothing between the
+first record and the end of a single-core trace pass can reconfigure,
+gate, decay or invalidate the shared L2, so the hit/miss outcome, recency
+position, fill victim and writeback of every access are a pure function
+of the starting per-set state and the access sequence itself -- none of
+it depends on cycle timing.  This module precomputes all of that with
+NumPy (:func:`classify`), and :class:`BatchBuffer` packages the result
+for the slim commit loop in :meth:`System._run_fast
+<repro.timing.system.System._run_fast>`, which replays the
+classification to update cycle accounting, stats, and live line state
+bit-for-bit identically to the scalar loop.
 
-Eligibility (the quiescence predicate) is enforced by the caller; the
-contract this kernel relies on is:
+Eligibility is decided once per run.  The caller's static half:
 
-* single core (multi-core record interleaving is cycle-dependent, so
+* one core (multi-core record interleaving is cycle-dependent, so
   outcomes cannot be precomputed), core address offset 0;
-* every set has all ways active (``n_active == associativity``) and the
-  full set mask is live -- so victim arbitration is the plain full-set
-  LRU the timestamp matrix models, and drowsy hits are impossible;
-* the refresh engine never mutates tags/valid/dirty/recency at
-  boundaries (``RefreshEngine.mutates_cache_state`` is False).  Engines
-  that merely *read* line state mid-buffer (RPV reads ``valid`` and
-  ``last_window``; periodic-valid reads ``valid``) stay accurate because
-  the commit loop keeps valid/dirty/``last_window``/tags live per
-  record -- only the recency ``order`` lists are deferred to buffer
-  retirement, and no maintenance path reads those;
-* the buffer is retired (recency orders written back via
-  :meth:`SetAssociativeCache.import_recency_orders
-  <repro.cache.cache.SetAssociativeCache.import_recency_orders>`)
-  *before* any mutating maintenance runs: the interval controller
-  (ESTEEM / selective-sets) at interval closes and the fault injector at
-  refresh boundaries.  The caller encodes those as ``limit_cycle``.
+* no interval controller (ESTEEM, drowsy ESTEEM, selective-sets) -- so
+  every set keeps all ways active and the full set mask stays live,
+  victim arbitration is the plain full-set LRU the timestamp matrix
+  models, and drowsy hits are impossible;
+* no fault injector, and a refresh engine that never mutates
+  tags/valid/dirty/recency (``RefreshEngine.mutates_cache_state`` is
+  False).  Engines that merely *read* line state mid-run (RPV reads
+  ``valid`` and ``last_window``; periodic-valid reads ``valid``) stay
+  accurate because the commit loop keeps valid/dirty/``last_window``/tags
+  live per record -- only the recency ``order`` lists are deferred, and
+  no maintenance path reads those;
+* no per-line write counts and no write penalty (technology runs).
+
+The dynamic half is :func:`build_batch`'s: it classifies the whole rest
+of the pass in one build, or declines, and a declined run stays scalar.
+A build exports ``a * U`` line entries (tags, dirty bits, recency) for
+the ``U`` touched sets of an ``a``-way cache and writes ``U`` recency
+rows back, so a stretch of fewer than ``a * U`` records cannot amortise
+it and is declined.  An accepted buffer is retired exactly once: the
+commit loop writes its recency orders back (via
+:meth:`SetAssociativeCache.import_recency_orders
+<repro.cache.cache.SetAssociativeCache.import_recency_orders>`) when it
+reaches the end of the trace, before the wrap ends the run.
 
 Classification walks the batch column-by-column: records are grouped by
 set with one stable argsort, then step ``t`` processes the ``t``-th
@@ -66,61 +71,32 @@ class BatchBuffer:
     """Classification results for trace records ``[start, end)``.
 
     The commit loop consumes the list views (one index per record); the
-    NumPy views back the per-chunk counter folds (prefix sums, bincount
+    NumPy views back the per-stint counter folds (prefix sums, bincount
     histograms) and the retirement-time recency reconstruction.
     """
 
     __slots__ = (
         "start",
         "end",
-        "n",
-        "limit_cycle",
         "uniq_sets",
         "ts_mat",
-        "ts0_mat",
-        "row_np",
-        "way_np",
-        "hit_np",
         "pos_np",
-        "wb_np",
         "hits_cum",
-        "pf_np",
         "g_list",
         "miss_data",
         "miss_ptr",
     )
 
-    def __init__(self, start, end, limit_cycle):
+    def __init__(self, start, end):
         self.start = start
         self.end = end
-        self.n = end - start
-        self.limit_cycle = limit_cycle
         self.miss_ptr = 0
 
-    def recency_orders(self, committed: int):
-        """Recency orders for the sets touched by the first ``committed``
-        records, as ``(set_indices, order_matrix)`` ready for
-        ``import_recency_orders``.
-
-        For a fully-committed buffer the final timestamp matrix is used
-        directly.  For a partial commit the timestamps are rebuilt from
-        the seeds plus a max-scatter of the committed record indices --
-        a later access always carries a larger index, so ``maximum.at``
-        over duplicate ways reproduces last-access-wins exactly.
-        """
-        if committed >= self.n:
-            ts = self.ts_mat
-            rows = None
-        else:
-            ts = self.ts0_mat.copy()
-            a = ts.shape[1]
-            flat = ts.reshape(-1)
-            lin = self.row_np[:committed] * a + self.way_np[:committed]
-            np.maximum.at(flat, lin, np.arange(committed, dtype=ts.dtype))
-            rows = np.unique(self.row_np[:committed])
-        if rows is None:
-            return self.uniq_sets, np.argsort(-ts, axis=1)
-        return self.uniq_sets[rows], np.argsort(-ts[rows], axis=1)
+    def recency_orders(self):
+        """Post-batch recency orders of the touched sets, as
+        ``(set_indices, order_matrix)`` ready for ``import_recency_orders``
+        (the final timestamp matrix, most recent way first)."""
+        return self.uniq_sets, np.argsort(-self.ts_mat, axis=1)
 
 
 def classify(addrs, writes, perm, tags_mat, ts_mat, dirty_mat, starts, counts):
@@ -215,22 +191,13 @@ def classify(addrs, writes, perm, tags_mat, ts_mat, dirty_mat, starts, counts):
     return hit, way, pos, old_tag, wb
 
 
-def build_batch(
-    l2,
-    trace,
-    start,
-    end,
-    limit_cycle,
-    leader_np=None,
-    module_np=None,
-):
+def build_batch(l2, trace, start, end):
     """Classify trace records ``[start, end)`` against the live cache.
 
     Returns a ready-to-commit :class:`BatchBuffer`, or ``None`` when the
-    stretch is too small or too set-skewed to win over the scalar loop
-    (the caller falls back for this chunk and may retry later).
-    ``leader_np``/``module_np`` enable the ATD profile-histogram fold
-    (``None`` when no profiler is attached).
+    stretch cannot win over the scalar loop: too short, too set-skewed,
+    or too sparse -- fewer records than the ``associativity x U`` line
+    entries the export copies for the ``U`` sets it touches.
     """
     n = end - start
     if n < MIN_BATCH_RECORDS:
@@ -251,44 +218,30 @@ def build_batch(
     change[0] = True
     np.not_equal(ss[1:], ss[:-1], out=change[1:])
     starts = np.flatnonzero(change)
+    a = l2.associativity
+    if n < a * starts.size:
+        return None
     uniq = ss[starts]
     counts = np.diff(np.append(starts, n))
     if int(counts.max()) > MAX_SET_RECORDS:
         return None
 
-    a = l2.associativity
-    tags_mat, ts0_mat, dirty_mat = l2.export_batch_state(uniq)
-    ts_mat = ts0_mat.copy()
+    # The export is a fresh copy, so classify() may advance it in place.
+    tags_mat, ts_mat, dirty_mat = l2.export_batch_state(uniq)
     hit, way, pos, old_tag, wb = classify(
         addrs, writes, order, tags_mat, ts_mat, dirty_mat, starts, counts,
     )
 
-    kb = BatchBuffer(start, end, limit_cycle)
+    kb = BatchBuffer(start, end)
     kb.uniq_sets = uniq
     kb.ts_mat = ts_mat
-    kb.ts0_mat = ts0_mat
-    # Row index per record, recovered from the grouping itself (a cumsum
-    # over the change flags, unsorted via one scatter) -- much cheaper
-    # than a searchsorted of every record against ``uniq``.
-    rows_sorted = np.cumsum(change) - 1
-    row_np = np.empty(n, dtype=np.int64)
-    row_np[order] = rows_sorted
-    kb.row_np = row_np
-    kb.way_np = way
-    kb.hit_np = hit
     kb.pos_np = pos
-    kb.wb_np = wb
-    # Prefix sums (leading zero) let a chunk fold its hit/miss/writeback
-    # deltas in O(1) regardless of chunk length.
+    # Prefix sums (leading zero) let a stint fold its hit/miss deltas in
+    # O(1) regardless of stint length.
     hits_cum = np.empty(n + 1, dtype=np.int64)
     hits_cum[0] = 0
     np.add.accumulate(hit, dtype=np.int64, out=hits_cum[1:])
     kb.hits_cum = hits_cum
-    if leader_np is not None:
-        lead = leader_np[set_idx] & hit
-        kb.pf_np = np.where(lead, module_np[set_idx] * a + pos, -1)
-    else:
-        kb.pf_np = None
 
     # Commit-loop views: ``g_list[j]`` is the global line index touched
     # by hit record ``j`` (base + way), or ``-(set_index + 1)`` on a miss

@@ -63,7 +63,7 @@ from repro.obs.trace import (
     Tracer,
     active_tracer,
 )
-from repro.timing.batch_kernel import MIN_BATCH_RECORDS, build_batch
+from repro.timing.batch_kernel import build_batch
 from repro.timing.core_model import CoreResult, CoreState
 from repro.workloads.trace import Trace
 
@@ -276,8 +276,8 @@ class System:
         #: reference loop instead of the fast loop, traced or not.  The
         #: equivalence tests run both and assert identical results.
         self.reference_loop = reference_loop
-        #: When True (default), the fast loop may classify quiescent
-        #: stretches of a single-core run in bulk with the batch kernel
+        #: When True (default), the fast loop may classify an eligible
+        #: single-core run in bulk with the batch kernel
         #: (:mod:`repro.timing.batch_kernel`); False pins the scalar fast
         #: loop (the throughput gate measures both).  Results are
         #: bit-identical either way.
@@ -498,21 +498,6 @@ class System:
 
         return max(c.cycles for c in cores)
 
-    def _retire_batch(self, kb, next_i: int) -> None:
-        """Write a batch buffer's deferred recency orders back to the sets.
-
-        ``next_i`` is the first uncommitted record index; only the prefix
-        the commit loop actually replayed is applied (classification ran
-        ahead of it, so a partial commit rebuilds timestamps from the
-        seeds -- see :meth:`BatchBuffer.recency_orders
-        <repro.timing.batch_kernel.BatchBuffer.recency_orders>`).
-        """
-        committed = next_i - kb.start
-        if committed <= 0:
-            return
-        set_rows, orders = kb.recency_orders(committed)
-        self.l2.import_recency_orders(set_rows, orders)
-
     def _run_fast(self, cores: list[CoreState]) -> float:
         """Fully inlined event-horizon loop for one or two cores.
 
@@ -602,49 +587,37 @@ class System:
         # miscount residency from ``len(tag_map)``.
         drowsy_mode = cfg.esteem.gating_mode == "drowsy"
 
-        # --- batch-kernel eligibility (static half) --------------------
-        # The kernel precomputes hit/miss/victim/position for a stretch of
-        # records, which is only sound when nothing timing-dependent can
-        # change the outcome mid-stretch: one core only (shared-L2
-        # interleaving depends on per-access latency), the refresh engine
-        # must never mutate tags/valid/dirty/recency at boundaries, the
-        # per-line write counts and the write penalty must be off (every
-        # technology run arms the counts), and the core's address offset
-        # must be zero so the raw trace columns are the access stream.  The
-        # dynamic half (all ways active, full set mask) is re-checked
-        # before every batch build.
+        # --- batch-kernel eligibility, decided once per run -------------
+        # The kernel precomputes hit/miss/victim/position for the rest of
+        # the pass, which is only sound when nothing timing-dependent can
+        # change an outcome before the trace ends: one core only
+        # (shared-L2 interleaving depends on per-access latency), no
+        # interval controller (nothing gates ways or sets), no fault
+        # injector and a refresh engine that never mutates tags, valid,
+        # dirty or recency state, the per-line write counts and the write
+        # penalty off (every technology run arms the counts), and a zero
+        # address offset so the raw trace columns are the access stream.
+        # One build covers every record of the pass or the run stays
+        # scalar (see :func:`build_batch` for when it declines); the
+        # buffer is retired once, by the full commit at the end of the
+        # trace.  The list views it replays are built only for a buffer.
         core0 = cores[0]
-        trace = core0.cursor.trace
-        esteem = self.esteem
-        injector = self.fault_injector
-        use_kernel = (
+        kb = None
+        if (
             self.batch_kernel
             and not two
+            and self.esteem is None
+            and self.fault_injector is None
             and not type(engine).mutates_cache_state
             and write_counts is None
             and not wpen
             and core0.addr_offset == 0
-        )
-        es_reconfig = (
-            esteem.reconfig if isinstance(esteem, EsteemController) else None
-        )
-        set_mask = l2.set_mask
-        leader_np = module_np = None
-        if use_kernel and profile_hist is not None:
-            leader_np = np.array([s.is_leader for s in sets], dtype=bool)
-            module_np = np.asarray(module_of_set, dtype=np.int64)
-        if use_kernel:
-            addrs_l, writes_l, _gaps_l = trace.columns()
-            gcpi_l = trace.gcpi_list(core0.base_cpi)
-        kb = None
-        # Skew fallback: when a stretch is too set-skewed for the kernel,
-        # stay scalar through it instead of re-attempting a build every
-        # chunk over the same records.
-        kb_skip_until = -1
-        # Adaptive batch sizing: cycles-per-record estimate from the last
-        # committed batch (deterministic -- derived from simulated state
-        # only), used to size a batch to its limit cycle.
-        cpr_est = 0.0
+        ):
+            trace = core0.cursor.trace
+            kb = build_batch(l2, trace, i_[0], n_[0])
+            if kb is not None:
+                addrs_l, writes_l, _gaps_l = trace.columns()
+                gcpi_l = trace.gcpi_list(core0.base_cpi)
 
         while running:
             # Select the core with the smallest clock; ``oc`` is the other
@@ -657,12 +630,6 @@ class System:
                     ci = 1
                     cycles, oc = oc, cycles
             now = int(cycles)
-            if kb is not None and now >= kb.limit_cycle:
-                # A maintenance event that can mutate cache state (interval
-                # close / fault-injection boundary) is due: write the
-                # deferred recency orders back before it runs.
-                self._retire_batch(kb, i_[0])
-                kb = None
             while now >= next_interval:
                 self._close_interval(next_interval)
                 next_interval += interval_cycles
@@ -698,54 +665,6 @@ class System:
             mm_reads = mm_reads0 = memory.reads
             mm_writes = mm_writes0 = memory.writes
             mm_qwait = memory.total_queue_wait
-            # --- batch-kernel eligibility (dynamic half) + build -------
-            if (
-                kb is None
-                and use_kernel
-                and i_[0] >= kb_skip_until
-                and n_[0] - i_[0] >= MIN_BATCH_RECORDS
-            ):
-                # Quiescent right now?  Full set mask live (selective-sets
-                # parked) and every module at full associativity (ESTEEM
-                # parked) -- then no gated way can exist, so hit/miss,
-                # victim, and recency outcomes are timing-independent
-                # until the next mutating maintenance event.
-                quiescent = l2.active_set_mask == set_mask and (
-                    es_reconfig is None
-                    or all(c == a for c in es_reconfig.current)
-                )
-                if quiescent:
-                    # The batch must be retired before the next event that
-                    # can mutate cache state: an interval close while a
-                    # controller is attached (reconfigure/flush), or a
-                    # refresh boundary while the fault injector is armed
-                    # (it latches flips only at boundaries, so injected
-                    # runs stay eligible between them).
-                    limit = next_interval if esteem is not None else inf
-                    if injector is not None and nb < limit:
-                        limit = nb
-                    i = i_[0]
-                    n_rec = n_[0]
-                    if limit == inf:
-                        end = n_rec
-                    else:
-                        # Size the batch to its limit cycle from the last
-                        # batch's cycles-per-record (deterministic: both
-                        # operands are simulated state), with headroom so
-                        # one build usually covers the whole stretch.
-                        if cpr_est <= 0.0:
-                            cpr_est = (
-                                gi_cum_[0][n_rec - 1] / n_rec
-                            ) * core0.base_cpi + lat_base + 1.0
-                        est = int((limit - now) / cpr_est * 1.25) + 64
-                        end = i + est if est < n_rec - i else n_rec
-                    kb = build_batch(
-                        l2, trace, i, end, limit, leader_np, module_np
-                    )
-                    if kb is None:
-                        # Too small or too set-skewed: stay scalar through
-                        # this stretch rather than re-probing every chunk.
-                        kb_skip_until = end
             while True:
                 # --- one stint of core ``ci`` --------------------------
                 i = i0 = i_[ci]
@@ -758,7 +677,7 @@ class System:
                     # arithmetic (queue order, int(cycles) capture) so
                     # accounting stays bit-identical.  Recency promotion
                     # is the one deferred piece -- orders are rebuilt at
-                    # retirement.
+                    # the end of the trace.
                     kstart = kb.start
                     kend = kb.end
                     g_l = kb.g_list
@@ -766,7 +685,6 @@ class System:
                     mi = kb.miss_ptr
                     lat_miss0 = lat_miss0_[0]
                     mlp = mlp_[0]
-                    cyc0 = cycles
                     next_chk = window_end if window_end < horizon else horizon
                     for i in range(i, kend):
                         if cycles >= next_chk:
@@ -1020,26 +938,11 @@ class System:
                         ):
                             if cnt:
                                 hbp[p] += cnt
-                    if kb.pf_np is not None:
-                        pf = kb.pf_np[c0:c1]
-                        pf = pf[pf >= 0]
-                        if pf.size:
-                            folded = np.bincount(
-                                pf, minlength=len(profile_hist) * a
-                            ).tolist()
-                            fk = 0
-                            for mrow in profile_hist:
-                                for p in range(a):
-                                    cnt = folded[fk]
-                                    if cnt:
-                                        mrow[p] += cnt
-                                    fk += 1
                     self.kernel_batch_records += c1 - c0
-                    cpr_est = (cycles - cyc0) / (c1 - c0)
                     if i >= kend:
-                        # Fully committed: write the recency orders back.
-                        set_rows, orders = kb.recency_orders(kb.n)
-                        l2.import_recency_orders(set_rows, orders)
+                        # Fully committed at the end of the trace: write
+                        # the recency orders back before the wrap.
+                        l2.import_recency_orders(*kb.recency_orders())
                         kb = None
                 cycles_[ci] = cycles
                 i_[ci] = i
@@ -1073,10 +976,6 @@ class System:
                 mm_writes, mm_writes0, mm_qwait,
             )
 
-        if kb is not None:
-            # Unreachable today (a wrap always retires the batch first),
-            # but keeps the deferred-order invariant local to this method.
-            self._retire_batch(kb, i_[0])
         self.kernel_scalar_records += (
             sum(w * n + i for w, n, i in zip(wraps_, n_, i_))
             - pos0

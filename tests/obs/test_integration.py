@@ -91,8 +91,13 @@ class TestTracing:
 
 def _sphinx_narrow_channel():
     # A 0.5 GB/s channel makes the batch commit loop's misses queue, so
-    # its stall emission is exercised too.
-    cfg = replace(CFG, memory=replace(CFG.memory, bandwidth_bytes_per_sec=0.5e9))
+    # its stall emission is exercised too.  A 256 KB L2 gives the batch
+    # kernel's density rule enough records per touched set (23 of 16).
+    cfg = replace(
+        CFG,
+        memory=replace(CFG.memory, bandwidth_bytes_per_sec=0.5e9),
+        l2=replace(CFG.l2, size_bytes=256 * 1024),
+    )
     trace = generate_trace(get_profile("sphinx"), cfg.instructions_per_core, seed=0)
     return cfg, [trace], "baseline", None
 

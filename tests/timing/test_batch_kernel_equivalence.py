@@ -1,12 +1,13 @@
 """Golden equivalence: batch classification kernel vs the reference loop.
 
 The batch kernel (:mod:`repro.timing.batch_kernel`) precomputes hit/miss
-outcomes for quiescent stretches and replays them through a slim commit
-loop.  Like the fast loop it rides in, it is a pure performance
-transformation: every field of the :class:`SystemResult` -- including the
-fault-injection counters -- must match the straight-line reference loop
-*bit for bit* whenever it engages, and it must engage only when the
-quiescence predicate holds (falling back to the scalar loop otherwise).
+outcomes for a whole controller-free single-core pass and replays them
+through a slim commit loop.  Like the fast loop it rides in, it is a pure
+performance transformation: every field of the :class:`SystemResult` --
+including the fault-injection counters -- must match the straight-line
+reference loop *bit for bit* whenever it engages, and it must engage only
+when the run is eligible and the build pays (falling back to the scalar
+loop otherwise).
 
 The matrix here covers all four techniques, single- and dual-core
 workloads, and fault injection on/off.  Engagement itself is asserted via
@@ -14,27 +15,39 @@ the ``kernel.batch_records`` / ``kernel.scalar_records`` counters so a
 silent always-fallback regression cannot pass as equivalence.
 """
 
+import numpy as np
 import pytest
 
-from repro.config import SimConfig
+from repro.cache.cache import SetAssociativeCache
+from repro.config import CacheGeometry, SimConfig
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.obs import MetricsRegistry
+from repro.timing.batch_kernel import MIN_BATCH_RECORDS, build_batch
 from repro.timing.system import System
 from repro.workloads.multiprog import get_mix
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import generate_trace
+from repro.workloads.trace import Trace
 
 from tests.timing.test_fast_loop_equivalence import _result_fields
 
 TECHNIQUES = ("baseline", "rpv", "esteem", "esteem-drowsy")
 
-SINGLE_INSTRUCTIONS = 300_000
+#: A single-core input the kernel's density rule accepts: 9,878 sphinx
+#: records over the 512 sets of a 512 KB, 16-way L2 (19 per set, against
+#: a floor of 16), with 2,320 hits and 7,558 misses, so the commit loop
+#: replays both kinds, and two interior interval closes.  At 300k
+#: instructions on the default 4 MB L2 the same workload has 1.4 records
+#: per touched set, and the build declines.
+SINGLE_INSTRUCTIONS = 1_000_000
+SINGLE_L2_BYTES = 512 * 1024
 DUAL_INSTRUCTIONS = 250_000
 
 #: Exercises both fault planes the kernel must coexist with: rate-drawn
 #: multi-bit flips (uncorrectable -> invalidations that change later
 #: hit/miss outcomes) and explicit events.  Faults latch at refresh
-#: boundaries, which the kernel treats as buffer-retirement limits.
+#: boundaries and can invalidate lines mid-pass, so a faulted run never
+#: builds a batch.
 FAULT_PLAN = FaultPlan(
     seed=11,
     flip_rate=2e-4,
@@ -55,6 +68,14 @@ def _fields_with_faults(r):
     return fields
 
 
+def _single_core_input():
+    config = SimConfig.scaled(
+        num_cores=1, instructions_per_core=SINGLE_INSTRUCTIONS
+    ).with_l2(size_bytes=SINGLE_L2_BYTES)
+    trace = generate_trace(get_profile("sphinx"), SINGLE_INSTRUCTIONS, seed=7)
+    return config, [trace]
+
+
 def _assert_batch_identical(config, traces, technique, fault_plan):
     batch_system = System(
         config, traces, technique=technique, fault_plan=fault_plan,
@@ -69,6 +90,12 @@ def _assert_batch_identical(config, traces, technique, fault_plan):
     bf, rf = _fields_with_faults(batch), _fields_with_faults(ref)
     for key in bf:
         assert bf[key] == rf[key], f"{technique}: {key} diverged"
+    # The run leaves the same cache behind: a batch's deferred recency
+    # orders are written back when its commit loop reaches the trace end.
+    for got, want in zip(batch_system.l2.sets, ref_system.l2.sets):
+        assert (got.tags, got.order) == (want.tags, want.order), (
+            f"{technique}: set {got.index} diverged"
+        )
     return batch_system, ref_system
 
 
@@ -76,24 +103,63 @@ class TestSingleCoreBatchEquivalence:
     @pytest.mark.parametrize("technique", TECHNIQUES)
     @pytest.mark.parametrize("faults", [False, True], ids=["nofaults", "faults"])
     def test_identical_results(self, technique, faults):
-        config = SimConfig.scaled(
-            num_cores=1, instructions_per_core=SINGLE_INSTRUCTIONS
-        )
-        traces = [
-            generate_trace(get_profile("sphinx"), SINGLE_INSTRUCTIONS, seed=7)
-        ]
+        config, traces = _single_core_input()
         system, _ = _assert_batch_identical(
             config, traces, technique, FAULT_PLAN if faults else None
         )
-        # The kernel must actually have engaged on eligible stretches --
-        # equivalence with zero batch records would be vacuous.  The one
-        # legitimately scalar cell is RPV+faults: RPV's refresh boundary
-        # is every phase, so injected runs never see a stretch of
-        # MIN_BATCH_RECORDS between retirement limits.
-        if technique == "rpv" and faults:
-            assert system.kernel_batch_records == 0
+        # Every fault-free baseline/RPV run builds one batch that covers
+        # the whole pass -- equivalence with zero batch records would be
+        # vacuous.  An interval controller (ESTEEM, drowsy ESTEEM) or a
+        # fault injector makes the run scalar by design, though this
+        # input is dense enough for the build to pay.
+        if technique in ("baseline", "rpv") and not faults:
+            assert system.kernel_batch_records == len(traces[0])
+            assert system.kernel_scalar_records == 0
         else:
-            assert system.kernel_batch_records > 0
+            assert system.kernel_batch_records == 0
+
+
+class TestDensityRule:
+    """A build declines a stretch with fewer records than the
+    ``associativity x touched sets`` line entries it exports."""
+
+    SETS = 64
+    WAYS = 16
+    TOUCHED = 40
+
+    def _trace(self, n):
+        # Record k touches set k % TOUCHED with one of two tags, so every
+        # set sees a miss and then hits: TOUCHED of the SETS sets in use.
+        k = np.arange(n)
+        tag = k % (2 * self.TOUCHED) // self.TOUCHED
+        addrs = tag * self.SETS + k % self.TOUCHED
+        return Trace(
+            name="dense", addrs=addrs, writes=k % 3 == 0,
+            gaps=np.ones(n, dtype=np.int64),
+        )
+
+    def test_declines_one_record_below_the_floor_and_builds_at_it(self):
+        l2 = SetAssociativeCache(
+            CacheGeometry(
+                size_bytes=self.SETS * self.WAYS * 64, associativity=self.WAYS
+            )
+        )
+        floor = self.WAYS * self.TOUCHED
+        assert floor > MIN_BATCH_RECORDS  # the density rule is what decides
+        assert build_batch(l2, self._trace(floor - 1), 0, floor - 1) is None
+        kb = build_batch(l2, self._trace(floor), 0, floor)
+        assert kb is not None
+        assert len(kb.g_list) == floor
+        assert kb.uniq_sets.tolist() == list(range(self.TOUCHED))
+
+    def test_declined_run_is_scalar_and_identical(self):
+        # Sphinx at 300k instructions on the default 4 MB L2: 3,003
+        # records over 2,117 touched sets, far below 16 per set.
+        config = SimConfig.scaled(num_cores=1, instructions_per_core=300_000)
+        traces = [generate_trace(get_profile("sphinx"), 300_000, seed=7)]
+        system, _ = _assert_batch_identical(config, traces, "baseline", None)
+        assert system.kernel_batch_records == 0
+        assert system.kernel_scalar_records == len(traces[0])
 
 
 class TestDualCoreBatchEquivalence:
@@ -130,15 +196,10 @@ class TestBatchKernelMetricsParity:
 
     def _metrics(self, batch_kernel, reference_loop):
         registry = MetricsRegistry()
-        config = SimConfig.scaled(
-            num_cores=1, instructions_per_core=SINGLE_INSTRUCTIONS
-        )
-        trace = generate_trace(
-            get_profile("sphinx"), SINGLE_INSTRUCTIONS, seed=7
-        )
+        config, traces = _single_core_input()
         System(
             config,
-            [trace],
+            traces,
             technique="baseline",
             metrics=registry,
             batch_kernel=batch_kernel,
