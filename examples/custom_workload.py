@@ -1,14 +1,13 @@
 #!/usr/bin/env python
 """Scenario: bringing your own workload to the simulator.
 
-Shows the two ways to drive the substrate with custom traffic:
+Shows the two ways to drive the simulator with custom traffic:
 
 1. Define a :class:`BenchmarkProfile` for the synthetic generator -- here,
    a "key-value store" with a hot index, a scan phase (compaction), and a
    cold log stream -- and run it through the full technique comparison.
 2. Build a :class:`Trace` by hand (e.g. converted from a real application
-   trace) and run it directly, plus drive the two-level hierarchy
-   explicitly for instruction-level experiments.
+   trace) and run it directly.
 
 Usage::
 
@@ -18,9 +17,6 @@ Usage::
 from __future__ import annotations
 
 from repro import Runner, SimConfig
-from repro.cache import TwoLevelHierarchy
-from repro.cache.cache import SetAssociativeCache
-from repro.config import CacheGeometry
 from repro.experiments.report import format_table
 from repro.timing.system import System
 from repro.workloads.profiles import BenchmarkProfile
@@ -105,31 +101,6 @@ def run_handmade_trace() -> None:
     )
 
 
-def drive_hierarchy_directly() -> None:
-    """Instruction-level experiments can use the two-level hierarchy."""
-    l2 = SetAssociativeCache(
-        CacheGeometry(size_bytes=256 * 1024, associativity=16, latency_cycles=12),
-        name="L2",
-    )
-    l1_geo = CacheGeometry(size_bytes=32 * 1024, associativity=4, latency_cycles=2)
-    core0 = TwoLevelHierarchy(l1_geo, l2, core_id=0)
-    core1 = TwoLevelHierarchy(l1_geo, l2, core_id=1)
-
-    served = {"L1": 0, "L2": 0, "MEM": 0}
-    for i in range(20_000):
-        # Core 0: small hot set (fits L1) with an occasional cold touch.
-        addr = (i % 300) if i % 16 else (10_000 + i)
-        served[core0.access(addr, i % 4 == 0).served_by] += 1
-        # Core 1: medium working set (fits the shared L2, not its L1).
-        served[core1.access((i * 7) % 3_000, False).served_by] += 1
-    total = sum(served.values())
-    print(
-        "\ntwo cores sharing one L2 (explicit hierarchy): "
-        + ", ".join(f"{k}={v / total:.1%}" for k, v in served.items())
-    )
-
-
 if __name__ == "__main__":
     run_generated_workload()
     run_handmade_trace()
-    drive_hierarchy_directly()

@@ -3,10 +3,10 @@
 A from-scratch Python reproduction of Mittal, Vetter & Li, *"Improving
 Energy Efficiency of Embedded DRAM Caches for High-end Computing Systems"*
 (HPDC 2014): the ESTEEM dynamic cache-reconfiguration technique, the
-Refrint polyphase-valid baseline, and the complete simulation substrate
-(trace-driven multi-core cache hierarchy, eDRAM refresh machinery, energy
-model, synthetic SPEC/HPC workload proxies) needed to regenerate every
-figure and table of the paper's evaluation.
+Refrint polyphase-valid baseline, and the simulation substrate
+(a trace-driven multi-core model of the shared L2 and main memory, eDRAM
+refresh machinery, energy model, synthetic SPEC/HPC workload proxies)
+needed to regenerate every figure and table of the paper's evaluation.
 
 Quickstart
 ----------
@@ -24,7 +24,7 @@ from repro.config import (
     RefreshConfig,
     SimConfig,
 )
-from repro.cache import SetAssociativeCache, TwoLevelHierarchy
+from repro.cache import SetAssociativeCache
 from repro.core import EsteemController, esteem_decide
 from repro.core.selective_sets import SelectiveSetsController
 from repro.edram import (
@@ -82,7 +82,6 @@ __all__ = [
     "SimConfig",
     "System",
     "SystemResult",
-    "TwoLevelHierarchy",
     "aggregate",
     "counter_overhead_percent",
     "esteem_decide",

@@ -1,27 +1,19 @@
-"""Set-associative cache substrate (systems S1-S2 in DESIGN.md).
+"""Set-associative cache substrate (system S1 in DESIGN.md).
 
-This package provides the generic cache machinery the rest of the
-reproduction builds on: true-LRU set-associative caches with per-way enable
-masks, dirty/valid bookkeeping backed by NumPy state arrays (shared with the
-refresh engines), a two-level hierarchy for instruction-level traces, and a
-writeback-buffer model.
+This package provides the cache the simulator drives with post-L1
+traces: a true-LRU set-associative L2 with per-way enable masks and
+dirty/valid bookkeeping backed by NumPy state arrays (shared with the
+refresh engines).  Writebacks go straight to the memory channel
+(:class:`repro.mem.dram.MainMemory`), which posts them.
 """
 
 from repro.cache.block import LineState
-from repro.cache.lru import LRUStack
 from repro.cache.cacheset import CacheSet
-from repro.cache.cache import AccessOutcome, CacheStats, SetAssociativeCache
-from repro.cache.hierarchy import HierarchyResult, TwoLevelHierarchy
-from repro.cache.mshr import WritebackBuffer
+from repro.cache.cache import CacheStats, SetAssociativeCache
 
 __all__ = [
-    "AccessOutcome",
     "CacheSet",
     "CacheStats",
-    "HierarchyResult",
-    "LRUStack",
     "LineState",
     "SetAssociativeCache",
-    "TwoLevelHierarchy",
-    "WritebackBuffer",
 ]

@@ -58,10 +58,6 @@ class LineState:
         """Number of valid lines."""
         return int(self.valid.sum())
 
-    def valid_active_count(self) -> int:
-        """Number of valid lines residing in powered-on ways."""
-        return int(np.count_nonzero(self.valid & self.active))
-
     def active_count(self) -> int:
         """Number of powered-on lines (valid or not)."""
         return int(np.count_nonzero(self.active))

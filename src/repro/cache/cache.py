@@ -32,18 +32,7 @@ from repro.cache.block import LineState
 from repro.cache.cacheset import CacheSet
 from repro.config import CacheGeometry
 
-__all__ = ["AccessOutcome", "CacheStats", "SetAssociativeCache"]
-
-
-@dataclass
-class AccessOutcome:
-    """Result of a single cache access (cold-path convenience wrapper)."""
-
-    hit: bool
-    #: Recency position of the hit (0 = MRU), or -1 on a miss.
-    position: int
-    #: Line address written back due to a dirty eviction, or -1.
-    writeback_addr: int
+__all__ = ["CacheStats", "SetAssociativeCache"]
 
 
 @dataclass
@@ -61,10 +50,6 @@ class CacheStats:
     @property
     def accesses(self) -> int:
         return self.hits + self.misses
-
-    def miss_rate(self) -> float:
-        total = self.accesses
-        return self.misses / total if total else 0.0
 
 
 class SetAssociativeCache:
@@ -123,9 +108,6 @@ class SetAssociativeCache:
 
     def set_index(self, line_addr: int) -> int:
         return line_addr & self.set_mask
-
-    def tag_of(self, line_addr: int) -> int:
-        return line_addr >> self.set_bits
 
     def line_addr(self, set_index: int, tag: int) -> int:
         return (tag << self.set_bits) | set_index
@@ -251,13 +233,6 @@ class SetAssociativeCache:
     # Cold paths
     # ------------------------------------------------------------------
 
-    def access_outcome(
-        self, line_addr: int, is_write: bool, window: int = 0
-    ) -> AccessOutcome:
-        """Typed wrapper around :meth:`access` for tests and examples."""
-        hit, pos, wb = self.access(line_addr, is_write, window)
-        return AccessOutcome(hit=hit, position=pos, writeback_addr=wb)
-
     def contains(self, line_addr: int) -> bool:
         """Whether the line is resident (no LRU update)."""
         cset = self.sets[line_addr & self.active_set_mask]
@@ -302,9 +277,6 @@ class SetAssociativeCache:
         self.state.dirty[:] = False
         self.state.last_window[:] = -1
 
-    def leader_sets(self) -> list[int]:
-        return [c.index for c in self.sets if c.is_leader]
-
     # ------------------------------------------------------------------
     # Bulk tag/recency export-import (batch classification kernel)
     # ------------------------------------------------------------------
@@ -325,8 +297,8 @@ class SetAssociativeCache:
             ``(len(set_indices), associativity)``:
 
             * ``tags_mat`` -- stored line addresses, ``-1`` for invalid
-              ways (see :meth:`CacheSet.tags_row
-              <repro.cache.cacheset.CacheSet.tags_row>`);
+              ways (line addresses are non-negative, so the sentinel is
+              unambiguous);
             * ``ts0_mat`` -- synthetic last-access timestamps encoding the
               current recency order: way at recency position ``p`` gets
               ``-(1 + p)``, so MRU is the largest and every value is

@@ -1,17 +1,17 @@
 """One cache set: tags, recency order, tag->way map, and the enable count.
 
 Hot-path note (see the optimisation guide): :meth:`SetAssociativeCache.access
-<repro.cache.cache.SetAssociativeCache.access>` manipulates the public list
-attributes of this class directly instead of going through method calls --
-the per-access cost budget is a couple of microseconds and Python call
-overhead would dominate.  The methods here implement the *cold* paths
-(fills, flushes, invariant checks) and give tests a tidy interface.
+<repro.cache.cache.SetAssociativeCache.access>` and the timing fast loop
+manipulate the public list attributes of this class directly instead of
+going through method calls -- the per-access cost budget is a couple of
+microseconds and Python call overhead would dominate.  The few methods
+here serve invalidation, the batch kernel's export and invariant checks.
 
 Every mutation of ``tags`` must keep ``tag_map`` (the O(1) lookup index)
-in sync; the cold-path helpers below do so, and the handful of hot/cold
-paths that write ``tags[way]`` directly (cache fill, reconfiguration
-shrink, refresh-engine invalidations, prefill) update both structures in
-place.  :meth:`check_invariants` asserts the mirror stays exact.
+in sync; :meth:`drop_way` does so, and the hot/cold paths that write
+``tags[way]`` directly (cache fill, reconfiguration shrink, refresh-engine
+invalidations, the warm-image clone) update both structures in place.
+:meth:`check_invariants` asserts the mirror stays exact.
 """
 
 from __future__ import annotations
@@ -67,38 +67,6 @@ class CacheSet:
         self.n_active = associativity
         self.is_leader = is_leader
 
-    # ------------------------------------------------------------------
-    # Cold-path operations
-    # ------------------------------------------------------------------
-
-    def find(self, tag: int) -> int:
-        """Way holding ``tag``, or ``-1``."""
-        return self.tag_map.get(tag, -1)
-
-    def victim_way(self) -> int:
-        """Pick the fill victim among the enabled ways.
-
-        Preference order: an enabled invalid way, else the least recently
-        used enabled way.
-        """
-        n = self.n_active
-        tags = self.tags
-        for way in range(n):
-            if tags[way] is None:
-                return way
-        for way in reversed(self.order):
-            if way < n:
-                return way
-        raise RuntimeError("set has no enabled way")  # pragma: no cover
-
-    def install(self, way: int, tag: int) -> None:
-        """Place ``tag`` into ``way`` (cold-path fill; keeps the map)."""
-        old = self.tags[way]
-        if old is not None:
-            del self.tag_map[old]
-        self.tags[way] = tag
-        self.tag_map[tag] = way
-
     def drop_way(self, way: int) -> int | None:
         """Clear ``way``'s tag (map kept in sync); returns the old tag."""
         tag = self.tags[way]
@@ -107,54 +75,9 @@ class CacheSet:
             self.tags[way] = None
         return tag
 
-    def flush_way(self, way: int, state: LineState) -> tuple[int | None, bool]:
-        """Invalidate ``way``; returns ``(evicted_tag, was_dirty)``.
-
-        The caller is responsible for issuing a writeback when the line was
-        dirty and for demoting the way in the recency order if desired.
-        """
-        tag = self.tags[way]
-        if tag is None:
-            return None, False
-        g = state.gidx(self.index, way)
-        was_dirty = bool(state.dirty[g])
-        state.valid[g] = False
-        state.dirty[g] = False
-        self.tags[way] = None
-        del self.tag_map[tag]
-        return tag, was_dirty
-
     def resident_tags(self) -> list[int]:
         """Tags of all valid lines (test helper)."""
         return [t for t in self.tags if t is not None]
-
-    # ------------------------------------------------------------------
-    # Bulk export / import (batch classification kernel)
-    # ------------------------------------------------------------------
-
-    def tags_row(self, sentinel: int = -1) -> list[int]:
-        """The ``tags`` list with ``None`` mapped to ``sentinel``.
-
-        Line addresses are non-negative, so a negative sentinel is
-        unambiguous; the batch kernel stacks these rows into the int64
-        tag matrix it classifies against.
-        """
-        return [sentinel if t is None else t for t in self.tags]
-
-    def set_order_checked(self, order: list[int]) -> None:
-        """Replace the recency order after validating it is a permutation.
-
-        The batch kernel reconstructs recency orders from its timestamp
-        matrix at buffer retirement; a malformed row here would silently
-        corrupt every later victim choice, so reject anything that is not
-        a permutation of the way indices.
-        """
-        if sorted(order) != list(range(len(self.tags))):
-            raise AssertionError(
-                f"set {self.index}: imported recency order {order!r} is "
-                f"not a permutation of {len(self.tags)} ways"
-            )
-        self.order = order
 
     def check_invariants(self, state: LineState) -> None:
         """Raise AssertionError when internal state is inconsistent."""

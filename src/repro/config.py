@@ -108,10 +108,6 @@ class CacheGeometry:
         """Map a line address to its set index (low-order interleaving)."""
         return line_addr & (self.num_sets - 1)
 
-    def tag_of(self, line_addr: int) -> int:
-        """Tag portion of a line address."""
-        return line_addr >> self.set_index_bits
-
 
 @dataclass(frozen=True)
 class RefreshConfig:

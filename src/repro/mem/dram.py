@@ -29,7 +29,6 @@ class MainMemory:
         self._next_free = 0.0
         self.reads = 0
         self.writes = 0
-        self._delta_accesses = 0
         self.total_queue_wait = 0.0
 
     # ------------------------------------------------------------------
@@ -43,14 +42,12 @@ class MainMemory:
         """Fetch one line at cycle ``now``; returns the total read latency."""
         wait = self._enqueue(now)
         self.reads += 1
-        self._delta_accesses += 1
         return self.latency_cycles + wait
 
     def write(self, now: float) -> float:
         """Post one writeback at cycle ``now``; returns 0 (non-blocking)."""
         self._enqueue(now)
         self.writes += 1
-        self._delta_accesses += 1
         return 0.0
 
     def write_many(self, now: float, count: int) -> None:
@@ -60,19 +57,6 @@ class MainMemory:
         start = self._next_free if self._next_free > now else now
         self._next_free = start + count * self.service_cycles
         self.writes += count
-        self._delta_accesses += count
-
-    def take_access_delta(self) -> int:
-        """Accesses since the last call (interval energy accounting)."""
-        delta = self._delta_accesses
-        self._delta_accesses = 0
-        return delta
-
-    def utilization(self, elapsed_cycles: float) -> float:
-        """Average channel utilisation over ``elapsed_cycles``."""
-        if elapsed_cycles <= 0:
-            return 0.0
-        return min(1.0, self.accesses * self.service_cycles / elapsed_cycles)
 
     # ------------------------------------------------------------------
 

@@ -600,7 +600,7 @@ class System:
         # One build covers every record of the pass or the run stays
         # scalar (see :func:`build_batch` for when it declines); the
         # buffer is retired once, by the full commit at the end of the
-        # trace.  The list views it replays are built only for a buffer.
+        # trace.  Its commit loop reads the same retire tuples as a stint.
         core0 = cores[0]
         kb = None
         if (
@@ -613,11 +613,7 @@ class System:
             and not wpen
             and core0.addr_offset == 0
         ):
-            trace = core0.cursor.trace
-            kb = build_batch(l2, trace, i_[0], n_[0])
-            if kb is not None:
-                addrs_l, writes_l, _gaps_l = trace.columns()
-                gcpi_l = trace.gcpi_list(core0.base_cpi)
+            kb = build_batch(l2, core0.cursor.trace, i_[0], n_[0])
 
         while running:
             # Select the core with the smallest clock; ``oc`` is the other
@@ -662,8 +658,8 @@ class System:
             wbs = stats.writebacks
             dhits = stats.drowsy_hits
             mm_next_free = memory._next_free
-            mm_reads = mm_reads0 = memory.reads
-            mm_writes = mm_writes0 = memory.writes
+            mm_reads = memory.reads
+            mm_writes = memory.writes
             mm_qwait = memory.total_queue_wait
             while True:
                 # --- one stint of core ``ci`` --------------------------
@@ -678,6 +674,7 @@ class System:
                     # accounting stays bit-identical.  Recency promotion
                     # is the one deferred piece -- orders are rebuilt at
                     # the end of the trace.
+                    recs = recs_[0]
                     kstart = kb.start
                     kend = kb.end
                     g_l = kb.g_list
@@ -696,19 +693,19 @@ class System:
                                 window_end if window_end < horizon else horizon
                             )
                         g = g_l[i - kstart]
+                        addr, is_write, gcpi, _gi = recs[i]
                         if g >= 0:
                             # Classified hit on line ``g``.
-                            if writes_l[i]:
+                            if is_write:
                                 dirty_mv[g] = True
                             lw_mv[g] = window
-                            cycles = cycles + (gcpi_l[i] + lat_base)
+                            cycles = cycles + (gcpi + lat_base)
                         else:
                             # Classified miss in set ``-1 - g``.
                             cset = sets[-1 - g]
                             g, victim, old_tag, wbf = mdat[mi]
                             mi += 1
                             tag_map = cset.tag_map
-                            addr = addrs_l[i]
                             now = int(cycles)
                             if old_tag >= 0:
                                 del tag_map[old_tag]
@@ -724,7 +721,7 @@ class System:
                                 valid_mv[g] = True
                             cset.tags[victim] = addr
                             tag_map[addr] = victim
-                            dirty_mv[g] = writes_l[i]
+                            dirty_mv[g] = is_write
                             lw_mv[g] = window
                             if mm_next_free > now:
                                 wait = mm_next_free - now
@@ -740,7 +737,7 @@ class System:
                                 mm_next_free = now + service_cycles
                                 latency = lat_miss0
                             mm_reads += 1
-                            cycles = cycles + (gcpi_l[i] + latency)
+                            cycles = cycles + (gcpi + latency)
                     else:
                         i = kend
                     kb.miss_ptr = mi
@@ -972,8 +969,7 @@ class System:
                     running -= 1
             _flush_chunk_counters(
                 stats, memory, hits, misses, wbs, dhits,
-                mm_next_free, mm_reads, mm_reads0,
-                mm_writes, mm_writes0, mm_qwait,
+                mm_next_free, mm_reads, mm_writes, mm_qwait,
             )
 
         self.kernel_scalar_records += (
@@ -1179,9 +1175,7 @@ def _flush_chunk_counters(
     dhits: int,
     mm_next_free: float,
     mm_reads: int,
-    mm_reads0: int,
     mm_writes: int,
-    mm_writes0: int,
     mm_qwait: float,
 ) -> None:
     """Write a chunk's local counter mirrors back to their owners.
@@ -1200,5 +1194,4 @@ def _flush_chunk_counters(
     memory._next_free = mm_next_free
     memory.reads = mm_reads
     memory.writes = mm_writes
-    memory._delta_accesses += (mm_reads - mm_reads0) + (mm_writes - mm_writes0)
     memory.total_queue_wait = mm_qwait

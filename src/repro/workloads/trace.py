@@ -11,11 +11,12 @@ Storage is three parallel NumPy arrays (int64 / bool / int64) end-to-end:
 (de)serialisation is a direct ``savez``/``load`` of the columns with no
 ``tolist`` round-trips, pickling for the parallel sweep workers ships the
 compact binary buffers, and vectorised consumers slice the arrays
-directly.  The scalar simulation hot loop wants plain Python ints (NumPy
-scalar extraction costs more per element than list indexing), so
-:meth:`Trace.columns` materialises list views once per trace and caches
-them -- every :class:`TraceCursor` and every technique run over the same
-trace shares that single materialisation.
+directly.  The scalar simulation loops want plain Python ints (NumPy
+scalar extraction costs more per element than list indexing), so each
+loop reads one list view, materialised once per trace and cached: the
+fast loop reads the retire tuples of :meth:`Trace.retire_records`, and
+the reference loop's :class:`TraceCursor` reads :meth:`Trace.columns`,
+which only that loop builds.
 
 For the warm-worker sweep pool, :meth:`Trace.to_shm` exports the columns
 into one named ``multiprocessing.shared_memory`` segment and
@@ -29,7 +30,6 @@ unlink.
 
 from __future__ import annotations
 
-import io
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -134,11 +134,8 @@ class Trace:
             raise ValueError("trace columns must have equal length")
         self._instructions: int | None = None
         self._columns: tuple[list, list, list] | None = None
-        self._records: dict[int, list[tuple]] = {}
         self._retire_records: dict[tuple, tuple[list[tuple], list[int]]] = {}
         self._set_index_columns: dict[int, np.ndarray] = {}
-        self._tag_columns: dict[int, np.ndarray] = {}
-        self._gcpi_lists: dict[float, list[float]] = {}
 
     def __len__(self) -> int:
         return len(self.addrs)
@@ -161,17 +158,13 @@ class Trace:
     def distinct_lines(self) -> int:
         return int(np.unique(self.addrs).size) if len(self.addrs) else 0
 
-    def records(self):
-        """Iterate ``(addr, is_write, gap)`` tuples (plain Python scalars)."""
-        return zip(*self.columns())
-
     def columns(self) -> tuple[list, list, list]:
         """The three columns as plain Python lists, materialised once.
 
-        This is the scalar hot loop's view of the trace: list indexing
+        This is the reference loop's view of the trace: list indexing
         yields native ints/bools (cheaper per record than NumPy scalar
         extraction), and the single cached materialisation is shared by
-        every cursor and every technique run over this trace.
+        every cursor over this trace.  The fast loop never builds it.
         """
         cols = self._columns
         if cols is None:
@@ -182,24 +175,6 @@ class Trace:
             )
             self._columns = cols
         return cols
-
-    def records_list(self, offset: int = 0) -> list[tuple]:
-        """``(addr | offset, is_write, gap)`` tuples, materialised once.
-
-        The fast simulation loops fetch one tuple per record (a single
-        list subscript plus an unpack) instead of indexing three parallel
-        columns, and the per-core address offset is baked in up front so
-        the hot path never pays the OR.  Cached per offset and shared by
-        every run over this trace.
-        """
-        recs = self._records.get(offset)
-        if recs is None:
-            addrs, writes, gaps = self.columns()
-            if offset:
-                addrs = [addr | offset for addr in addrs]
-            recs = list(zip(addrs, writes, gaps))
-            self._records[offset] = recs
-        return recs
 
     def retire_records(
         self, offset: int, base_cpi: float
@@ -212,12 +187,16 @@ class Trace:
         element is the running instruction total through each record, which
         lets the fast loop reconstruct the instruction counter from cursor
         positions instead of incrementing it per record.  Cached per
-        (offset, cpi) and shared by every run over this trace.
+        (offset, cpi) and shared by every run over this trace; this is the
+        only list view the fast loop reads, so it is built from throwaway
+        ``tolist()`` columns rather than from :meth:`columns`.
         """
         key = (offset, base_cpi)
         cached = self._retire_records.get(key)
         if cached is None:
-            addrs, writes, gaps = self.columns()
+            addrs = self.addrs.tolist()
+            writes = self.writes.tolist()
+            gaps = self.gaps.tolist()
             if offset:
                 addrs = [addr | offset for addr in addrs]
             gis = [gap + 1 for gap in gaps]
@@ -244,33 +223,6 @@ class Trace:
             self._set_index_columns[set_mask] = col
         return col
 
-    def tag_column(self, set_bits: int) -> np.ndarray:
-        """Per-record tag bits (``addr >> set_bits``), cached per shift.
-
-        Companion to :meth:`set_index_column` for consumers that key on
-        the tag alone (the batch kernel compares full line addresses, so
-        it only needs the set index; characterisation tooling uses this).
-        """
-        col = self._tag_columns.get(set_bits)
-        if col is None:
-            col = self.addrs >> set_bits
-            col.flags.writeable = False
-            self._tag_columns[set_bits] = col
-        return col
-
-    def gcpi_list(self, base_cpi: float) -> list[float]:
-        """Per-record base cycle cost ``(gap + 1) * base_cpi`` as a list.
-
-        The same values :meth:`retire_records` bakes into its tuples, as a
-        standalone column: the batch kernel's commit loop reads one float
-        per record instead of unpacking the four-tuple.  Cached per CPI.
-        """
-        col = self._gcpi_lists.get(base_cpi)
-        if col is None:
-            col = [(gap + 1) * base_cpi for gap in self.columns()[2]]
-            self._gcpi_lists[base_cpi] = col
-        return col
-
     # ------------------------------------------------------------------
     # Pickling (parallel sweep workers)
     # ------------------------------------------------------------------
@@ -283,11 +235,8 @@ class Trace:
         state = dict(self.__dict__)
         state["_instructions"] = None
         state["_columns"] = None
-        state["_records"] = {}
         state["_retire_records"] = {}
         state["_set_index_columns"] = {}
-        state["_tag_columns"] = {}
-        state["_gcpi_lists"] = {}
         state.pop("_shm", None)
         return state
 
@@ -442,21 +391,6 @@ class Trace:
                 f"cannot read trace archive {path}: {exc}"
             ) from exc
 
-    def to_bytes(self) -> bytes:
-        buf = io.BytesIO()
-        np.savez_compressed(
-            buf,
-            name=np.array(self.name),
-            addrs=self.addrs,
-            writes=self.writes,
-            gaps=self.gaps,
-            base_cpi=np.array(self.base_cpi),
-            mem_mlp=np.array(self.mem_mlp),
-            footprint_lines=np.array(self.footprint_lines),
-            n_records=np.array(len(self.addrs)),
-        )
-        return buf.getvalue()
-
 
 class TraceCursor:
     """A wrapping iterator over a trace.
@@ -466,10 +400,9 @@ class TraceCursor:
     wraps around), but statistics for its speedup are recorded only for the
     first pass.
 
-    The cursor reads the trace's cached scalar columns (shared across all
-    cursors over the same trace); :meth:`chunk_view` additionally exposes
-    zero-copy NumPy slices of the remaining first-pass records for
-    vectorised consumers and the chunked fast loop.
+    The fast loop keeps only ``index`` and ``wraps`` here and reads the
+    trace's retire tuples itself; :meth:`next_record` serves the reference
+    loop, and fetches the trace's shared scalar columns on its first call.
     """
 
     __slots__ = ("trace", "index", "wraps", "_addrs", "_writes", "_gaps")
@@ -480,18 +413,12 @@ class TraceCursor:
         self.trace = trace
         self.index = 0
         self.wraps = 0
-        self._addrs, self._writes, self._gaps = trace.columns()
-
-    @property
-    def first_pass_done(self) -> bool:
-        return self.wraps > 0
-
-    def columns(self) -> tuple[list, list, list]:
-        """The trace's shared scalar columns (hot-loop view)."""
-        return self._addrs, self._writes, self._gaps
+        self._addrs = None
 
     def next_record(self) -> tuple[int, bool, int]:
         """Return the next ``(addr, is_write, gap)``, wrapping at the end."""
+        if self._addrs is None:
+            self._addrs, self._writes, self._gaps = self.trace.columns()
         i = self.index
         rec = (self._addrs[i], self._writes[i], self._gaps[i])
         i += 1
@@ -500,31 +427,3 @@ class TraceCursor:
             self.wraps += 1
         self.index = i
         return rec
-
-    def chunk_view(
-        self, max_records: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Zero-copy views of up to ``max_records`` upcoming records.
-
-        The views never cross the wrap point: at most ``len(trace) -
-        index`` records are returned, so a caller consuming the full view
-        lands exactly on the record boundary where the wrap (and the
-        first-pass IPC snapshot) must be recorded.  The cursor itself is
-        not advanced; pair with :meth:`advance`.
-        """
-        if max_records < 1:
-            raise ValueError("chunk must cover at least one record")
-        t = self.trace
-        i = self.index
-        j = min(i + max_records, len(t.addrs))
-        return t.addrs[i:j], t.writes[i:j], t.gaps[i:j]
-
-    def advance(self, count: int) -> None:
-        """Consume ``count`` records, with the same wrap accounting as
-        ``count`` calls to :meth:`next_record`."""
-        if count < 0:
-            raise ValueError("cannot advance backwards")
-        n = len(self._addrs)
-        i = self.index + count
-        self.wraps += i // n
-        self.index = i % n

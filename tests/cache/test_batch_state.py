@@ -83,7 +83,11 @@ class TestImportRecencyOrders:
         cache.import_recency_orders(sets, order)
         assert cache.sets[3].order == [2, 0, 3, 1]
         # LRU victim is now way 1 (last in the installed order).
-        assert cache.sets[3].victim_way() == 1
+        evicted = cache.sets[3].tags[1]
+        new = cache.line_addr(3, 14)
+        assert cache.access(new, False) == (False, -1, -1)
+        assert cache.sets[3].tags[1] == new
+        assert not cache.contains(evicted)
 
     def test_bad_permutation_rejected_and_names_set(self, cache):
         _fill_set(cache, 3, [10])
@@ -94,7 +98,3 @@ class TestImportRecencyOrders:
             cache.import_recency_orders(sets, orders)
         # Nothing half-applied: set 3's order is untouched.
         cache.sets[3].check_invariants(cache.state)
-
-    def test_set_order_checked_rejects_short_row(self, cache):
-        with pytest.raises(AssertionError):
-            cache.sets[0].set_order_checked([0, 1, 2])

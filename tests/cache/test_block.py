@@ -23,12 +23,6 @@ class TestCounts:
         assert state.gidx(1, 0) == 4
         assert state.gidx(2, 3) == 11
 
-    def test_valid_active_intersection(self, state):
-        state.valid[0:8] = True
-        state.active[4:8] = False
-        assert state.valid_count() == 8
-        assert state.valid_active_count() == 4
-
     def test_snapshot(self, state):
         state.valid[0] = True
         state.dirty[0] = True

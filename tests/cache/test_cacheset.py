@@ -1,8 +1,11 @@
-"""Unit tests for the per-set cold-path operations."""
+"""Unit tests for per-set state: the tag map, victim choice, invalidation
+and the invariant checks."""
 
+import numpy as np
 import pytest
 
 from repro.cache.block import LineState
+from repro.cache.cache import SetAssociativeCache
 from repro.cache.cacheset import CacheSet
 
 
@@ -16,78 +19,114 @@ def cset() -> CacheSet:
     return CacheSet(index=1, associativity=4)
 
 
+@pytest.fixture
+def cache(tiny_geometry) -> SetAssociativeCache:
+    return SetAssociativeCache(tiny_geometry)
+
+
+def put(cset: CacheSet, way: int, tag: int) -> None:
+    """Place ``tag`` in ``way`` the way the fill paths do: list and map."""
+    cset.tags[way] = tag
+    cset.tag_map[tag] = way
+
+
+def fill(cache, set_index, tags, writes=()):
+    """Access each tag in ``set_index``; returns their line addresses."""
+    addrs = [cache.line_addr(set_index, t) for t in tags]
+    for t, addr in zip(tags, addrs):
+        cache.access(addr, t in writes)
+    return addrs
+
+
+def way_of(cache, addr) -> int:
+    return cache.sets[addr & cache.set_mask].tag_map.get(addr, -1)
+
+
 class TestFind:
-    def test_find_absent(self, cset):
-        assert cset.find(42) == -1
+    def test_find_absent(self, cache):
+        assert way_of(cache, cache.line_addr(1, 42)) == -1
 
-    def test_find_present(self, cset):
-        cset.install(2, 42)
-        assert cset.find(42) == 2
+    def test_find_present(self, cache):
+        (addr,) = fill(cache, 1, [42])
+        way = way_of(cache, addr)
+        assert way >= 0 and cache.sets[1].tags[way] == addr
 
-    def test_install_replaces_old_tag(self, cset):
-        cset.install(2, 42)
-        cset.install(2, 77)
-        assert cset.find(42) == -1
-        assert cset.find(77) == 2
+    def test_install_replaces_old_tag(self, cache):
+        old = fill(cache, 1, [1, 2, 3, 4])
+        lru_way = cache.sets[1].order[-1]
+        (new,) = fill(cache, 1, [77])
+        assert way_of(cache, old[lru_way]) == -1
+        assert way_of(cache, new) == lru_way
+        cache.check_invariants()
 
-    def test_drop_way_forgets_tag(self, cset):
-        cset.install(1, 13)
-        assert cset.drop_way(1) == 13
-        assert cset.find(13) == -1
-        assert cset.tags[1] is None
-        assert cset.drop_way(1) is None
+    def test_drop_way_forgets_tag(self, cache):
+        (addr,) = fill(cache, 1, [13])
+        way = way_of(cache, addr)
+        assert cache.sets[1].drop_way(way) == addr
+        assert way_of(cache, addr) == -1
+        assert cache.sets[1].tags[way] is None
+        assert cache.sets[1].drop_way(way) is None
 
 
 class TestVictim:
-    def test_prefers_invalid_way(self, cset):
-        cset.tags = [1, None, 3, 4]
-        assert cset.victim_way() == 1
+    """Victim choice of the live access path."""
 
-    def test_lru_when_full(self, cset):
-        cset.tags = [1, 2, 3, 4]
-        cset.order = [2, 0, 3, 1]
-        assert cset.victim_way() == 1
+    def test_prefers_invalid_way(self, cache):
+        fill(cache, 1, [1, 2, 3, 4])
+        cache.invalidate_line(cache.state.gidx(1, 1))
+        assert cache.sets[1].order[-1] != 1  # way 1 is not the LRU way
+        (new,) = fill(cache, 1, [9])
+        assert way_of(cache, new) == 1
 
-    def test_respects_disabled_ways(self, cset):
-        cset.tags = [1, 2, None, None]
-        cset.n_active = 2
-        cset.order = [0, 1, 2, 3]
+    def test_lru_when_full(self, cache):
+        fill(cache, 1, [1, 2, 3, 4])
+        cache.import_recency_orders(np.array([1]), np.array([[2, 0, 3, 1]]))
+        (new,) = fill(cache, 1, [9])
+        assert way_of(cache, new) == 1
+
+    def test_respects_disabled_ways(self, cache):
+        fill(cache, 1, [1, 2])
+        cache.import_recency_orders(np.array([1]), np.array([[0, 1, 2, 3]]))
+        cache.sets[1].n_active = 2
         # Ways 2/3 are invalid but disabled; LRU among enabled is way 1.
-        assert cset.victim_way() == 1
+        (new,) = fill(cache, 1, [9])
+        assert way_of(cache, new) == 1
+        assert cache.sets[1].tags[2:] == [None, None]
 
 
 class TestFlush:
-    def test_flush_empty_way(self, cset, state):
-        tag, dirty = cset.flush_way(0, state)
+    """``invalidate_line`` drops one line and reports what it held."""
+
+    def test_flush_empty_way(self, cache):
+        tag, dirty = cache.invalidate_line(cache.state.gidx(1, 0))
         assert tag is None and not dirty
 
-    def test_flush_clean_line(self, cset, state):
-        cset.install(0, 99)
-        g = state.gidx(1, 0)
-        state.valid[g] = True
-        tag, dirty = cset.flush_way(0, state)
-        assert tag == 99 and not dirty
-        assert cset.tags[0] is None
-        assert not state.valid[g]
+    def test_flush_clean_line(self, cache):
+        (addr,) = fill(cache, 1, [99])
+        g = cache.state.gidx(1, way_of(cache, addr))
+        tag, dirty = cache.invalidate_line(g)
+        assert tag == addr and not dirty
+        assert way_of(cache, addr) == -1
+        assert not cache.state.valid[g]
+        cache.check_invariants()
 
-    def test_flush_dirty_line_reports_dirty(self, cset, state):
-        cset.install(3, 7)
-        g = state.gidx(1, 3)
-        state.valid[g] = True
-        state.dirty[g] = True
-        tag, dirty = cset.flush_way(3, state)
-        assert tag == 7 and dirty
-        assert not state.dirty[g]
+    def test_flush_dirty_line_reports_dirty(self, cache):
+        (addr,) = fill(cache, 1, [7], writes={7})
+        g = cache.state.gidx(1, way_of(cache, addr))
+        assert cache.state.dirty[g]
+        tag, dirty = cache.invalidate_line(g)
+        assert tag == addr and dirty
+        assert not cache.state.dirty[g]
 
 
 class TestInvariants:
     def test_consistent_state_passes(self, cset, state):
-        cset.install(0, 5)
+        put(cset, 0, 5)
         state.valid[state.gidx(1, 0)] = True
         cset.check_invariants(state)
 
     def test_detects_valid_mirror_desync(self, cset, state):
-        cset.install(0, 5)  # valid mirror not updated
+        put(cset, 0, 5)  # valid mirror not updated
         with pytest.raises(AssertionError):
             cset.check_invariants(state)
 
@@ -98,7 +137,7 @@ class TestInvariants:
             cset.check_invariants(state)
 
     def test_detects_line_in_disabled_way(self, cset, state):
-        cset.install(3, 5)
+        put(cset, 3, 5)
         state.valid[state.gidx(1, 3)] = True
         cset.n_active = 2
         with pytest.raises(AssertionError):
@@ -107,7 +146,7 @@ class TestInvariants:
     def test_leader_may_hold_lines_in_all_ways(self, state):
         leader = CacheSet(index=0, associativity=4, is_leader=True)
         leader.n_active = 2  # even if shrunk, leaders keep lines anywhere
-        leader.install(3, 5)
+        put(leader, 3, 5)
         state.valid[state.gidx(0, 3)] = True
         leader.check_invariants(state)
 

@@ -75,7 +75,7 @@ class TestDrowsyReconfig:
         addr = cache.line_addr(s, 1)
         cache.access(addr, False)
         ctl.apply([2, 4, 4, 4])
-        way = cache.sets[s].find(addr)
+        way = cache.sets[s].tag_map[addr]
         if way >= 2:  # ensure we hit an *active* way for this check
             pytest.skip("line landed in a gated way")
         cache.drowsy_flag = False

