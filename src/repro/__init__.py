@@ -17,79 +17,51 @@ Quickstart
 True
 """
 
-from repro.config import (
-    CacheGeometry,
-    EsteemConfig,
-    MemoryConfig,
-    RefreshConfig,
-    SimConfig,
-)
-from repro.cache import SetAssociativeCache
-from repro.core import EsteemController, esteem_decide
-from repro.core.selective_sets import SelectiveSetsController
-from repro.edram import (
-    CacheDecayRefresh,
-    PeriodicAllRefresh,
-    RefrintPolyphaseDirty,
-    RefrintPolyphaseValid,
-    retention_us,
-)
-from repro.energy import EnergyParams, counter_overhead_percent
-from repro.experiments import (
-    Runner,
-    aggregate,
-    fig2_reconfiguration_timeline,
-    per_workload_comparison,
-)
-from repro.experiments.parallel import ParallelWorkerError, parallel_compare
-from repro.obs import MetricsRegistry, Profiler, ProgressReporter, Tracer
-from repro.tech import TECHNOLOGIES, evaluate_technology
-from repro.timing import System, SystemResult
-from repro.workloads import (
-    ALL_BENCHMARKS,
-    DUAL_CORE_MIXES,
-    generate_trace,
-    get_mix,
-    get_profile,
-)
+from repro.util import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALL_BENCHMARKS",
-    "CacheDecayRefresh",
-    "RefrintPolyphaseDirty",
-    "SelectiveSetsController",
-    "TECHNOLOGIES",
-    "evaluate_technology",
-    "MetricsRegistry",
-    "ParallelWorkerError",
-    "Profiler",
-    "ProgressReporter",
-    "Tracer",
-    "parallel_compare",
-    "CacheGeometry",
-    "DUAL_CORE_MIXES",
-    "EnergyParams",
-    "EsteemConfig",
-    "EsteemController",
-    "MemoryConfig",
-    "PeriodicAllRefresh",
-    "RefreshConfig",
-    "RefrintPolyphaseValid",
-    "Runner",
-    "SetAssociativeCache",
-    "SimConfig",
-    "System",
-    "SystemResult",
-    "aggregate",
-    "counter_overhead_percent",
-    "esteem_decide",
-    "fig2_reconfiguration_timeline",
-    "generate_trace",
-    "get_mix",
-    "get_profile",
-    "per_workload_comparison",
-    "retention_us",
-    "__version__",
-]
+#: Public name -> the module that defines it.  Names resolve on first
+#: access (PEP 562), so ``import repro`` loads neither NumPy nor the
+#: simulator; ``from repro import Runner`` imports what ``Runner`` needs.
+_EXPORTS = {
+    "ALL_BENCHMARKS": "repro.workloads.profiles",
+    "CacheDecayRefresh": "repro.edram.decay",
+    "CacheGeometry": "repro.config",
+    "DUAL_CORE_MIXES": "repro.workloads.multiprog",
+    "EnergyParams": "repro.energy.params",
+    "EsteemConfig": "repro.config",
+    "EsteemController": "repro.core.esteem",
+    "MemoryConfig": "repro.config",
+    "MetricsRegistry": "repro.obs.metrics",
+    "ParallelWorkerError": "repro.experiments.parallel",
+    "PeriodicAllRefresh": "repro.edram.refresh",
+    "Profiler": "repro.obs.profile",
+    "ProgressReporter": "repro.obs.profile",
+    "RefreshConfig": "repro.config",
+    "RefrintPolyphaseDirty": "repro.edram.rpd",
+    "RefrintPolyphaseValid": "repro.edram.rpv",
+    "Runner": "repro.experiments.runner",
+    "SelectiveSetsController": "repro.core.selective_sets",
+    "SetAssociativeCache": "repro.cache.cache",
+    "SimConfig": "repro.config",
+    "System": "repro.timing.system",
+    "SystemResult": "repro.timing.result",
+    "TECHNOLOGIES": "repro.tech.params",
+    "Tracer": "repro.obs.trace",
+    "aggregate": "repro.experiments.runner",
+    "counter_overhead_percent": "repro.energy.model",
+    "esteem_decide": "repro.core.algorithm",
+    "evaluate_technology": "repro.tech.compare",
+    "fig2_reconfiguration_timeline": "repro.experiments.figures",
+    "generate_trace": "repro.workloads.synthetic",
+    "get_mix": "repro.workloads.multiprog",
+    "get_profile": "repro.workloads.profiles",
+    "parallel_compare": "repro.experiments.parallel",
+    "per_workload_comparison": "repro.experiments.figures",
+    "retention_us": "repro.edram.retention",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

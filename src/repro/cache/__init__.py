@@ -6,14 +6,3 @@ dirty/valid bookkeeping backed by NumPy state arrays (shared with the
 refresh engines).  Writebacks go straight to the memory channel
 (:class:`repro.mem.dram.MainMemory`), which posts them.
 """
-
-from repro.cache.block import LineState
-from repro.cache.cacheset import CacheSet
-from repro.cache.cache import CacheStats, SetAssociativeCache
-
-__all__ = [
-    "CacheSet",
-    "CacheStats",
-    "LineState",
-    "SetAssociativeCache",
-]

@@ -9,7 +9,7 @@ Subcommands::
     repro table 3 --system single      # regenerate Table 3 rows
     repro overhead --sets 4096 --ways 16 --modules 16   # Eq. 1
     repro trace -w h264ref -t esteem --format jsonl     # event trace dump
-    repro sweep -w gamess,povray --resume --inject PLAN.json  # resilient sweep
+    repro sweep --workloads gamess,povray --inject PLAN.json  # resilient sweep
     repro report MANIFEST.json --check  # campaign report + regression gate
 
 All experiment subcommands accept ``--instructions`` (trace scale),
@@ -31,17 +31,12 @@ import argparse
 import sys
 from typing import Sequence
 
+# Only NumPy-free modules load here; each handler imports the rest, so a
+# command that simulates nothing (``list``, ``report``, a sweep or figure
+# served from the result cache) never imports NumPy or the simulator.
 from repro.config import SimConfig
-from repro.energy.model import counter_overhead_percent
-from repro.experiments.figures import (
-    fig2_reconfiguration_timeline,
-    per_workload_comparison,
-)
-from repro.experiments.report import format_table
-from repro.experiments.parallel import parallel_compare
-from repro.experiments.runner import Runner, aggregate
-from repro.experiments.tables import SENSITIVITY_VARIANTS, sensitivity_row
-from repro.timing.system import TECHNIQUES
+from repro.experiments.report import format_table, rerun_hint
+from repro.timing.result import TECHNIQUES
 from repro.workloads.multiprog import DUAL_CORE_MIXES
 from repro.workloads.profiles import ALL_BENCHMARKS
 
@@ -163,6 +158,8 @@ def _finish_profile(profiler) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import Runner
+
     config = _build_config(args)
     profiler = _make_profiler(args)
     runner = Runner(config, seed=args.seed, profiler=profiler)
@@ -192,6 +189,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.experiments.figures import (
+        fig2_reconfiguration_timeline,
+        per_workload_comparison,
+    )
+    from repro.experiments.runner import Runner, aggregate
+
     profiler = _make_profiler(args)
     if args.number == 2:
         runner = Runner(_build_config(args), seed=args.seed, profiler=profiler)
@@ -220,6 +223,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         workloads = args.workloads.split(",")
     cache = _result_cache(args)
     if args.jobs > 1:
+        from repro.experiments.parallel import parallel_compare
+
         raw = parallel_compare(
             config, workloads, ("esteem", "rpv"),
             seed=args.seed, jobs=args.jobs,
@@ -266,6 +271,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from repro.experiments.tables import SENSITIVITY_VARIANTS, sensitivity_row
+
     if args.number == 2:
         from repro.energy.params import EDRAM_ENERGY_TABLE
 
@@ -337,6 +344,7 @@ def _load_plan(args: argparse.Namespace):
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Run one (workload, technique) pair and dump its event trace."""
+    from repro.experiments.runner import Runner
     from repro.obs import Tracer
 
     config = _build_config(args)
@@ -387,12 +395,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     Exit status: 0 for a complete sweep, 2 for a bad flag, 3 for a
     *degraded* one (some workloads failed or exhausted their retries;
     surviving results were still reported and checkpointed), 4 for an
-    *interrupted* one (SIGINT/SIGTERM; the checkpoint was flushed and
-    ``--resume`` finishes the rest bit-for-bit).  A signal is the one
-    early stop: ``timeout --preserve-status S repro sweep ...`` bounds a
-    campaign's wall time.
+    *interrupted* one (SIGINT/SIGTERM; ``--resume`` on the checkpoint,
+    or without one the same command again, finishes the rest
+    bit-for-bit).  A signal is the one early stop: ``timeout
+    --preserve-status S repro sweep ...`` bounds a campaign's wall time.
     """
     from repro.experiments.parallel import resilient_sweep
+    from repro.experiments.runner import aggregate
     from repro.obs.campaign import CampaignDashboard
 
     config = _build_config(args)
@@ -466,13 +475,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         manifest = build_manifest(
             result, config, workloads, tuple(args.technique),
             seed=args.seed, plan=plan, cache=cache,
+            checkpoint=args.checkpoint,
         )
         atomic_write_json(args.manifest, manifest)
         print(f"manifest written to {args.manifest}")
     if result.skipped:
         print(
-            f"SKIPPED: {len(result.skipped)} workload(s) cancelled; "
-            f"rerun with --resume to finish them:",
+            f"SKIPPED: {len(result.skipped)} workload(s) cancelled:",
             file=sys.stderr,
         )
         for s in result.skipped:
@@ -493,11 +502,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # Interrupted wins over degraded: the operator asked the
         # campaign to stop, and the distinct code tells wrappers the
         # checkpoint is resumable rather than the sweep broken.
-        print(
-            f"INTERRUPTED by {result.interrupted}: checkpoint and "
-            f"manifest flushed; rerun with --resume to finish",
-            file=sys.stderr,
-        )
+        hint = rerun_hint(bool(args.checkpoint), cache is not None)
+        print(f"INTERRUPTED by {result.interrupted}: {hint}", file=sys.stderr)
         return 4
     if result.degraded:
         return 3
@@ -602,6 +608,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
+    from repro.energy.model import counter_overhead_percent
+
     pct = counter_overhead_percent(args.sets, args.ways, args.modules)
     print(
         f"Eq. 1 overhead for S={args.sets}, A={args.ways}, "

@@ -4,20 +4,3 @@ Module partitioning of the cache sets, the embedded auxiliary tag directory
 (set sampling), the energy-saving Algorithm 1, the way-gating
 reconfiguration controller, and the interval-driven top-level controller.
 """
-
-from repro.core.modules import ModuleMap
-from repro.core.atd import ATDProfiler
-from repro.core.algorithm import AlgorithmDecision, esteem_decide
-from repro.core.reconfig import ReconfigStats, ReconfigurationController
-from repro.core.esteem import EsteemController, IntervalDecision
-
-__all__ = [
-    "ATDProfiler",
-    "AlgorithmDecision",
-    "EsteemController",
-    "IntervalDecision",
-    "ModuleMap",
-    "ReconfigStats",
-    "ReconfigurationController",
-    "esteem_decide",
-]

@@ -16,6 +16,9 @@ module:
 Worked example from Section 3.1: hits {10816, 4645, 2140, 501, 217, 113,
 63, 11} over 8 ways give H=18506; alpha=0.97 keeps 4 ways, alpha=0.95
 keeps 3 (verified in ``tests/core/test_algorithm.py``).
+
+:class:`IntervalDecision`, the controller's record of one interval, lives
+here too: results carry it, and decoding them needs no simulator.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-__all__ = ["AlgorithmDecision", "esteem_decide"]
+__all__ = ["AlgorithmDecision", "IntervalDecision", "esteem_decide"]
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,20 @@ class AlgorithmDecision:
     non_lru: tuple[bool, ...]
     #: Accumulated hit totals per module (diagnostics).
     module_hits: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class IntervalDecision:
+    """Record of one interval's reconfiguration (drives Figure 2)."""
+
+    interval_index: int
+    cycle: int
+    n_active_way: tuple[int, ...]
+    non_lru: tuple[bool, ...]
+    active_fraction: float
+    transitions: int
+    flush_writebacks: int
+    clean_discards: int
 
 
 def esteem_decide(

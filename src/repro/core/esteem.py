@@ -13,11 +13,13 @@ change in associativity in each interval").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.cache.cache import SetAssociativeCache
 from repro.config import EsteemConfig
-from repro.core.algorithm import AlgorithmDecision, esteem_decide
+from repro.core.algorithm import (
+    AlgorithmDecision,
+    IntervalDecision,
+    esteem_decide,
+)
 from repro.core.atd import ATDProfiler
 from repro.core.modules import ModuleMap
 from repro.core.reconfig import ReconfigStats, ReconfigurationController
@@ -30,20 +32,6 @@ from repro.obs.trace import (
 )
 
 __all__ = ["EsteemController", "IntervalDecision"]
-
-
-@dataclass(frozen=True)
-class IntervalDecision:
-    """Record of one interval's reconfiguration (drives Figure 2)."""
-
-    interval_index: int
-    cycle: int
-    n_active_way: tuple[int, ...]
-    non_lru: tuple[bool, ...]
-    active_fraction: float
-    transitions: int
-    flush_writebacks: int
-    clean_discards: int
 
 
 class EsteemController:

@@ -5,33 +5,3 @@ periodic-valid, ESTEEM's valid-in-active-ways variant, and the Refrint
 polyphase-valid policy), and the banked refresh scheduler that converts
 refresh traffic into expected demand-access stalls.
 """
-
-from repro.edram.retention import retention_cycles, retention_us
-from repro.edram.bank import BankedRefreshScheduler
-from repro.edram.refresh import (
-    EsteemValidActiveRefresh,
-    NoRefresh,
-    PeriodicAllRefresh,
-    PeriodicValidRefresh,
-    RefreshEngine,
-)
-from repro.edram.rpv import RefrintPolyphaseValid
-from repro.edram.rpd import RefrintPolyphaseDirty
-from repro.edram.decay import CacheDecayRefresh
-from repro.edram.ecc import EccExtendedRefresh, uncorrectable_probability
-
-__all__ = [
-    "BankedRefreshScheduler",
-    "CacheDecayRefresh",
-    "EccExtendedRefresh",
-    "EsteemValidActiveRefresh",
-    "NoRefresh",
-    "PeriodicAllRefresh",
-    "PeriodicValidRefresh",
-    "RefreshEngine",
-    "RefrintPolyphaseDirty",
-    "RefrintPolyphaseValid",
-    "retention_cycles",
-    "retention_us",
-    "uncorrectable_probability",
-]

@@ -4,28 +4,3 @@ Runs (workload x technique x configuration) simulations, compares against
 the periodic-all baseline, and regenerates every figure and table of the
 paper's evaluation section.
 """
-
-from repro.experiments.runner import (
-    AggregateResult,
-    RunComparison,
-    Runner,
-    aggregate,
-)
-from repro.experiments.figures import (
-    fig2_reconfiguration_timeline,
-    per_workload_comparison,
-)
-from repro.experiments.tables import SENSITIVITY_VARIANTS, sensitivity_row
-from repro.experiments.report import format_table
-
-__all__ = [
-    "AggregateResult",
-    "RunComparison",
-    "Runner",
-    "SENSITIVITY_VARIANTS",
-    "aggregate",
-    "fig2_reconfiguration_timeline",
-    "format_table",
-    "per_workload_comparison",
-    "sensitivity_row",
-]

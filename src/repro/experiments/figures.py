@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.experiments.result_cache import probe_unit
 from repro.experiments.runner import RunComparison, Runner
-from repro.timing.system import SystemResult
+from repro.timing.result import SystemResult
 
 __all__ = [
     "FigureRow",

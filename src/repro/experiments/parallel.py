@@ -49,7 +49,6 @@ from multiprocessing.connection import wait as pipe_wait
 from typing import Any, Iterable, Sequence
 
 from repro.config import SimConfig
-from repro.experiments import _trace_cache
 from repro.experiments.checkpoint import SweepCheckpoint, sweep_fingerprint
 from repro.experiments.result_cache import ResultCache, probe_unit
 from repro.experiments.runner import RunComparison, Runner, profiles_for
@@ -60,7 +59,6 @@ from repro.obs.campaign import (
     telemetry_from_message,
 )
 from repro.obs.profile import Profiler, ProgressReporter
-from repro.workloads.trace import Trace
 
 __all__ = [
     "FailedWorkload",
@@ -149,6 +147,9 @@ def _workload_task(
     parent knows which workload died and (via ``exc_type``) what kind
     of exception killed it.
     """
+    from repro.experiments import _trace_cache
+    from repro.workloads.trace import Trace
+
     config, workload, techniques, seed, preloaded, fault_plan = args
     for (name, budget, trace_seed), handle in preloaded.items():
         if not _trace_cache.contains(name, budget, trace_seed):
@@ -601,7 +602,15 @@ def resilient_sweep(
         units.append(_Unit(index=i, workload=w, fingerprint=unit_fp))
 
     def prepare(unit: _Unit) -> None:
-        """Generate and export the unit's traces at its first dispatch."""
+        """Generate and export the unit's traces at its first dispatch.
+
+        The first call loads the simulator: in the parent, before the
+        pool forks, so every worker starts with it imported.  A sweep
+        served whole from the cache or the checkpoint never loads it.
+        """
+        from repro.experiments import _trace_cache
+        from repro.timing.system import System  # noqa: F401
+
         preloaded: dict[Any, Any] = {}
         try:
             for key, profile in _trace_needs_for(config, unit.workload, seed):

@@ -45,7 +45,7 @@ import multiprocessing
 import signal
 import traceback
 from multiprocessing import resource_tracker
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.experiments.parallel import ParallelWorkerError, _workload_task
 from repro.faults.chaos import ChaosWorkerProxy
@@ -56,7 +56,9 @@ from repro.obs.campaign import (
     install_sigterm_flush,
 )
 from repro.obs.metrics import get_default_registry
-from repro.workloads.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.workloads.trace import Trace
 
 __all__ = [
     "SharedTraceStore",

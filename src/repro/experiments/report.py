@@ -42,6 +42,7 @@ __all__ = [
     "format_value",
     "render_csv",
     "render_markdown",
+    "rerun_hint",
     "validate_manifest",
 ]
 
@@ -106,19 +107,21 @@ def build_manifest(
     seed: int = 0,
     plan: Any = None,
     cache: Any = None,
+    checkpoint: Any = None,
 ) -> dict[str, Any]:
     """The structured run manifest for one finished resilient sweep.
 
     Extends ``result.manifest()`` (whose keys are all preserved) with the
     sweep's input closure and its fingerprint, per-technique paper-metric
     aggregates, campaign-level simulation rates derived from the merged
-    worker telemetry, and the result cache's probe statistics.  The
+    worker telemetry, the result cache's probe statistics and the
+    checkpoint path (``None`` without one).  The
     output is pure JSON (``atomic_write_json``-able) and deterministic
     apart from the measured wall times.
     """
     from repro.config import config_fields
     from repro.experiments.runner import technique_rollup
-    from repro.timing.system import SIM_ENGINE_VERSION
+    from repro.timing.result import SIM_ENGINE_VERSION
     from repro.util import stable_fingerprint
 
     manifest: dict[str, Any] = dict(result.manifest())
@@ -183,7 +186,19 @@ def build_manifest(
         "per_technique": per_technique_bench,
     }
     manifest["result_cache"] = cache.stats() if cache is not None else None
+    manifest["checkpoint"] = None if checkpoint is None else str(checkpoint)
     return manifest
+
+
+def rerun_hint(checkpoint: bool, cache: bool) -> str:
+    """How to finish the units an interrupted sweep skipped: ``--resume``
+    needs the sweep's checkpoint; without one, the same command again."""
+    if checkpoint:
+        return "rerun with --resume to finish the skipped units"
+    hint = "rerun the same command to finish the skipped units"
+    if cache:
+        hint += "; finished units come back from the result cache"
+    return hint
 
 
 # ----------------------------------------------------------------------
@@ -314,6 +329,7 @@ MANIFEST_SCHEMA: dict[str, Any] = {
             },
         },
         "result_cache": {"type": ["object", "null"]},
+        "checkpoint": {"type": ["string", "null"]},
     },
 }
 
@@ -663,11 +679,11 @@ def render_markdown(
     ))
     if manifest.get("interrupted"):
         out.append("")
-        out.append(
-            f"**Interrupted by {manifest['interrupted']}** -- the "
-            f"checkpoint was flushed; rerun with `--resume` to finish "
-            f"the skipped units."
+        hint = rerun_hint(
+            manifest.get("checkpoint") is not None,
+            manifest.get("result_cache") is not None,
         )
+        out.append(f"**Interrupted by {manifest['interrupted']}** -- {hint}.")
     rows = _aggregate_rows(manifest)
     if rows:
         out.append("")

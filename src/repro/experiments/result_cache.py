@@ -17,7 +17,7 @@ Why this is sound: comparisons round-trip through
 encoding is shortest-round-trip -- a cache hit is *bit-for-bit* equal to
 re-running the unit (the same property the sweep checkpoint relies on).
 Any input the simulation can observe is in the fingerprint, including
-:data:`~repro.timing.system.SIM_ENGINE_VERSION`, which must be bumped
+:data:`~repro.timing.result.SIM_ENGINE_VERSION`, which must be bumped
 whenever the engine's semantics change; profile *parameters* (not just
 names) are hashed so editing a workload's generator invalidates its
 units.
@@ -44,7 +44,7 @@ from repro.experiments.runner import (
 )
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import get_default_registry
-from repro.timing.system import SIM_ENGINE_VERSION
+from repro.timing.result import SIM_ENGINE_VERSION
 from repro.util import atomic_write_json, stable_fingerprint
 
 __all__ = ["ResultCache", "default_cache_dir", "probe_unit", "unit_fingerprint"]

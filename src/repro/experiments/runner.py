@@ -6,19 +6,21 @@ and configurations so every comparison sees identical access streams) and
 produces :class:`RunComparison` objects carrying the paper's metrics
 (Section 6.4): % energy saving, weighted/fair speedup, RPKI decrease, MPKI
 increase, and active ratio.
+
+The comparisons, their aggregates and their JSON codecs import no NumPy;
+:class:`Runner` imports the simulator and the trace cache where it
+simulates, so decoding cached results loads neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.config import SimConfig
-from repro.core.esteem import IntervalDecision
+from repro.core.algorithm import IntervalDecision
 from repro.energy.model import EnergyBreakdown
-from repro.experiments import _trace_cache
 from repro.faults.plan import FaultPlan
-from repro.timing.core_model import CoreResult
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler
 from repro.obs.trace import Tracer, active_tracer
@@ -28,10 +30,12 @@ from repro.metrics.speedup import (
     geometric_mean,
     weighted_speedup,
 )
-from repro.timing.system import System, SystemResult
+from repro.timing.result import CoreResult, SystemResult
 from repro.workloads.multiprog import get_mix
 from repro.workloads.profiles import get_profile
-from repro.workloads.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.workloads.trace import Trace
 
 __all__ = [
     "AggregateResult",
@@ -302,6 +306,8 @@ class Runner:
         ``workload`` is a benchmark name/acronym for single-core configs or
         a Table 1 mix acronym (e.g. ``"GkNe"``) for dual-core configs.
         """
+        from repro.experiments import _trace_cache
+
         budget = self.config.instructions_per_core
         return [
             _trace_cache.get_trace(p, budget, self.seed, profiler=self.profiler)
@@ -314,6 +320,8 @@ class Runner:
 
     def run(self, workload: str, technique: str) -> SystemResult:
         """Simulate one (workload, technique) pair."""
+        from repro.timing.system import System
+
         traces = self.traces_for(workload)
         system = System(
             self.config,

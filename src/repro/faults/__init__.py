@@ -10,22 +10,15 @@ Two planes, one seeded :class:`~repro.faults.plan.FaultPlan`:
   harness in :mod:`repro.experiments.parallel`.
 """
 
-from repro.faults.chaos import (
-    CHAOS_EXIT_CODE,
-    ChaosError,
-    ChaosWorkerProxy,
-    corrupt_result,
-)
-from repro.faults.inject import FaultInjector
-from repro.faults.plan import CHAOS_ACTIONS, FaultEvent, FaultPlan
+from repro.util import lazy_exports
 
-__all__ = [
-    "CHAOS_ACTIONS",
-    "CHAOS_EXIT_CODE",
-    "ChaosError",
-    "ChaosWorkerProxy",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "corrupt_result",
-]
+_EXPORTS = {
+    "CHAOS_ACTIONS": "repro.faults.plan",
+    "FaultEvent": "repro.faults.plan",
+    "FaultInjector": "repro.faults.inject",
+    "FaultPlan": "repro.faults.plan",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

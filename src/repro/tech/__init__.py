@@ -7,14 +7,14 @@ same cache geometry so the motivation can be measured
 (``benchmarks/bench_tech_comparison.py``).
 """
 
-from repro.tech.params import TECHNOLOGIES, TechnologyParams, get_technology
-from repro.tech.compare import TechResult, TechSystem, evaluate_technology
+from repro.util import lazy_exports
 
-__all__ = [
-    "TECHNOLOGIES",
-    "TechResult",
-    "TechSystem",
-    "TechnologyParams",
-    "evaluate_technology",
-    "get_technology",
-]
+_EXPORTS = {
+    "TECHNOLOGIES": "repro.tech.params",
+    "TechSystem": "repro.tech.compare",
+    "evaluate_technology": "repro.tech.compare",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -33,7 +33,7 @@ The dynamic half is :func:`build_batch`'s: it classifies the whole rest
 of the pass in one build, or declines, and a declined run stays scalar.
 A build exports ``a * U`` line entries (tags, dirty bits, recency) for
 the ``U`` touched sets of an ``a``-way cache and writes ``U`` recency
-rows back, so a stretch of fewer than ``a * U`` records cannot amortise
+rows back, so a pass of fewer than ``a * U`` records cannot amortise
 it and is declined.  An accepted buffer is retired exactly once: the
 commit loop writes its recency orders back (via
 :meth:`SetAssociativeCache.import_recency_orders
@@ -57,13 +57,13 @@ import numpy as np
 
 __all__ = ["BatchBuffer", "MIN_BATCH_RECORDS", "build_batch"]
 
-#: Below this many records the fixed cost of grouping + export outweighs
-#: the per-record savings; the caller stays on the scalar loop.
+#: Below this many records in the pass, the fixed cost of grouping +
+#: export outweighs the per-record savings; the run stays scalar.
 MIN_BATCH_RECORDS = 512
 
-#: Skew guard: if one set owns more than this many records of a batch,
+#: Skew guard: if one set owns more than this many records of the pass,
 #: the column-stepping loop degenerates towards per-record NumPy-call
-#: overhead; fall back to the scalar loop for that stretch instead.
+#: overhead; the whole run stays scalar instead.
 MAX_SET_RECORDS = 8192
 
 
@@ -192,12 +192,14 @@ def classify(addrs, writes, perm, tags_mat, ts_mat, dirty_mat, starts, counts):
 
 
 def build_batch(l2, trace, start, end):
-    """Classify trace records ``[start, end)`` against the live cache.
+    """Classify trace records ``[start, end)`` -- the rest of the pass,
+    in one build -- against the live cache.
 
     Returns a ready-to-commit :class:`BatchBuffer`, or ``None`` when the
-    stretch cannot win over the scalar loop: too short, too set-skewed,
-    or too sparse -- fewer records than the ``associativity x U`` line
-    entries the export copies for the ``U`` sets it touches.
+    pass cannot win over the scalar loop, which then runs all of it: too
+    short, too set-skewed, or too sparse -- fewer records than the
+    ``associativity x U`` line entries the export copies for the ``U``
+    sets it touches.
     """
     n = end - start
     if n < MIN_BATCH_RECORDS:

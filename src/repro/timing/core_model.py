@@ -9,34 +9,10 @@ and -- on a miss -- the main-memory latency including queueing delay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.timing.result import CoreResult
 from repro.workloads.trace import Trace, TraceCursor
 
-__all__ = ["CoreResult", "CoreState"]
-
-
-@dataclass(frozen=True)
-class CoreResult:
-    """Per-core outcome of a run."""
-
-    core_id: int
-    workload: str
-    #: Instructions in one full trace pass (the measured window).
-    first_pass_instructions: int
-    #: Cycle at which the first trace pass completed.
-    first_pass_cycles: float
-    #: Instructions executed in total, including wrapped passes.
-    total_instructions: int
-    #: Trace passes completed (>= 1; > 1 for early finishers, Section 6.4).
-    wraps: int
-
-    @property
-    def ipc(self) -> float:
-        """IPC over the measured (first-pass) window."""
-        if self.first_pass_cycles <= 0:
-            return 0.0
-        return self.first_pass_instructions / self.first_pass_cycles
+__all__ = ["CoreState"]
 
 
 class CoreState:

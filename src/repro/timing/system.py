@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import gc
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from functools import wraps
 from itertools import chain, repeat
 from math import inf, nextafter
@@ -29,7 +28,7 @@ import numpy as np
 
 from repro.cache.cache import SetAssociativeCache
 from repro.config import CacheGeometry, SimConfig
-from repro.core.esteem import EsteemController, IntervalDecision
+from repro.core.esteem import EsteemController
 from repro.core.selective_sets import SelectiveSetsController
 from repro.edram.refresh import (
     EsteemDrowsyRefresh,
@@ -43,11 +42,7 @@ from repro.edram.decay import CacheDecayRefresh
 from repro.edram.ecc import EccExtendedRefresh
 from repro.edram.rpd import RefrintPolyphaseDirty
 from repro.edram.rpv import RefrintPolyphaseValid
-from repro.energy.model import (
-    EnergyAccumulator,
-    EnergyBreakdown,
-    IntervalEnergyInputs,
-)
+from repro.energy.model import EnergyAccumulator, IntervalEnergyInputs
 from repro.energy.params import EnergyParams
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -64,32 +59,11 @@ from repro.obs.trace import (
     active_tracer,
 )
 from repro.timing.batch_kernel import build_batch
-from repro.timing.core_model import CoreResult, CoreState
+from repro.timing.core_model import CoreState
+from repro.timing.result import SIM_ENGINE_VERSION, TECHNIQUES, SystemResult
 from repro.workloads.trace import Trace
 
 __all__ = ["SIM_ENGINE_VERSION", "System", "SystemResult", "TECHNIQUES"]
-
-#: Version of the simulation semantics, fingerprinted into the
-#: content-addressed sweep result cache.  Bump on ANY change that can
-#: alter a ``SystemResult`` for identical inputs (timing, energy,
-#: refresh, replacement, fault injection, trace generation) so stale
-#: cached sweep units can never masquerade as current results.  Purely
-#: structural refactors that are bit-for-bit neutral may keep it.
-SIM_ENGINE_VERSION = 4
-
-#: Techniques the runner understands.
-TECHNIQUES: tuple[str, ...] = (
-    "baseline",
-    "rpv",
-    "rpd",
-    "decay",
-    "ecc",
-    "selective-sets",
-    "periodic-valid",
-    "no-refresh",
-    "esteem",
-    "esteem-drowsy",
-)
 
 #: Per-core address-space offset bit (keeps multiprogrammed address spaces
 #: disjoint without disturbing set indexing).
@@ -164,74 +138,6 @@ def _warm_image(geo: CacheGeometry, phases: int, target: int) -> tuple:
         np.zeros(valid.size, dtype=bool),
         np.where(valid, stamps, -1),
     )
-
-
-@dataclass
-class SystemResult:
-    """Raw outcome of one simulation run."""
-
-    technique: str
-    workload: str
-    cores: list[CoreResult]
-    total_cycles: float
-    total_instructions: int
-    l2_hits: int
-    l2_misses: int
-    l2_writebacks: int
-    refreshes: int
-    mem_reads: int
-    mem_writes: int
-    energy: EnergyBreakdown
-    mean_active_fraction: float
-    intervals: int
-    #: ESTEEM reconfiguration records (empty for other techniques).
-    timeline: list[IntervalDecision] = field(default_factory=list)
-    transitions: int = 0
-    flush_writebacks: int = 0
-    #: Fault-injection outcome counts (all zero unless a
-    #: :class:`~repro.faults.plan.FaultPlan` with hardware faults ran).
-    faults_injected: int = 0
-    fault_corrected: int = 0
-    fault_invalidated_clean: int = 0
-    fault_data_loss: int = 0
-
-    # ------------------------------------------------------------------
-    # Derived metrics (Section 6.4)
-    # ------------------------------------------------------------------
-
-    @property
-    def ipcs(self) -> list[float]:
-        return [c.ipc for c in self.cores]
-
-    @property
-    def mpki(self) -> float:
-        """L2 misses per kilo-instruction (over all executed instructions)."""
-        if self.total_instructions == 0:
-            return 0.0
-        return self.l2_misses / self.total_instructions * 1000.0
-
-    @property
-    def rpki(self) -> float:
-        """Cache lines refreshed per kilo-instruction."""
-        if self.total_instructions == 0:
-            return 0.0
-        return self.refreshes / self.total_instructions * 1000.0
-
-    @property
-    def l2_miss_rate(self) -> float:
-        total = self.l2_hits + self.l2_misses
-        return self.l2_misses / total if total else 0.0
-
-    @property
-    def mean_cpi(self) -> float:
-        """System-level cycles per instruction (all cores pooled)."""
-        if self.total_instructions == 0:
-            return 0.0
-        return self.total_cycles / self.total_instructions
-
-    @property
-    def total_energy_j(self) -> float:
-        return self.energy.total_j
 
 
 class System:

@@ -1,6 +1,7 @@
 """Small shared utilities with no simulation dependencies.
 
-Currently: crash-safe file writes.  Result files (CSV exports, benchmark
+Lazy package exports (:func:`lazy_exports`), content fingerprints and
+crash-safe file writes.  Result files (CSV exports, benchmark
 baselines, sweep checkpoints) must never be left half-written by a kill
 mid-write -- a truncated ``BENCH_*.json`` or checkpoint would silently
 poison later runs.  :func:`atomic_write` provides the standard
@@ -12,13 +13,44 @@ between.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
-__all__ = ["atomic_write", "atomic_write_json", "stable_fingerprint"]
+__all__ = [
+    "atomic_write",
+    "atomic_write_json",
+    "lazy_exports",
+    "stable_fingerprint",
+]
+
+
+def lazy_exports(package: str, exports: dict[str, str]) -> Callable:
+    """A PEP 562 module ``__getattr__`` for ``package``.
+
+    ``exports`` maps each public name to the module that defines it.  The
+    module is imported on the name's first access and the value cached in
+    the package, so importing the package itself loads none of them: a
+    command that only reads cached results never imports NumPy or the
+    simulator through a package ``__init__``.
+    """
+
+    def __getattr__(name: str) -> Any:
+        try:
+            module = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(module), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__
 
 
 def stable_fingerprint(payload: Any, length: int = 16) -> str:

@@ -4,31 +4,3 @@ Synthetic trace generation standing in for the paper's SPEC CPU2006 + HPC
 proxy-app traces: a stack-distance generator, 34 per-benchmark behaviour
 profiles, and the 17 dual-core multiprogrammed mixes of Table 1.
 """
-
-from repro.workloads.trace import Trace, TraceCorruptionError, TraceCursor
-from repro.workloads.synthetic import PhaseSpec, SyntheticTraceGenerator, generate_trace
-from repro.workloads.profiles import (
-    ALL_BENCHMARKS,
-    HPC_BENCHMARKS,
-    SPEC_BENCHMARKS,
-    BenchmarkProfile,
-    get_profile,
-)
-from repro.workloads.multiprog import DUAL_CORE_MIXES, DualCoreMix, get_mix
-
-__all__ = [
-    "ALL_BENCHMARKS",
-    "BenchmarkProfile",
-    "DUAL_CORE_MIXES",
-    "DualCoreMix",
-    "HPC_BENCHMARKS",
-    "PhaseSpec",
-    "SPEC_BENCHMARKS",
-    "SyntheticTraceGenerator",
-    "Trace",
-    "TraceCorruptionError",
-    "TraceCursor",
-    "generate_trace",
-    "get_mix",
-    "get_profile",
-]

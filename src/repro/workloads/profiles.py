@@ -28,15 +28,60 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.workloads.synthetic import PhaseSpec
-
 __all__ = [
     "ALL_BENCHMARKS",
     "BenchmarkProfile",
     "HPC_BENCHMARKS",
+    "PhaseSpec",
     "SPEC_BENCHMARKS",
     "get_profile",
 ]
+
+
+@dataclass(frozen=True)
+class PhaseSpec:
+    """One execution phase of a workload.
+
+    Attributes
+    ----------
+    ws_lines:
+        Working-set size in cache lines (64 B each); 65536 lines = 4 MB.
+    p_new:
+        Probability a record touches the next cold/streaming line.
+    p_near:
+        Probability of a geometric stack-distance reuse; the remainder
+        ``1 - p_new - p_near`` is a uniform (``far``) reuse.
+    d_mean:
+        Mean recency depth of near reuses, in per-set position units
+        (1.0 keeps hits at MRU; ~8 spreads them across a 16-way set).
+    pattern:
+        ``"mixture"`` (default LRU-friendly blend), ``"scan"`` (cyclic
+        anti-LRU walk), or ``"stream"`` (cold sequential).
+    segment_records:
+        Records generated before the generator moves to the next phase
+        (phases cycle; this drives intra-application variation, Fig. 2).
+    """
+
+    ws_lines: int
+    p_new: float = 0.05
+    p_near: float = 0.80
+    d_mean: float = 3.0
+    pattern: str = "mixture"
+    segment_records: int = 50_000
+
+    def __post_init__(self) -> None:
+        if self.ws_lines < 1:
+            raise ValueError("working set must contain at least one line")
+        if not (0.0 <= self.p_new <= 1.0 and 0.0 <= self.p_near <= 1.0):
+            raise ValueError("probabilities must be in [0, 1]")
+        if self.p_new + self.p_near > 1.0 + 1e-9:
+            raise ValueError("p_new + p_near must not exceed 1")
+        if self.d_mean < 1.0:
+            raise ValueError("d_mean must be at least 1")
+        if self.pattern not in ("mixture", "scan", "stream"):
+            raise ValueError(f"unknown pattern {self.pattern!r}")
+        if self.segment_records < 1:
+            raise ValueError("segment must contain at least one record")
 
 
 @dataclass(frozen=True)

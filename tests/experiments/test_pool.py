@@ -1,5 +1,6 @@
 """Warm worker pool engine: reuse, recycling, and shm segment lifecycle."""
 
+import json
 import os
 import subprocess
 import sys
@@ -239,6 +240,49 @@ class TestLazyPreparation:
         assert not result.degraded
         assert result.attempts == 1 and result.retries == 0
         assert [e["outcome"] for e in result.timeline] == ["ok"]
+
+
+class TestSimulatorImport:
+    """A sweep imports the simulator only for a unit that must run, and
+    then in the parent before the pool forks, so workers start warm."""
+
+    SCRIPT = """\
+import json, sys
+from repro.config import SimConfig
+from repro.experiments import pool
+from repro.experiments.parallel import resilient_sweep
+
+STACK = ("repro.timing.system", "repro.workloads.synthetic")
+before = [m for m in STACK if m in sys.modules]
+at_fork = []
+real_spawn = pool.WorkerPool._spawn
+
+def spawn(self):
+    at_fork.append([m for m in STACK if m in sys.modules])
+    return real_spawn(self)
+
+pool.WorkerPool._spawn = spawn
+result = resilient_sweep(
+    SimConfig.scaled(instructions_per_core=50_000), ["gamess"], ("esteem",),
+    jobs=1,
+)
+print(json.dumps({
+    "before": before, "at_fork": at_fork, "attempts": result.attempts,
+}))
+"""
+
+    def test_stack_is_loaded_before_the_first_fork(self, repro_env):
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT], env=repro_env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen["attempts"] == 1
+        assert seen["before"] == []
+        assert seen["at_fork"] == [
+            ["repro.timing.system", "repro.workloads.synthetic"]
+        ]
 
 
 class TestSharedTraceStore:

@@ -1,6 +1,8 @@
 """Top-level API surface and documentation-consistency tests."""
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,9 +13,32 @@ ROOT = Path(repro.__file__).resolve().parents[2]
 
 
 class TestPublicApi:
-    def test_all_names_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+    #: Run in a fresh interpreter: importing ``repro`` and every
+    #: subpackage loads no NumPy, and then every name in ``repro.__all__``
+    #: and in each subpackage ``__all__`` resolves.
+    RESOLVE = """\
+import importlib, pkgutil, sys
+import repro
+packages = [repro] + [
+    importlib.import_module(f"repro.{info.name}")
+    for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
+]
+assert "numpy" not in sys.modules, "importing the packages loaded NumPy"
+missing = [
+    f"{package.__name__}.{name}"
+    for package in packages
+    for name in getattr(package, "__all__", ())
+    if not hasattr(package, name)
+]
+assert not missing, missing
+"""
+
+    def test_all_names_resolve(self, repro_env):
+        proc = subprocess.run(
+            [sys.executable, "-c", self.RESOLVE], env=repro_env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_version(self):
         assert re.match(r"^\d+\.\d+\.\d+$", repro.__version__)

@@ -132,18 +132,18 @@ class TestCommands:
         self, number, cores, retention, capsys, monkeypatch
     ):
         # The ESTEEM flags apply on top of the figure's own core count
-        # and retention period.
-        import repro.cli as cli
+        # and retention period.  The handler imports Runner when it runs.
+        import repro.experiments.runner as runner_module
         from repro.config import SimConfig
 
         configs = []
 
-        class RecordingRunner(cli.Runner):
+        class RecordingRunner(runner_module.Runner):
             def __init__(self, config, **kwargs):
                 configs.append(config)
                 super().__init__(config, **kwargs)
 
-        monkeypatch.setattr(cli, "Runner", RecordingRunner)
+        monkeypatch.setattr(runner_module, "Runner", RecordingRunner)
         workload = "gamess" if cores == 1 else "GkNe"
         code = main(
             ["figure", str(number), "--workloads", workload,
@@ -427,6 +427,61 @@ class TestSweepCommand:
         ]
         assert povray["outcome"] == "ok" and povray["attempt"] == 1
 
+    @pytest.mark.parametrize(
+        "checkpoint,hint",
+        [
+            (False, "rerun the same command to finish the skipped units; "
+                    "finished units come back from the result cache"),
+            (True, "rerun with --resume to finish the skipped units"),
+        ],
+        ids=["no-checkpoint", "checkpoint"],
+    )
+    def test_interrupted_sweep_names_the_rerun_that_finishes_it(
+        self, checkpoint, hint, capsys, tmp_path, monkeypatch
+    ):
+        # --resume needs a checkpoint; without one, the same command
+        # finishes the sweep, its finished units served from the cache.
+        # The CLI and the report both say which.
+        import json
+
+        from repro.experiments import parallel
+
+        manifest_path = tmp_path / "manifest.json"
+        base = ["sweep", "-t", "esteem", "--instructions", "50000",
+                "--jobs", "1", "--cache-dir", str(tmp_path / "cache"), "-q"]
+        assert main(base + ["--workloads", "gamess"]) == 0
+        argv = base + ["--workloads", "gamess,povray",
+                       "--manifest", str(manifest_path)]
+        if checkpoint:
+            argv += ["--checkpoint", str(tmp_path / "sweep.ckpt.jsonl")]
+        capsys.readouterr()
+
+        real_enter = parallel.ParentSignalWatch.__enter__
+
+        def signalled(watch):
+            # SIGTERM lands before the first dispatch: povray is skipped.
+            real_enter(watch)
+            watch.signame = "SIGTERM"
+            return watch
+
+        with monkeypatch.context() as patch:
+            patch.setattr(parallel.ParentSignalWatch, "__enter__", signalled)
+            assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert f"INTERRUPTED by SIGTERM: {hint}" in err
+        assert main(["report", str(manifest_path)]) == 0
+        assert f"**Interrupted by SIGTERM** -- {hint}." in (
+            capsys.readouterr().out
+        )
+
+        # The rerun the hint names finishes the sweep.
+        assert main(argv + (["--resume"] if checkpoint else [])) == 0
+        capsys.readouterr()
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["completed"] == ["gamess", "povray"]
+        assert manifest["attempts"] == 1
+        assert manifest["resumed" if checkpoint else "cached"] == ["gamess"]
+
     def test_bad_inject_plan_reported(self, capsys, tmp_path):
         plan_path = tmp_path / "bad.json"
         plan_path.write_text("{broken")
@@ -634,3 +689,55 @@ class TestCampaignAcceptance:
         )
         assert code == 1
         assert "REGRESSION" in capsys.readouterr().err
+
+
+class TestCachedStartup:
+    """A sweep served whole from the result cache, and the report on its
+    manifest, load neither NumPy nor the simulator: the same process
+    shape as the benchmark's sweep wrapper (``main``, then the pool's
+    shared-memory audit)."""
+
+    SCRIPT = """\
+import contextlib, io, json, sys
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    sweep = main(sys.argv[1:])
+from repro.experiments.pool import active_shm_segments
+leaked = active_shm_segments()
+with contextlib.redirect_stdout(io.StringIO()):
+    report = main(["report", sys.argv[sys.argv.index("--manifest") + 1]])
+print(json.dumps({
+    "sweep": sweep, "report": report, "leaked": leaked,
+    "loaded": [m for m in ("numpy", "repro.timing.system")
+               if m in sys.modules],
+}))
+"""
+
+    def test_cached_sweep_and_report_load_no_simulator(
+        self, tmp_path, repro_env
+    ):
+        import json
+        import subprocess
+        import sys
+
+        argv = ["sweep", "--workloads", "gamess,povray",
+                "--instructions", "50000",
+                "--cache-dir", str(tmp_path / "cache"), "-q"]
+        fill = subprocess.run(
+            [sys.executable, "-m", "repro", *argv], env=repro_env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert fill.returncode == 0, fill.stderr
+        manifest_path = tmp_path / "manifest.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *argv,
+             "--checkpoint", str(tmp_path / "sweep.ckpt.jsonl"),
+             "--manifest", str(manifest_path)],
+            env=repro_env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen == {
+            "sweep": 0, "report": 0, "leaked": [], "loaded": [],
+        }
+        assert json.loads(manifest_path.read_text())["attempts"] == 0
