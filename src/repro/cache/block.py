@@ -26,8 +26,9 @@ class LineState:
         ``bool`` array; modified-state of each line.
     last_window:
         ``int64`` array; index of the phase window in which the line was
-        last *updated* (accessed or refreshed).  Used by the Refrint
-        polyphase-valid policy.  ``-1`` for never-touched lines.
+        last accessed (RPD also restamps it at a refresh; RPV derives the
+        last refresh from the stamp's phase class).  Used by the Refrint
+        polyphase policies.  ``-1`` for never-touched lines.
     active:
         ``bool`` array; whether the way holding this line is currently
         powered on.  Always all-True for caches that do not reconfigure.

@@ -127,7 +127,8 @@ class RefreshConfig:
         demand access.
     rpv_phases:
         Number of phases used by the Refrint polyphase-valid policy
-        (4 in the paper, Section 6.2).
+        (4 in the paper, Section 6.2).  A power of two: RPV finds a
+        line's phase with a bit mask.
     """
 
     retention_cycles: int = 100_000
@@ -146,6 +147,10 @@ class RefreshConfig:
         _require(self.num_banks > 0, "bank count must be positive")
         _require(self.lines_per_refresh_burst > 0, "burst length must be positive")
         _require(self.rpv_phases > 0, "RPV phase count must be positive")
+        _require(
+            _is_pow2(self.rpv_phases),
+            f"RPV phase count must be a power of two, got {self.rpv_phases}",
+        )
         _require(
             self.retention_cycles % self.rpv_phases == 0,
             "retention period must divide evenly into RPV phases",

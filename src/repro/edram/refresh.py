@@ -56,11 +56,11 @@ class RefreshEngine(ABC):
 
     #: Whether boundary processing can mutate cache *contents* -- tags,
     #: validity, dirtiness, or recency (dropping lines, invalidating
-    #: ways).  Engines that only read line state, count refreshes, or
-    #: re-stamp ``last_window`` leave this False.  The batch
-    #: classification kernel keys its quiescence predicate on this flag:
-    #: a True engine can change hit/miss outcomes at any refresh
-    #: boundary, so runs under it are never batch-classified.
+    #: ways).  Engines that only read line state and count refreshes
+    #: leave this False.  The batch classification kernel keys its
+    #: quiescence predicate on this flag: a True engine can change
+    #: hit/miss outcomes at any refresh boundary, so runs under it are
+    #: never batch-classified.
     mutates_cache_state: bool = False
 
     def __init__(self, state: LineState, config: RefreshConfig) -> None:

@@ -6,8 +6,8 @@ touched in phase ``p`` of one retention period does not need attention until
 phase ``p`` of the *next* retention period:
 
 * The retention period is divided into ``P`` phases (4 in the paper).
-* Every block records the phase window in which it was last updated
-  (an access or a refresh both count as updates).
+* A block's last update is the phase window of its last access or
+  refresh.
 * At the start of each phase window ``w``, RPV refreshes exactly the valid
   blocks whose last update fell in window ``w - P`` -- i.e. blocks whose
   data is about to turn one retention period old.
@@ -17,8 +17,15 @@ RPV does not change hit/miss behaviour or invalidate anything, so its
 ``ActiveRatio`` is always 100% and its MPKI delta is zero (Section 6.4).
 
 Implementation: the cache stamps ``LineState.last_window`` on every access
-(see :meth:`repro.cache.cache.SetAssociativeCache.access`); this engine does
-one vectorised scan per phase boundary.
+(see :meth:`repro.cache.cache.SetAssociativeCache.access`); this engine
+only reads the stamps, with one vectorised count per phase boundary.  A
+refresh at window ``w`` would move a stamp by a multiple of ``P``, so a
+line's *phase class* (stamp mod ``P``) changes only when the line is
+accessed, and the class alone says when the line comes due.  The stamp is
+therefore the window of the last *access*; :meth:`last_update_windows`
+derives the last access-or-refresh window from it.  ``P`` must be a power
+of two (:class:`~repro.config.RefreshConfig` enforces it) so the class is
+a bit mask, which is far cheaper than an int64 modulo.
 """
 
 from __future__ import annotations
@@ -40,6 +47,14 @@ class RefrintPolyphaseValid(RefreshEngine):
     def __init__(self, state: LineState, config: RefreshConfig) -> None:
         super().__init__(state, config)
         self.phases = config.rpv_phases
+        self._class_mask = self.phases - 1
+        # A valid stamp older than ``1 - P`` is due at the first boundary
+        # (window 1), after which it would sit in class 1: move it there
+        # now.  Warm images stamp within [1 - P, 0], so only hand-built
+        # states change.
+        lw = state.last_window
+        floor = 1 - self.phases
+        lw[state.valid & (lw < floor)] = floor
 
     @property
     def window_cycles(self) -> int:
@@ -47,24 +62,34 @@ class RefrintPolyphaseValid(RefreshEngine):
         return self.config.phase_cycles
 
     def _lines_to_refresh(self, boundary_cycle: int) -> int:
-        """Refresh valid lines whose data is at least one retention old.
+        """Count the valid lines of boundary ``w``'s phase class.
 
-        A line last updated in window ``w - P`` (or earlier -- stale
-        pre-warmed data starts with staggered stamps below zero) is due at
-        the start of window ``w``.  A refresh counts as an update:
-        refreshed lines are re-stamped with the current window so they come
-        due again ``P`` windows later, staying in their phase.  Lines never
-        touched at all (stamp -1 on an invalid fill slot) are excluded by
-        the validity mask.
+        A line is due at window ``w`` when its last update fell in window
+        ``w - P``: its stamp is in ``w``'s class and at most ``w - P``.
+        The bound needs no test -- a running system never stamps a window
+        whose boundary the engine has not yet processed, so every stamp in
+        ``w``'s class is already at most ``w - P`` -- and the refresh
+        needs no restamp, since it leaves the class unchanged.  Lines
+        never touched at all (stamp -1 on an invalid fill slot) are
+        excluded by the validity mask.
         """
+        mask = self._class_mask
         w = boundary_cycle // self.config.phase_cycles
-        due_window = w - self.phases
         state = self.state
-        # Restamp by index: a boolean-mask store walks the whole array,
-        # while about a quarter of the lines are due at each boundary.
-        idx = np.flatnonzero(state.valid & (state.last_window <= due_window))
-        state.last_window[idx] = w
-        return idx.size
+        return int(
+            np.count_nonzero(state.valid & ((state.last_window & mask) == (w & mask)))
+        )
+
+    def last_update_windows(self) -> np.ndarray:
+        """Each line's last access-or-refresh window, as of the last boundary.
+
+        For a valid line this is the latest window, no later than the last
+        processed boundary's, in the line's phase class.  Invalid lines
+        keep their raw stamp.
+        """
+        w = self._next_boundary // self.window_cycles - 1
+        lw = self.state.last_window
+        return np.where(self.state.valid, w - ((w - lw) & self._class_mask), lw)
 
     def lines_due_in_window(self, window_index: int) -> int:
         """Diagnostic: how many valid lines are currently stamped ``window_index``."""

@@ -41,15 +41,17 @@ class TestPhaseScheduling:
         assert eng.total_refreshes == 10
 
     def test_line_refreshed_in_its_own_phase(self, state, cfg):
-        # A line stamped in window 2 comes due at window 6 (2 + 4 phases).
+        # A line filled in window 2 comes due at window 6 (2 + 4 phases).
+        eng = RefrintPolyphaseValid(state, cfg)
+        eng.advance_to(250 * 2)
         state.valid[0] = True
         state.last_window[0] = 2
-        eng = RefrintPolyphaseValid(state, cfg)
         eng.advance_to(250 * 5)  # through window 5
         assert eng.total_refreshes == 0
+        assert eng.last_update_windows()[0] == 2
         eng.advance_to(250 * 6)
         assert eng.total_refreshes == 1
-        assert state.last_window[0] == 6
+        assert eng.last_update_windows()[0] == 6
 
     def test_staggered_lines_spread_across_windows(self, state, cfg):
         state.valid[:] = True
@@ -130,11 +132,19 @@ class TestDataIntegrity:
         state.last_window[:] = 0
         eng = RefrintPolyphaseValid(state, cfg)
         phases = cfg.rpv_phases
+        last_touch = np.zeros(64, dtype=np.int64)
         for w in range(1, 60):
             # Touch a random subset, then advance one window.
             touched = rng.integers(0, 64, size=5)
             state.last_window[touched] = w - 1
+            last_touch[touched] = w - 1
             eng.advance_to(250 * w)
+            updated = eng.last_update_windows()
             # After processing the boundary of window w, nothing may be
-            # stamped earlier than w - P.
-            assert int(state.last_window.min()) >= w - phases
+            # updated earlier than w - P ...
+            assert int(updated.min()) >= w - phases
+            # ... every line refreshed at w was counted at w ...
+            assert eng.take_refresh_delta() == int(np.count_nonzero(updated == w))
+            # ... and a refresh keeps a line in its touch's phase.
+            assert (updated >= last_touch).all()
+            assert ((updated - last_touch) % phases == 0).all()

@@ -55,6 +55,11 @@ class TestRefreshConfig:
         with pytest.raises(ValueError):
             RefreshConfig(retention_cycles=100_001, rpv_phases=4)
 
+    @pytest.mark.parametrize("phases", [3, 6, 12])
+    def test_phases_must_be_power_of_two(self, phases):
+        with pytest.raises(ValueError, match="power of two"):
+            RefreshConfig(retention_cycles=120_000, rpv_phases=phases)
+
 
 class TestMemoryConfig:
     def test_service_cycles(self):

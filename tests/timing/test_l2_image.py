@@ -102,7 +102,7 @@ def fresh_images():
 def geometries_and_targets(draw):
     sets = 2 ** draw(st.integers(0, 6))
     ways = draw(st.integers(1, 16))
-    phases = draw(st.integers(1, 8))
+    phases = 2 ** draw(st.integers(0, 3))  # RefreshConfig takes powers of two
     capacity = sets * ways
     target = draw(
         st.sampled_from(["zero", "below-sets", "remainder", "capacity", "above"])
