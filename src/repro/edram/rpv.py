@@ -90,8 +90,3 @@ class RefrintPolyphaseValid(RefreshEngine):
         w = self._next_boundary // self.window_cycles - 1
         lw = self.state.last_window
         return np.where(self.state.valid, w - ((w - lw) & self._class_mask), lw)
-
-    def lines_due_in_window(self, window_index: int) -> int:
-        """Diagnostic: how many valid lines are currently stamped ``window_index``."""
-        state = self.state
-        return int(np.count_nonzero(state.valid & (state.last_window == window_index)))

@@ -11,10 +11,15 @@ The cache is bounded: entries are kept in least-recently-used order and
 evicted once the summed column payload exceeds the byte cap (default
 1 GiB, overridable via ``REPRO_TRACE_CACHE_BYTES``), so a long sweep
 process cannot grow without bound.  Accounting covers the NumPy columns
-only -- the lazily materialised list views a trace may carry ride along
-with their trace and are dropped by the same eviction.  The most recent
-entry is always retained, even when it alone exceeds the cap: evicting
-the trace that was just inserted would guarantee regeneration thrash.
+only, 17 B per record -- the lazily materialised list views a trace may
+carry ride along with their trace uncounted and are dropped by the same
+eviction.  The fast loop's columnar retire view
+(:meth:`~repro.workloads.trace.Trace.retire_records`) measures about
+64 B per record per (core offset, CPI) key, so a trace that one core
+has run holds about 81 B per record in all, nearly five times what the
+cap counts.  The most recent entry is always retained, even when it
+alone exceeds the cap: evicting the trace that was just inserted would
+guarantee regeneration thrash.
 
 Observability: cache hits/misses/evictions and generation time are
 recorded in the process-wide default metrics registry (``trace_cache.*``

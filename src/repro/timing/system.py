@@ -81,8 +81,8 @@ def _gc_paused(method):
     """Run ``method`` with the cyclic garbage collector paused, restored
     as found (also on error).  Decorates ``System.__init__`` and ``run``.
 
-    Both allocate many short-lived acyclic objects (the cloned L2's sets,
-    per-record tuples) whose generation-0 collections find nothing, and a
+    Both allocate many short-lived acyclic objects (the cloned L2's sets
+    and tag maps) whose generation-0 collections find nothing, and a
     generation-2 one scans the large, immortal cached traces and L2
     images.  Disabling is the wrapper's first step, so the objects a
     construction leaves young trigger no collection on entry to ``run``.
@@ -461,13 +461,13 @@ class System:
         # Per-core state in parallel lists indexed by core; the running
         # core's cursor index and clock live in locals during a stint.
         two = len(cores) == 2
-        recs_, gi_cum_ = zip(
+        cols_, gi_cum_ = zip(
             *(
                 c.cursor.trace.retire_records(c.addr_offset, c.base_cpi)
                 for c in cores
             )
         )
-        n_ = [len(r) for r in recs_]
+        n_ = [len(g) for g in gi_cum_]
         mlp_ = [c.mem_mlp for c in cores]
         i_ = [c.cursor.index for c in cores]
         wraps_ = [c.cursor.wraps for c in cores]
@@ -506,7 +506,7 @@ class System:
         # One build covers every record of the pass or the run stays
         # scalar (see :func:`build_batch` for when it declines); the
         # buffer is retired once, by the full commit at the end of the
-        # trace.  Its commit loop reads the same retire tuples as a stint.
+        # trace.  Its commit loop reads the same retire view as a stint.
         core0 = cores[0]
         kb = None
         if (
@@ -580,7 +580,7 @@ class System:
                     # accounting stays bit-identical.  Recency promotion
                     # is the one deferred piece -- orders are rebuilt at
                     # the end of the trace.
-                    recs = recs_[0]
+                    addrs, writes, costs = cols_[0]
                     kstart = kb.start
                     kend = kb.end
                     g_l = kb.g_list
@@ -599,15 +599,15 @@ class System:
                                 window_end if window_end < horizon else horizon
                             )
                         g = g_l[i - kstart]
-                        addr, is_write, gcpi, _gi = recs[i]
                         if g >= 0:
                             # Classified hit on line ``g``.
-                            if is_write:
+                            if writes[i]:
                                 dirty_mv[g] = True
                             lw_mv[g] = window
-                            cycles = cycles + (gcpi + lat_base)
+                            cycles = cycles + (costs[i] + lat_base)
                         else:
                             # Classified miss in set ``-1 - g``.
+                            addr = addrs[i]
                             cset = sets[-1 - g]
                             g, victim, old_tag, wbf = mdat[mi]
                             mi += 1
@@ -627,7 +627,7 @@ class System:
                                 valid_mv[g] = True
                             cset.tags[victim] = addr
                             tag_map[addr] = victim
-                            dirty_mv[g] = is_write
+                            dirty_mv[g] = writes[i]
                             lw_mv[g] = window
                             if mm_next_free > now:
                                 wait = mm_next_free - now
@@ -643,12 +643,12 @@ class System:
                                 mm_next_free = now + service_cycles
                                 latency = lat_miss0
                             mm_reads += 1
-                            cycles = cycles + (gcpi + latency)
+                            cycles = cycles + (costs[i] + latency)
                     else:
                         i = kend
                     kb.miss_ptr = mi
                 else:
-                    recs = recs_[ci]
+                    addrs, writes, costs = cols_[ci]
                     if two:
                         # Core 0 keeps the selection on a tie, so it runs
                         # until strictly past core 1's clock; core 1 stops
@@ -675,7 +675,8 @@ class System:
                             window = int(cycles) // phase_cycles
                             window_end = (window + 1) * phase_cycles
                             next_chk = window_end if window_end < lim else lim
-                        addr, is_write, gcpi, _gi = recs[i]
+                        addr = addrs[i]
+                        is_write = writes[i]
                         cset = sets[addr & asm]
                         way = cset.tag_map.get(addr, -1)
                         if way >= 0:
@@ -808,10 +809,9 @@ class System:
                             mm_reads += 1
                             if is_write:
                                 latency += wpen
-                        # ``gcpi`` is the precomputed ``(gap+1) * base_cpi``;
-                        # the parenthesised sum matches retire()'s
-                        # evaluation order bit for bit.
-                        cycles = cycles + (gcpi + latency)
+                        # ``costs[i]`` is ``(gap+1) * base_cpi``; the sum's
+                        # parentheses match retire()'s order bit for bit.
+                        cycles = cycles + (costs[i] + latency)
                     else:
                         i = n_rec
                 # ``i`` is now the first unprocessed record (``n_rec`` if

@@ -14,9 +14,10 @@ compact binary buffers, and vectorised consumers slice the arrays
 directly.  The scalar simulation loops want plain Python ints (NumPy
 scalar extraction costs more per element than list indexing), so each
 loop reads one list view, materialised once per trace and cached: the
-fast loop reads the retire tuples of :meth:`Trace.retire_records`, and
-the reference loop's :class:`TraceCursor` reads :meth:`Trace.columns`,
-which only that loop builds.
+fast loop reads the columnar retire view of :meth:`Trace.retire_records`
+(address, write-flag and base-cost lists plus int64 running sums, about
+64 B per record), and the reference loop's :class:`TraceCursor` reads
+:meth:`Trace.columns`, which only that loop builds.
 
 For the warm-worker sweep pool, :meth:`Trace.to_shm` exports the columns
 into one named ``multiprocessing.shared_memory`` segment and
@@ -30,7 +31,7 @@ unlink.
 
 from __future__ import annotations
 
-import itertools
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -134,7 +135,7 @@ class Trace:
             raise ValueError("trace columns must have equal length")
         self._instructions: int | None = None
         self._columns: tuple[list, list, list] | None = None
-        self._retire_records: dict[tuple, tuple[list[tuple], list[int]]] = {}
+        self._retire_records: dict[tuple, tuple[tuple[list, list, list], array]] = {}
         self._set_index_columns: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
@@ -178,31 +179,42 @@ class Trace:
 
     def retire_records(
         self, offset: int, base_cpi: float
-    ) -> tuple[list[tuple], list[int]]:
-        """Per-record retire view: ``(addr, is_write, gi*cpi, gi)`` + cumsum.
+    ) -> tuple[tuple[list[int], list[bool], list[float]], array]:
+        """Columnar retire view: ``(addrs, writes, costs)`` + running sums.
 
-        ``gi = gap + 1`` is the record's instruction count and ``gi * cpi``
-        its precomputed base cycle cost -- bit-identical to computing the
-        product per record, since the operands are the same.  The second
-        element is the running instruction total through each record, which
-        lets the fast loop reconstruct the instruction counter from cursor
-        positions instead of incrementing it per record.  Cached per
-        (offset, cpi) and shared by every run over this trace; this is the
-        only list view the fast loop reads, so it is built from throwaway
-        ``tolist()`` columns rather than from :meth:`columns`.
+        Three parallel lists, read by record index: the line address with
+        the core's ``offset`` ORed in, the store flag, and the record's
+        base cycle cost ``gi * base_cpi`` with ``gi = gap + 1`` its
+        instruction count.  The cost is computed once per distinct ``gi``
+        and that one float is shared by every record with the same gap --
+        bit-identical to computing the product per record, since the
+        operands are the same.  The second element is the running
+        instruction total through each record, an ``array('q')`` (int64,
+        indexing yields Python ints), which lets the fast loop reconstruct
+        the instruction counter from cursor positions instead of
+        incrementing it per record.
+
+        Cached per (offset, cpi) and shared by every run over this trace.
+        On a sphinx trace the view holds about 64 B per record (8 B per
+        list slot, a 32 B address int, 8 B of running sum; the flags and
+        costs are shared objects), against 17 B per record of NumPy
+        columns, and adds a handful of GC-tracked objects rather than one
+        per record.  Addresses stay fresh ints in record order: sharing
+        them between views or with the batch kernel saves little and
+        costs locality in the hot loop.
         """
         key = (offset, base_cpi)
         cached = self._retire_records.get(key)
         if cached is None:
-            addrs = self.addrs.tolist()
-            writes = self.writes.tolist()
             gaps = self.gaps.tolist()
-            if offset:
-                addrs = [addr | offset for addr in addrs]
-            gis = [gap + 1 for gap in gaps]
-            recs = list(zip(addrs, writes, [gi * base_cpi for gi in gis], gis))
-            gi_cum = list(itertools.accumulate(gis))
-            cached = self._retire_records[key] = (recs, gi_cum)
+            cost = {gap: (gap + 1) * base_cpi for gap in set(gaps)}
+            cols = (
+                (self.addrs | offset).tolist(),
+                self.writes.tolist(),
+                list(map(cost.__getitem__, gaps)),
+            )
+            gi_cum = array("q", np.cumsum(self.gaps + 1, dtype=np.int64).tobytes())
+            cached = self._retire_records[key] = (cols, gi_cum)
         return cached
 
     def set_index_column(self, set_mask: int) -> np.ndarray:
@@ -401,7 +413,7 @@ class TraceCursor:
     first pass.
 
     The fast loop keeps only ``index`` and ``wraps`` here and reads the
-    trace's retire tuples itself; :meth:`next_record` serves the reference
+    trace's retire view itself; :meth:`next_record` serves the reference
     loop, and fetches the trace's shared scalar columns on its first call.
     """
 

@@ -114,13 +114,6 @@ class TestBounds:
         base.advance_to(25_000)
         assert rpv.total_refreshes <= base.total_refreshes
 
-    def test_lines_due_in_window_diagnostic(self, state, cfg):
-        state.valid[:4] = True
-        state.last_window[:4] = 5
-        eng = RefrintPolyphaseValid(state, cfg)
-        assert eng.lines_due_in_window(5) == 4
-        assert eng.lines_due_in_window(6) == 0
-
 
 class TestDataIntegrity:
     def test_no_valid_line_ever_older_than_one_retention(self, state, cfg):

@@ -161,8 +161,8 @@ class TestTechnologyEquivalence:
 
 
 class TestOneListView:
-    """The fast loop reads one list view per trace, the retire tuples:
-    it never builds the reference loop's scalar columns."""
+    """The fast loop reads one list view per trace, the columnar retire
+    view: it never builds the reference loop's scalar columns."""
 
     @pytest.mark.parametrize("batch_kernel", [True, False])
     @pytest.mark.parametrize("cores", [1, 2])

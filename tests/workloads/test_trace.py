@@ -1,8 +1,15 @@
 """Unit tests for trace containers and cursors."""
 
+import gc
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.workloads.profiles import get_profile
+from repro.workloads.synthetic import generate_trace
 from repro.workloads.trace import Trace, TraceCorruptionError, TraceCursor
 
 
@@ -158,6 +165,74 @@ class TestCorruption:
         trace.save(path)
         with np.load(path) as data:
             assert int(data["n_records"]) == len(trace)
+
+
+class TestRetireView:
+    """The fast loop's columnar view: exact values, few GC-tracked
+    objects and a bounded size per record."""
+
+    @pytest.fixture(scope="class")
+    def sphinx(self) -> Trace:
+        # ~10k records, seed 0.
+        return generate_trace(get_profile("sphinx"), 1_000_000, seed=0)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        recs=st.lists(
+            st.tuples(
+                st.integers(0, (1 << 40) - 1),
+                st.booleans(),
+                st.integers(0, 5_000),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        base_cpi=st.one_of(
+            st.sampled_from([1.1, 0.7, 1.0, 1.25, 0.3]),
+            st.floats(0.05, 16.0, allow_nan=False),
+        ),
+        offset=st.sampled_from([0, 1 << 40]),
+    )
+    def test_columns_are_exact(self, recs, base_cpi, offset):
+        addrs, writes, gaps = map(list, zip(*recs))
+        trace = Trace(
+            name="prop", addrs=addrs, writes=writes, gaps=gaps,
+            base_cpi=base_cpi,
+        )
+        (A, W, C), gi_cum = trace.retire_records(offset, base_cpi)
+        assert len(A) == len(W) == len(C) == len(gi_cum) == len(recs)
+        for k, (addr, is_write, gap) in enumerate(recs):
+            assert type(A[k]) is int and A[k] == addr | offset
+            assert W[k] is is_write
+            assert C[k].hex() == ((gap + 1) * base_cpi).hex()
+        assert list(gi_cum) == list(itertools.accumulate(g + 1 for g in gaps))
+
+    def test_build_adds_few_gc_tracked_objects(self, sphinx):
+        # System.run builds the view with the collector paused; objects it
+        # leaves young are walked by the next collections after the run.
+        sphinx._retire_records.clear()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            view = sphinx.retire_records(1 << 40, sphinx.base_cpi)
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert len(view[1]) == len(sphinx) > 5_000
+        assert added < 100
+
+    def test_view_holds_at_most_72_bytes_per_record(self, sphinx):
+        for offset in (0, 1 << 40):
+            sphinx._retire_records.clear()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                view = sphinx.retire_records(offset, sphinx.base_cpi)
+                held = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert len(view[1]) == len(sphinx)
+            assert held / len(sphinx) <= 72, (offset, held / len(sphinx))
 
 
 class TestCursor:
