@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from conftest import emit, scaled_config
 
-from repro.experiments.figures import per_workload_comparison
 from repro.experiments.report import format_table
 from repro.experiments.runner import Runner, aggregate
 
@@ -35,21 +34,23 @@ def run_figure(
     """Run ESTEEM + RPV on every workload and emit the figure's series."""
     runner = Runner(scaled_config(num_cores=num_cores, retention_us=retention_us))
 
-    rows, raw = run_once(lambda: per_workload_comparison(runner, workloads))
+    raw = run_once(
+        lambda: {t: runner.compare_many(workloads, t) for t in ("esteem", "rpv")}
+    )
 
     table_rows = [
         [
-            r.workload,
-            r.esteem_energy_saving_pct,
-            r.rpv_energy_saving_pct,
-            r.esteem_weighted_speedup,
-            r.rpv_weighted_speedup,
-            r.esteem_rpki_decrease,
-            r.rpv_rpki_decrease,
-            r.esteem_mpki_increase,
-            r.esteem_active_ratio_pct,
+            es.workload,
+            es.energy_saving_pct,
+            rpv.energy_saving_pct,
+            es.weighted_speedup,
+            rpv.weighted_speedup,
+            es.rpki_decrease,
+            rpv.rpki_decrease,
+            es.mpki_increase,
+            es.active_ratio_pct,
         ]
-        for r in rows
+        for es, rpv in zip(raw["esteem"], raw["rpv"])
     ]
     es = aggregate(raw["esteem"])
     rpv = aggregate(raw["rpv"])

@@ -12,7 +12,8 @@ from __future__ import annotations
 from conftest import dual_workloads, emit, scaled_config, single_workloads, strict_checks
 
 from repro.experiments.report import format_table
-from repro.experiments.tables import SENSITIVITY_VARIANTS, sensitivity_row
+from repro.experiments.runner import Runner, aggregate
+from repro.experiments.tables import SENSITIVITY_VARIANTS
 
 #: Paper's Table 3 rows (energy %, WS, dRPKI, dMPKI, active %) for the
 #: report's side-by-side comparison.
@@ -66,7 +67,8 @@ def _sweep(system: str, num_cores: int, workloads: list[str]) -> list[list]:
     paper = PAPER_SINGLE if system == "single" else PAPER_DUAL
     rows = []
     for variant in SENSITIVITY_VARIANTS[system]:
-        agg = sensitivity_row(base, variant, workloads)
+        runner = Runner(variant.apply(base))
+        agg = aggregate(runner.compare_many(workloads, "esteem"))
         p = paper[variant.label]
         rows.append(
             [

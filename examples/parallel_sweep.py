@@ -2,8 +2,10 @@
 """Scenario: a multi-core parameter sweep using all local CPUs.
 
 Sweeps ESTEEM against RPV over a workload list with process-parallel
-execution (``repro.experiments.parallel``), the way one would drive the
-full 34-workload evaluation on a many-core workstation.
+execution (``resilient_sweep``, the engine behind ``repro sweep``,
+``repro figure`` and ``repro table``), the way one would drive the full
+34-workload evaluation on a many-core workstation, and checks the result
+against the sequential ``Runner``.
 
 Usage::
 
@@ -17,7 +19,7 @@ import sys
 import time
 
 from repro import SimConfig
-from repro.experiments.parallel import parallel_compare
+from repro.experiments.parallel import resilient_sweep
 from repro.experiments.report import format_table
 from repro.experiments.runner import Runner, aggregate
 
@@ -33,16 +35,18 @@ def main() -> None:
     config = SimConfig.scaled(instructions_per_core=instructions)
 
     t0 = time.perf_counter()
-    parallel = parallel_compare(
-        config, WORKLOADS, ("esteem", "rpv"), jobs=jobs
-    )
+    result = resilient_sweep(config, WORKLOADS, ("esteem", "rpv"), jobs=jobs)
     t_par = time.perf_counter() - t0
+    if result.degraded:
+        raise SystemExit(f"sweep lost units: {result.failed}")
+    parallel = result.comparisons
 
     t0 = time.perf_counter()
     runner = Runner(config)
-    runner.compare_many(WORKLOADS, "esteem")
-    runner.compare_many(WORKLOADS, "rpv")
+    sequential = {t: runner.compare_many(WORKLOADS, t) for t in parallel}
     t_seq = time.perf_counter() - t0
+    if sequential != parallel:
+        raise SystemExit("the sweep disagrees with the sequential Runner")
 
     rows = [
         [c.workload, c.energy_saving_pct, c.weighted_speedup,

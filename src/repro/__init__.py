@@ -57,8 +57,6 @@ _EXPORTS = {
     "generate_trace": "repro.workloads.synthetic",
     "get_mix": "repro.workloads.multiprog",
     "get_profile": "repro.workloads.profiles",
-    "parallel_compare": "repro.experiments.parallel",
-    "per_workload_comparison": "repro.experiments.figures",
     "retention_us": "repro.edram.retention",
 }
 

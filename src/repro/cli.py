@@ -15,11 +15,13 @@ Subcommands::
 All experiment subcommands accept ``--instructions`` (trace scale),
 ``--retention`` (us), and the ESTEEM knobs (``--alpha``, ``--a-min``,
 ``--modules``, ``--interval``, ``--sampling-ratio``), plus the
-observability flags ``--profile`` (span timing report on stderr),
-``-v``/``--verbose`` (progress + ETA lines during sweeps) and
+observability flags ``--profile`` (span timing report on stderr) and
 ``-q``/``--quiet`` (suppress stderr chatter).
 
-Sweep-shaped subcommands (``sweep``, ``figure``) consult a
+The sweep-shaped subcommands (``sweep``, ``figure`` 3-6 and ``table 3``)
+run their (workload, techniques) units through one engine,
+:func:`~repro.experiments.parallel.resilient_sweep`, on ``--jobs``
+worker processes (default: the CPU count).  They consult a
 content-addressed result cache so unchanged units are never re-simulated;
 ``--no-cache`` disables it and ``--cache-dir`` relocates it (default:
 ``$REPRO_CACHE_DIR`` or ``~/.cache/repro/results``).
@@ -76,20 +78,25 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sampling-ratio", type=int, default=None,
                         dest="sampling_ratio")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=_positive_int, default=1,
-                        help="worker processes for workload sweeps")
+    parser.add_argument("--profile", action="store_true",
+                        help="print a wall/CPU-time span report on stderr")
+    parser.add_argument("-q", "--quiet", action="store_true",
+                        help="suppress stderr progress output")
+
+
+def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
+    """Worker count and result cache, for the commands that sweep."""
+    parser.add_argument("--workloads", default=None,
+                        help="comma-separated workload subset (default: all "
+                             "Table 1 workloads for the core count)")
+    parser.add_argument("--jobs", type=_positive_int, default=None,
+                        help="worker processes (default: the CPU count)")
     parser.add_argument("--cache-dir", default=None, dest="cache_dir",
                         metavar="DIR",
                         help="result-cache directory (default: "
                              "$REPRO_CACHE_DIR or ~/.cache/repro/results)")
     parser.add_argument("--no-cache", action="store_true", dest="no_cache",
                         help="neither read nor write the sweep result cache")
-    parser.add_argument("--profile", action="store_true",
-                        help="print a wall/CPU-time span report on stderr")
-    parser.add_argument("-v", "--verbose", action="count", default=0,
-                        help="progress + ETA reporting on stderr")
-    parser.add_argument("-q", "--quiet", action="store_true",
-                        help="suppress stderr progress output")
 
 
 def _build_config(args: argparse.Namespace) -> SimConfig:
@@ -129,40 +136,90 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _result_cache(args: argparse.Namespace):
-    """The ResultCache selected by ``--cache-dir``/``--no-cache``.
+def _workloads(args: argparse.Namespace, cores: int) -> list[str]:
+    """``--workloads``, else every Table 1 workload for ``cores``."""
+    if args.workloads:
+        return args.workloads.split(",")
+    if cores == 1:
+        return [b.name for b in ALL_BENCHMARKS]
+    return [m.acronym for m in DUAL_CORE_MIXES]
 
-    Returns ``None`` when caching is disabled.  Subcommands without the
-    cache flags (e.g. ``run``) fall through to ``None`` too.
-    """
-    if getattr(args, "no_cache", False) or not hasattr(args, "no_cache"):
+
+def _result_cache(args: argparse.Namespace):
+    """The ResultCache selected by ``--cache-dir``, or None for
+    ``--no-cache``."""
+    if args.no_cache:
         return None
     from repro.experiments.result_cache import ResultCache, default_cache_dir
 
-    root = getattr(args, "cache_dir", None)
-    return ResultCache(root if root else default_cache_dir())
+    return ResultCache(args.cache_dir or default_cache_dir())
 
 
-def _make_profiler(args: argparse.Namespace):
-    """A Profiler when ``--profile`` was given, else None."""
-    if not getattr(args, "profile", False):
-        return None
-    from repro.obs import Profiler
+def _run_sweep(
+    args: argparse.Namespace,
+    label: str,
+    config: SimConfig,
+    workloads: list[str],
+    techniques: tuple[str, ...],
+    cache,
+    progress: bool = True,
+    **options,
+):
+    """One :func:`resilient_sweep` for ``sweep``, ``figure`` or ``table``:
+    ``(result, exit status)``.
 
-    return Profiler()
+    The sweep is timed as one ``label`` span of ``args.profiler`` and,
+    with ``progress``, reports each unit on stderr under ``label``.  A
+    sweep that did not complete names its lost units on stderr; its exit
+    status is 3 when some failed, 4 when a signal stopped it, else 0.
+    ``options`` go to :func:`resilient_sweep` as they are.
+    """
+    from repro.experiments.parallel import resilient_sweep
+    from repro.obs.campaign import CampaignDashboard
 
-
-def _finish_profile(profiler) -> None:
-    if profiler is not None:
-        profiler.report(sys.stderr)
+    # The dashboard renders live on a TTY and degrades to the classic
+    # line-per-unit reporter when stderr is a pipe (CI logs stay diffable).
+    reporter = CampaignDashboard(
+        0, label=label, enabled=progress and not args.quiet
+    )
+    with args.profiler.span(label):
+        result = resilient_sweep(
+            config, workloads, techniques, seed=args.seed, jobs=args.jobs,
+            progress=reporter, cache=cache, **options,
+        )
+    if result.skipped:
+        print(
+            f"SKIPPED: {len(result.skipped)} workload(s) cancelled:",
+            file=sys.stderr,
+        )
+        for s in result.skipped:
+            print(f"  {s.workload}: skipped-interrupt", file=sys.stderr)
+    if result.failed:
+        print(
+            f"DEGRADED: {len(result.failed)} workload(s) lost after "
+            f"{result.attempts} attempts ({result.retries} retries):",
+            file=sys.stderr,
+        )
+        for f in result.failed:
+            print(
+                f"  {f.workload}: [{f.exc_type}] after {f.attempts} "
+                f"attempt(s)",
+                file=sys.stderr,
+            )
+    if result.interrupted:
+        # Interrupted wins over degraded: the operator asked the
+        # campaign to stop, and the distinct code tells wrappers the
+        # checkpoint is resumable rather than the sweep broken.
+        hint = rerun_hint(bool(options.get("checkpoint")), cache is not None)
+        print(f"INTERRUPTED by {result.interrupted}: {hint}", file=sys.stderr)
+        return result, 4
+    return result, 3 if result.degraded else 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.runner import Runner
 
-    config = _build_config(args)
-    profiler = _make_profiler(args)
-    runner = Runner(config, seed=args.seed, profiler=profiler)
+    runner = Runner(_build_config(args), seed=args.seed, profiler=args.profiler)
     rows = []
     for technique in args.technique:
         if technique == "baseline":
@@ -184,20 +241,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         rows,
         title=f"techniques vs periodic-all baseline ({args.workload})",
     ))
-    _finish_profile(profiler)
     return 0
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    from repro.experiments.figures import (
-        fig2_reconfiguration_timeline,
-        per_workload_comparison,
-    )
-    from repro.experiments.runner import Runner, aggregate
-
-    profiler = _make_profiler(args)
     if args.number == 2:
-        runner = Runner(_build_config(args), seed=args.seed, profiler=profiler)
+        from repro.experiments.figures import fig2_reconfiguration_timeline
+        from repro.experiments.runner import Runner
+
+        runner = Runner(
+            _build_config(args), seed=args.seed, profiler=args.profiler
+        )
         _result, points = fig2_reconfiguration_timeline(runner, args.workload)
         rows = [
             [p.interval, p.active_ratio_pct, " ".join(map(str, p.ways_per_module))]
@@ -207,46 +261,21 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             ["interval", "active %", "ways per module"], rows,
             title=f"Figure 2: ESTEEM reconfiguration of {args.workload}",
         ))
-        _finish_profile(profiler)
         return 0
+
+    from repro.experiments.runner import aggregate
 
     # Figures 3-6 fix the core count and retention; the ESTEEM knobs
     # still apply on top of them.
     args.cores = 2 if args.number in (4, 6) else 1
     args.retention = 40.0 if args.number in (5, 6) else 50.0
-    config = _build_config(args)
-    if args.cores == 1:
-        workloads = [b.name for b in ALL_BENCHMARKS]
-    else:
-        workloads = [m.acronym for m in DUAL_CORE_MIXES]
-    if args.workloads:
-        workloads = args.workloads.split(",")
-    cache = _result_cache(args)
-    if args.jobs > 1:
-        from repro.experiments.parallel import parallel_compare
-
-        raw = parallel_compare(
-            config, workloads, ("esteem", "rpv"),
-            seed=args.seed, jobs=args.jobs,
-            progress=not args.quiet, cache=cache,
-        )
-    else:
-        from repro.obs import ProgressReporter
-
-        runner = Runner(config, seed=args.seed, profiler=profiler)
-        reporter = ProgressReporter(
-            len(workloads), label="figure",
-            enabled=bool(args.verbose) and not args.quiet,
-        )
-        raw = {"esteem": [], "rpv": []}
-        for workload in workloads:
-            _rows, one = per_workload_comparison(
-                runner, [workload], cache=cache
-            )
-            for technique, comps in one.items():
-                raw[technique].extend(comps)
-            reporter.advance(workload)
-        reporter.finish()
+    result, code = _run_sweep(
+        args, f"figure {args.number}", _build_config(args),
+        _workloads(args, args.cores), ("esteem", "rpv"), _result_cache(args),
+    )
+    if code:
+        return code
+    raw = result.comparisons
     table = [
         [es.workload, es.energy_saving_pct, rpv.energy_saving_pct,
          es.weighted_speedup, rpv.weighted_speedup]
@@ -266,13 +295,10 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
         path = write_comparisons_csv(raw["esteem"] + raw["rpv"], args.csv)
         print(f"CSV written to {path}")
-    _finish_profile(profiler)
     return 0
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    from repro.experiments.tables import SENSITIVITY_VARIANTS, sensitivity_row
-
     if args.number == 2:
         from repro.energy.params import EDRAM_ENERGY_TABLE
 
@@ -286,31 +312,31 @@ def _cmd_table(args: argparse.Namespace) -> int:
         ))
         return 0
 
-    system = args.system
-    cores = 1 if system == "single" else 2
+    from repro.experiments.runner import aggregate
+    from repro.experiments.tables import SENSITIVITY_VARIANTS
+    from repro.obs.profile import ProgressReporter
+
+    cores = 1 if args.system == "single" else 2
     config = SimConfig.scaled(
         num_cores=cores, instructions_per_core=args.instructions
     )
-    if system == "single":
-        workloads = [b.name for b in ALL_BENCHMARKS]
-    else:
-        workloads = [m.acronym for m in DUAL_CORE_MIXES]
-    if args.workloads:
-        workloads = args.workloads.split(",")
-    profiler = _make_profiler(args)
-    variants = SENSITIVITY_VARIANTS[system]
-    rows = []
-    from repro.obs import ProgressReporter
-
+    workloads = _workloads(args, cores)
+    cache = _result_cache(args)
+    variants = SENSITIVITY_VARIANTS[args.system]
     reporter = ProgressReporter(
-        len(variants), label=f"table3-{system}", enabled=not args.quiet
+        len(variants), label=f"table3-{args.system}", enabled=not args.quiet
     )
+    rows = []
+    # One sweep per row: a variant may change the L2 geometry, and every
+    # unit of a sweep shares one config.
     for variant in variants:
-        if profiler is not None:
-            with profiler.span(f"table3:{variant.label}"):
-                agg = sensitivity_row(config, variant, workloads, seed=args.seed)
-        else:
-            agg = sensitivity_row(config, variant, workloads, seed=args.seed)
+        result, code = _run_sweep(
+            args, f"table3:{variant.label}", variant.apply(config),
+            workloads, ("esteem",), cache, progress=False,
+        )
+        if code:
+            return code
+        agg = aggregate(result.comparisons["esteem"])
         rows.append(
             [variant.label, agg.energy_saving_pct, agg.weighted_speedup,
              agg.rpki_decrease, agg.mpki_increase, agg.active_ratio_pct]
@@ -318,9 +344,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
         reporter.advance(variant.label)
     print(format_table(
         ["row", "saving %", "WS", "dRPKI", "dMPKI", "active %"], rows,
-        title=f"Table 3 ({system}-core)",
+        title=f"Table 3 ({args.system}-core)",
     ))
-    _finish_profile(profiler)
     return 0
 
 
@@ -349,12 +374,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     config = _build_config(args)
     tracer = Tracer(capacity=args.capacity)
-    profiler = _make_profiler(args)
     runner = Runner(
         config,
         seed=args.seed,
         tracer=tracer,
-        profiler=profiler,
+        profiler=args.profiler,
         fault_plan=_load_plan(args),
     )
     result = runner.run(args.workload, args.technique)
@@ -385,7 +409,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"{dropped} ({tally})",
             file=sys.stderr,
         )
-    _finish_profile(profiler)
     return 0
 
 
@@ -400,9 +423,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     bit-for-bit).  A signal is the one early stop: ``timeout
     --preserve-status S repro sweep ...`` bounds a campaign's wall time.
     """
-    from repro.experiments.parallel import resilient_sweep
     from repro.experiments.runner import aggregate
-    from repro.obs.campaign import CampaignDashboard
 
     config = _build_config(args)
     if args.resume and not args.checkpoint:
@@ -416,32 +437,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if value is not None and not ok(value):
             print(f"error: {flag} must be {rule}", file=sys.stderr)
             return 2
-    if config.num_cores == 1:
-        workloads = [b.name for b in ALL_BENCHMARKS]
-    else:
-        workloads = [m.acronym for m in DUAL_CORE_MIXES]
-    if args.workloads:
-        workloads = args.workloads.split(",")
-
+    workloads = _workloads(args, config.num_cores)
     plan = _load_plan(args)
     cache = _result_cache(args)
-    # The dashboard renders live on a TTY and degrades to the classic
-    # line-per-unit reporter when stderr is a pipe (CI logs stay diffable).
-    reporter = CampaignDashboard(0, label="sweep", enabled=not args.quiet)
-    result = resilient_sweep(
-        config,
-        workloads,
-        tuple(args.technique),
-        seed=args.seed,
-        jobs=args.jobs,
+    result, code = _run_sweep(
+        args, "sweep", config, workloads, tuple(args.technique), cache,
         timeout_s=args.timeout,
         retries=args.retries,
         backoff_s=args.backoff,
         checkpoint=args.checkpoint,
         resume=args.resume,
         plan=plan,
-        progress=reporter,
-        cache=cache,
     )
 
     rows = []
@@ -479,34 +485,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         atomic_write_json(args.manifest, manifest)
         print(f"manifest written to {args.manifest}")
-    if result.skipped:
-        print(
-            f"SKIPPED: {len(result.skipped)} workload(s) cancelled:",
-            file=sys.stderr,
-        )
-        for s in result.skipped:
-            print(f"  {s.workload}: skipped-interrupt", file=sys.stderr)
-    if result.failed:
-        print(
-            f"DEGRADED: {len(result.failed)} workload(s) lost after "
-            f"{result.attempts} attempts ({result.retries} retries):",
-            file=sys.stderr,
-        )
-        for f in result.failed:
-            print(
-                f"  {f.workload}: [{f.exc_type}] after {f.attempts} "
-                f"attempt(s)",
-                file=sys.stderr,
-            )
-    if result.interrupted:
-        # Interrupted wins over degraded: the operator asked the
-        # campaign to stop, and the distinct code tells wrappers the
-        # checkpoint is resumable rather than the sweep broken.
-        hint = rerun_hint(bool(args.checkpoint), cache is not None)
-        print(f"INTERRUPTED by {result.interrupted}: {hint}", file=sys.stderr)
-        return 4
-    if result.degraded:
-        return 3
+    if code:
+        return code
     if not args.quiet:
         print(
             f"sweep complete: {len(result.completed)} workload(s), "
@@ -692,18 +672,16 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("number", type=int, choices=(2, 3, 4, 5, 6))
     fig.add_argument("--workload", default="h264ref",
                      help="workload for figure 2")
-    fig.add_argument("--workloads", default=None,
-                     help="comma-separated subset for figures 3-6")
     fig.add_argument("--csv", default=None,
                      help="also write per-workload comparisons as CSV")
     _add_machine_args(fig)
+    _add_sweep_args(fig)
 
     tab = sub.add_parser("table", help="regenerate a paper table")
     tab.add_argument("number", type=int, choices=(2, 3))
     tab.add_argument("--system", choices=("single", "dual"), default="single")
-    tab.add_argument("--workloads", default=None,
-                     help="comma-separated workload subset")
     _add_machine_args(tab)
+    _add_sweep_args(tab)
 
     trc = sub.add_parser(
         "trace",
@@ -732,9 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="resilient multi-workload sweep with checkpoint/resume, "
              "timeouts and retries",
     )
-    swp.add_argument("--workloads", default=None,
-                     help="comma-separated workload subset (default: all "
-                          "Table 1 workloads for the core count)")
     swp.add_argument(
         "-t", "--technique", nargs="+", default=["esteem", "rpv"],
         choices=[t for t in TECHNIQUES],
@@ -761,9 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the structured run manifest as JSON "
                           "(input for `repro report`)")
     _add_machine_args(swp)
-    # Sweeps are the bulk workload: default the worker count to the
-    # machine instead of 1 (None -> os.cpu_count() in resilient_sweep).
-    swp.set_defaults(jobs=None)
+    _add_sweep_args(swp)
 
     rep = sub.add_parser(
         "report",
@@ -813,7 +786,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
+    from repro.obs.profile import Profiler
+
     args = build_parser().parse_args(argv)
+    # One profiler per command; ``--profile`` enables it and prints its
+    # spans once the command returns.
+    args.profiler = Profiler(enabled=getattr(args, "profile", False))
     handlers = {
         "list": _cmd_list,
         "run": _cmd_run,
@@ -825,7 +803,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         "sweep": _cmd_sweep,
         "report": _cmd_report,
     }
-    return handlers[args.command](args)
+    code = handlers[args.command](args)
+    if args.profiler.enabled:
+        args.profiler.report(sys.stderr)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,9 +17,10 @@ eviction.  The fast loop's columnar retire view
 (:meth:`~repro.workloads.trace.Trace.retire_records`) measures about
 64 B per record per (core offset, CPI) key, so a trace that one core
 has run holds about 81 B per record in all, nearly five times what the
-cap counts.  The most recent entry is always retained, even when it
-alone exceeds the cap: evicting the trace that was just inserted would
-guarantee regeneration thrash.
+cap counts; sweep workers therefore :func:`discard` the traces a unit
+attached once it ends.  The most recent entry is always retained, even
+when it alone exceeds the cap: evicting the trace that was just
+inserted would guarantee regeneration thrash.
 
 Observability: cache hits/misses/evictions and generation time are
 recorded in the process-wide default metrics registry (``trace_cache.*``
@@ -43,6 +44,7 @@ __all__ = [
     "clear",
     "contains",
     "current_bytes",
+    "discard",
     "get_trace",
     "max_bytes",
     "put",
@@ -145,15 +147,26 @@ def put(
 def contains(profile_name: str, max_instructions: int, seed: int) -> bool:
     """Whether a trace is cached (touches LRU recency, no hit/miss count).
 
-    Warm pool workers use this to keep an already-installed trace --
-    and its materialised list views -- instead of re-attaching the same
-    shared segment and discarding the warm state.
+    Sweep workers use this to keep a trace inherited across the fork
+    instead of attaching the same shared segment again.
     """
     key = (profile_name, max_instructions, seed)
     if key in _CACHE:
         _CACHE.move_to_end(key)
         return True
     return False
+
+
+def discard(profile_name: str, max_instructions: int, seed: int) -> None:
+    """Drop one trace, if cached (counts as no eviction).
+
+    A sweep worker drops the traces a unit installed once the unit ends,
+    so their uncounted retire views do not outlive it.
+    """
+    global _CACHE_BYTES
+    trace = _CACHE.pop((profile_name, max_instructions, seed), None)
+    if trace is not None:
+        _CACHE_BYTES -= _trace_nbytes(trace)
 
 
 def clear() -> None:

@@ -10,16 +10,16 @@ technique) -- the baseline run and the generated traces are shared between
 techniques within a worker, which is the same sharing the sequential
 :class:`~repro.experiments.runner.Runner` exploits.
 
-One execution path: :func:`resilient_sweep` runs every parallel sweep
-(``repro sweep`` directly, ``repro figure --jobs N`` through
-:func:`parallel_compare`, its strict wrapper).  It dispatches units to
-one engine, the :class:`~repro.experiments.pool.WorkerPool`: a
-persistent pool of *warm* workers that amortise interpreter start,
-module imports, trace state and memoised warm-L2 images across units,
-receive traces zero-copy as shared-memory handles, and are recycled
-only on crash or hang.  The timeout/retry/checkpoint/degradation state
-machine lives in this module; the sequential
-:class:`~repro.experiments.runner.Runner` is its bit-for-bit reference.
+One execution path: :func:`resilient_sweep` runs every sweep (``repro
+sweep``, ``repro figure`` 3-6 and one per row of ``repro table 3``).  It
+dispatches units to one engine, the
+:class:`~repro.experiments.pool.WorkerPool`: a persistent pool of *warm*
+workers that amortise interpreter start, module imports and memoised
+warm-L2 images across units, receive traces zero-copy as shared-memory
+handles, and are recycled only on crash or hang.  The
+timeout/retry/checkpoint/degradation state machine lives in this module;
+the sequential :class:`~repro.experiments.runner.Runner` is its
+bit-for-bit reference.
 
 Results can additionally be served from a content-addressed
 :class:`~repro.experiments.result_cache.ResultCache`: units whose full
@@ -67,7 +67,6 @@ __all__ = [
     "SkippedWorkload",
     "SweepResult",
     "TRANSIENT_EXC_TYPES",
-    "parallel_compare",
     "resilient_sweep",
 ]
 
@@ -140,20 +139,23 @@ def _workload_task(
     shared-memory segments the parent exported this workload's traces
     into.  The worker attaches them zero-copy and seeds its trace cache
     instead of regenerating; a handle whose trace is already cached
-    (e.g. inherited across a fork, or installed by an earlier unit on a
-    warm pool worker) is skipped so the warm copy and its materialised
-    list views survive.  Returns the comparisons plus the unit's wall
-    time; failures are re-raised as :class:`ParallelWorkerError` so the
-    parent knows which workload died and (via ``exc_type``) what kind
-    of exception killed it.
+    (inherited across the fork) is skipped so the inherited copy serves.
+    The traces this unit installed are dropped when it ends, whether it
+    succeeded or not: the next unit on a warm worker is another
+    workload, and each trace's retire view (about 64 B per record,
+    which the trace cache's byte cap does not count) would otherwise
+    stay until the pool ends.  Returns the comparisons plus the unit's
+    wall time; failures are re-raised as :class:`ParallelWorkerError` so
+    the parent knows which workload died and (via ``exc_type``) what
+    kind of exception killed it.
     """
     from repro.experiments import _trace_cache
     from repro.workloads.trace import Trace
 
     config, workload, techniques, seed, preloaded, fault_plan = args
-    for (name, budget, trace_seed), handle in preloaded.items():
-        if not _trace_cache.contains(name, budget, trace_seed):
-            _trace_cache.put(name, budget, trace_seed, Trace.from_shm(handle))
+    installed = [key for key in preloaded if not _trace_cache.contains(*key)]
+    for key in installed:
+        _trace_cache.put(*key, Trace.from_shm(preloaded[key]))
     profiler = Profiler()
     # Under the resilient harness's worker observation context (see
     # repro.obs.campaign) the unit runs with a fresh per-attempt metrics
@@ -185,47 +187,9 @@ def _workload_task(
         raise ParallelWorkerError(
             workload, traceback.format_exc(), type(exc).__name__
         ) from None
-
-
-def parallel_compare(
-    config: SimConfig,
-    workloads: Iterable[str],
-    techniques: Sequence[str] = ("esteem", "rpv"),
-    seed: int = 0,
-    jobs: int | None = None,
-    progress: bool | ProgressReporter = False,
-    cache: ResultCache | None = None,
-) -> dict[str, list[RunComparison]]:
-    """Run ``techniques`` on every workload, fanned out over processes.
-
-    Returns comparisons keyed by technique, in workload order -- the same
-    shape as running :meth:`Runner.compare_many` per technique, but using
-    up to ``jobs`` worker processes (default: the machine's CPU count).
-    Units found in ``cache`` are returned without running (bit-for-bit
-    identical, see :mod:`repro.experiments.result_cache`); fresh units
-    are stored back.
-
-    ``progress=True`` prints one per-workload completion line with an ETA
-    to stderr; pass a :class:`~repro.obs.profile.ProgressReporter` to
-    control the stream/label (its ``total`` is overridden).
-
-    This is :func:`resilient_sweep` in strict mode, without a checkpoint:
-    once every unit has settled, the first failed unit in workload order
-    raises :class:`ParallelWorkerError`.  Its siblings still finish and
-    are cached first, so a rerun after fixing the failure pays only for
-    the failed unit.  A SIGINT/SIGTERM drain raises ``KeyboardInterrupt``.
-    """
-    workload_list = list(workloads)
-    result = resilient_sweep(
-        config, workload_list, techniques, seed=seed, jobs=jobs,
-        progress=progress, cache=cache,
-    )
-    if result.interrupted is not None:
-        raise KeyboardInterrupt(result.interrupted)
-    if result.failed:
-        f = min(result.failed, key=lambda f: workload_list.index(f.workload))
-        raise ParallelWorkerError(f.workload, f.detail, f.exc_type)
-    return result.comparisons
+    finally:
+        for key in installed:
+            _trace_cache.discard(*key)
 
 
 # ----------------------------------------------------------------------
@@ -266,14 +230,15 @@ class SkippedWorkload:
 class SweepResult:
     """Outcome of :func:`resilient_sweep`.
 
-    ``comparisons`` holds the surviving units keyed by technique (the
-    same shape :func:`parallel_compare` returns); ``failed`` is the
-    missing-workload manifest.  ``degraded`` is True when at least one
-    unit was abandoned -- the surviving results are still exact (each
-    unit is independent), the sweep is just incomplete.  ``cached``
-    lists units served whole from the result cache, and the
-    ``workers_*`` counters describe the worker pool's process economy
-    (it spawns at most ``jobs`` plus one per crash/hang recycle).
+    ``comparisons`` holds the surviving units keyed by technique, in
+    workload order (the shape of one :meth:`Runner.compare_many` per
+    technique); ``failed`` is the missing-workload manifest.
+    ``degraded`` is True when at least one unit was abandoned -- the
+    surviving results are still exact (each unit is independent), the
+    sweep is just incomplete.  ``cached`` lists units served whole from
+    the result cache, and the ``workers_*`` counters describe the worker
+    pool's process economy (it spawns at most ``jobs`` plus one per
+    crash/hang recycle).
 
     Campaign telemetry: ``timeline`` holds one record per attempt (and
     per cached/resumed unit) with wall-clock offsets relative to the

@@ -9,8 +9,9 @@ module keeps those costs amortised:
 * :class:`WorkerPool` -- a persistent pool of warm workers.  Each worker
   is a long-lived child process running :func:`_pool_worker_main`, a
   request/response loop over a duplex pipe.  Across units a worker keeps
-  its imported modules, its process-wide trace cache, and the memoised
-  warm-L2 images, so only the first unit a worker sees pays setup.  A
+  its imported modules, the traces it inherited across the fork, and the
+  memoised warm-L2 images, so only the first unit a worker sees pays
+  setup; the traces a unit attaches are dropped when it ends.  A
   worker is *recycled* (discarded and lazily replaced) only when it
   crashes (pipe EOF) or hangs (the harness aborts it at its per-attempt
   timeout); a unit that merely raises keeps its worker warm.
@@ -24,7 +25,7 @@ module keeps those costs amortised:
   segments.
 
 :func:`~repro.experiments.parallel.resilient_sweep` -- the one sweep
-path, which ``parallel_compare`` and ``repro figure --jobs N`` also run
+path, which ``repro sweep``, ``repro figure`` and ``repro table`` run
 on -- drives the pool through four calls: ``start()`` returns a pollable
 connection, ``finish()`` receives the attempt's message (``None`` means
 the worker died without reporting), ``abort()`` terminates a hung
@@ -225,9 +226,9 @@ def _attempt_message(task: tuple, attempt: int) -> tuple:
 def _pool_worker_main(conn) -> None:
     """Warm worker request loop: serve unit attempts until told to stop.
 
-    State deliberately persists across requests -- the process-wide trace
-    cache, memoised warm-L2 images, and imported modules are the warmth
-    the pool exists to amortise.  Each ``(task, attempt)`` request runs
+    State deliberately persists across requests -- inherited traces,
+    memoised warm-L2 images, and imported modules are the warmth the
+    pool exists to amortise.  Each ``(task, attempt)`` request runs
     under a fresh observation context.  The loop exits on a ``None``
     request or when the parent end of the pipe disappears.
     """

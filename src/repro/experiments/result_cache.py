@@ -5,11 +5,10 @@ pure function of its inputs: the benchmark profile parameters, the
 instruction budget, the trace seed, the technique list, the system
 configuration, the fault plan, and the simulation engine itself.
 :func:`unit_fingerprint` hashes exactly that closure; :class:`ResultCache`
-maps the hash to the unit's serialised comparisons on disk.  Every sweep
-path -- ``repro sweep`` and ``repro figure --jobs N`` through
-``resilient_sweep``, sequential figure regeneration through
-``per_workload_comparison`` -- probes it with :func:`probe_unit` before
-running a unit, so re-plotting a figure after an unrelated edit skips
+maps the hash to the unit's serialised comparisons on disk.  The one
+sweep path, ``resilient_sweep`` (``repro sweep``, ``repro figure`` and
+``repro table``), probes it with :func:`probe_unit` before running a
+unit, so re-plotting a figure or a table after an unrelated edit skips
 straight to rendering.
 
 Why this is sound: comparisons round-trip through

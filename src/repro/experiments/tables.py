@@ -5,17 +5,20 @@ Each row of Table 3 changes exactly one parameter from the defaults
 single-core / 16 dual-core).  Interval-length rows scale relative to the
 configured default (the paper's 5 M / 15 M cycles are 0.5x / 1.5x of its
 10 M default), so they stay meaningful for scaled-down runs.
+
+A row is ESTEEM averaged over the workloads under ``variant.apply(config)``:
+``repro table 3`` runs one
+:func:`~repro.experiments.parallel.resilient_sweep` per row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.config import SimConfig
-from repro.experiments.runner import AggregateResult, Runner, aggregate
 
-__all__ = ["SENSITIVITY_VARIANTS", "SensitivityVariant", "sensitivity_row"]
+__all__ = ["SENSITIVITY_VARIANTS", "SensitivityVariant"]
 
 
 @dataclass(frozen=True)
@@ -93,21 +96,3 @@ SENSITIVITY_VARIANTS: dict[str, tuple[SensitivityVariant, ...]] = {
         _size("16MB L2", 16),
     ),
 }
-
-
-def sensitivity_row(
-    base_config: SimConfig,
-    variant: SensitivityVariant,
-    workloads: Iterable[str],
-    seed: int = 0,
-) -> AggregateResult:
-    """Evaluate ESTEEM under one Table 3 variant, averaged over workloads.
-
-    A fresh :class:`Runner` is built per variant because geometry changes
-    (size/associativity) invalidate the cached baseline runs.
-    """
-    config = variant.apply(base_config)
-    runner = Runner(config, seed=seed)
-    comparisons = runner.compare_many(list(workloads), "esteem")
-    agg = aggregate(comparisons)
-    return replace(agg, technique=f"esteem[{variant.label}]")

@@ -8,7 +8,7 @@ sites can write ``with profiler.span("name"):`` unconditionally.
 :class:`ProgressReporter` prints per-unit progress with an ETA to stderr
 during multi-workload sweeps -- the visibility layer for
 :func:`repro.experiments.parallel.resilient_sweep`, the one sweep path
-(``repro sweep``, ``repro figure --jobs N`` and ``parallel_compare``).
+(``repro sweep``, ``repro figure`` 3-6 and each row of ``repro table 3``).
 """
 
 from __future__ import annotations

@@ -1,12 +1,9 @@
-"""Tests for the figure-series builders (E1-E5 plumbing)."""
+"""Tests for Figure 2's series builder (E1 plumbing)."""
 
 import pytest
 
 from repro.config import SimConfig
-from repro.experiments.figures import (
-    fig2_reconfiguration_timeline,
-    per_workload_comparison,
-)
+from repro.experiments.figures import fig2_reconfiguration_timeline
 from repro.experiments.runner import Runner
 
 
@@ -38,19 +35,3 @@ class TestFig2:
         _, points = fig2_reconfiguration_timeline(runner, "h264ref")
         cycles = [p.cycle for p in points]
         assert cycles == sorted(cycles)
-
-
-class TestPerWorkloadComparison:
-    def test_rows_and_raw(self, runner):
-        rows, raw = per_workload_comparison(runner, ["gamess", "povray"])
-        assert [r.workload for r in rows] == ["gamess", "povray"]
-        assert len(raw["esteem"]) == 2
-        assert len(raw["rpv"]) == 2
-
-    def test_row_fields_populated(self, runner):
-        rows, _ = per_workload_comparison(runner, ["gamess"])
-        row = rows[0]
-        assert row.esteem_energy_saving_pct != 0.0
-        assert row.esteem_weighted_speedup > 0
-        assert row.rpv_weighted_speedup > 0
-        assert 0 < row.esteem_active_ratio_pct <= 100

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import SimConfig
-from repro.experiments.parallel import ParallelWorkerError, parallel_compare
+from repro.experiments.parallel import ParallelWorkerError, resilient_sweep
 from repro.experiments.runner import Runner
 from repro.obs import ProgressReporter
 
@@ -15,45 +15,45 @@ CFG_KW = dict(instructions_per_core=400_000)
 
 
 class TestParallelCompare:
+    """Comparisons run in parallel by :func:`resilient_sweep` match the
+    sequential :class:`Runner`."""
+
     def test_matches_sequential_exactly(self):
         config = SimConfig.scaled(**CFG_KW)
-        parallel = parallel_compare(config, WORKLOADS, ("esteem",), jobs=2)
+        parallel = resilient_sweep(config, WORKLOADS, ("esteem",), jobs=2)
         runner = Runner(config)
         sequential = runner.compare_many(WORKLOADS, "esteem")
-        for p, s in zip(parallel["esteem"], sequential):
-            assert p.workload == s.workload
-            assert p.result.total_cycles == s.result.total_cycles
-            assert p.result.refreshes == s.result.refreshes
-            assert p.energy_saving_pct == pytest.approx(s.energy_saving_pct)
+        assert parallel.comparisons["esteem"] == sequential
 
     def test_multiple_techniques_share_workload_order(self):
         config = SimConfig.scaled(**CFG_KW)
-        out = parallel_compare(config, WORKLOADS, ("esteem", "rpv"), jobs=2)
-        assert [c.workload for c in out["esteem"]] == WORKLOADS
-        assert [c.workload for c in out["rpv"]] == WORKLOADS
+        out = resilient_sweep(config, WORKLOADS, ("esteem", "rpv"), jobs=2)
+        assert [c.workload for c in out.comparisons["esteem"]] == WORKLOADS
+        assert [c.workload for c in out.comparisons["rpv"]] == WORKLOADS
 
     def test_jobs_one_runs_inline(self):
         config = SimConfig.scaled(**CFG_KW)
-        out = parallel_compare(config, ["gamess"], ("esteem",), jobs=1)
-        assert len(out["esteem"]) == 1
+        out = resilient_sweep(config, ["gamess"], ("esteem",), jobs=1)
+        assert len(out.comparisons["esteem"]) == 1
+        assert out.workers_spawned == 1
 
     def test_empty_workloads_rejected(self):
         with pytest.raises(ValueError):
-            parallel_compare(SimConfig.scaled(**CFG_KW), [], ("esteem",))
+            resilient_sweep(SimConfig.scaled(**CFG_KW), [], ("esteem",))
 
     def test_empty_techniques_rejected(self):
         with pytest.raises(ValueError):
-            parallel_compare(SimConfig.scaled(**CFG_KW), ["gamess"], ())
+            resilient_sweep(SimConfig.scaled(**CFG_KW), ["gamess"], ())
 
     def test_zero_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
-            parallel_compare(
+            resilient_sweep(
                 SimConfig.scaled(**CFG_KW), ["gamess"], ("esteem",), jobs=0
             )
 
     def test_negative_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
-            parallel_compare(
+            resilient_sweep(
                 SimConfig.scaled(**CFG_KW), ["gamess"], ("esteem",), jobs=-4
             )
 
@@ -89,23 +89,58 @@ class TestTracePreloading:
                 raise AssertionError("the worker regenerated a shipped trace")
 
             # The worker attaches the shipped segment; the runner's own
-            # lookup then finds it instead of regenerating.
+            # lookups then find it instead of regenerating.
             monkeypatch.setattr(_trace_cache, "generate_trace", no_generation)
+            served = []
+            real_get_trace = _trace_cache.get_trace
+
+            def recording_get_trace(*args, **kwargs):
+                served.append(real_get_trace(*args, **kwargs))
+                return served[-1]
+
+            monkeypatch.setattr(_trace_cache, "get_trace", recording_get_trace)
             _workload_task(
                 (config, "gamess", ("esteem",), 0, {key: handle}, None)
             )
-            attached = _trace_cache.get_trace(profile, key[1], key[2])
-            assert attached is not trace
-            assert np.array_equal(attached.addrs, trace.addrs)
-            assert np.array_equal(attached.gaps, trace.gaps)
-            assert np.array_equal(attached.writes, trace.writes)
+            assert served
+            for attached in served:
+                assert attached is not trace
+                assert np.array_equal(attached.addrs, trace.addrs)
+                assert np.array_equal(attached.gaps, trace.gaps)
+                assert np.array_equal(attached.writes, trace.writes)
+        finally:
+            _trace_cache.clear()
+            store.close()
+
+    @pytest.mark.parametrize("techniques", [("esteem",), ("nosuch",)],
+                             ids=["success", "failure"])
+    def test_worker_task_drops_the_traces_it_installed(self, techniques):
+        # A warm worker's next unit is another workload: the attached
+        # trace, and the retire view built on it, must not outlive the
+        # unit that installed it, however the unit ends.
+        from repro.experiments import _trace_cache
+        from repro.experiments.parallel import _workload_task
+        from repro.experiments.pool import SharedTraceStore
+
+        store = SharedTraceStore()
+        try:
+            config, key, _profile, _trace, handle = self._ship_gamess(store)
+            _trace_cache.clear()
+            task = (config, "gamess", techniques, 0, {key: handle}, None)
+            if techniques == ("nosuch",):
+                with pytest.raises(ParallelWorkerError):
+                    _workload_task(task)
+            else:
+                _workload_task(task)
+            assert not _trace_cache.contains(*key)
+            assert _trace_cache.current_bytes() == 0
         finally:
             _trace_cache.clear()
             store.close()
 
     def test_worker_task_keeps_an_already_cached_trace(self):
-        # A warm worker already holding the trace (and its materialised
-        # list views) must not swap it for a fresh attachment.
+        # A worker that inherited the trace across the fork (with any
+        # views built on it) must not swap it for a fresh attachment.
         from repro.experiments import _trace_cache
         from repro.experiments.parallel import _workload_task
         from repro.experiments.pool import SharedTraceStore
@@ -139,52 +174,52 @@ class TestTracePreloading:
         # perturb results (they are the same arrays the worker would
         # have generated).
         config = SimConfig.scaled(**CFG_KW)
-        out = parallel_compare(config, ["gamess"], ("esteem",), jobs=2)
-        sequential = Runner(config).compare(
-            "gamess", "esteem"
-        )
-        assert out["esteem"][0].result.total_cycles == sequential.result.total_cycles
+        out = resilient_sweep(config, ["gamess"], ("esteem",), jobs=2)
+        sequential = Runner(config).compare("gamess", "esteem")
+        assert out.comparisons["esteem"] == [sequential]
 
 
 class TestWorkerFailures:
+    """A failed unit is named in ``SweepResult.failed``; its siblings
+    finish."""
+
     def test_failure_names_the_workload_inline(self):
-        with pytest.raises(ParallelWorkerError) as excinfo:
-            parallel_compare(
-                SimConfig.scaled(**CFG_KW),
-                ["gamess", "no-such-benchmark"],
-                ("esteem",),
-                jobs=1,
-            )
-        assert excinfo.value.workload == "no-such-benchmark"
-        assert "no-such-benchmark" in str(excinfo.value)
+        result = resilient_sweep(
+            SimConfig.scaled(**CFG_KW),
+            ["gamess", "no-such-benchmark"],
+            ("esteem",),
+            jobs=1,
+        )
+        (failed,) = result.failed
+        assert failed.workload == "no-such-benchmark"
+        assert "no-such-benchmark" in failed.detail
+        assert result.completed == ["gamess"]
 
     def test_failure_names_the_workload_across_processes(self):
-        with pytest.raises(ParallelWorkerError) as excinfo:
-            parallel_compare(
-                SimConfig.scaled(**CFG_KW),
-                ["gamess", "no-such-benchmark"],
-                ("esteem",),
-                jobs=2,
-            )
-        assert excinfo.value.workload == "no-such-benchmark"
+        result = resilient_sweep(
+            SimConfig.scaled(**CFG_KW),
+            ["gamess", "no-such-benchmark"],
+            ("esteem",),
+            jobs=2,
+        )
+        (failed,) = result.failed
+        assert failed.workload == "no-such-benchmark"
+        assert failed.exc_type == "KeyError"
         # The worker-side traceback crossed the process boundary as text.
-        assert excinfo.value.detail
+        assert "Traceback" in failed.detail
 
     def test_failure_keeps_finished_siblings_cached(self, tmp_path):
         # A failing unit must not throw away the results of units that
-        # finished beside it: gamess lands in the cache before the
-        # error is raised.
+        # finished beside it: gamess lands in the cache.
         from repro.experiments.result_cache import ResultCache, probe_unit
 
         config = SimConfig.scaled(**CFG_KW)
         cache = ResultCache(tmp_path / "results")
-        with pytest.raises(ParallelWorkerError) as excinfo:
-            parallel_compare(
-                config, ["gamess", "no-such-benchmark"], ("esteem",),
-                jobs=2, cache=cache,
-            )
-        assert excinfo.value.workload == "no-such-benchmark"
-        assert excinfo.value.exc_type == "KeyError"
+        result = resilient_sweep(
+            config, ["gamess", "no-such-benchmark"], ("esteem",),
+            jobs=2, cache=cache,
+        )
+        assert [f.workload for f in result.failed] == ["no-such-benchmark"]
         _fingerprint, hit = probe_unit(cache, config, "gamess", ("esteem",), 0)
         assert hit is not None
         reference = Runner(config).compare("gamess", "esteem")
@@ -195,7 +230,7 @@ class TestProgress:
     def test_progress_reporter_sees_every_workload(self):
         sink = io.StringIO()
         reporter = ProgressReporter(0, label="test-sweep", stream=sink)
-        parallel_compare(
+        resilient_sweep(
             SimConfig.scaled(**CFG_KW), WORKLOADS, ("esteem",),
             jobs=2, progress=reporter,
         )
@@ -205,7 +240,7 @@ class TestProgress:
         assert f"finished {len(WORKLOADS)}/{len(WORKLOADS)}" in out
 
     def test_progress_off_by_default(self, capsys):
-        parallel_compare(
+        resilient_sweep(
             SimConfig.scaled(**CFG_KW), ["gamess"], ("esteem",), jobs=1
         )
         assert capsys.readouterr().err == ""

@@ -11,7 +11,7 @@ import pytest
 from repro.config import SimConfig
 from repro.experiments import _trace_cache
 from repro.experiments import pool as poolmod
-from repro.experiments.parallel import parallel_compare, resilient_sweep
+from repro.experiments.parallel import resilient_sweep
 from repro.experiments.runner import Runner
 from repro.faults import FaultPlan
 
@@ -175,14 +175,6 @@ class TestShmLifecycle:
         assert proc.returncode == 3, proc.stderr
         assert "nosuch: [KeyError]" in proc.stderr
         assert "resource_tracker" not in proc.stderr, proc.stderr
-
-    def test_parallel_compare_unlinks_every_segment(self):
-        before = set(poolmod.created_shm_segments())
-        parallel_compare(config(), ["gamess", "povray"], ("esteem",), jobs=2)
-        fresh = new_segments(before)
-        assert fresh
-        assert poolmod.active_shm_segments() == []
-        assert segment_files(fresh) == []
 
 
 class TestLazyPreparation:

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.config import SimConfig
-from repro.experiments.tables import (
-    SENSITIVITY_VARIANTS,
-    sensitivity_row,
-)
+from repro.experiments.parallel import resilient_sweep
+from repro.experiments.runner import Runner, aggregate
+from repro.experiments.tables import SENSITIVITY_VARIANTS
 
 
 class TestVariantCatalogue:
@@ -41,18 +40,30 @@ class TestVariantCatalogue:
 
 
 class TestSensitivityRow:
+    """A Table 3 row is one sweep of ESTEEM under the variant's config
+    (what ``repro table 3`` runs); it equals the sequential reference on
+    that config."""
+
     @pytest.fixture(scope="class")
     def base(self) -> SimConfig:
         return SimConfig.scaled(instructions_per_core=300_000)
 
-    def test_default_row_runs(self, base):
-        row = sensitivity_row(base, SENSITIVITY_VARIANTS["single"][0], ["gamess"])
-        assert row.technique == "esteem[default]"
+    @staticmethod
+    def _row_matches_reference(base, variant):
+        config = variant.apply(base)
+        swept = resilient_sweep(config, ["gamess"], ("esteem",), jobs=1)
+        reference = Runner(config).compare_many(["gamess"], "esteem")
+        assert swept.comparisons["esteem"] == reference
+        row = aggregate(swept.comparisons["esteem"])
+        assert row == aggregate(reference)
         assert row.workloads == 1
 
+    def test_default_row_runs(self, base):
+        self._row_matches_reference(base, SENSITIVITY_VARIANTS["single"][0])
+
     def test_geometry_row_runs(self, base):
+        # A geometry row changes the L2 the worker builds its systems on.
         variant = next(
             v for v in SENSITIVITY_VARIANTS["single"] if v.label == "2MB L2"
         )
-        row = sensitivity_row(base, variant, ["gamess"])
-        assert row.technique == "esteem[2MB L2]"
+        self._row_matches_reference(base, variant)

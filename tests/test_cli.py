@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -46,6 +48,21 @@ class TestParser:
             main(command.split() + ["--workloads", "gamess", "--jobs", jobs])
         assert exc.value.code == 2
         assert "argument --jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        "run -w gamess --jobs 2",
+        "run -w gamess --cache-dir /tmp/results",
+        "trace -w gamess --no-cache",
+        "run -w gamess -v",
+        "figure 3 --verbose",
+    ])
+    def test_flags_only_sweeps_read_are_usage_errors(self, argv, capsys):
+        # --jobs and the cache flags belong to the commands that sweep;
+        # -v/--verbose is no flag.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv.split())
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         "trace -w gamess --capacity 0",
@@ -98,10 +115,9 @@ class TestCommands:
         assert "Figure 2" in capsys.readouterr().out
 
     def test_figure3_subset(self, capsys):
-        # --jobs 1 runs the sequential Runner; --jobs 2 runs
-        # parallel_compare on the sweep engine.  Both must print the same
-        # table.  --no-cache keeps the second run from being served by
-        # the first run's cached units.
+        # One worker or two, the sweep engine must print the same table.
+        # --no-cache keeps the second run from being served by the first
+        # run's cached units.
         tables = {}
         for jobs in ("1", "2"):
             code = main(
@@ -114,16 +130,18 @@ class TestCommands:
         assert "AVERAGE" in tables["1"]
         assert tables["2"] == tables["1"]
 
-    def test_figure_sequential_progress_only_with_verbose(self, capsys):
-        argv = ["figure", "3", "--workloads", "gamess,povray",
-                "--instructions", "100000", "--jobs", "1", "--no-cache"]
-        assert main(argv) == 0
-        assert capsys.readouterr().err == ""
-        assert main(argv + ["-v"]) == 0
-        err = capsys.readouterr().err
-        assert "figure: [1/2] gamess done" in err
-        assert "figure: [2/2] povray done" in err
-        assert "figure: finished 2/2 units" in err
+    def test_figure_failure_exits_3_without_a_table(self, capsys):
+        # An unknown workload fails its unit; the sibling finishes, and
+        # the figure is not printed from a partial sweep.
+        code = main(
+            ["figure", "3", "--workloads", "gamess,nosuch",
+             "--instructions", "100000", "--jobs", "2", "--no-cache", "-q"]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "nosuch: [KeyError]" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("number,cores,retention", [
         (3, 1, 50.0), (4, 2, 50.0), (5, 1, 40.0), (6, 2, 40.0),
@@ -132,18 +150,19 @@ class TestCommands:
         self, number, cores, retention, capsys, monkeypatch
     ):
         # The ESTEEM flags apply on top of the figure's own core count
-        # and retention period.  The handler imports Runner when it runs.
-        import repro.experiments.runner as runner_module
+        # and retention period.  The Runner is built in a worker, so the
+        # config is recorded where the handler hands it to the sweep.
         from repro.config import SimConfig
+        from repro.experiments import parallel
 
         configs = []
+        real_sweep = parallel.resilient_sweep
 
-        class RecordingRunner(runner_module.Runner):
-            def __init__(self, config, **kwargs):
-                configs.append(config)
-                super().__init__(config, **kwargs)
+        def recording_sweep(config, *args, **kwargs):
+            configs.append(config)
+            return real_sweep(config, *args, **kwargs)
 
-        monkeypatch.setattr(runner_module, "Runner", RecordingRunner)
+        monkeypatch.setattr(parallel, "resilient_sweep", recording_sweep)
         workload = "gamess" if cores == 1 else "GkNe"
         code = main(
             ["figure", str(number), "--workloads", workload,
@@ -170,6 +189,54 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "default" in out and "32 modules" in out
+
+    def test_table3_same_rows_on_one_or_two_workers(
+        self, capsys, monkeypatch
+    ):
+        # Every row is one sweep on --jobs workers, and the rows do not
+        # depend on how many.
+        from repro.experiments import parallel
+
+        spawned = []
+        real_sweep = parallel.resilient_sweep
+
+        def recording_sweep(*args, **kwargs):
+            result = real_sweep(*args, **kwargs)
+            spawned.append(result.workers_spawned)
+            return result
+
+        monkeypatch.setattr(parallel, "resilient_sweep", recording_sweep)
+        tables = {}
+        for jobs in ("1", "2"):
+            spawned.clear()
+            code = main(
+                ["table", "3", "--workloads", "gamess,povray",
+                 "--instructions", "200000", "--jobs", jobs, "--no-cache",
+                 "-q"]
+            )
+            assert code == 0
+            tables[jobs] = capsys.readouterr().out
+            assert spawned == [int(jobs)] * 17
+        assert "8MB L2" in tables["1"]
+        assert tables["2"] == tables["1"]
+
+    def test_table3_rerun_is_served_from_the_cache(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from repro.timing.system import System
+
+        argv = ["table", "3", "--workloads", "gamess,povray",
+                "--instructions", "100000", "--jobs", "2",
+                "--cache-dir", str(tmp_path / "cache"), "-q"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+
+        def no_simulation(self):
+            raise AssertionError("a cached Table 3 row was simulated")
+
+        monkeypatch.setattr(System, "run", no_simulation)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
 
     def test_run_dual_core(self, capsys):
         code = main(
@@ -267,6 +334,19 @@ class TestCommands:
         assert code == 0
         err = capsys.readouterr().err
         assert "system.run:gamess:esteem" in err
+
+    @pytest.mark.parametrize("argv,span", [
+        (["sweep", "-t", "esteem"], "sweep"),
+        (["figure", "3"], "figure 3"),
+    ], ids=["sweep", "figure"])
+    def test_sweep_profile_reports_its_span(self, argv, span, capsys):
+        code = main(
+            argv + ["--workloads", "gamess", "--instructions", "50000",
+                    "--jobs", "1", "--no-cache", "--profile", "-q"]
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert re.search(rf"^{span}\s+\S+\s+\S+\s+\d+%$", err, re.M), err
 
     def test_table3_progress_on_stderr(self, capsys):
         code = main(
@@ -695,7 +775,8 @@ class TestCachedStartup:
     """A sweep served whole from the result cache, and the report on its
     manifest, load neither NumPy nor the simulator: the same process
     shape as the benchmark's sweep wrapper (``main``, then the pool's
-    shared-memory audit)."""
+    shared-memory audit).  Nor do a figure and a table served from the
+    cache."""
 
     SCRIPT = """\
 import contextlib, io, json, sys
@@ -741,3 +822,40 @@ print(json.dumps({
             "sweep": 0, "report": 0, "leaked": [], "loaded": [],
         }
         assert json.loads(manifest_path.read_text())["attempts"] == 0
+
+    FIGURE_AND_TABLE = """\
+import contextlib, io, json, sys
+from repro.cli import main
+codes = []
+for argv in (["figure", "3"], ["table", "3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv + sys.argv[1:]))
+print(json.dumps({
+    "codes": codes,
+    "loaded": [m for m in ("numpy", "repro.timing.system")
+               if m in sys.modules],
+}))
+"""
+
+    def test_cached_figure_and_table_load_no_simulator(
+        self, tmp_path, repro_env
+    ):
+        import json
+        import subprocess
+        import sys
+
+        flags = ["--workloads", "gamess,povray", "--instructions", "50000",
+                 "--cache-dir", str(tmp_path / "cache"), "-q"]
+        for command in (["figure", "3"], ["table", "3"]):
+            fill = subprocess.run(
+                [sys.executable, "-m", "repro", *command, *flags],
+                env=repro_env, capture_output=True, text=True, timeout=300,
+            )
+            assert fill.returncode == 0, fill.stderr
+        proc = subprocess.run(
+            [sys.executable, "-c", self.FIGURE_AND_TABLE, *flags],
+            env=repro_env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen == {"codes": [0, 0], "loaded": []}
