@@ -11,16 +11,17 @@ Drives both planes of the fault subsystem through one scenario:
 * every run also carries a Plane-1 hardware-fault plan, so the surviving
   results must additionally match a clean sequential run under the same
   injected eDRAM faults -- bit for bit;
-* finally the sweep is resumed from its checkpoint and must come back
-  instantly (zero new attempts) with identical results.
+* finally the same sweep runs again over the same result cache: the two
+  finished units must come back from the cache with identical results,
+  and only the broken one runs again.
 
 A further scenario exercises the supervision layer end to end:
 
 * ``run_interrupt_scenario`` -- a real ``repro sweep`` child process is
   SIGTERMed mid-campaign, must exit with the distinct interrupt code
-  (4) after flushing checkpoint + partial manifest, and ``--resume``
-  must finish the campaign with aggregates bit-for-bit identical to an
-  uninterrupted run.
+  (4) after flushing a partial manifest, and the same command again
+  must finish the campaign over the result cache, with aggregates
+  bit-for-bit identical to an uninterrupted run.
 
 Runs standalone (``python benchmarks/bench_fault_resilience.py``, exit 0
 on success) for the CI chaos-smoke job, or under pytest-benchmark like
@@ -42,6 +43,7 @@ from repro.config import SimConfig
 from repro.experiments.checkpoint import SweepCheckpoint, sweep_fingerprint
 from repro.experiments.parallel import resilient_sweep
 from repro.experiments.report import validate_manifest
+from repro.experiments.result_cache import ResultCache
 from repro.experiments.runner import Runner
 from repro.faults import FaultEvent, FaultPlan
 from repro.obs import Tracer
@@ -86,6 +88,7 @@ def run_scenario() -> dict:
     config = _config()
 
     with tempfile.TemporaryDirectory() as tmp:
+        cache_dir = os.path.join(tmp, "cache")
         ckpt_path = os.path.join(tmp, "sweep.ckpt.jsonl")
 
         chaos_result = resilient_sweep(
@@ -97,8 +100,8 @@ def run_scenario() -> dict:
             timeout_s=5.0,
             retries=2,
             backoff_s=0.1,
-            checkpoint=ckpt_path,
             plan=PLAN,
+            cache=ResultCache(cache_dir),
         )
 
         # Degradation contract: the permanently-broken workload is in the
@@ -150,10 +153,10 @@ def run_scenario() -> dict:
             c.result.faults_injected > 0 for c in by_workload.values()
         ), "the Plane-1 plan must inject at least one fault"
 
-        # Resume: everything completed comes back from the checkpoint
-        # with zero new attempts; the failed workload is retried (and,
-        # still scripted to crash, fails again).
-        resumed = resilient_sweep(
+        # Rerun over the same cache: everything completed comes back
+        # from the cache with no new attempt; the failed workload is
+        # retried (and, still scripted to crash, fails again).
+        rerun = resilient_sweep(
             config,
             WORKLOADS,
             TECHNIQUES,
@@ -163,19 +166,26 @@ def run_scenario() -> dict:
             retries=0,
             backoff_s=0.1,
             checkpoint=ckpt_path,
-            resume=True,
             plan=PLAN,
+            cache=ResultCache(cache_dir),
         )
-        assert sorted(resumed.resumed) == ["gamess", "h264ref"]
-        assert resumed.attempts == 1, "only the failed workload re-runs"
-        for comp in resumed.comparisons["esteem"]:
+        assert sorted(rerun.cached) == ["gamess", "h264ref"]
+        assert rerun.attempts == 1, "only the failed workload re-runs"
+        assert [f.workload for f in rerun.failed] == ["libquantum"]
+        assert sorted(
+            c.workload for c in rerun.comparisons["esteem"]
+        ) == ["gamess", "h264ref"]
+        for comp in rerun.comparisons["esteem"]:
             ref = by_workload[comp.workload]
-            assert comp.result == ref.result, "resume must be bit-for-bit"
+            assert comp.result == ref.result, "rerun must be bit-for-bit"
+            assert comp.baseline == ref.baseline, "rerun must be bit-for-bit"
 
-        # The checkpoint file itself round-trips exactly.
+        # The checkpoint log holds exactly the cached units, bit for bit.
         fp = sweep_fingerprint(config, TECHNIQUES, SEED, PLAN)
         ckpt = SweepCheckpoint.load(ckpt_path, fp)
-        assert ckpt.units == 2
+        assert ckpt.completed == {
+            w: [c] for w, c in by_workload.items()
+        }
 
     # Plane-1 visibility: a traced run under the plan emits fault.inject.
     tracer = Tracer()
@@ -188,7 +198,7 @@ def run_scenario() -> dict:
         "attempts": chaos_result.attempts,
         "retries": chaos_result.retries,
         "failed": [f.workload for f in chaos_result.failed],
-        "resumed": sorted(resumed.resumed),
+        "cached": sorted(rerun.cached),
         "fault_events": n_fault_events,
         "telemetry_units": sorted(chaos_result.telemetry["per_unit"]),
         "salvaged_partial": hang_first["telemetry"],
@@ -198,26 +208,21 @@ def run_scenario() -> dict:
 #: Interrupt scenario: a real CLI campaign, SIGTERMed mid-run.  The last
 #: unit is scripted to hang (first attempt only) far past the unit
 #: timeout, giving the signal a deterministic mid-campaign window to
-#: land in; resumed and fresh runs hit the same hang, time out once, and
-#: recover on retry.
+#: land in; the rerun and the fresh run hit the same hang, time out once,
+#: and recover on retry.
 INTERRUPT_WORKLOADS = "gamess,povray,mcf,milc"
 INTERRUPT_PLAN = FaultPlan(chaos={"milc": ("hang",)}, hang_seconds=60.0)
 
 
-def _sweep_cmd(
-    ckpt: str, manifest: str, plan: str, resume: bool = False
-) -> list[str]:
-    cmd = [
+def _sweep_cmd(ckpt: str, manifest: str, plan: str, cache: str) -> list[str]:
+    return [
         sys.executable, "-m", "repro", "sweep",
         "--workloads", INTERRUPT_WORKLOADS, "-t", "esteem",
         "--instructions", str(INSTRUCTIONS), "--jobs", "1",
         "--timeout", "5", "--retries", "2", "--backoff", "0.1",
-        "--inject", plan, "--no-cache",
+        "--inject", plan, "--cache-dir", cache,
         "--checkpoint", ckpt, "--manifest", manifest, "-q",
     ]
-    if resume:
-        cmd.append("--resume")
-    return cmd
 
 
 def run_interrupt_scenario() -> dict:
@@ -233,13 +238,16 @@ def run_interrupt_scenario() -> dict:
         manifest_path = os.path.join(tmp, "manifest.json")
         plan_path = os.path.join(tmp, "plan.json")
         INTERRUPT_PLAN.save(plan_path)
+        cmd = _sweep_cmd(
+            ckpt, manifest_path, plan_path, os.path.join(tmp, "cache")
+        )
 
         proc = subprocess.Popen(
-            _sweep_cmd(ckpt, manifest_path, plan_path), env=env,
+            cmd, env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
         )
-        # Wait until at least one unit is checkpointed (header + 1 line),
-        # then interrupt the campaign parent.
+        # Wait until the checkpoint log holds at least one finished unit
+        # (header + 1 line), then interrupt the campaign parent.
         deadline = time.monotonic() + 120.0
         while time.monotonic() < deadline:
             if proc.poll() is not None:
@@ -273,33 +281,35 @@ def run_interrupt_scenario() -> dict:
         )
         assert accounted == n_workloads, "every unit must be accounted for"
 
-        # Resume finishes the campaign cleanly...
+        # The same command again finishes the campaign cleanly...
         rc = subprocess.run(
-            _sweep_cmd(ckpt, manifest_path, plan_path, resume=True),
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            cmd, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
         ).returncode
-        assert rc == 0, f"resumed sweep must exit 0, got {rc}"
-        resumed = json.loads(open(manifest_path).read())
-        assert sorted(resumed["completed"]) == sorted(
+        assert rc == 0, f"the rerun must exit 0, got {rc}"
+        rerun = json.loads(open(manifest_path).read())
+        assert sorted(rerun["completed"]) == sorted(
             INTERRUPT_WORKLOADS.split(",")
         )
-        assert sorted(resumed["resumed"]) == sorted(
+        assert sorted(rerun["cached"]) == sorted(
             interrupted["completed"]
-        ), "resume must reuse exactly the units that survived the signal"
+        ), "the rerun must reuse exactly the units that survived the signal"
 
-        # ...and bit-for-bit: aggregates equal an uninterrupted run.
+        # ...and bit-for-bit: aggregates equal an uninterrupted run,
+        # which simulates every unit over a cache of its own.
         fresh_manifest = os.path.join(tmp, "fresh.json")
         rc = subprocess.run(
             _sweep_cmd(
                 os.path.join(tmp, "fresh.ckpt.jsonl"), fresh_manifest,
-                plan_path,
+                plan_path, os.path.join(tmp, "fresh-cache"),
             ),
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         ).returncode
         assert rc == 0
         fresh = json.loads(open(fresh_manifest).read())
-        assert resumed["aggregates"] == fresh["aggregates"], (
-            "resumed campaign must equal an uninterrupted run bit-for-bit"
+        assert fresh["cached"] == [], "the fresh run must simulate"
+        assert rerun["aggregates"] == fresh["aggregates"], (
+            "the rerun campaign must equal an uninterrupted run bit-for-bit"
         )
 
     if os.path.isdir("/dev/shm"):
@@ -311,7 +321,7 @@ def run_interrupt_scenario() -> dict:
         "skipped_on_interrupt": sorted(
             s["workload"] for s in interrupted["skipped"]
         ),
-        "resumed_ok": True,
+        "rerun_ok": True,
         "aggregates_bit_for_bit": True,
     }
 

@@ -12,26 +12,32 @@ Subcommands::
     repro sweep --workloads gamess,povray --inject PLAN.json  # resilient sweep
     repro report MANIFEST.json --check  # campaign report + regression gate
 
-All experiment subcommands accept ``--instructions`` (trace scale),
-``--retention`` (us), and the ESTEEM knobs (``--alpha``, ``--a-min``,
-``--modules``, ``--interval``, ``--sampling-ratio``), plus the
-observability flags ``--profile`` (span timing report on stderr) and
-``-q``/``--quiet`` (suppress stderr chatter).
+Each command, and each figure and table number, accepts only the flags
+it reads.  The simulating commands take ``--instructions`` (trace
+scale), ``--seed`` and ``--profile`` (span timing report on stderr);
+``run``, ``trace``, ``sweep`` and ``figure 2`` also take ``--cores``,
+``--retention`` (us) and the ESTEEM knobs (``--alpha``, ``--a-min``,
+``--modules``, ``--interval``, ``--sampling-ratio``), which figures 3-6
+take on top of their own core count and retention.  A flag value the
+configuration rejects, or an unknown ``--workload``, is a usage error
+(exit 2).
 
 The sweep-shaped subcommands (``sweep``, ``figure`` 3-6 and ``table 3``)
 run their (workload, techniques) units through one engine,
 :func:`~repro.experiments.parallel.resilient_sweep`, on ``--jobs``
-worker processes (default: the CPU count).  They consult a
-content-addressed result cache so unchanged units are never re-simulated;
-``--no-cache`` disables it and ``--cache-dir`` relocates it (default:
-``$REPRO_CACHE_DIR`` or ``~/.cache/repro/results``).
+worker processes (default: the CPU count), with ``-q``/``--quiet``
+silencing their stderr progress.  They consult a content-addressed
+result cache so unchanged units are never re-simulated, and the same
+command again finishes an interrupted one; ``--no-cache`` disables the
+cache and ``--cache-dir`` relocates it (default: ``$REPRO_CACHE_DIR`` or
+``~/.cache/repro/results``).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 # Only NumPy-free modules load here; each handler imports the rest, so a
 # command that simulates nothing (``list``, ``report``, a sweep or figure
@@ -54,6 +60,30 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """An integer of at least 0, for ``sweep --retries``."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """A number above 0, for ``sweep --timeout``."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    """A number of at least 0, for ``sweep --backoff``."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     """A fraction in ``[0, 1)``, for ``report --tolerance`` (else a usage
     error): a negative one fails every rate check, one of 1 or more
@@ -64,12 +94,18 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_machine_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cores", type=int, default=1, choices=(1, 2))
-    parser.add_argument("--retention", type=float, default=50.0,
-                        help="retention period in microseconds")
-    parser.add_argument("--instructions", type=int, default=8_000_000,
+def _add_scale_args(parser: argparse.ArgumentParser) -> None:
+    """Trace scale, seed and span report, for every simulating command."""
+    parser.add_argument("--instructions", type=_positive_int,
+                        default=8_000_000,
                         help="instructions simulated per core")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--profile", action="store_true",
+                        help="print a wall/CPU-time span report on stderr")
+
+
+def _add_esteem_args(parser: argparse.ArgumentParser) -> None:
+    """The ESTEEM knobs (``None``: the configuration's default)."""
     parser.add_argument("--alpha", type=float, default=None)
     parser.add_argument("--a-min", type=int, default=None, dest="a_min")
     parser.add_argument("--modules", type=int, default=None)
@@ -77,15 +113,26 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
                         help="reconfiguration interval in cycles")
     parser.add_argument("--sampling-ratio", type=int, default=None,
                         dest="sampling_ratio")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--profile", action="store_true",
-                        help="print a wall/CPU-time span report on stderr")
+    _add_scale_args(parser)
+
+
+def _add_machine_args(parser: argparse.ArgumentParser) -> None:
+    """Core count and retention, plus the ESTEEM knobs and scale."""
+    parser.add_argument("--cores", type=int, default=1, choices=(1, 2))
+    parser.add_argument("--retention", type=float, default=50.0,
+                        help="retention period in microseconds")
+    _add_esteem_args(parser)
+
+
+def _add_quiet(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="suppress stderr progress output")
 
 
 def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
-    """Worker count and result cache, for the commands that sweep."""
+    """Workloads, worker count, result cache and ``-q``, for the commands
+    that sweep."""
+    _add_quiet(parser)
     parser.add_argument("--workloads", default=None,
                         help="comma-separated workload subset (default: all "
                              "Table 1 workloads for the core count)")
@@ -99,22 +146,52 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
                         help="neither read nor write the sweep result cache")
 
 
+def _usage_error(message: object) -> NoReturn:
+    """Print ``error: message`` on stderr and exit 2, as argparse does."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+#: ESTEEM flag dest -> EsteemConfig field.
+_ESTEEM_FIELDS = {
+    "alpha": "alpha",
+    "a_min": "a_min",
+    "modules": "num_modules",
+    "interval": "interval_cycles",
+    "sampling_ratio": "sampling_ratio",
+}
+
+
 def _build_config(args: argparse.Namespace) -> SimConfig:
-    cfg = SimConfig.scaled(
-        num_cores=args.cores,
-        retention_us=args.retention,
-        instructions_per_core=args.instructions,
-    )
+    """The configuration the flags describe; a value it rejects (say
+    ``--alpha 2`` or ``--retention 0``) is a usage error."""
     overrides = {
-        name: getattr(args, name)
-        for name in ("alpha", "a_min", "modules", "interval", "sampling_ratio")
-        if getattr(args, name) is not None
+        field: getattr(args, dest)
+        for dest, field in _ESTEEM_FIELDS.items()
+        if getattr(args, dest) is not None
     }
-    if "modules" in overrides:
-        overrides["num_modules"] = overrides.pop("modules")
-    if "interval" in overrides:
-        overrides["interval_cycles"] = overrides.pop("interval")
-    return cfg.with_esteem(**overrides) if overrides else cfg
+    try:
+        cfg = SimConfig.scaled(
+            num_cores=args.cores,
+            retention_us=args.retention,
+            instructions_per_core=args.instructions,
+        )
+        return cfg.with_esteem(**overrides) if overrides else cfg
+    except ValueError as exc:
+        _usage_error(exc)
+
+
+def _workload_config(args: argparse.Namespace) -> SimConfig:
+    """:func:`_build_config` for a command that runs one ``--workload``,
+    which must resolve under it (else a usage error)."""
+    from repro.experiments.runner import profiles_for
+
+    config = _build_config(args)
+    try:
+        profiles_for(config, args.workload)
+    except KeyError as exc:
+        _usage_error(exc.args[0])
+    return config
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -208,9 +285,9 @@ def _run_sweep(
             )
     if result.interrupted:
         # Interrupted wins over degraded: the operator asked the
-        # campaign to stop, and the distinct code tells wrappers the
-        # checkpoint is resumable rather than the sweep broken.
-        hint = rerun_hint(bool(options.get("checkpoint")), cache is not None)
+        # campaign to stop, and the distinct code tells wrappers that a
+        # rerun finishes it rather than that the sweep is broken.
+        hint = rerun_hint(cache is not None)
         print(f"INTERRUPTED by {result.interrupted}: {hint}", file=sys.stderr)
         return result, 4
     return result, 3 if result.degraded else 0
@@ -219,7 +296,9 @@ def _run_sweep(
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.runner import Runner
 
-    runner = Runner(_build_config(args), seed=args.seed, profiler=args.profiler)
+    runner = Runner(
+        _workload_config(args), seed=args.seed, profiler=args.profiler
+    )
     rows = []
     for technique in args.technique:
         if technique == "baseline":
@@ -244,31 +323,30 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_figure2(args: argparse.Namespace) -> int:
+    from repro.experiments.figures import fig2_reconfiguration_timeline
+    from repro.experiments.runner import Runner
+
+    runner = Runner(
+        _workload_config(args), seed=args.seed, profiler=args.profiler
+    )
+    _result, points = fig2_reconfiguration_timeline(runner, args.workload)
+    rows = [
+        [p.interval, p.active_ratio_pct, " ".join(map(str, p.ways_per_module))]
+        for p in points
+    ]
+    print(format_table(
+        ["interval", "active %", "ways per module"], rows,
+        title=f"Figure 2: ESTEEM reconfiguration of {args.workload}",
+    ))
+    return 0
+
+
 def _cmd_figure(args: argparse.Namespace) -> int:
-    if args.number == 2:
-        from repro.experiments.figures import fig2_reconfiguration_timeline
-        from repro.experiments.runner import Runner
-
-        runner = Runner(
-            _build_config(args), seed=args.seed, profiler=args.profiler
-        )
-        _result, points = fig2_reconfiguration_timeline(runner, args.workload)
-        rows = [
-            [p.interval, p.active_ratio_pct, " ".join(map(str, p.ways_per_module))]
-            for p in points
-        ]
-        print(format_table(
-            ["interval", "active %", "ways per module"], rows,
-            title=f"Figure 2: ESTEEM reconfiguration of {args.workload}",
-        ))
-        return 0
-
+    """Figures 3-6: one sweep at the figure's own core count and
+    retention (parser defaults, not flags), ESTEEM knobs on top."""
     from repro.experiments.runner import aggregate
 
-    # Figures 3-6 fix the core count and retention; the ESTEEM knobs
-    # still apply on top of them.
-    args.cores = 2 if args.number in (4, 6) else 1
-    args.retention = 40.0 if args.number in (5, 6) else 50.0
     result, code = _run_sweep(
         args, f"figure {args.number}", _build_config(args),
         _workloads(args, args.cores), ("esteem", "rpv"), _result_cache(args),
@@ -298,20 +376,22 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_table2(_args: argparse.Namespace) -> int:
+    from repro.energy.params import EDRAM_ENERGY_TABLE
+
+    rows = [
+        [f"{size // (1024 * 1024)} MB", dyn * 1e9, leak]
+        for size, (dyn, leak) in sorted(EDRAM_ENERGY_TABLE.items())
+    ]
+    print(format_table(
+        ["size", "E_dyn (nJ/access)", "P_leak (W)"], rows,
+        float_digits=3, title="Table 2: 16-way eDRAM cache energy values",
+    ))
+    return 0
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
-    if args.number == 2:
-        from repro.energy.params import EDRAM_ENERGY_TABLE
-
-        rows = [
-            [f"{size // (1024 * 1024)} MB", dyn * 1e9, leak]
-            for size, (dyn, leak) in sorted(EDRAM_ENERGY_TABLE.items())
-        ]
-        print(format_table(
-            ["size", "E_dyn (nJ/access)", "P_leak (W)"], rows,
-            float_digits=3, title="Table 2: 16-way eDRAM cache energy values",
-        ))
-        return 0
-
+    """Table 3: one sweep per sensitivity row."""
     from repro.experiments.runner import aggregate
     from repro.experiments.tables import SENSITIVITY_VARIANTS
     from repro.obs.profile import ProgressReporter
@@ -363,8 +443,7 @@ def _load_plan(args: argparse.Namespace):
     try:
         return FaultPlan.load(path)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _usage_error(exc)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -372,7 +451,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.experiments.runner import Runner
     from repro.obs import Tracer
 
-    config = _build_config(args)
+    config = _workload_config(args)
     tracer = Tracer(capacity=args.capacity)
     runner = Runner(
         config,
@@ -413,30 +492,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Resilient multi-workload sweep: timeouts, retries, checkpoint/resume.
+    """Resilient multi-workload sweep: timeouts, retries, result cache.
 
     Exit status: 0 for a complete sweep, 2 for a bad flag, 3 for a
     *degraded* one (some workloads failed or exhausted their retries;
-    surviving results were still reported and checkpointed), 4 for an
-    *interrupted* one (SIGINT/SIGTERM; ``--resume`` on the checkpoint,
-    or without one the same command again, finishes the rest
-    bit-for-bit).  A signal is the one early stop: ``timeout
-    --preserve-status S repro sweep ...`` bounds a campaign's wall time.
+    surviving results were still reported and cached), 4 for an
+    *interrupted* one (SIGINT/SIGTERM; the same command again finishes
+    the rest bit-for-bit, its finished units served from the result
+    cache).  A signal is the one early stop: ``timeout --preserve-status
+    S repro sweep ...`` bounds a campaign's wall time.
     """
     from repro.experiments.runner import aggregate
 
     config = _build_config(args)
-    if args.resume and not args.checkpoint:
-        print("error: --resume requires --checkpoint", file=sys.stderr)
-        return 2
-    for flag, value, ok, rule in (
-        ("--timeout", args.timeout, lambda v: v > 0, "positive"),
-        ("--retries", args.retries, lambda v: v >= 0, "non-negative"),
-        ("--backoff", args.backoff, lambda v: v >= 0, "non-negative"),
-    ):
-        if value is not None and not ok(value):
-            print(f"error: {flag} must be {rule}", file=sys.stderr)
-            return 2
     workloads = _workloads(args, config.num_cores)
     plan = _load_plan(args)
     cache = _result_cache(args)
@@ -446,7 +514,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         retries=args.retries,
         backoff_s=args.backoff,
         checkpoint=args.checkpoint,
-        resume=args.resume,
         plan=plan,
     )
 
@@ -465,7 +532,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ["technique", "n", "saving %", "WS", "dRPKI", "dMPKI", "active %"],
             rows,
             title=f"sweep: {len(result.completed)}/{len(workloads)} workloads"
-                  + (f" ({len(result.resumed)} resumed)" if result.resumed else "")
                   + (f" ({len(result.cached)} cached)" if result.cached else ""),
         ))
     if args.csv:
@@ -481,7 +547,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         manifest = build_manifest(
             result, config, workloads, tuple(args.technique),
             seed=args.seed, plan=plan, cache=cache,
-            checkpoint=args.checkpoint,
         )
         atomic_write_json(args.manifest, manifest)
         print(f"manifest written to {args.manifest}")
@@ -655,9 +720,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="ESTEEM (HPDC'14) reproduction command-line interface",
     )
+    # Each subcommand, and each figure and table number, names its
+    # handler and registers only the flags that handler reads.
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list workloads, mixes and techniques")
+    sub.add_parser(
+        "list", help="list workloads, mixes and techniques"
+    ).set_defaults(handler=_cmd_list)
 
     run = sub.add_parser("run", help="run techniques on one workload")
     run.add_argument("-w", "--workload", required=True,
@@ -667,21 +736,41 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[t for t in TECHNIQUES],
     )
     _add_machine_args(run)
+    run.set_defaults(handler=_cmd_run)
 
-    fig = sub.add_parser("figure", help="regenerate a paper figure")
-    fig.add_argument("number", type=int, choices=(2, 3, 4, 5, 6))
-    fig.add_argument("--workload", default="h264ref",
-                     help="workload for figure 2")
-    fig.add_argument("--csv", default=None,
-                     help="also write per-workload comparisons as CSV")
-    _add_machine_args(fig)
-    _add_sweep_args(fig)
+    figures = sub.add_parser(
+        "figure", help="regenerate a paper figure"
+    ).add_subparsers(dest="number", required=True, metavar="NUMBER")
+    fig2 = figures.add_parser(
+        "2", help="ESTEEM's reconfiguration timeline of one workload"
+    )
+    fig2.add_argument("--workload", default="h264ref")
+    _add_machine_args(fig2)
+    fig2.set_defaults(handler=_cmd_figure2)
+    for number, cores, retention in (
+        ("3", 1, 50.0), ("4", 2, 50.0), ("5", 1, 40.0), ("6", 2, 40.0)
+    ):
+        fig = figures.add_parser(
+            number, help=f"ESTEEM vs RPV, {cores}-core, {retention:g}us "
+                         f"retention, per workload",
+        )
+        fig.add_argument("--csv", default=None,
+                         help="also write per-workload comparisons as CSV")
+        _add_esteem_args(fig)
+        _add_sweep_args(fig)
+        fig.set_defaults(handler=_cmd_figure, cores=cores, retention=retention)
 
-    tab = sub.add_parser("table", help="regenerate a paper table")
-    tab.add_argument("number", type=int, choices=(2, 3))
-    tab.add_argument("--system", choices=("single", "dual"), default="single")
-    _add_machine_args(tab)
-    _add_sweep_args(tab)
+    tables = sub.add_parser(
+        "table", help="regenerate a paper table"
+    ).add_subparsers(dest="number", required=True, metavar="NUMBER")
+    tables.add_parser(
+        "2", help="eDRAM cache energy values"
+    ).set_defaults(handler=_cmd_table2)
+    tab3 = tables.add_parser("3", help="ESTEEM's parameter sensitivity")
+    tab3.add_argument("--system", choices=("single", "dual"), default="single")
+    _add_scale_args(tab3)
+    _add_sweep_args(tab3)
+    tab3.set_defaults(handler=_cmd_table)
 
     trc = sub.add_parser(
         "trace",
@@ -698,35 +787,35 @@ def build_parser() -> argparse.ArgumentParser:
     trc.add_argument("--capacity", type=_positive_int, default=65_536,
                      help="event ring-buffer capacity")
     _add_machine_args(trc)
-    # Default to the quick bench scale so the emitted interval-decision
-    # sequence matches benchmarks/results/fig2_reconfig_timeline.txt.
+    _add_quiet(trc)
     trc.add_argument("--inject", default=None, metavar="PLAN.json",
                      help="fault plan whose hardware faults are injected "
                           "(events show up as fault.inject in the trace)")
-    trc.set_defaults(instructions=4_000_000)
+    # Default to the quick bench scale so the emitted interval-decision
+    # sequence matches benchmarks/results/fig2_reconfig_timeline.txt.
+    trc.set_defaults(handler=_cmd_trace, instructions=4_000_000)
 
     swp = sub.add_parser(
         "sweep",
-        help="resilient multi-workload sweep with checkpoint/resume, "
-             "timeouts and retries",
+        help="resilient multi-workload sweep with timeouts, retries and a "
+             "result cache",
     )
     swp.add_argument(
         "-t", "--technique", nargs="+", default=["esteem", "rpv"],
         choices=[t for t in TECHNIQUES],
     )
-    swp.add_argument("--timeout", type=float, default=None,
+    swp.add_argument("--timeout", type=_positive_float, default=None,
                      help="per-attempt wall-clock timeout in seconds "
                           "(hung workers are terminated and retried)")
-    swp.add_argument("--retries", type=int, default=2,
+    swp.add_argument("--retries", type=_non_negative_int, default=2,
                      help="retry budget per workload for transient "
                           "failures (default: 2)")
-    swp.add_argument("--backoff", type=float, default=0.5,
+    swp.add_argument("--backoff", type=_non_negative_float, default=0.5,
                      help="base retry backoff in seconds, doubled per "
                           "attempt (default: 0.5)")
     swp.add_argument("--checkpoint", default=None, metavar="FILE.jsonl",
-                     help="persist completed workloads (atomic JSONL)")
-    swp.add_argument("--resume", action="store_true",
-                     help="skip workloads already in --checkpoint")
+                     help="log each finished workload's results to this "
+                          "JSONL file, started afresh")
     swp.add_argument("--inject", default=None, metavar="PLAN.json",
                      help="fault plan: hardware faults for every run, "
                           "chaos actions for the workers")
@@ -737,6 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "(input for `repro report`)")
     _add_machine_args(swp)
     _add_sweep_args(swp)
+    swp.set_defaults(handler=_cmd_sweep)
 
     rep = sub.add_parser(
         "report",
@@ -766,20 +856,23 @@ def build_parser() -> argparse.ArgumentParser:
                           "BENCH_sweep.json)")
     rep.add_argument("-q", "--quiet", action="store_true",
                      help="suppress stderr status output")
+    rep.set_defaults(handler=_cmd_report)
 
     ovh = sub.add_parser("overhead", help="evaluate Eq. 1 counter overhead")
     ovh.add_argument("--sets", type=_positive_int, default=4096)
     ovh.add_argument("--ways", type=_positive_int, default=16)
     ovh.add_argument("--modules", type=_positive_int, default=16)
+    ovh.set_defaults(handler=_cmd_overhead)
 
     ts = sub.add_parser(
         "trace-stats", help="generate a workload trace and characterise it"
     )
     ts.add_argument("-w", "--workload", required=True)
-    ts.add_argument("--instructions", type=int, default=4_000_000)
+    ts.add_argument("--instructions", type=_positive_int, default=4_000_000)
     ts.add_argument("--seed", type=int, default=0)
     ts.add_argument("--save", default=None,
                     help="also write the trace as a .npz file")
+    ts.set_defaults(handler=_cmd_trace_stats)
 
     return parser
 
@@ -792,18 +885,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # One profiler per command; ``--profile`` enables it and prints its
     # spans once the command returns.
     args.profiler = Profiler(enabled=getattr(args, "profile", False))
-    handlers = {
-        "list": _cmd_list,
-        "run": _cmd_run,
-        "figure": _cmd_figure,
-        "table": _cmd_table,
-        "overhead": _cmd_overhead,
-        "trace": _cmd_trace,
-        "trace-stats": _cmd_trace_stats,
-        "sweep": _cmd_sweep,
-        "report": _cmd_report,
-    }
-    code = handlers[args.command](args)
+    code = args.handler(args)
     if args.profiler.enabled:
         args.profiler.report(sys.stderr)
     return code

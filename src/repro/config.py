@@ -174,8 +174,13 @@ class RefreshConfig:
         """Build a refresh config from a retention period in microseconds.
 
         The cycle count is rounded to a multiple of the phase count so the
-        polyphase windows divide it exactly.
+        polyphase windows divide it exactly.  A retention period that is
+        not positive is refused, not rounded up to one cycle per phase.
         """
+        _require(
+            retention_us > 0,
+            f"retention must be positive, got {retention_us} us",
+        )
         phases = kwargs.get("rpv_phases", cls.rpv_phases)
         cycles = int(round(retention_us * 1e-6 * frequency_hz))
         cycles = max(phases, round(cycles / phases) * phases)

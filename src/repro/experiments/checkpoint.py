@@ -1,33 +1,22 @@
-"""Crash-safe sweep checkpointing (JSONL of completed comparison units).
+"""Sweep checkpoint: an append-only JSONL log of a sweep's finished units.
 
-A :class:`SweepCheckpoint` persists every completed ``(workload,
-technique)`` unit of a sweep as one JSON line, so an interrupted sweep
-can be resumed with ``--resume`` and skip straight past the finished
-work.  Properties the resilient harness relies on:
+A :class:`SweepCheckpoint` (``repro sweep --checkpoint FILE``) writes
+one JSON line per comparison of every unit the sweep finishes or serves
+from the result cache.  It is a log, not a second result store: an
+interrupted sweep is finished by running the same command again, which
+serves the units it had finished from the result cache.
 
-* **Atomic**: the file is rewritten whole through
-  :func:`repro.util.atomic_write` (write-to-temp + ``os.replace``) on
-  every record, so a crash at any instant leaves either the previous
-  complete checkpoint or the new complete checkpoint -- never a torn
-  file.
-* **Fingerprinted**: the header line carries a SHA-256 fingerprint of
-  the sweep parameters (flattened config, techniques, seed, fault
-  plan).  Resuming against a checkpoint written by a *different* sweep
-  is refused rather than silently mixing incompatible results.
+* **One sweep per file**: the constructor starts the file afresh with a
+  header line ``{"magic", "fingerprint"}``, the SHA-256 fingerprint of
+  the sweep parameters (flattened config, techniques, seed, fault plan),
+  so a rerun never mixes two sweeps' lines.
+* **Append-only**: :meth:`record` appends one unit's lines and closes
+  the file before it returns; a crash can tear at most the last line.
 * **Exact**: units round-trip through
-  :func:`~repro.experiments.runner.comparison_to_dict`, whose JSON
-  float encoding is shortest-round-trip, so a resumed sweep's results
-  are bit-for-bit identical to an uninterrupted run.
-* **Tolerant on load**: a truncated, corrupt or otherwise unparsable
-  line (e.g. the process died mid-``os.replace`` on a filesystem without
-  atomic rename, or a partial write left garbage values) is dropped with
-  a warning rather than aborting the resume -- the affected unit is
-  simply re-executed.
-* **Event lines**: besides completed comparisons the checkpoint carries
-  ``skipped-interrupt`` events recording that a signal cancelled a unit
-  deliberately, not that it was lost.  A resume runs every skipped unit
-  again; event lines of kinds this version no longer writes (such as
-  ``skipped-deadline``) are kept but ignored.
+  :func:`~repro.experiments.runner.comparison_to_dict`, whose JSON float
+  encoding is shortest-round-trip, so :meth:`load` returns them bit for
+  bit.  It refuses a file written by a different sweep, and drops a
+  torn or otherwise unparsable line with a warning.
 """
 
 from __future__ import annotations
@@ -35,7 +24,6 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Any
 
 from repro.config import SimConfig, config_fields
 from repro.experiments.runner import (
@@ -44,7 +32,7 @@ from repro.experiments.runner import (
     comparison_to_dict,
 )
 from repro.faults.plan import FaultPlan
-from repro.util import atomic_write, stable_fingerprint
+from repro.util import stable_fingerprint
 
 __all__ = ["SweepCheckpoint", "sweep_fingerprint"]
 
@@ -60,9 +48,9 @@ def sweep_fingerprint(
     """Stable identity of a sweep: same fingerprint == same results.
 
     Plane-2 chaos fields are part of the plan's dict and therefore of the
-    fingerprint; that is deliberate -- a chaos plan changes *which*
-    attempts fail, never the results of units that complete, but keeping
-    it in the fingerprint errs on the side of refusing a stale resume.
+    fingerprint: a chaos plan changes *which* attempts fail, never the
+    results of units that complete, but a checkpoint names the exact
+    sweep that wrote it.
     """
     payload = {
         "config": {k: v for k, v in sorted(config_fields(config).items())},
@@ -74,50 +62,36 @@ def sweep_fingerprint(
 
 
 class SweepCheckpoint:
-    """Append-style JSONL checkpoint of completed sweep units.
+    """Append-only JSONL log of one sweep's finished units.
 
-    The first line is a header ``{"magic", "fingerprint"}``; every later
-    line is one serialised :class:`RunComparison` tagged with its
-    workload.  Records are kept in memory and the file is atomically
-    rewritten whole on each :meth:`record` (a sweep completes a handful
-    of units per minute; rewriting a few hundred KB per unit is noise
-    next to crash-safety).
+    The first line is the header; every later line is one serialised
+    :class:`RunComparison`.  ``completed`` maps each workload to the
+    comparisons recorded (or loaded) for it.
     """
 
     def __init__(self, path: str | Path, fingerprint: str) -> None:
         self.path = Path(path)
         self.fingerprint = fingerprint
-        #: workload -> list of completed comparisons for that workload.
         self.completed: dict[str, list[RunComparison]] = {}
-        #: Skip event records ({"event", "workload", "detail"}).
-        self.events: list[dict[str, Any]] = []
-        self._lines: list[str] = [
-            json.dumps({"magic": _MAGIC, "fingerprint": fingerprint})
-        ]
-
-    # ------------------------------------------------------------------
+        header = {"magic": _MAGIC, "fingerprint": fingerprint}
+        self.path.write_text(json.dumps(header) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path, fingerprint: str) -> "SweepCheckpoint":
-        """Load an existing checkpoint for resumption.
+        """Read a checkpoint back, without writing to it.
 
-        A missing file yields an empty checkpoint.  A fingerprint
-        mismatch raises ``ValueError`` (the sweep parameters changed;
-        its results would not belong to this sweep).  A truncated or
-        unparsable trailing line is dropped with a warning.
+        A file that is not a sweep checkpoint, or whose fingerprint is
+        not ``fingerprint`` (another sweep wrote it), raises
+        ``ValueError``.  A torn or unparsable line is dropped with a
+        warning.
         """
-        ckpt = cls(path, fingerprint)
         path = Path(path)
-        if not path.exists():
-            return ckpt
         lines = path.read_text(encoding="utf-8").splitlines()
-        if not lines:
-            return ckpt
         try:
             header = json.loads(lines[0])
-        except json.JSONDecodeError:
+        except (IndexError, json.JSONDecodeError):
             header = {}
-        if header.get("magic") != _MAGIC:
+        if not isinstance(header, dict) or header.get("magic") != _MAGIC:
             raise ValueError(
                 f"{path} is not a sweep checkpoint (bad or missing header)"
             )
@@ -125,82 +99,34 @@ class SweepCheckpoint:
             raise ValueError(
                 f"checkpoint {path} was written by a different sweep "
                 f"(fingerprint {header.get('fingerprint')!r} != "
-                f"{fingerprint!r}); refusing to resume -- delete it or "
-                f"rerun with matching parameters"
+                f"{fingerprint!r})"
             )
+        # Bypass the constructor, which would start the file afresh.
+        ckpt = cls.__new__(cls)
+        ckpt.path, ckpt.fingerprint, ckpt.completed = path, fingerprint, {}
         for n, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
             try:
-                raw = json.loads(line)
-                if isinstance(raw, dict) and "event" in raw:
-                    ckpt.events.append(raw)
-                    ckpt._lines.append(line)
-                    continue
-                comp = comparison_from_dict(raw)
-            # Deliberately broad: a crash-during-write can leave *any*
-            # malformed shape behind (not just JSON truncation -- also
-            # garbage values that fail inside comparison_from_dict).
-            # One bad line must never make the whole checkpoint
-            # unusable; the unit is simply re-executed.
+                comp = comparison_from_dict(json.loads(line))
+            # Deliberately broad: a torn write can leave *any* malformed
+            # shape behind, not only truncated JSON.
             except Exception as exc:  # noqa: BLE001
                 print(
                     f"warning: dropping unparsable checkpoint line {n} "
-                    f"of {path} ({type(exc).__name__}); the unit will be "
-                    f"re-run",
+                    f"of {path} ({type(exc).__name__})",
                     file=sys.stderr,
                 )
                 continue
             ckpt.completed.setdefault(comp.workload, []).append(comp)
-            ckpt._lines.append(line)
         return ckpt
 
-    # ------------------------------------------------------------------
-
-    def has_workload(self, workload: str, techniques: tuple[str, ...]) -> bool:
-        """Whether every technique of a unit is already checkpointed."""
-        done = {c.technique for c in self.completed.get(workload, ())}
-        return all(t in done for t in techniques)
-
-    def comparisons_for(self, workload: str) -> list[RunComparison]:
-        return list(self.completed.get(workload, ()))
-
     def record(self, comparisons: list[RunComparison]) -> None:
-        """Persist one completed unit's comparisons (atomic rewrite)."""
+        """Append one finished unit's comparisons; the file is closed
+        before this returns."""
+        text = "".join(
+            json.dumps(comparison_to_dict(c), sort_keys=True) + "\n"
+            for c in comparisons
+        )
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(text)
         for comp in comparisons:
             self.completed.setdefault(comp.workload, []).append(comp)
-            self._lines.append(
-                json.dumps(comparison_to_dict(comp), sort_keys=True)
-            )
-        atomic_write(self.path, "\n".join(self._lines) + "\n")
-
-    def note_event(
-        self, event: str, workload: str, detail: str = ""
-    ) -> None:
-        """Persist one skip event (``skipped-interrupt``).
-
-        Idempotent per ``(event, workload)`` so a resumed campaign that
-        skips the same unit again does not duplicate the record.
-        """
-        if any(
-            e.get("event") == event and e.get("workload") == workload
-            for e in self.events
-        ):
-            return
-        record = {"event": event, "workload": workload, "detail": detail}
-        self.events.append(record)
-        self._lines.append(json.dumps(record, sort_keys=True))
-        atomic_write(self.path, "\n".join(self._lines) + "\n")
-
-    def workloads_with_event(self, event: str) -> set[str]:
-        """Workloads carrying a given skip event."""
-        return {
-            e["workload"]
-            for e in self.events
-            if e.get("event") == event and "workload" in e
-        }
-
-    @property
-    def units(self) -> int:
-        """Number of checkpointed comparisons."""
-        return sum(len(v) for v in self.completed.values())

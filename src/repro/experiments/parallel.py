@@ -17,15 +17,17 @@ dispatches units to one engine, the
 workers that amortise interpreter start, module imports and memoised
 warm-L2 images across units, receive traces zero-copy as shared-memory
 handles, and are recycled only on crash or hang.  The
-timeout/retry/checkpoint/degradation state machine lives in this module;
-the sequential :class:`~repro.experiments.runner.Runner` is its
-bit-for-bit reference.
+timeout/retry/degradation state machine lives in this module; the
+sequential :class:`~repro.experiments.runner.Runner` is its bit-for-bit
+reference.
 
 Results can additionally be served from a content-addressed
 :class:`~repro.experiments.result_cache.ResultCache`: units whose full
 input fingerprint (profiles, budget, seed, techniques, config, fault
 plan, engine version) matches a cached entry are returned bit-for-bit
-without running at all.
+without running at all.  That is also how an interrupted sweep is
+finished: the same sweep again, its finished units served from the
+cache.
 
 Observability: with ``progress=True`` (or a custom
 :class:`~repro.obs.profile.ProgressReporter`) each completed workload
@@ -193,7 +195,7 @@ def _workload_task(
 
 
 # ----------------------------------------------------------------------
-# Resilient sweep: timeouts, retries, checkpoint/resume, degradation
+# Resilient sweep: timeouts, retries, degradation
 # ----------------------------------------------------------------------
 
 
@@ -218,8 +220,7 @@ class SkippedWorkload:
     """Manifest entry for a unit cancelled by a signal, not by failure.
 
     ``attempts`` counts the attempts consumed before cancellation (0 for
-    never-started units).  Skips are recorded in the checkpoint too --
-    never silently dropped.
+    never-started units).
     """
 
     workload: str
@@ -241,7 +242,7 @@ class SweepResult:
     crash/hang recycle).
 
     Campaign telemetry: ``timeline`` holds one record per attempt (and
-    per cached/resumed unit) with wall-clock offsets relative to the
+    per cached unit) with wall-clock offsets relative to the
     sweep start, so a report can reconstruct the retry/backoff history;
     ``telemetry`` is the merged :class:`~repro.obs.campaign.
     CampaignAggregator` state (campaign counter/histogram totals,
@@ -252,7 +253,6 @@ class SweepResult:
     comparisons: dict[str, list[RunComparison]]
     completed: list[str]
     failed: list[FailedWorkload] = field(default_factory=list)
-    resumed: list[str] = field(default_factory=list)
     attempts: int = 0
     retries: int = 0
     cached: list[str] = field(default_factory=list)
@@ -275,7 +275,6 @@ class SweepResult:
         return {
             "degraded": self.degraded,
             "completed": list(self.completed),
-            "resumed": list(self.resumed),
             "cached": list(self.cached),
             "attempts": self.attempts,
             "retries": self.retries,
@@ -393,7 +392,6 @@ def resilient_sweep(
     retries: int = 2,
     backoff_s: float = 0.5,
     checkpoint: str | os.PathLike | None = None,
-    resume: bool = False,
     plan: FaultPlan | None = None,
     progress: bool | ProgressReporter = False,
     cache: ResultCache | None = None,
@@ -417,8 +415,8 @@ def resilient_sweep(
     A unit's traces are generated and exported to shared memory when it
     is first dispatched, so the first workers start while the parent
     still owes later units their traces; retries reuse them, and they
-    are unlinked when the unit settles.  Resumed and
-    cached units never generate a trace.
+    are unlinked when the unit settles.  Cached units never generate a
+    trace.
 
     Determinism: a retried unit reproduces the original attempt bit for
     bit -- traces are functions of ``(profile, budget, seed)``, and the
@@ -426,14 +424,12 @@ def resilient_sweep(
     technique)``, independent of the attempt number and of which worker
     process (warm or fresh) runs it.
 
-    With ``checkpoint`` set, every completed unit is persisted
-    atomically; with ``resume=True`` units already in the checkpoint are
-    skipped and their checkpointed comparisons returned (bit-for-bit
-    equal to re-running them, see
-    :mod:`repro.experiments.checkpoint`).  With ``cache`` set, units
-    whose content fingerprint is already cached are returned without
-    running (and recorded into the checkpoint, so a later ``--resume``
-    agrees); fresh units are stored back on completion.
+    With ``cache`` set, units whose content fingerprint is already
+    cached are returned without running, and fresh units are stored back
+    on completion, so the same sweep again finishes what an interrupted
+    one left.  With ``checkpoint`` set, every finished or cached unit is
+    also appended to that :class:`~repro.experiments.checkpoint.
+    SweepCheckpoint` log, which the sweep starts afresh.
 
     Instead of raising on a unit that exhausts its retries, the sweep
     degrades: surviving units are returned, the lost unit lands in the
@@ -456,12 +452,11 @@ def resilient_sweep(
     1`` attempts).  A signal is the one early stop.  SIGINT/SIGTERM on
     the parent (see :class:`ParentSignalWatch`) aborts running attempts
     and records every unfinished unit as ``skipped-interrupt`` in the
-    checkpoint and the result -- never silently dropped -- and the
-    result's ``interrupted`` carries the signal name so the CLI can exit
-    with a distinct resumable code.  A signal sent to the whole process
-    group (``timeout``, ``kill -TERM -PGID``) also reaches the workers:
-    they ignore SIGINT, and an attempt a SIGTERM aborts is cancelled the
-    same way, never failed.
+    result -- never silently dropped -- and the result's ``interrupted``
+    carries the signal name so the CLI can exit with a distinct code.  A
+    signal sent to the whole process group (``timeout``, ``kill -TERM
+    -PGID``) also reaches the workers: they ignore SIGINT, and an attempt
+    a SIGTERM aborts is cancelled the same way, never failed.
     """
     from repro.experiments.pool import SharedTraceStore, WorkerPool
 
@@ -484,15 +479,13 @@ def resilient_sweep(
 
     executor_obj = WorkerPool()
 
-    ckpt: SweepCheckpoint | None = None
-    if checkpoint is not None:
-        fingerprint = sweep_fingerprint(
-            config, technique_tuple, seed, plan
+    ckpt = (
+        SweepCheckpoint(
+            checkpoint, sweep_fingerprint(config, technique_tuple, seed, plan)
         )
-        if resume:
-            ckpt = SweepCheckpoint.load(checkpoint, fingerprint)
-        else:
-            ckpt = SweepCheckpoint(checkpoint, fingerprint)
+        if checkpoint is not None
+        else None
+    )
 
     if isinstance(progress, ProgressReporter):
         reporter = progress
@@ -539,20 +532,10 @@ def resilient_sweep(
 
     store = SharedTraceStore()
     results: list[list[RunComparison] | None] = [None] * len(workload_list)
-    resumed: list[str] = []
     cached: list[str] = []
     skipped: list[SkippedWorkload] = []
     units: deque[_Unit] = deque()
     for i, w in enumerate(workload_list):
-        if ckpt is not None and ckpt.has_workload(w, technique_tuple):
-            by_tech = {
-                c.technique: c for c in ckpt.comparisons_for(w)
-            }
-            results[i] = [by_tech[t] for t in technique_tuple]
-            resumed.append(w)
-            note(w, 0, "resumed", "", rel_now(), rel_now(), "none")
-            reporter.advance(w, 0.0)
-            continue
         unit_fp, hit = probe_unit(
             cache, config, w, technique_tuple, seed, plan
         )
@@ -571,7 +554,7 @@ def resilient_sweep(
 
         The first call loads the simulator: in the parent, before the
         pool forks, so every worker starts with it imported.  A sweep
-        served whole from the cache or the checkpoint never loads it.
+        served whole from the cache never loads it.
         """
         from repro.experiments import _trace_cache
         from repro.timing.system import System  # noqa: F401
@@ -682,8 +665,6 @@ def resilient_sweep(
                 unit.last_telemetry if in_flight else "none",
                 in_flight=in_flight,
             )
-            if ckpt is not None:
-                ckpt.note_event("skipped-interrupt", unit.workload)
             settle(unit)
             reporter.advance(f"{unit.workload} (SKIPPED)", 0.0)
 
@@ -692,7 +673,7 @@ def resilient_sweep(
         with watch:
             while units or backing_off or running:
                 # Graceful drain: handlers only set a flag, so a signal
-                # can never corrupt a checkpoint write mid-os.replace.
+                # can never land mid-write.
                 if watch.signame is not None:
                     interrupted = watch.signame
                     cancel_remaining([])
@@ -832,7 +813,6 @@ def resilient_sweep(
         comparisons=out,
         completed=completed,
         failed=failed,
-        resumed=resumed,
         attempts=total_attempts,
         retries=total_retries,
         cached=cached,

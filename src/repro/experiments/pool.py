@@ -34,7 +34,7 @@ message the worker's abort handler tries to send, and returning that
 salvage (or ``None``) -- and ``close()`` tears everything down.  A
 request is ``(task, attempt)`` (``None`` stops the worker); wire
 messages carry a telemetry snapshot as their last element (see
-:mod:`repro.obs.campaign`).  The harness's timeout/retry/checkpoint
+:mod:`repro.obs.campaign`).  The harness's timeout/retry/cache
 semantics live entirely in
 :func:`repro.experiments.parallel.resilient_sweep`.
 """

@@ -12,8 +12,9 @@ use:
   :func:`~repro.util.stable_fingerprint` over that closure, per-technique
   paper-metric aggregates, the campaign's effective simulation rates, and
   the result cache's probe statistics.
-* :func:`validate_manifest` checks a manifest against
-  :data:`MANIFEST_SCHEMA` -- a hand-rolled subset of JSON Schema
+* :func:`validate_manifest` checks a manifest against the schema this
+  package ships, ``manifest.schema.json`` next to this module, with a
+  hand-rolled subset of JSON Schema
   (``type``/``required``/``properties``/``items``/``enum``), so CI can
   validate without any third-party dependency.  :func:`check_consistency`
   goes further than shape: the merged campaign counters must equal the
@@ -28,12 +29,13 @@ use:
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 __all__ = [
     "MANIFEST_KIND",
-    "MANIFEST_SCHEMA",
     "MANIFEST_VERSION",
     "build_manifest",
     "check_consistency",
@@ -95,8 +97,10 @@ MANIFEST_KIND = "repro-sweep-manifest"
 #: v2 added the ``skipped`` / ``interrupted`` keys and the skip timeline
 #: outcomes.  v3 dropped the poison-unit list.  v4 dropped the constant
 #: executor block, the deadline and the skip reason: a signal is the one
-#: way a unit is skipped.
-MANIFEST_VERSION = 4
+#: way a unit is skipped.  v5 dropped the list of units read back from a
+#: checkpoint, its timeline outcome and the checkpoint path: a rerun over
+#: the result cache is the one way to finish a sweep.
+MANIFEST_VERSION = 5
 
 
 def build_manifest(
@@ -107,15 +111,13 @@ def build_manifest(
     seed: int = 0,
     plan: Any = None,
     cache: Any = None,
-    checkpoint: Any = None,
 ) -> dict[str, Any]:
     """The structured run manifest for one finished resilient sweep.
 
     Extends ``result.manifest()`` (whose keys are all preserved) with the
     sweep's input closure and its fingerprint, per-technique paper-metric
     aggregates, campaign-level simulation rates derived from the merged
-    worker telemetry, the result cache's probe statistics and the
-    checkpoint path (``None`` without one).  The
+    worker telemetry and the result cache's probe statistics.  The
     output is pure JSON (``atomic_write_json``-able) and deterministic
     apart from the measured wall times.
     """
@@ -186,15 +188,12 @@ def build_manifest(
         "per_technique": per_technique_bench,
     }
     manifest["result_cache"] = cache.stats() if cache is not None else None
-    manifest["checkpoint"] = None if checkpoint is None else str(checkpoint)
     return manifest
 
 
-def rerun_hint(checkpoint: bool, cache: bool) -> str:
-    """How to finish the units an interrupted sweep skipped: ``--resume``
-    needs the sweep's checkpoint; without one, the same command again."""
-    if checkpoint:
-        return "rerun with --resume to finish the skipped units"
+def rerun_hint(cache: bool) -> str:
+    """How to finish the units an interrupted sweep skipped: the same
+    command again."""
     hint = "rerun the same command to finish the skipped units"
     if cache:
         hint += "; finished units come back from the result cache"
@@ -205,133 +204,9 @@ def rerun_hint(checkpoint: bool, cache: bool) -> str:
 # Schema validation (hand-rolled JSON Schema subset -- no dependency)
 # ----------------------------------------------------------------------
 
-_TELEMETRY_SECTION = {
-    "type": "object",
-    "required": [
-        "counters", "histograms", "per_technique", "per_unit", "lost",
-        "rollup",
-    ],
-    "properties": {
-        "counters": {"type": "object"},
-        "histograms": {"type": "object"},
-        "per_technique": {"type": "object"},
-        "per_unit": {"type": "object"},
-        "lost": {"type": "array", "items": {"type": "string"}},
-        "rollup": {"type": "object"},
-    },
-}
-
-#: Shape of a run manifest, expressed in the JSON Schema subset that
-#: :func:`validate_manifest` implements (``type`` / ``required`` /
-#: ``properties`` / ``items`` / ``enum``).  ``schemas/manifest.schema.json``
-#: is the checked-in copy CI validates against; a test pins the two equal.
-MANIFEST_SCHEMA: dict[str, Any] = {
-    "type": "object",
-    "required": [
-        "kind", "manifest_version", "engine_version", "fingerprint",
-        "config", "workloads", "techniques", "seed", "plan",
-        "degraded", "completed", "resumed", "cached", "attempts",
-        "retries", "workers_spawned", "workers_recycled", "wall_s",
-        "timeline", "telemetry", "failed", "skipped",
-        "interrupted", "aggregates", "bench",
-        "result_cache",
-    ],
-    "properties": {
-        "kind": {"enum": [MANIFEST_KIND]},
-        "manifest_version": {"enum": [MANIFEST_VERSION]},
-        "engine_version": {"type": "integer"},
-        "fingerprint": {"type": "string"},
-        "config": {"type": "object"},
-        "workloads": {"type": "array", "items": {"type": "string"}},
-        "techniques": {"type": "array", "items": {"type": "string"}},
-        "seed": {"type": "integer"},
-        "plan": {"type": ["object", "null"]},
-        "degraded": {"type": "boolean"},
-        "completed": {"type": "array", "items": {"type": "string"}},
-        "resumed": {"type": "array", "items": {"type": "string"}},
-        "cached": {"type": "array", "items": {"type": "string"}},
-        "attempts": {"type": "integer"},
-        "retries": {"type": "integer"},
-        "workers_spawned": {"type": "integer"},
-        "workers_recycled": {"type": "integer"},
-        "wall_s": {"type": "number"},
-        "timeline": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": [
-                    "workload", "attempt", "outcome", "exc_type",
-                    "start_s", "end_s", "wall_s", "telemetry",
-                ],
-                "properties": {
-                    "workload": {"type": "string"},
-                    "attempt": {"type": "integer"},
-                    "outcome": {
-                        "enum": [
-                            "ok", "retry", "failed", "cached", "resumed",
-                            "skipped-interrupt",
-                        ],
-                    },
-                    "exc_type": {"type": "string"},
-                    "start_s": {"type": "number"},
-                    "end_s": {"type": "number"},
-                    "wall_s": {"type": "number"},
-                    "telemetry": {
-                        "enum": ["ok", "partial", "lost", "none"],
-                    },
-                },
-            },
-        },
-        "telemetry": _TELEMETRY_SECTION,
-        "failed": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": [
-                    "workload", "attempts", "exc_type", "detail",
-                    "telemetry",
-                ],
-                "properties": {
-                    "workload": {"type": "string"},
-                    "attempts": {"type": "integer"},
-                    "exc_type": {"type": "string"},
-                    "detail": {"type": "string"},
-                    "telemetry": {"enum": ["ok", "partial", "lost"]},
-                },
-            },
-        },
-        "skipped": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["workload", "attempts"],
-                "properties": {
-                    "workload": {"type": "string"},
-                    "attempts": {"type": "integer"},
-                },
-            },
-        },
-        "interrupted": {"type": ["string", "null"]},
-        "aggregates": {"type": "object"},
-        "bench": {
-            "type": "object",
-            "required": [
-                "instructions_per_core", "units", "clean", "sweep_s",
-                "sim_minstr_per_s", "per_technique",
-            ],
-            "properties": {
-                "instructions_per_core": {"type": "integer"},
-                "units": {"type": "integer"},
-                "clean": {"type": "boolean"},
-                "sweep_s": {"type": "number"},
-                "sim_minstr_per_s": {"type": "number"},
-                "per_technique": {"type": "object"},
-            },
-        },
-        "result_cache": {"type": ["object", "null"]},
-        "checkpoint": {"type": ["string", "null"]},
-    },
-}
+#: The manifest's shape, in the JSON Schema subset that
+#: :func:`validate_manifest` implements.
+_SCHEMA_PATH = Path(__file__).with_name("manifest.schema.json")
 
 _TYPE_CHECKS = {
     "object": lambda v: isinstance(v, dict),
@@ -376,14 +251,12 @@ def _validate(value: Any, schema: Mapping[str, Any], path: str,
 def validate_manifest(
     manifest: Any, schema: Mapping[str, Any] | None = None
 ) -> list[str]:
-    """Schema errors for a manifest (empty list means it validates)."""
+    """Schema errors for a manifest (empty list means it validates)
+    against ``schema``, by default the packaged manifest schema."""
+    if schema is None:
+        schema = json.loads(_SCHEMA_PATH.read_text(encoding="utf-8"))
     errors: list[str] = []
-    _validate(
-        manifest,
-        schema if schema is not None else MANIFEST_SCHEMA,
-        "manifest",
-        errors,
-    )
+    _validate(manifest, schema, "manifest", errors)
     return errors
 
 
@@ -661,15 +534,14 @@ def render_markdown(
     out.append("")
     out.append(_md_table(
         ["workloads", "completed", "failed", "skipped",
-         "cached", "resumed", "attempts", "retries", "recycled",
-         "wall s", "degraded"],
+         "cached", "attempts", "retries", "recycled", "wall s",
+         "degraded"],
         [[
             len(manifest.get("workloads", [])),
             len(manifest.get("completed", [])),
             len(manifest.get("failed", [])),
             len(manifest.get("skipped", [])),
             len(manifest.get("cached", [])),
-            len(manifest.get("resumed", [])),
             manifest.get("attempts", 0),
             manifest.get("retries", 0),
             manifest.get("workers_recycled", 0),
@@ -679,10 +551,7 @@ def render_markdown(
     ))
     if manifest.get("interrupted"):
         out.append("")
-        hint = rerun_hint(
-            manifest.get("checkpoint") is not None,
-            manifest.get("result_cache") is not None,
-        )
+        hint = rerun_hint(manifest.get("result_cache") is not None)
         out.append(f"**Interrupted by {manifest['interrupted']}** -- {hint}.")
     rows = _aggregate_rows(manifest)
     if rows:

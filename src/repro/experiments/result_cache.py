@@ -9,12 +9,13 @@ maps the hash to the unit's serialised comparisons on disk.  The one
 sweep path, ``resilient_sweep`` (``repro sweep``, ``repro figure`` and
 ``repro table``), probes it with :func:`probe_unit` before running a
 unit, so re-plotting a figure or a table after an unrelated edit skips
-straight to rendering.
+straight to rendering, and the same sweep again finishes one that a
+signal or a failure cut short: only its unfinished units run.
 
 Why this is sound: comparisons round-trip through
 :func:`~repro.experiments.runner.comparison_to_dict`, whose JSON float
 encoding is shortest-round-trip -- a cache hit is *bit-for-bit* equal to
-re-running the unit (the same property the sweep checkpoint relies on).
+re-running the unit.
 Any input the simulation can observe is in the fingerprint, including
 :data:`~repro.timing.result.SIM_ENGINE_VERSION`, which must be bumped
 whenever the engine's semantics change; profile *parameters* (not just

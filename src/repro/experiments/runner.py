@@ -178,15 +178,15 @@ def technique_rollup(
 
 
 # ----------------------------------------------------------------------
-# Checkpoint serialisation
+# Result serialisation
 #
-# RunComparison round-trips through plain JSON-able dicts so the sweep
-# checkpointer can persist completed units.  Python's json module prints
-# floats with repr (shortest round-trip representation), so a serialised
-# and re-loaded comparison is *bit-for-bit* equal to the original --
-# resuming from a checkpoint is exactly equivalent to never having been
-# interrupted.  Tuples inside IntervalDecision become JSON lists and are
-# restored on load.
+# RunComparison round-trips through plain JSON-able dicts so the result
+# cache and the sweep checkpoint log can persist completed units.
+# Python's json module prints floats with repr (shortest round-trip
+# representation), so a serialised and re-loaded comparison is
+# *bit-for-bit* equal to the original -- a unit served from the cache is
+# exactly equivalent to running it again.  Tuples inside IntervalDecision
+# become JSON lists and are restored on load.
 # ----------------------------------------------------------------------
 
 

@@ -16,8 +16,8 @@ fault subsystem:
   first attempt.
 
 Everything is derived deterministically from ``seed`` plus stable string
-keys (workload, technique, attempt), so a retried or resumed run
-reproduces its faults bit for bit.  The JSON schema (all fields optional
+keys (workload, technique, attempt), so a retried run, or the same
+sweep run again, reproduces its faults bit for bit.  The JSON schema (all fields optional
 except that an empty plan injects nothing)::
 
     {

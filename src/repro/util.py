@@ -2,9 +2,9 @@
 
 Lazy package exports (:func:`lazy_exports`), content fingerprints and
 crash-safe file writes.  Result files (CSV exports, benchmark
-baselines, sweep checkpoints) must never be left half-written by a kill
-mid-write -- a truncated ``BENCH_*.json`` or checkpoint would silently
-poison later runs.  :func:`atomic_write` provides the standard
+baselines, result-cache entries, run manifests) must never be left
+half-written by a kill mid-write -- a truncated ``BENCH_*.json`` or
+cache entry would silently poison later runs.  :func:`atomic_write` provides the standard
 write-to-temp + ``os.replace`` idiom: the destination either keeps its old
 content or atomically gains the complete new content, never anything in
 between.
@@ -83,8 +83,8 @@ def atomic_write(
 
     ``fsync=True`` additionally flushes the temp file to disk before the
     rename, hardening against power loss as well as process death (at
-    measurable cost; checkpointers that record many small units should
-    leave it off and rely on process-crash atomicity).
+    measurable cost; writers that record many small units should leave
+    it off and rely on process-crash atomicity).
     """
     path = Path(path)
     mode = "wb" if isinstance(data, bytes) else "w"

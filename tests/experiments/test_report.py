@@ -10,7 +10,6 @@ from repro.config import SimConfig
 from repro.experiments.parallel import resilient_sweep
 from repro.experiments.report import (
     MANIFEST_KIND,
-    MANIFEST_SCHEMA,
     MANIFEST_VERSION,
     build_manifest,
     check_consistency,
@@ -88,7 +87,7 @@ class TestBuildManifest:
         assert len(manifest["fingerprint"]) == 64
 
     def test_legacy_sweep_manifest_keys_preserved(self, manifest):
-        for key in ("degraded", "completed", "resumed", "cached",
+        for key in ("degraded", "completed", "cached",
                     "attempts", "retries", "workers_spawned",
                     "workers_recycled", "failed"):
             assert key in manifest
@@ -117,12 +116,6 @@ class TestBuildManifest:
 
     def test_validates_against_schema(self, manifest):
         assert validate_manifest(manifest) == []
-
-    def test_checked_in_schema_file_matches(self):
-        disk = json.loads(
-            (REPO_ROOT / "schemas" / "manifest.schema.json").read_text()
-        )
-        assert disk == MANIFEST_SCHEMA
 
     def test_manifest_is_pure_json(self, manifest):
         json.dumps(manifest)
@@ -155,6 +148,30 @@ class TestValidateManifest:
         assert manifest["plan"] is None
         assert manifest["result_cache"] is None
         assert validate_manifest(manifest) == []
+
+    def test_packaged_schema_pins_kind_and_version(self):
+        from importlib.resources import files
+
+        schema = json.loads(
+            files("repro.experiments")
+            .joinpath("manifest.schema.json")
+            .read_text(encoding="utf-8")
+        )
+        assert schema["properties"]["kind"] == {"enum": [MANIFEST_KIND]}
+        assert schema["properties"]["manifest_version"] == {
+            "enum": [MANIFEST_VERSION]
+        }
+
+    def test_resume_fields_are_gone(self, manifest):
+        # v5: a rerun over the result cache is the one way to finish an
+        # interrupted sweep, so no unit is "resumed" from a checkpoint.
+        assert "resumed" not in manifest
+        assert "checkpoint" not in manifest
+        broken = copy.deepcopy(manifest)
+        broken["timeline"][0]["outcome"] = "resumed"
+        assert any(
+            "timeline[0].outcome" in e for e in validate_manifest(broken)
+        )
 
 
 class TestCheckConsistency:

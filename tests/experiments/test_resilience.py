@@ -1,5 +1,6 @@
 """Tests for the resilient sweep harness (Plane 2: timeouts, retries,
-checkpoint/resume, degradation) and the sweep checkpoint format."""
+degradation, reruns over the result cache) and the sweep checkpoint
+log."""
 
 import json
 import multiprocessing
@@ -20,6 +21,7 @@ from repro.experiments.parallel import (
     resilient_sweep,
 )
 from repro.experiments.pool import active_shm_segments
+from repro.experiments.result_cache import ResultCache
 from repro.experiments.runner import (
     Runner,
     comparison_from_dict,
@@ -277,70 +279,72 @@ class TestCampaignTelemetry:
         assert manifest["failed"][0]["telemetry"] == "lost"
         assert manifest["telemetry"]["rollup"]["units_merged"] == 1
 
-    def test_cached_and_resumed_units_noted_without_attempts(self, tmp_path):
+    def test_cached_units_noted_without_attempts(self, tmp_path):
         cfg = config()
-        ckpt = tmp_path / "sweep.ckpt.jsonl"
-        resilient_sweep(cfg, ["gamess"], ("esteem",), jobs=1, checkpoint=ckpt)
-        resumed = resilient_sweep(
-            cfg, ["gamess"], ("esteem",), jobs=1, checkpoint=ckpt, resume=True
+        cache = ResultCache(tmp_path / "cache")
+        resilient_sweep(cfg, ["gamess"], ("esteem",), jobs=1, cache=cache)
+        rerun = resilient_sweep(
+            cfg, ["gamess"], ("esteem",), jobs=1, cache=cache
         )
-        (entry,) = resumed.timeline
-        assert entry["outcome"] == "resumed"
+        assert rerun.attempts == 0
+        (entry,) = rerun.timeline
+        assert entry["outcome"] == "cached"
         assert entry["telemetry"] == "none"
-        assert resumed.telemetry["rollup"]["units_merged"] == 0
+        assert rerun.telemetry["rollup"]["units_merged"] == 0
 
 
-class TestCheckpointResume:
-    def test_interrupted_sweep_resumes_bit_for_bit(self, tmp_path):
+class TestCacheRerun:
+    """The same sweep again over its result cache finishes what an
+    earlier one left: only the unfinished units run, bit for bit."""
+
+    def test_interrupted_sweep_reruns_bit_for_bit(self, tmp_path):
         cfg = config()
-        ckpt = tmp_path / "sweep.ckpt.jsonl"
+        cache = ResultCache(tmp_path / "cache")
         # First pass: povray is permanently broken, gamess completes and
-        # is checkpointed -- this is "the sweep died partway".
+        # is cached -- this is "the sweep died partway".
         plan = FaultPlan(chaos={"povray": ("crash",) * 8})
         first = resilient_sweep(
             cfg, ["gamess", "povray"], ("esteem",), jobs=1,
-            retries=0, backoff_s=0.01, checkpoint=ckpt, plan=plan,
+            retries=0, backoff_s=0.01, plan=plan, cache=cache,
         )
         assert first.completed == ["gamess"]
         # Second pass with the same parameters: gamess comes back from
-        # the checkpoint without re-running; povray (still scripted to
+        # the cache without re-running; povray (still scripted to
         # crash) is attempted again.
-        resumed = resilient_sweep(
+        rerun = resilient_sweep(
             cfg, ["gamess", "povray"], ("esteem",), jobs=1,
-            retries=0, checkpoint=ckpt, resume=True, plan=plan,
+            retries=0, plan=plan, cache=cache,
         )
-        assert resumed.resumed == ["gamess"]
-        assert resumed.attempts == 1  # only povray re-ran
+        assert rerun.cached == ["gamess"]
+        assert rerun.attempts == 1  # only povray re-ran
         ref = Runner(cfg).compare("gamess", "esteem")
-        by_w = {c.workload: c for c in resumed.comparisons["esteem"]}
+        by_w = {c.workload: c for c in rerun.comparisons["esteem"]}
         assert by_w["gamess"].result == ref.result
         assert by_w["gamess"].baseline == ref.baseline
 
-    def test_full_resume_runs_nothing(self, tmp_path):
+    def test_full_rerun_runs_nothing(self, tmp_path):
         cfg = config()
-        ckpt = tmp_path / "sweep.ckpt.jsonl"
+        cache = ResultCache(tmp_path / "cache")
         first = resilient_sweep(
-            cfg, ["gamess"], ("esteem",), jobs=1, checkpoint=ckpt
+            cfg, ["gamess"], ("esteem",), jobs=1, cache=cache
         )
-        resumed = resilient_sweep(
-            cfg, ["gamess"], ("esteem",), jobs=1, checkpoint=ckpt, resume=True
+        rerun = resilient_sweep(
+            cfg, ["gamess"], ("esteem",), jobs=1, cache=cache
         )
-        assert resumed.attempts == 0
-        assert resumed.resumed == ["gamess"]
+        assert rerun.attempts == 0
+        assert rerun.cached == ["gamess"]
         assert (
-            resumed.comparisons["esteem"][0].result
+            rerun.comparisons["esteem"][0].result
             == first.comparisons["esteem"][0].result
         )
 
-    def test_resume_refuses_foreign_checkpoint(self, tmp_path):
-        cfg = config()
-        ckpt = tmp_path / "sweep.ckpt.jsonl"
-        resilient_sweep(cfg, ["gamess"], ("esteem",), jobs=1, checkpoint=ckpt)
-        with pytest.raises(ValueError, match="different sweep"):
-            resilient_sweep(
-                cfg, ["gamess"], ("esteem",), jobs=1,
-                checkpoint=ckpt, resume=True, seed=1,  # parameters changed
-            )
+
+def _checkpoint_with(path, fp, comparisons):
+    """A checkpoint at ``path`` recording each comparison as one unit."""
+    ckpt = SweepCheckpoint(path, fp)
+    for comp in comparisons:
+        ckpt.record([comp])
+    return ckpt
 
 
 class TestCheckpointFormat:
@@ -357,15 +361,58 @@ class TestCheckpointFormat:
             SimConfig.scaled(instructions_per_core=400_000), ("esteem",), 0
         )
 
-    def test_missing_file_loads_empty(self, tmp_path):
-        ckpt = SweepCheckpoint.load(tmp_path / "none.jsonl", "abc")
-        assert ckpt.units == 0
-
     def test_non_checkpoint_file_rejected(self, tmp_path):
         path = tmp_path / "junk.jsonl"
         path.write_text("not a checkpoint\n")
         with pytest.raises(ValueError, match="not a sweep checkpoint"):
             SweepCheckpoint.load(path, "abc")
+
+    def test_load_refuses_foreign_checkpoint(self, tmp_path):
+        ckpt = tmp_path / "sweep.ckpt.jsonl"
+        resilient_sweep(
+            config(), ["gamess"], ("esteem",), jobs=1, checkpoint=ckpt
+        )
+        foreign = sweep_fingerprint(config(), ("esteem",), 1)  # seed 1
+        with pytest.raises(ValueError, match="different sweep"):
+            SweepCheckpoint.load(ckpt, foreign)
+
+    def test_load_reads_back_exactly_what_record_appended(
+        self, tmp_path, capsys
+    ):
+        cfg = config()
+        runner = Runner(cfg)
+        units = [
+            [runner.compare("gamess", "esteem"),
+             runner.compare("gamess", "rpv")],
+            [runner.compare("povray", "esteem"),
+             runner.compare("povray", "rpv")],
+        ]
+        fp = sweep_fingerprint(cfg, ("esteem", "rpv"), 0)
+        path = tmp_path / "ckpt.jsonl"
+        ckpt = SweepCheckpoint(path, fp)
+        for unit in units:
+            ckpt.record(unit)
+        # A crash mid-append tears the last line.
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"workload": "mc')
+        loaded = SweepCheckpoint.load(path, fp)
+        assert loaded.completed == {
+            "gamess": units[0], "povray": units[1],
+        }
+        assert loaded.completed == ckpt.completed
+        assert "dropping unparsable checkpoint line 6" in (
+            capsys.readouterr().err
+        )
+
+    def test_constructor_starts_the_file_afresh(self, tmp_path):
+        cfg = config()
+        comp = Runner(cfg).compare("gamess", "esteem")
+        path = tmp_path / "ckpt.jsonl"
+        _checkpoint_with(path, "first", [comp])
+        SweepCheckpoint(path, "second")
+        assert SweepCheckpoint.load(path, "second").completed == {}
+        with pytest.raises(ValueError, match="different sweep"):
+            SweepCheckpoint.load(path, "first")
 
     def test_truncated_trailing_line_dropped_with_warning(
         self, tmp_path, capsys
@@ -374,13 +421,12 @@ class TestCheckpointFormat:
         comp = Runner(cfg).compare("gamess", "esteem")
         fp = sweep_fingerprint(cfg, ("esteem",), 0)
         path = tmp_path / "ckpt.jsonl"
-        ckpt = SweepCheckpoint(path, fp)
-        ckpt.record([comp])
+        _checkpoint_with(path, fp, [comp])
         # Simulate a torn write: append half a JSON record.
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"workload": "povr')
         loaded = SweepCheckpoint.load(path, fp)
-        assert loaded.units == 1
+        assert loaded.completed == {"gamess": [comp]}
         assert "dropping unparsable checkpoint line" in capsys.readouterr().err
 
     def test_comparison_roundtrip_is_exact(self, tmp_path):
@@ -390,16 +436,6 @@ class TestCheckpointFormat:
             json.loads(json.dumps(comparison_to_dict(comp)))
         )
         assert clone == comp
-
-    def test_has_workload_requires_every_technique(self, tmp_path):
-        cfg = config()
-        runner = Runner(cfg)
-        comp = runner.compare("gamess", "esteem")
-        ckpt = SweepCheckpoint(tmp_path / "c.jsonl", "fp")
-        ckpt.record([comp])
-        assert ckpt.has_workload("gamess", ("esteem",))
-        assert not ckpt.has_workload("gamess", ("esteem", "rpv"))
-        assert not ckpt.has_workload("povray", ("esteem",))
 
 
 class TestHardCrashContainment:
@@ -429,69 +465,47 @@ class TestHardCrashContainment:
 
 
 class TestCheckpointEvents:
-    def test_event_roundtrip_and_idempotence(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        ckpt = SweepCheckpoint(path, "fp")
-        ckpt.note_event("skipped-interrupt", "povray", detail="first")
-        ckpt.note_event("skipped-interrupt", "povray", detail="duplicate")
-        ckpt.note_event("skipped-deadline", "mcf")
-        loaded = SweepCheckpoint.load(path, "fp")
-        assert loaded.workloads_with_event("skipped-interrupt") == {"povray"}
-        assert loaded.workloads_with_event("skipped-deadline") == {"mcf"}
-        assert len(loaded.events) == 2  # idempotent per (event, workload)
-        assert loaded.events[0]["detail"] == "first"
+    """Checkpoints written by earlier versions carry event lines
+    (``skipped-interrupt``, ``skipped-deadline``, ``quarantined``).  The
+    log records finished units only: an event line is dropped with a
+    warning like any other line that is not a unit."""
 
     def test_corrupt_event_line_dropped(self, tmp_path, capsys):
         path = tmp_path / "ckpt.jsonl"
-        ckpt = SweepCheckpoint(path, "fp")
-        ckpt.note_event("skipped-deadline", "povray")
+        SweepCheckpoint(path, "fp")
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"event": "skipped-deadline", "workload"\n')  # torn
             fh.write("\x00\x01 binary junk\n")
         loaded = SweepCheckpoint.load(path, "fp")
-        assert loaded.workloads_with_event("skipped-deadline") == {"povray"}
-        assert "dropping unparsable" in capsys.readouterr().err
+        assert loaded.completed == {}
+        assert capsys.readouterr().err.count("dropping unparsable") == 2
 
-    def test_events_interleave_with_comparisons(self, tmp_path):
+    def test_events_interleave_with_comparisons(self, tmp_path, capsys):
         cfg = config()
-        comp = Runner(cfg).compare("gamess", "esteem")
+        runner = Runner(cfg)
+        gamess = runner.compare("gamess", "esteem")
+        povray = runner.compare("povray", "esteem")
         fp = sweep_fingerprint(cfg, ("esteem",), 0)
         path = tmp_path / "ckpt.jsonl"
-        ckpt = SweepCheckpoint(path, fp)
-        ckpt.record([comp])
-        ckpt.note_event("skipped-interrupt", "povray")
+        ckpt = _checkpoint_with(path, fp, [gamess])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(
+                {"event": "skipped-interrupt", "workload": "povray"}
+            ) + "\n")
+        ckpt.record([povray])
         loaded = SweepCheckpoint.load(path, fp)
-        assert loaded.units == 1
-        assert loaded.has_workload("gamess", ("esteem",))
-        assert loaded.workloads_with_event("skipped-interrupt") == {"povray"}
-
-    def test_old_deadline_skips_still_resume(self, tmp_path):
-        # Checkpoints written before the campaign deadline was retired
-        # carry skipped-deadline lines: they still resume, and the lines
-        # are kept but ignored.
-        cfg = config()
-        fp = sweep_fingerprint(cfg, ("esteem",), 0)
-        path = tmp_path / "ckpt.jsonl"
-        old = SweepCheckpoint(path, fp)
-        old.record([Runner(cfg).compare("gamess", "esteem")])
-        old.note_event("skipped-deadline", "povray")
-        resumed = resilient_sweep(
-            cfg, ["gamess", "povray"], ("esteem",), jobs=1,
-            checkpoint=path, resume=True,
+        assert loaded.completed == {"gamess": [gamess], "povray": [povray]}
+        assert "dropping unparsable checkpoint line 3" in (
+            capsys.readouterr().err
         )
-        assert not resumed.degraded
-        assert resumed.resumed == ["gamess"]
-        assert resumed.completed == ["gamess", "povray"]
-        loaded = SweepCheckpoint.load(path, fp)
-        assert loaded.workloads_with_event("skipped-deadline") == {"povray"}
-        assert loaded.has_workload("povray", ("esteem",))
 
 
 class TestGroupSignal:
     """A signal sent to the sweep's whole process group -- what
     ``timeout`` and ``kill -TERM -PGID`` do, and what Ctrl-C does --
     also reaches the pool workers.  The unit in flight is cancelled as
-    ``skipped-interrupt``, never failed, and ``--resume`` finishes it."""
+    ``skipped-interrupt``, never failed, and the same command again
+    finishes it, the finished unit served from the result cache."""
 
     WORKLOADS = "gamess,milc"
     # milc's first attempt hangs: it is in flight when the signal lands.
@@ -501,7 +515,8 @@ class TestGroupSignal:
         return [
             sys.executable, "-m", "repro", "sweep",
             "--workloads", self.WORKLOADS, "-t", "esteem",
-            "--instructions", "200000", "--jobs", "1", "--no-cache",
+            "--instructions", "200000", "--jobs", "1",
+            "--cache-dir", str(tmp / f"{tag}-cache"),
             "--inject", str(tmp / "plan.json"),
             "--checkpoint", str(tmp / f"{tag}.ckpt.jsonl"),
             "--manifest", str(tmp / f"{tag}.json"), "-q", *extra,
@@ -515,8 +530,8 @@ class TestGroupSignal:
 
     @pytest.fixture(scope="class")
     def uninterrupted(self, tmp, repro_env):
-        # --timeout is not part of the sweep fingerprint: it cuts the
-        # scripted hang short here and on resume, never in the
+        # --timeout is not part of the result-cache key: it cuts the
+        # scripted hang short here and on the rerun, never in the
         # interrupted run.
         rc = subprocess.run(
             self._cmd(tmp, "fresh", "--timeout", "1"), env=repro_env,
@@ -567,10 +582,11 @@ class TestGroupSignal:
         assert record["in_flight"] is True
 
         rc = subprocess.run(
-            self._cmd(tmp, tag, "--timeout", "1", "--resume"), env=repro_env,
+            self._cmd(tmp, tag, "--timeout", "1"), env=repro_env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         ).returncode
         assert rc == 0
-        resumed = json.loads((tmp / f"{tag}.json").read_text())
-        assert resumed["resumed"] == ["gamess"]
-        assert resumed["aggregates"] == uninterrupted["aggregates"]
+        rerun = json.loads((tmp / f"{tag}.json").read_text())
+        assert rerun["cached"] == ["gamess"]
+        assert rerun["attempts"] == 2  # milc: the scripted hang, a retry
+        assert rerun["aggregates"] == uninterrupted["aggregates"]

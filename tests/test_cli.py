@@ -65,10 +65,35 @@ class TestParser:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        "figure 2 --jobs 7",
+        "figure 2 --workloads gamess",
+        "figure 2 --csv out.csv",
+        "figure 2 -q",
+        "figure 3 --cores 2",
+        "figure 5 --retention 40",
+        "table 3 --alpha 0.5",
+        "table 3 --cores 2",
+        "table 3 --retention 40",
+        "table 2 --jobs 2",
+        "table 2 --instructions 1000",
+        "run -w gamess -q",
+    ])
+    def test_flags_a_number_does_not_read_are_usage_errors(
+        self, argv, capsys
+    ):
+        # Each figure and table number registers only the flags it reads.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv.split())
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         "trace -w gamess --capacity 0",
         "overhead --sets 0",
         "overhead --ways 0",
         "overhead --modules 0",
+        "run -w gamess --instructions 0",
+        "trace-stats -w gamess --instructions 0",
     ])
     def test_non_positive_size_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -76,6 +101,28 @@ class TestParser:
         assert exc.value.code == 2
         flag = argv.split()[-2]
         assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        ("run -w gamess --alpha 2", "alpha must be in (0, 1]"),
+        ("run -w gamess --retention -5", "retention must be positive"),
+        ("trace -w gamess --retention 0", "retention must be positive"),
+        ("figure 3 --interval 0", "interval length must be positive"),
+        ("sweep --workloads gamess --retention 0",
+         "retention must be positive"),
+        ("run -w nosuch", "unknown benchmark 'nosuch'"),
+        ("trace -w nosuch", "unknown benchmark 'nosuch'"),
+        ("figure 2 --workload nosuch", "unknown benchmark 'nosuch'"),
+        ("run -w gamess --cores 2", "unknown mix 'gamess'"),
+    ])
+    def test_bad_value_is_a_usage_error_not_a_traceback(
+        self, argv, message, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
 
 class TestCommands:
@@ -363,14 +410,14 @@ class TestSweepCommand:
         args = build_parser().parse_args(
             ["sweep", "--workloads", "gamess,povray", "-t", "esteem",
              "--timeout", "5", "--retries", "1", "--backoff", "0.1",
-             "--checkpoint", "c.jsonl", "--resume",
+             "--checkpoint", "c.jsonl",
              "--inject", "plan.json", "--manifest", "m.json"]
         )
         assert args.command == "sweep"
         assert args.workloads == "gamess,povray"
         assert args.timeout == 5.0
         assert args.retries == 1
-        assert args.resume is True
+        assert args.checkpoint == "c.jsonl"
 
     def test_sweep_small_complete(self, capsys):
         code = main(
@@ -382,11 +429,6 @@ class TestSweepCommand:
         assert "sweep: 1/1 workloads" in captured.out
         assert "esteem" in captured.out
         assert "sweep complete" in captured.err
-
-    def test_resume_requires_checkpoint(self, capsys):
-        code = main(["sweep", "--workloads", "gamess", "--resume", "-q"])
-        assert code == 2
-        assert "--resume requires --checkpoint" in capsys.readouterr().err
 
     def test_degraded_sweep_exits_3_with_manifest(self, capsys, tmp_path):
         import json
@@ -453,7 +495,8 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize(
         "flag",
-        ["--heartbeat", "--quarantine-after", "--deadline", "--trace-events"],
+        ["--heartbeat", "--quarantine-after", "--deadline", "--trace-events",
+         "--resume"],
     )
     def test_removed_supervision_flags_rejected(self, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -464,76 +507,46 @@ class TestSweepCommand:
     def test_supervision_flag_validation(self, capsys):
         base = ["sweep", "--workloads", "gamess", "-q"]
         for flag, value, rule in (
-            ("--timeout", "0", "positive"),
-            ("--timeout", "-2", "positive"),
-            ("--retries", "-1", "non-negative"),
-            ("--backoff", "-1", "non-negative"),
+            ("--timeout", "0", "must be positive"),
+            ("--timeout", "-2", "must be positive"),
+            ("--timeout", "nan", "must be positive"),
+            ("--retries", "-1", "must be non-negative"),
+            ("--retries", "1.5", "invalid _non_negative_int value"),
+            ("--backoff", "-1", "must be non-negative"),
         ):
-            assert main(base + [flag, value]) == 2, flag
-            assert f"{flag} must be {rule}" in capsys.readouterr().err
-
-    def test_old_checkpoint_event_line_still_resumes(self, capsys, tmp_path):
-        # Checkpoints written before poison-unit quarantine was removed
-        # may carry a "quarantined" event line.  Such a line is kept but
-        # ignored: the unit runs like any other on resume.
-        import json
-
-        from repro.faults import FaultPlan
-
-        plan_path = tmp_path / "plan.json"
-        FaultPlan(chaos={"gamess": ("crash",)}).save(plan_path)
-        ckpt = tmp_path / "sweep.ckpt.jsonl"
-        manifest_path = tmp_path / "manifest.json"
-        base = ["sweep", "-t", "esteem", "--instructions", "200000",
-                "--backoff", "0.01", "--inject", str(plan_path),
-                "--checkpoint", str(ckpt), "--no-cache", "-q"]
-        assert main(base + ["--workloads", "gamess"]) == 0
-        with open(ckpt, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(
-                {"detail": "WorkerCrash", "event": "quarantined",
-                 "workload": "povray"},
-                sort_keys=True,
-            ) + "\n")
-        code = main(base + ["--workloads", "gamess,povray", "--resume",
-                            "--manifest", str(manifest_path)])
-        assert code == 0, capsys.readouterr().err
-        capsys.readouterr()
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["resumed"] == ["gamess"]
-        assert manifest["completed"] == ["gamess", "povray"]
-        assert manifest["attempts"] == 1
-        (povray,) = [
-            t for t in manifest["timeline"] if t["workload"] == "povray"
-        ]
-        assert povray["outcome"] == "ok" and povray["attempt"] == 1
+            with pytest.raises(SystemExit) as excinfo:
+                main(base + [flag, value])
+            assert excinfo.value.code == 2, flag
+            err = capsys.readouterr().err
+            assert f"argument {flag}: {rule}" in err, err
 
     @pytest.mark.parametrize(
-        "checkpoint,hint",
+        "cache,hint",
         [
-            (False, "rerun the same command to finish the skipped units; "
-                    "finished units come back from the result cache"),
-            (True, "rerun with --resume to finish the skipped units"),
+            (True, "rerun the same command to finish the skipped units; "
+                   "finished units come back from the result cache"),
+            (False, "rerun the same command to finish the skipped units"),
         ],
-        ids=["no-checkpoint", "checkpoint"],
+        ids=["cache", "no-cache"],
     )
     def test_interrupted_sweep_names_the_rerun_that_finishes_it(
-        self, checkpoint, hint, capsys, tmp_path, monkeypatch
+        self, cache, hint, capsys, tmp_path, monkeypatch
     ):
-        # --resume needs a checkpoint; without one, the same command
-        # finishes the sweep, its finished units served from the cache.
-        # The CLI and the report both say which.
+        # The same command finishes an interrupted sweep; with the cache
+        # on, its finished units are served from the cache.  The CLI and
+        # the report both say so.
         import json
 
         from repro.experiments import parallel
 
         manifest_path = tmp_path / "manifest.json"
         base = ["sweep", "-t", "esteem", "--instructions", "50000",
-                "--jobs", "1", "--cache-dir", str(tmp_path / "cache"), "-q"]
+                "--jobs", "1", "-q"]
+        base += (["--cache-dir", str(tmp_path / "cache")] if cache
+                 else ["--no-cache"])
         assert main(base + ["--workloads", "gamess"]) == 0
         argv = base + ["--workloads", "gamess,povray",
                        "--manifest", str(manifest_path)]
-        if checkpoint:
-            argv += ["--checkpoint", str(tmp_path / "sweep.ckpt.jsonl")]
         capsys.readouterr()
 
         real_enter = parallel.ParentSignalWatch.__enter__
@@ -548,19 +561,20 @@ class TestSweepCommand:
             patch.setattr(parallel.ParentSignalWatch, "__enter__", signalled)
             assert main(argv) == 4
         err = capsys.readouterr().err
-        assert f"INTERRUPTED by SIGTERM: {hint}" in err
+        assert f"INTERRUPTED by SIGTERM: {hint}\n" in err
         assert main(["report", str(manifest_path)]) == 0
         assert f"**Interrupted by SIGTERM** -- {hint}." in (
             capsys.readouterr().out
         )
 
-        # The rerun the hint names finishes the sweep.
-        assert main(argv + (["--resume"] if checkpoint else [])) == 0
+        # The rerun the hint names finishes the sweep; without the cache
+        # it runs every unit again.
+        assert main(argv) == 0
         capsys.readouterr()
         manifest = json.loads(manifest_path.read_text())
         assert manifest["completed"] == ["gamess", "povray"]
-        assert manifest["attempts"] == 1
-        assert manifest["resumed" if checkpoint else "cached"] == ["gamess"]
+        assert manifest["attempts"] == (1 if cache else 2)
+        assert manifest["cached"] == (["gamess"] if cache else [])
 
     def test_bad_inject_plan_reported(self, capsys, tmp_path):
         plan_path = tmp_path / "bad.json"
@@ -662,6 +676,9 @@ class TestReportCommand:
 
     def test_v3_manifest_rejected(self, capsys, tmp_path):
         self._rejects_manifest_version(3, capsys, tmp_path)
+
+    def test_v4_manifest_rejected(self, capsys, tmp_path):
+        self._rejects_manifest_version(4, capsys, tmp_path)
 
 
 class TestCampaignAcceptance:

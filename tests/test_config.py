@@ -47,6 +47,14 @@ class TestRefreshConfig:
         cfg = RefreshConfig.from_microseconds(40.0)
         assert cfg.retention_cycles == 80_000
 
+    @pytest.mark.parametrize("retention_us", [0.0, -5.0, float("nan")])
+    def test_non_positive_retention_rejected(self, retention_us):
+        # Not rounded up to one cycle per RPV phase.
+        with pytest.raises(ValueError, match="retention must be positive"):
+            RefreshConfig.from_microseconds(retention_us)
+        with pytest.raises(ValueError, match="retention must be positive"):
+            SimConfig.scaled(retention_us=retention_us)
+
     def test_phase_cycles(self):
         cfg = RefreshConfig(retention_cycles=100_000, rpv_phases=4)
         assert cfg.phase_cycles == 25_000
