@@ -1,15 +1,16 @@
 """Microbenchmarks of the simulator itself (true pytest-benchmark timing).
 
 Two substrate hot paths, timed on their own: the L2 lookup/fill path and
-the refresh engines' boundary scans.  Useful for catching performance
-regressions in the substrate (the optimisation guide's "no optimization
-without measuring").  The end-to-end simulation rate, fast path against
+RPV's boundary count, by scan and by the fast loop's tally.  Useful for
+catching performance regressions in the substrate (the optimisation
+guide's "no optimization without measuring").  The end-to-end simulation rate, fast path against
 reference loop, is measured and gated by ``benchmarks/check_throughput.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.cache.cache import SetAssociativeCache
 from repro.config import CacheGeometry, RefreshConfig
@@ -32,8 +33,14 @@ def bench_cache_access_hot_path(benchmark):
     benchmark(run)
 
 
-def bench_rpv_boundary_scan(benchmark):
-    """Vectorised RPV due-line count over a full-size 4 MB cache."""
+@pytest.mark.parametrize("path", ["scan", "tally"])
+def bench_rpv_boundary_scan(benchmark, path):
+    """RPV's due-line count per boundary over a full-size 4 MB cache.
+
+    ``scan`` is the vectorised count over every line (the reference loop,
+    faulted runs); ``tally`` is the lookup the fast loop's per-class
+    tally gives each boundary.
+    """
     from repro.cache.block import LineState
 
     state = LineState(num_sets=4096, associativity=16)
@@ -43,6 +50,8 @@ def bench_rpv_boundary_scan(benchmark):
     state.last_window[:] = -(np.arange(state.num_lines) % 4)
     cfg = RefreshConfig(retention_cycles=100_000)
     engine = RefrintPolyphaseValid(state, cfg)
+    if path == "tally":
+        engine.arm_tally()
     horizon = {"t": 0}
 
     def run():

@@ -714,9 +714,19 @@ def _cmd_trace_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes no flag prefixes: ``--check`` is not
+    ``--checkpoint``.  Subparsers are built from the parent's class, so
+    every subcommand and figure or table number inherits the rule."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for shell-completion tools)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="ESTEEM (HPDC'14) reproduction command-line interface",
     )

@@ -520,6 +520,17 @@ class System:
             and core0.addr_offset == 0
         ):
             kb = build_batch(l2, core0.cursor.trace, i_[0], n_[0])
+        # --- RPV's phase-class tally, armed under the same rule ---------
+        # ``cv[c]`` counts the valid lines stamped in phase class ``c``;
+        # every site below that writes a stamp or fills a line keeps it,
+        # so each refresh boundary is a lookup, not a scan of the L2.  A
+        # fault injector invalidates lines behind the loop's back, so a
+        # faulted run keeps the engine's scan.
+        cv = None
+        cmask = wc = 0
+        if self.fault_injector is None and isinstance(engine, RefrintPolyphaseValid):
+            cv = engine.arm_tally()
+            cmask = len(cv) - 1
 
         while running:
             # Select the core with the smallest clock; ``oc`` is the other
@@ -557,6 +568,7 @@ class System:
             # per-record ``int(cycles) // phase_cycles``.
             window = now // phase_cycles
             window_end = (window + 1) * phase_cycles
+            wc = window & cmask
             # Chunk-local counter mirrors; flushed below before any
             # maintenance code reads them.
             hits = stats.hits
@@ -595,6 +607,7 @@ class System:
                                 break
                             window = int(cycles) // phase_cycles
                             window_end = (window + 1) * phase_cycles
+                            wc = window & cmask
                             next_chk = (
                                 window_end if window_end < horizon else horizon
                             )
@@ -603,7 +616,14 @@ class System:
                             # Classified hit on line ``g``.
                             if writes[i]:
                                 dirty_mv[g] = True
-                            lw_mv[g] = window
+                            if cv is None:
+                                lw_mv[g] = window
+                            else:
+                                o = lw_mv[g]
+                                if o != window:
+                                    lw_mv[g] = window
+                                    cv[o & cmask] -= 1
+                                    cv[wc] += 1
                             cycles = cycles + (costs[i] + lat_base)
                         else:
                             # Classified miss in set ``-1 - g``.
@@ -628,6 +648,10 @@ class System:
                             cset.tags[victim] = addr
                             tag_map[addr] = victim
                             dirty_mv[g] = writes[i]
+                            if cv is not None:
+                                if old_tag >= 0:
+                                    cv[lw_mv[g] & cmask] -= 1
+                                cv[wc] += 1
                             lw_mv[g] = window
                             if mm_next_free > now:
                                 wait = mm_next_free - now
@@ -674,6 +698,7 @@ class System:
                                 break
                             window = int(cycles) // phase_cycles
                             window_end = (window + 1) * phase_cycles
+                            wc = window & cmask
                             next_chk = window_end if window_end < lim else lim
                         addr = addrs[i]
                         is_write = writes[i]
@@ -710,7 +735,14 @@ class System:
                                 if write_counts is not None:
                                     write_counts[g] += 1
                                 latency += wpen
-                            lw_mv[g] = window
+                            if cv is None:
+                                lw_mv[g] = window
+                            else:
+                                o = lw_mv[g]
+                                if o != window:
+                                    lw_mv[g] = window
+                                    cv[o & cmask] -= 1
+                                    cv[wc] += 1
                             if profile_hist is not None and cset.is_leader:
                                 profile_hist[module_of_set[cset.index]][pos] += 1
                         else:
@@ -786,6 +818,10 @@ class System:
                             dirty_mv[g] = is_write
                             if is_write and write_counts is not None:
                                 write_counts[g] += 1
+                            if cv is not None:
+                                if old_tag is not None:
+                                    cv[lw_mv[g] & cmask] -= 1
+                                cv[wc] += 1
                             lw_mv[g] = window
                             if promote:
                                 pos = order.index(victim)
@@ -826,26 +862,24 @@ class System:
                     )
                 if kb is not None:
                     # Per-stint batch accounting: counters from the
-                    # kernel's cumulative columns, recency orders written
-                    # back once the whole buffer has been committed.
+                    # kernel's cumulative columns; the recency orders and
+                    # the hit-position histogram, which nothing reads
+                    # during a run, once the whole buffer is committed.
                     c0 = i0 - kstart
                     c1 = i - kstart
                     dh = int(kb.hits_cum[c1] - kb.hits_cum[c0])
                     hits += dh
                     misses += (c1 - c0) - dh
-                    ps = kb.pos_np[c0:c1]
-                    ps = ps[ps >= 0]
-                    if ps.size:
-                        for p, cnt in enumerate(
-                            np.bincount(ps, minlength=a).tolist()
-                        ):
-                            if cnt:
-                                hbp[p] += cnt
                     self.kernel_batch_records += c1 - c0
                     if i >= kend:
                         # Fully committed at the end of the trace: write
                         # the recency orders back before the wrap.
                         l2.import_recency_orders(*kb.recency_orders())
+                        ps = kb.pos_np
+                        for p, cnt in enumerate(
+                            np.bincount(ps[ps >= 0], minlength=a).tolist()
+                        ):
+                            hbp[p] += cnt
                         kb = None
                 cycles_[ci] = cycles
                 i_[ci] = i
@@ -892,6 +926,8 @@ class System:
             core.instructions = pb + (g[i - 1] if i else 0)
             core.first_pass_cycles = fc
             core.first_pass_instructions = fi
+        if cv is not None:
+            engine.release_tally()
         return max(cycles_)
 
     def _finalize(self, cores: list[CoreState], end_cycle: float) -> SystemResult:

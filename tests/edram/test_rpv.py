@@ -141,3 +141,36 @@ class TestDataIntegrity:
             # ... and a refresh keeps a line in its touch's phase.
             assert (updated >= last_touch).all()
             assert ((updated - last_touch) % phases == 0).all()
+
+
+class TestPhaseClassTally:
+    """An armed engine answers each boundary from the caller's tally; the
+    scan stays the reference, and disarming checks one against the other."""
+
+    def test_armed_counts_equal_the_scan(self, state, cfg):
+        state.valid[:40] = True
+        state.last_window[:] = -(np.arange(64) % 4)
+        scan = RefrintPolyphaseValid(state, cfg)
+        armed = RefrintPolyphaseValid(state, cfg)
+        assert armed.arm_tally() == [10, 10, 10, 10]
+        scanned, looked_up = [], []
+        for w in range(1, 13):
+            scan.advance_to(250 * w)
+            armed.advance_to(250 * w)
+            scanned.append(scan.take_refresh_delta())
+            looked_up.append(armed.take_refresh_delta())
+        assert looked_up == scanned == [10] * 12
+        armed.release_tally()
+        assert armed.tally is None
+
+    def test_release_raises_when_the_tally_missed_a_write(self, state, cfg):
+        state.valid[:8] = True
+        state.last_window[:8] = 0
+        eng = RefrintPolyphaseValid(state, cfg)
+        eng.arm_tally()
+        # A fill the tally never saw.
+        state.valid[8] = True
+        state.last_window[8] = 1
+        with pytest.raises(RuntimeError, match="tally"):
+            eng.release_tally()
+        assert eng.tally is None

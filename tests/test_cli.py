@@ -88,6 +88,18 @@ class TestParser:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        "sweep --check F",
+        "figure 3 --workload gamess",
+    ])
+    def test_flag_prefixes_are_usage_errors(self, argv, capsys):
+        # A flag is spelled out in full: --check is not --checkpoint, and
+        # figure 2's --workload is not figure 3's --workloads.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv.split())
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         "trace -w gamess --capacity 0",
         "overhead --sets 0",
         "overhead --ways 0",

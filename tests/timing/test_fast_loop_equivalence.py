@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 
 from repro.config import SimConfig
+from repro.edram.rpv import RefrintPolyphaseValid
+from repro.obs import EVENT_REFRESH_BURST, Tracer
 from repro.tech import TECHNOLOGIES, TechSystem
 from repro.timing.system import System
 from repro.workloads.multiprog import get_mix
@@ -186,3 +188,94 @@ class TestOneListView:
         ref = System(config, traces, "baseline", reference_loop=True)
         assert _result_fields(ref.run()) == ff
         assert all(t._columns is not None for t in traces)
+
+
+def _rpv_kernel_input():
+    from tests.timing.test_batch_kernel_equivalence import _single_core_input
+
+    return (*_single_core_input(), None)
+
+
+def _rpv_dual_input():
+    config = SimConfig.scaled(num_cores=2, instructions_per_core=DUAL_INSTRUCTIONS)
+    return config, _dual_traces("SpBw"), None
+
+
+def _rpv_faulted_input():
+    from tests.timing.test_batch_kernel_equivalence import (
+        FAULT_PLAN,
+        _single_core_input,
+    )
+
+    return (*_single_core_input(), FAULT_PLAN)
+
+
+class TestRpvPhaseClassTally:
+    """RPV's refresh boundaries on every path of the fast loop.
+
+    Unfaulted, the fast loop keeps a tally of valid lines per phase class
+    and each boundary reads it; the reference loop, and a faulted fast
+    run, scan the line state instead.  Traced, every ``refresh.burst``
+    event -- one per boundary with a due line -- must match the
+    reference's, not only the total.
+    """
+
+    @pytest.mark.parametrize(
+        "make, armed",
+        [
+            (_rpv_kernel_input, True),
+            (_rpv_dual_input, True),
+            (_rpv_faulted_input, False),
+        ],
+        ids=["kernel", "dual-core", "faulted"],
+    )
+    def test_bursts_identical_to_reference(self, make, armed, monkeypatch):
+        config, traces, plan = make()
+        arms = []
+        arm_tally = RefrintPolyphaseValid.arm_tally
+
+        def spy(engine):
+            arms.append(engine)
+            return arm_tally(engine)
+
+        monkeypatch.setattr(RefrintPolyphaseValid, "arm_tally", spy)
+        runs = []
+        for reference_loop in (False, True):
+            tracer = Tracer()
+            system = System(
+                config, traces, "rpv", tracer=tracer,
+                reference_loop=reference_loop, fault_plan=plan,
+            )
+            result = system.run()
+            runs.append((system, result, tracer.events()))
+        (fast, fast_result, fast_events), (_, ref_result, ref_events) = runs
+        assert arms == ([fast.engine] if armed else [])
+        assert fast.engine.tally is None
+        if make is _rpv_kernel_input:
+            assert fast.kernel_batch_records > 0
+        if plan is not None:
+            assert fast_result.faults_injected > 0
+        bursts = [
+            (e.cycle, e.data) for e in fast_events if e.type == EVENT_REFRESH_BURST
+        ]
+        assert len(bursts) > 10
+        assert sum(d["lines"] for _, d in bursts) == fast_result.refreshes
+        assert [(e.type, e.cycle, e.data) for e in fast_events] == [
+            (e.type, e.cycle, e.data) for e in ref_events
+        ]
+        assert fast_result == ref_result
+
+    def test_tally_out_of_step_with_the_lines_fails_the_run(self, monkeypatch):
+        # A tally one line off -- as if a stamp or fill site had skipped
+        # its update -- must not end the run quietly.
+        arm_tally = RefrintPolyphaseValid.arm_tally
+
+        def off_by_one(engine):
+            tally = arm_tally(engine)
+            tally[0] += 1
+            return tally
+
+        monkeypatch.setattr(RefrintPolyphaseValid, "arm_tally", off_by_one)
+        config, traces, _ = _rpv_kernel_input()
+        with pytest.raises(RuntimeError, match="phase-class tally"):
+            System(config, traces, "rpv").run()
