@@ -1,7 +1,8 @@
 """Microbenchmarks of the simulator itself (true pytest-benchmark timing).
 
-Two substrate hot paths, timed on their own: the L2 lookup/fill path and
-RPV's boundary count, by scan and by the fast loop's tally.  Useful for
+Three substrate hot paths, timed on their own: the L2 lookup/fill path,
+RPV's boundary count, by scan and by the fast loop's tally, and the batch
+kernel's build on a hit-dominated and a miss-dominated pass.  Useful for
 catching performance regressions in the substrate (the optimisation
 guide's "no optimization without measuring").  The end-to-end simulation rate, fast path against
 reference loop, is measured and gated by ``benchmarks/check_throughput.py``.
@@ -15,6 +16,8 @@ import pytest
 from repro.cache.cache import SetAssociativeCache
 from repro.config import CacheGeometry, RefreshConfig
 from repro.edram.rpv import RefrintPolyphaseValid
+from repro.timing.batch_kernel import build_batch
+from repro.workloads.trace import Trace
 
 
 def bench_cache_access_hot_path(benchmark):
@@ -59,3 +62,28 @@ def bench_rpv_boundary_scan(benchmark, path):
         engine.advance_to(horizon["t"])
 
     benchmark(run)
+
+
+@pytest.mark.parametrize("mix", ["hit", "miss"])
+def bench_batch_build(benchmark, mix):
+    """``build_batch`` over 50,000 records on a cold 512 KB, 16-way L2.
+
+    ``hit`` draws from 4,096 lines, half the cache, so every record but
+    the first touch of a line hits (92%); ``miss`` draws from 4M lines,
+    so nearly every record misses and 84% of them evict, 30% of those a
+    dirty line.
+    The build only reads the cache, so every round times the same work.
+    """
+    cache = SetAssociativeCache(
+        CacheGeometry(size_bytes=512 * 1024, associativity=16)
+    )
+    rng = np.random.default_rng(2)
+    n = 50_000
+    trace = Trace(
+        name=mix,
+        addrs=rng.integers(0, 4_096 if mix == "hit" else 1 << 22, size=n),
+        writes=rng.random(n) < 0.3,
+        gaps=np.ones(n, dtype=np.int64),
+    )
+    kb = benchmark(build_batch, cache, trace, 0, n)
+    assert kb is not None

@@ -355,37 +355,48 @@ class SetAssociativeCache:
         dirty_mat = self.state.dirty.reshape(self.num_sets, a)[rows].copy()
         return tags_mat, ts0_mat, dirty_mat
 
-    def import_recency_orders(self, set_indices, order_mat) -> None:
-        """Install recency orders reconstructed by the batch kernel.
+    def import_batch_state(self, set_indices, tags_mat, order_mat) -> None:
+        """Install the touched sets' post-batch tags and recency orders.
 
-        ``order_mat`` holds one way-permutation per row of
-        ``set_indices`` (most-recently-used first).  Every row is
-        validated as a permutation in one vectorised check before any set
-        is touched, so a bad reconstruction cannot half-apply.
+        ``tags_mat`` holds each row's stored line addresses (``-1`` for
+        an invalid way), as :meth:`export_batch_state` lays them out, and
+        ``order_mat`` one way-permutation per row (most-recently-used
+        first); each set gets its ``tags``, ``tag_map`` and ``order``
+        back from them.  The whole buffer is validated before any set is
+        touched -- every recency row must be a permutation, and every tag
+        row must agree with the ``LineState.valid`` mirror -- so a bad
+        reconstruction cannot half-apply.
         """
         a = self.associativity
+        rows = np.asarray(set_indices, dtype=np.int64)
+        tags_mat = np.asarray(tags_mat)
         order_mat = np.asarray(order_mat)
-        srt = np.sort(order_mat, axis=1)
-        if (srt != np.arange(a, dtype=order_mat.dtype)[None, :]).any():
-            bad = int(
-                (srt != np.arange(a, dtype=order_mat.dtype)[None, :])
-                .any(axis=1)
-                .argmax()
-            )
+        bad = (np.sort(order_mat, axis=1) != np.arange(a)).any(axis=1)
+        if bad.any():
             raise AssertionError(
                 f"{self.name}: imported recency row for set "
-                f"{int(np.asarray(set_indices)[bad])} is not a "
-                f"permutation of {a} ways"
+                f"{int(rows[bad.argmax()])} is not a permutation of {a} ways"
+            )
+        valid_mat = self.state.valid.reshape(self.num_sets, a)[rows]
+        bad = ((tags_mat != -1) != valid_mat).any(axis=1)
+        if bad.any():
+            raise AssertionError(
+                f"{self.name}: imported tag row for set "
+                f"{int(rows[bad.argmax()])} disagrees with the valid mirror"
             )
         sets = self.sets
-        rows = order_mat.tolist()
-        for s, row in zip(
-            set_indices.tolist()
-            if hasattr(set_indices, "tolist")
-            else list(set_indices),
-            rows,
+        ways = range(a)
+        for s, tags, order in zip(
+            rows.tolist(), tags_mat.tolist(), order_mat.tolist()
         ):
-            sets[s].order = row
+            cset = sets[s]
+            if -1 in tags:
+                cset.tag_map = {t: w for w, t in enumerate(tags) if t != -1}
+                tags = [None if t == -1 else t for t in tags]
+            else:
+                cset.tag_map = dict(zip(tags, ways))
+            cset.tags = tags
+            cset.order = order
 
     # ------------------------------------------------------------------
     # Warm-image clone (fast construction path)

@@ -6,8 +6,8 @@ gate, decay or invalidate the shared L2, so the hit/miss outcome, recency
 position, fill victim and writeback of every access are a pure function
 of the starting per-set state and the access sequence itself -- none of
 it depends on cycle timing.  This module precomputes all of that with
-NumPy (:func:`classify`), and :class:`BatchBuffer` packages the result
-for the slim commit loop in :meth:`System._run_fast
+NumPy (:func:`classify`), and :class:`BatchBuffer` packages the result,
+one int per record, for the slim commit loop in :meth:`System._run_fast
 <repro.timing.system.System._run_fast>`, which replays the
 classification to update cycle accounting, stats, and live line state
 bit-for-bit identically to the scalar loop.
@@ -24,20 +24,22 @@ Eligibility is decided once per run.  The caller's static half:
   tags/valid/dirty/recency (``RefreshEngine.mutates_cache_state`` is
   False).  Engines that merely *read* line state mid-run (RPV reads
   ``valid`` and ``last_window``; periodic-valid reads ``valid``) stay
-  accurate because the commit loop keeps valid/dirty/``last_window``/tags
-  live per record -- only the recency ``order`` lists are deferred, and
-  no maintenance path reads those;
+  accurate because the commit loop keeps valid/dirty/``last_window``
+  live per record in the NumPy line state -- the per-set ``tags``,
+  ``tag_map`` and recency ``order`` lists are deferred, and with no
+  controller, injector or mutating engine nothing reads them mid-pass;
 * no per-line write counts and no write penalty (technology runs).
 
 The dynamic half is :func:`build_batch`'s: it classifies the whole rest
 of the pass in one build, or declines, and a declined run stays scalar.
 A build exports ``a * U`` line entries (tags, dirty bits, recency) for
-the ``U`` touched sets of an ``a``-way cache and writes ``U`` recency
-rows back, so a pass of fewer than ``a * U`` records cannot amortise
-it and is declined.  An accepted buffer is retired exactly once: the
-commit loop writes its recency orders back (via
-:meth:`SetAssociativeCache.import_recency_orders
-<repro.cache.cache.SetAssociativeCache.import_recency_orders>`) when it
+the ``U`` touched sets of an ``a``-way cache and writes ``U`` tag and
+recency rows back, so a pass of fewer than ``a * U`` records cannot
+amortise it and is declined.  An accepted buffer is retired exactly
+once: the commit loop writes the touched sets' tags, tag maps and
+recency orders back from the post-batch matrices (via
+:meth:`SetAssociativeCache.import_batch_state
+<repro.cache.cache.SetAssociativeCache.import_batch_state>`) when it
 reaches the end of the trace, before the wrap ends the run.
 
 Classification walks the batch column-by-column: records are grouped by
@@ -70,33 +72,37 @@ MAX_SET_RECORDS = 8192
 class BatchBuffer:
     """Classification results for trace records ``[start, end)``.
 
-    The commit loop consumes the list views (one index per record); the
-    NumPy views back the per-stint counter folds (prefix sums, bincount
-    histograms) and the retirement-time recency reconstruction.
+    The commit loop reads one int per record from ``codes``: a hit
+    stores the global line index ``g = set * a + way`` (``>= 0``), a
+    miss stores ``-1 - (g << 2 | writeback << 1 | eviction)``, where
+    ``g`` is the filled line, ``eviction`` says the fill displaced a
+    valid line and ``writeback`` that the line was dirty.  The NumPy
+    views back the per-stint counter folds (prefix sums, the
+    hit-position histogram) and the retirement-time import of the
+    touched sets' tags and recency.
     """
 
     __slots__ = (
         "start",
         "end",
         "uniq_sets",
+        "tags_mat",
         "ts_mat",
         "pos_np",
         "hits_cum",
-        "g_list",
-        "miss_data",
-        "miss_ptr",
+        "codes",
     )
 
     def __init__(self, start, end):
         self.start = start
         self.end = end
-        self.miss_ptr = 0
 
-    def recency_orders(self):
-        """Post-batch recency orders of the touched sets, as
-        ``(set_indices, order_matrix)`` ready for ``import_recency_orders``
-        (the final timestamp matrix, most recent way first)."""
-        return self.uniq_sets, np.argsort(-self.ts_mat, axis=1)
+    def batch_state(self):
+        """Post-batch state of the touched sets, as ``(set_indices,
+        tags_mat, order_mat)`` ready for ``import_batch_state``: the
+        final tag matrix and the recency orders of the final timestamp
+        matrix, most recent way first."""
+        return self.uniq_sets, self.tags_mat, np.argsort(-self.ts_mat, axis=1)
 
 
 def classify(addrs, writes, perm, tags_mat, ts_mat, dirty_mat, starts, counts):
@@ -107,22 +113,21 @@ def classify(addrs, writes, perm, tags_mat, ts_mat, dirty_mat, starts, counts):
     row ``r``'s first position in that sorted view).
     ``tags_mat``/``ts_mat``/``dirty_mat`` are the live-state export for
     the touched sets and are updated in place to the post-batch state.
-    Returns per-record arrays ``(hit, way, pos, old_tag, wb)``:
+    Returns per-record arrays ``(hit, way, pos, code)``:
 
     * ``hit`` -- tag present at access time;
     * ``way`` -- the way hit, or the fill victim chosen exactly as the
       scalar loop does (first invalid way if any, else the LRU way);
     * ``pos`` -- recency position of a hit (0 = MRU), ``-1`` on a miss;
-    * ``old_tag`` -- evicted line address, ``-1`` when the fill took an
-      invalid way;
-    * ``wb`` -- the eviction hit a dirty line (posted writeback).
+    * ``code`` -- on a miss, ``1`` when the fill evicted a valid line,
+      ``3`` when that line was dirty (posted writeback), ``0`` when it
+      took an invalid way; ``0`` on a hit.
     """
     n = addrs.shape[0]
     hit = np.zeros(n, dtype=bool)
     way = np.zeros(n, dtype=np.int32)
     pos = np.full(n, -1, dtype=np.int32)
-    old_tag = np.full(n, -1, dtype=np.int64)
-    wb = np.zeros(n, dtype=bool)
+    code = np.zeros(n, dtype=np.int8)
 
     # Rows ordered by descending record count: at step t the active rows
     # are exactly a shrinking prefix.  Permuting the per-set state into
@@ -143,23 +148,21 @@ def classify(addrs, writes, perm, tags_mat, ts_mat, dirty_mat, starts, counts):
         j = perm[starts_desc[:m] + t]
         adr = addrs[j]
         tr = wt[:m]
-        tsr = ws[:m]
         eq = tr == adr[:, None]
         w = eq.argmax(axis=1)
-        amv = am[:m]
-        ht = eq[amv, w]
-        # Hit position = number of more-recent ways (computed for every
-        # row; miss rows carry garbage that is simply never read).
-        tsv = tsr[amv, w]
-        pv = (tsr > tsv[:, None]).sum(axis=1, dtype=np.int32)
+        ht = eq[am[:m], w]
 
         hi = np.flatnonzero(ht)
         if hi.size:
             wh = w[hi]
             jh = j[hi]
+            # Hit position = number of more-recent ways.
+            tsh = ws[hi]
             hit[jh] = True
             way[jh] = wh
-            pos[jh] = pv[hi]
+            pos[jh] = (tsh > tsh[am[: hi.size], wh][:, None]).sum(
+                axis=1, dtype=np.int32
+            )
             ws[hi, wh] = jh
             dw = writes[jh]
             if dw.any():
@@ -170,17 +173,12 @@ def classify(addrs, writes, perm, tags_mat, ts_mat, dirty_mat, starts, counts):
         mi = np.flatnonzero(~ht)
         if mi.size:
             jm = j[mi]
-            trm = tr[mi]
-            inv = trm == -1
+            inv = tr[mi] == -1
             wi = inv.argmax(axis=1)
-            ami = am[: mi.size]
-            has_inv = inv[ami, wi]
-            vic = np.where(has_inv, wi, tsr[mi].argmin(axis=1))
-            ot = trm[ami, vic]
-            wbm = (ot != -1) & wd[mi, vic]
+            ev = ~inv[am[: mi.size], wi]
+            vic = np.where(ev, ws[mi].argmin(axis=1), wi)
             way[jm] = vic
-            old_tag[jm] = ot
-            wb[jm] = wbm
+            code[jm] = ev | (ev & wd[mi, vic]) << 1
             wt[mi, vic] = adr[mi]
             ws[mi, vic] = jm
             wd[mi, vic] = writes[jm]
@@ -188,18 +186,21 @@ def classify(addrs, writes, perm, tags_mat, ts_mat, dirty_mat, starts, counts):
     tags_mat[desc] = wt
     ts_mat[desc] = ws
     dirty_mat[desc] = wd
-    return hit, way, pos, old_tag, wb
+    return hit, way, pos, code
 
 
 def build_batch(l2, trace, start, end):
     """Classify trace records ``[start, end)`` -- the rest of the pass,
     in one build -- against the live cache.
 
-    Returns a ready-to-commit :class:`BatchBuffer`, or ``None`` when the
-    pass cannot win over the scalar loop, which then runs all of it: too
-    short, too set-skewed, or too sparse -- fewer records than the
-    ``associativity x U`` line entries the export copies for the ``U``
-    sets it touches.
+    Returns a ready-to-commit :class:`BatchBuffer`, whose ``codes`` list
+    carries each record's outcome in one int -- the line a hit touches,
+    or the line a miss fills with its eviction and writeback bits -- so
+    the commit loop needs no per-miss tuple and no tag bookkeeping.
+    Returns ``None`` when the pass cannot win over the scalar loop,
+    which then runs all of it: too short, too set-skewed, or too sparse
+    -- fewer records than the ``associativity x U`` line entries the
+    export copies for the ``U`` sets it touches.
     """
     n = end - start
     if n < MIN_BATCH_RECORDS:
@@ -230,12 +231,13 @@ def build_batch(l2, trace, start, end):
 
     # The export is a fresh copy, so classify() may advance it in place.
     tags_mat, ts_mat, dirty_mat = l2.export_batch_state(uniq)
-    hit, way, pos, old_tag, wb = classify(
+    hit, way, pos, code = classify(
         addrs, writes, order, tags_mat, ts_mat, dirty_mat, starts, counts,
     )
 
     kb = BatchBuffer(start, end)
     kb.uniq_sets = uniq
+    kb.tags_mat = tags_mat
     kb.ts_mat = ts_mat
     kb.pos_np = pos
     # Prefix sums (leading zero) let a stint fold its hit/miss deltas in
@@ -244,19 +246,7 @@ def build_batch(l2, trace, start, end):
     hits_cum[0] = 0
     np.add.accumulate(hit, dtype=np.int64, out=hits_cum[1:])
     kb.hits_cum = hits_cum
-
-    # Commit-loop views: ``g_list[j]`` is the global line index touched
-    # by hit record ``j`` (base + way), or ``-(set_index + 1)`` on a miss
-    # so the loop can branch on sign and still recover the set.
+    # The commit loop's one int per record (see BatchBuffer).
     g = set_idx * a + way
-    kb.g_list = np.where(hit, g, -(set_idx.astype(np.int64) + 1)).tolist()
-    miss = ~hit
-    kb.miss_data = list(
-        zip(
-            g[miss].tolist(),
-            way[miss].tolist(),
-            old_tag[miss].tolist(),
-            wb[miss].tolist(),
-        )
-    )
+    kb.codes = np.where(hit, g, -1 - (g << 2 | code)).tolist()
     return kb

@@ -506,7 +506,9 @@ class System:
         # One build covers every record of the pass or the run stays
         # scalar (see :func:`build_batch` for when it declines); the
         # buffer is retired once, by the full commit at the end of the
-        # trace.  Its commit loop reads the same retire view as a stint.
+        # trace, which writes back the tags and recency it deferred --
+        # such a run reads only NumPy line state mid-pass.  Its commit
+        # loop reads the same retire view as a stint.
         core0 = cores[0]
         kb = None
         if (
@@ -585,19 +587,19 @@ class System:
                 n_rec = n_[ci]
                 if kb is not None:
                     # --- batch commit loop (one core: lim is horizon) --
-                    # Replays the precomputed classification: per-hit
-                    # work is one sign test, a dirty/last-window stamp,
-                    # and the cycle add; misses keep the full scalar
-                    # arithmetic (queue order, int(cycles) capture) so
-                    # accounting stays bit-identical.  Recency promotion
-                    # is the one deferred piece -- orders are rebuilt at
-                    # the end of the trace.
-                    addrs, writes, costs = cols_[0]
+                    # Replays the precomputed classification from one
+                    # int per record: per-hit work is one sign test, a
+                    # dirty/last-window stamp, and the cycle add; a miss
+                    # decodes its line and eviction/writeback bits and
+                    # keeps the full scalar memory arithmetic (queue
+                    # order, int(cycles) capture) so accounting stays
+                    # bit-identical.  Tags, tag maps and recency are
+                    # deferred -- the touched sets get them back at the
+                    # end of the trace.
+                    _, writes, costs = cols_[0]
                     kstart = kb.start
                     kend = kb.end
-                    g_l = kb.g_list
-                    mdat = kb.miss_data
-                    mi = kb.miss_ptr
+                    codes = kb.codes
                     lat_miss0 = lat_miss0_[0]
                     mlp = mlp_[0]
                     next_chk = window_end if window_end < horizon else horizon
@@ -611,7 +613,7 @@ class System:
                             next_chk = (
                                 window_end if window_end < horizon else horizon
                             )
-                        g = g_l[i - kstart]
+                        g = codes[i - kstart]
                         if g >= 0:
                             # Classified hit on line ``g``.
                             if writes[i]:
@@ -626,16 +628,13 @@ class System:
                                     cv[wc] += 1
                             cycles = cycles + (costs[i] + lat_base)
                         else:
-                            # Classified miss in set ``-1 - g``.
-                            addr = addrs[i]
-                            cset = sets[-1 - g]
-                            g, victim, old_tag, wbf = mdat[mi]
-                            mi += 1
-                            tag_map = cset.tag_map
+                            # Classified miss: ``~g`` is ``line << 2 |
+                            # writeback << 1 | eviction``.
+                            m = ~g
+                            g = m >> 2
                             now = int(cycles)
-                            if old_tag >= 0:
-                                del tag_map[old_tag]
-                                if wbf:
+                            if m & 1:
+                                if m & 2:
                                     wbs += 1
                                     if mm_next_free > now:
                                         mm_qwait += mm_next_free - now
@@ -643,14 +642,12 @@ class System:
                                     else:
                                         mm_next_free = now + service_cycles
                                     mm_writes += 1
+                                if cv is not None:
+                                    cv[lw_mv[g] & cmask] -= 1
                             else:
                                 valid_mv[g] = True
-                            cset.tags[victim] = addr
-                            tag_map[addr] = victim
                             dirty_mv[g] = writes[i]
                             if cv is not None:
-                                if old_tag >= 0:
-                                    cv[lw_mv[g] & cmask] -= 1
                                 cv[wc] += 1
                             lw_mv[g] = window
                             if mm_next_free > now:
@@ -670,7 +667,6 @@ class System:
                             cycles = cycles + (costs[i] + latency)
                     else:
                         i = kend
-                    kb.miss_ptr = mi
                 else:
                     addrs, writes, costs = cols_[ci]
                     if two:
@@ -862,9 +858,10 @@ class System:
                     )
                 if kb is not None:
                     # Per-stint batch accounting: counters from the
-                    # kernel's cumulative columns; the recency orders and
-                    # the hit-position histogram, which nothing reads
-                    # during a run, once the whole buffer is committed.
+                    # kernel's cumulative columns; the tags, recency
+                    # orders and hit-position histogram, which nothing
+                    # reads during a run, once the whole buffer is
+                    # committed.
                     c0 = i0 - kstart
                     c1 = i - kstart
                     dh = int(kb.hits_cum[c1] - kb.hits_cum[c0])
@@ -873,8 +870,8 @@ class System:
                     self.kernel_batch_records += c1 - c0
                     if i >= kend:
                         # Fully committed at the end of the trace: write
-                        # the recency orders back before the wrap.
-                        l2.import_recency_orders(*kb.recency_orders())
+                        # the tags and recency orders back before the wrap.
+                        l2.import_batch_state(*kb.batch_state())
                         ps = kb.pos_np
                         for p, cnt in enumerate(
                             np.bincount(ps[ps >= 0], minlength=a).tolist()

@@ -1,7 +1,6 @@
 """Unit tests for per-set state: the tag map, victim choice, invalidation
 and the invariant checks."""
 
-import numpy as np
 import pytest
 
 from repro.cache.block import LineState
@@ -80,13 +79,13 @@ class TestVictim:
 
     def test_lru_when_full(self, cache):
         fill(cache, 1, [1, 2, 3, 4])
-        cache.import_recency_orders(np.array([1]), np.array([[2, 0, 3, 1]]))
+        cache.sets[1].order = [2, 0, 3, 1]
         (new,) = fill(cache, 1, [9])
         assert way_of(cache, new) == 1
 
     def test_respects_disabled_ways(self, cache):
         fill(cache, 1, [1, 2])
-        cache.import_recency_orders(np.array([1]), np.array([[0, 1, 2, 3]]))
+        cache.sets[1].order = [0, 1, 2, 3]
         cache.sets[1].n_active = 2
         # Ways 2/3 are invalid but disabled; LRU among enabled is way 1.
         (new,) = fill(cache, 1, [9])

@@ -4,8 +4,8 @@ Every set keeps its ways in ``CacheSet.order``, most recently used first.
 A hit moves its way to the front and reports the position it came from;
 a miss evicts the least recently used enabled way once the enabled ways
 are full.  These tests drive the order only through the live access path
-(``SetAssociativeCache.access``) and ``import_recency_orders``, the batch
-kernel's write-back of reconstructed orders.
+(``SetAssociativeCache.access``) and ``import_batch_state``, the batch
+kernel's write-back of reconstructed tags and orders.
 """
 
 import numpy as np
@@ -24,7 +24,9 @@ def one_set(ways: int) -> SetAssociativeCache:
 
 
 def set_order(cache: SetAssociativeCache, order) -> None:
-    cache.import_recency_orders(np.array([0]), np.array([list(order)]))
+    rows = np.array([0])
+    tags, _ts, _dirty = cache.export_batch_state(rows)
+    cache.import_batch_state(rows, tags, np.array([list(order)]))
 
 
 def warm(ways: int) -> SetAssociativeCache:

@@ -9,11 +9,17 @@ reference loop *bit for bit* whenever it engages, and it must engage only
 when the run is eligible and the build pays (falling back to the scalar
 loop otherwise).
 
-The matrix here covers all four techniques, single- and dual-core
-workloads, and fault injection on/off.  Engagement itself is asserted via
-the ``kernel.batch_records`` / ``kernel.scalar_records`` counters so a
-silent always-fallback regression cannot pass as equivalence.
+The matrix here covers four techniques on single- and dual-core
+workloads with fault injection on/off, and every other technique on the
+single-core input.  Engagement itself is asserted via the
+``kernel.batch_records`` / ``kernel.scalar_records`` counters so a silent
+always-fallback regression cannot pass as equivalence.  After every run
+the kernel's L2 must equal the reference's set by set and array by
+array: the kernel defers tags, tag maps and recency to the end of the
+trace, and a wrong write-back would otherwise go unseen.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -32,15 +38,23 @@ from repro.workloads.trace import Trace
 from tests.timing.test_fast_loop_equivalence import _result_fields
 
 TECHNIQUES = ("baseline", "rpv", "esteem", "esteem-drowsy")
+#: Refresh engines that never mutate line state, so the kernel builds;
+#: periodic-valid counts ``valid`` at every refresh boundary mid-pass.
+MORE_KERNEL_TECHNIQUES = ("periodic-valid", "no-refresh")
+#: Engines that mutate line state at boundaries, and a set-gating
+#: controller: scalar by design.
+MORE_SCALAR_TECHNIQUES = ("rpd", "decay", "ecc", "selective-sets")
 
 #: A single-core input the kernel's density rule accepts: 9,878 sphinx
 #: records over the 512 sets of a 512 KB, 16-way L2 (19 per set, against
-#: a floor of 16), with 2,320 hits and 7,558 misses, so the commit loop
-#: replays both kinds, and two interior interval closes.  At 300k
-#: instructions on the default 4 MB L2 the same workload has 1.4 records
-#: per touched set, and the build declines.
+#: a floor of 16), and two interior interval closes.  The warm image
+#: fills 6,144 of the 8,192 lines, so the commit loop replays hits and
+#: all three miss kinds: a fill of an invalid way, a clean eviction and
+#: a dirty eviction.  At 300k instructions on the default 4 MB L2 the
+#: same workload has 1.4 records per touched set, and the build declines.
 SINGLE_INSTRUCTIONS = 1_000_000
 SINGLE_L2_BYTES = 512 * 1024
+SINGLE_WARM_LINES = 6_144
 DUAL_INSTRUCTIONS = 250_000
 
 #: Exercises both fault planes the kernel must coexist with: rate-drawn
@@ -73,7 +87,7 @@ def _single_core_input():
         num_cores=1, instructions_per_core=SINGLE_INSTRUCTIONS
     ).with_l2(size_bytes=SINGLE_L2_BYTES)
     trace = generate_trace(get_profile("sphinx"), SINGLE_INSTRUCTIONS, seed=7)
-    return config, [trace]
+    return config, [dataclasses.replace(trace, footprint_lines=SINGLE_WARM_LINES)]
 
 
 def _assert_batch_identical(config, traces, technique, fault_plan):
@@ -90,12 +104,24 @@ def _assert_batch_identical(config, traces, technique, fault_plan):
     bf, rf = _fields_with_faults(batch), _fields_with_faults(ref)
     for key in bf:
         assert bf[key] == rf[key], f"{technique}: {key} diverged"
-    # The run leaves the same cache behind: a batch's deferred recency
-    # orders are written back when its commit loop reaches the trace end.
-    for got, want in zip(batch_system.l2.sets, ref_system.l2.sets):
-        assert (got.tags, got.order) == (want.tags, want.order), (
-            f"{technique}: set {got.index} diverged"
+    # The run leaves the same cache behind: a batch's deferred tags, tag
+    # maps and recency orders are written back when its commit loop
+    # reaches the trace end.
+    got_l2, want_l2 = batch_system.l2, ref_system.l2
+    if technique != "esteem-drowsy":
+        # Drowsy gating keeps lines in gated ways, which the invariant
+        # check forbids.
+        got_l2.check_invariants()
+    for got, want in zip(got_l2.sets, want_l2.sets):
+        assert (got.tags, got.tag_map, got.order) == (
+            want.tags, want.tag_map, want.order,
+        ), f"{technique}: set {got.index} diverged"
+    for name in ("valid", "dirty", "last_window"):
+        np.testing.assert_array_equal(
+            getattr(got_l2.state, name), getattr(want_l2.state, name),
+            err_msg=f"{technique}: L2 {name} diverged",
         )
+    assert got_l2.stats.hits_by_position == want_l2.stats.hits_by_position
     return batch_system, ref_system
 
 
@@ -117,6 +143,26 @@ class TestSingleCoreBatchEquivalence:
             assert system.kernel_scalar_records == 0
         else:
             assert system.kernel_batch_records == 0
+
+    @pytest.mark.parametrize(
+        "technique", MORE_KERNEL_TECHNIQUES + MORE_SCALAR_TECHNIQUES
+    )
+    def test_every_other_technique(self, technique):
+        config, traces = _single_core_input()
+        system, _ = _assert_batch_identical(config, traces, technique, None)
+        if technique in MORE_KERNEL_TECHNIQUES:
+            assert system.kernel_batch_records == len(traces[0])
+        else:
+            assert system.kernel_batch_records == 0
+
+    def test_input_replays_every_outcome(self):
+        # Decode the one build the kernel runs make: hits, fills of an
+        # invalid way (code 0), clean (1) and dirty (3) evictions.
+        config, traces = _single_core_input()
+        l2 = System(config, traces, technique="baseline").l2
+        codes = np.array(build_batch(l2, traces[0], 0, len(traces[0])).codes)
+        kinds = np.where(codes >= 0, -1, ~codes & 3)
+        assert sorted(np.unique(kinds).tolist()) == [-1, 0, 1, 3]
 
 
 class TestDensityRule:
@@ -149,7 +195,7 @@ class TestDensityRule:
         assert build_batch(l2, self._trace(floor - 1), 0, floor - 1) is None
         kb = build_batch(l2, self._trace(floor), 0, floor)
         assert kb is not None
-        assert len(kb.g_list) == floor
+        assert len(kb.codes) == floor
         assert kb.uniq_sets.tolist() == list(range(self.TOUCHED))
 
     def test_declined_run_is_scalar_and_identical(self):
