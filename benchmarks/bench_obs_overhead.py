@@ -2,7 +2,7 @@
 
 The instrumentation contract is that a ``System`` built without a
 tracer/registry/profiler pays only ``is not None`` guard tests on the hot
-path, so the end-to-end simulation rate (``benchmarks/check_throughput.py``)
+path, so the end-to-end simulation rate (``benchmarks/e2e/run.py``)
 must stay within 2% of its pre-instrumentation numbers.  Two checks
 enforce that locally:
 

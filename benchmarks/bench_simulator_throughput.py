@@ -3,9 +3,8 @@
 Three substrate hot paths, timed on their own: the L2 lookup/fill path,
 RPV's boundary count, by scan and by the fast loop's tally, and the batch
 kernel's build on a hit-dominated and a miss-dominated pass.  Useful for
-catching performance regressions in the substrate (the optimisation
-guide's "no optimization without measuring").  The end-to-end simulation rate, fast path against
-reference loop, is measured and gated by ``benchmarks/check_throughput.py``.
+catching performance regressions in the substrate.  The end-to-end
+simulation rate per technique is measured by ``benchmarks/e2e/run.py``.
 """
 
 from __future__ import annotations

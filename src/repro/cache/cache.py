@@ -67,6 +67,12 @@ class SetAssociativeCache:
         Leader sets always keep every way enabled.
     """
 
+    #: True when a gated way keeps its line (drowsy gating).  The drowsy
+    #: :class:`~repro.core.reconfig.ReconfigurationController`, the one
+    #: place that knows the gating mode, sets it; the invariant check
+    #: reads it.
+    gated_ways_retain_data = False
+
     def __init__(
         self,
         geometry: CacheGeometry,
@@ -465,7 +471,7 @@ class SetAssociativeCache:
     def check_invariants(self) -> None:
         """Full-state consistency check (used by property tests)."""
         for cset in self.sets:
-            cset.check_invariants(self.state)
+            cset.check_invariants(self.state, self.gated_ways_retain_data)
 
     def resident_lines(self) -> list[int]:
         """All resident line addresses (test helper)."""

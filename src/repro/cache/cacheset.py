@@ -79,8 +79,14 @@ class CacheSet:
         """Tags of all valid lines (test helper)."""
         return [t for t in self.tags if t is not None]
 
-    def check_invariants(self, state: LineState) -> None:
-        """Raise AssertionError when internal state is inconsistent."""
+    def check_invariants(
+        self, state: LineState, gated_retains_data: bool = False
+    ) -> None:
+        """Raise AssertionError when internal state is inconsistent.
+
+        A gated way may hold a line only when ``gated_retains_data``
+        (drowsy gating keeps the data; off-mode gating flushes it).
+        """
         a = len(self.tags)
         assert sorted(self.order) == list(range(a)), "order must be a permutation"
         assert 1 <= self.n_active <= a, "active way count out of range"
@@ -94,5 +100,7 @@ class CacheSet:
             ), f"valid mirror out of sync at set {self.index} way {way}"
             if tag is None:
                 assert not state.dirty[g], "invalid line cannot be dirty"
-            if way >= self.n_active and not self.is_leader:
+            if way >= self.n_active and not (
+                self.is_leader or gated_retains_data
+            ):
                 assert tag is None, "disabled way must not hold a line"

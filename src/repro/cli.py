@@ -10,7 +10,7 @@ Subcommands::
     repro overhead --sets 4096 --ways 16 --modules 16   # Eq. 1
     repro trace -w h264ref -t esteem --format jsonl     # event trace dump
     repro sweep --workloads gamess,povray --inject PLAN.json  # resilient sweep
-    repro report MANIFEST.json --check  # campaign report + regression gate
+    repro report MANIFEST.json --check  # campaign report + consistency check
 
 Each command, and each figure and table number, accepts only the flags
 it reads.  The simulating commands take ``--instructions`` (trace
@@ -81,16 +81,6 @@ def _non_negative_float(text: str) -> float:
     value = float(text)
     if not value >= 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    """A fraction in ``[0, 1)``, for ``report --tolerance`` (else a usage
-    error): a negative one fails every rate check, one of 1 or more
-    passes them all."""
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value}")
     return value
 
 
@@ -562,18 +552,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    """Render a run manifest as markdown/CSV and optionally gate on it.
+    """Render a run manifest as markdown/CSV and optionally check it.
 
-    Exit status: 2 for an unreadable or schema-invalid manifest or an
-    unreadable baseline, 1 when ``--check`` finds an internal
-    inconsistency or a bench regression, 0 otherwise.
+    Exit status: 2 for an unreadable or schema-invalid manifest, 1 when
+    ``--check`` finds an internal inconsistency, 0 otherwise.
     """
     import json
     from pathlib import Path
 
     from repro.experiments.report import (
         check_consistency,
-        check_regressions,
         render_csv,
         render_markdown,
         validate_manifest,
@@ -590,42 +578,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print(f"error: schema: {err}", file=sys.stderr)
         return 2
 
-    checks = None
-    consistency = None
-    if args.check:
-        consistency = check_consistency(manifest)
-
-        repo_root = Path(__file__).resolve().parents[2]
-        baselines = []
-        for path, default in (
-            (args.bench_throughput, repo_root / "BENCH_throughput.json"),
-            (args.bench_sweep, repo_root / "BENCH_sweep.json"),
-        ):
-            # A baseline named on the command line must load; the repo's
-            # own baselines are optional.
-            if path is None and not default.exists():
-                baselines.append(None)
-                continue
-            p = Path(path) if path is not None else default
-            try:
-                baseline = json.loads(p.read_text(encoding="utf-8"))
-                if not isinstance(baseline, dict):
-                    raise ValueError("not a JSON object")
-            except (OSError, ValueError) as exc:
-                print(f"error: cannot read baseline {p}: {exc}",
-                      file=sys.stderr)
-                return 2
-            baselines.append(baseline)
-        throughput, sweep = baselines
-        checks = check_regressions(
-            manifest, throughput, sweep, tolerance=args.tolerance
-        )
+    consistency = check_consistency(manifest) if args.check else None
 
     if args.format == "csv":
         text = render_csv(manifest)
     else:
-        text = render_markdown(manifest, checks=checks,
-                               consistency=consistency)
+        text = render_markdown(manifest, consistency=consistency)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -635,20 +593,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
 
     if args.check:
-        failures = list(consistency or [])
-        failures += checks[0]
-        for msg in consistency or []:
+        for msg in consistency:
             print(f"INCONSISTENT: {msg}", file=sys.stderr)
-        for msg in checks[0]:
-            print(f"REGRESSION: {msg}", file=sys.stderr)
-        if failures:
+        if consistency:
             return 1
         if not args.quiet:
-            skipped, passed = checks[1], checks[2]
-            print(
-                f"check ok: {len(passed)} passed, {len(skipped)} skipped",
-                file=sys.stderr,
-            )
+            print("check ok", file=sys.stderr)
     return 0
 
 
@@ -840,8 +790,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser(
         "report",
-        help="render a sweep run manifest as markdown/CSV, with optional "
-             "consistency + bench-regression gating",
+        help="render a sweep run manifest as markdown/CSV, with an optional "
+             "consistency check",
     )
     rep.add_argument("manifest", metavar="MANIFEST.json",
                      help="run manifest written by `repro sweep --manifest`")
@@ -850,20 +800,9 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--output", default=None,
                      help="write the report to a file instead of stdout")
     rep.add_argument("--check", action="store_true",
-                     help="verify internal consistency and compare rates "
-                          "against the committed BENCH baselines; exit 1 "
-                          "on failure")
-    rep.add_argument("--tolerance", type=_tolerance, default=0.10,
-                     help="allowed fractional rate regression for --check, "
-                          "in [0, 1) (default 0.10)")
-    rep.add_argument("--bench-throughput", default=None, metavar="FILE.json",
-                     dest="bench_throughput",
-                     help="throughput baseline (default: the repo's "
-                          "BENCH_throughput.json)")
-    rep.add_argument("--bench-sweep", default=None, metavar="FILE.json",
-                     dest="bench_sweep",
-                     help="sweep baseline (default: the repo's "
-                          "BENCH_sweep.json)")
+                     help="verify the manifest's internal consistency (merged "
+                          "campaign counters equal the sum of the per-unit "
+                          "truths); exit 1 on failure")
     rep.add_argument("-q", "--quiet", action="store_true",
                      help="suppress stderr status output")
     rep.set_defaults(handler=_cmd_report)

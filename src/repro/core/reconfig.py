@@ -51,6 +51,7 @@ class ReconfigurationController:
         #: In drowsy mode gated ways retain their data in a low-leakage
         #: state instead of being flushed.
         self.drowsy = drowsy
+        cache.gated_ways_retain_data = drowsy
         a = cache.associativity
         #: Current active-way count per module (followers only).
         self.current: list[int] = [a] * module_map.num_modules

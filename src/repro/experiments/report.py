@@ -1,4 +1,4 @@
-"""Run manifests, campaign reports and bench-regression checks.
+"""Run manifests, campaign reports and manifest consistency checks.
 
 Three layers on top of the plain-text table renderer the benches already
 use:
@@ -20,11 +20,10 @@ use:
   goes further than shape: the merged campaign counters must equal the
   sum of the per-unit truths.
 * :func:`render_markdown` / :func:`render_csv` are the ``repro report``
-  output formats, and :func:`check_regressions` compares a manifest's
-  rates against the committed ``BENCH_throughput.json`` /
-  ``BENCH_sweep.json`` baselines.  Checks only engage when the manifest
-  ran at comparable scale (small smoke sweeps report ``skipped
-  (scale)`` instead of meaningless failures).
+  output formats.  A manifest's simulation rates are reported, not
+  gated: speed is measured by the end-to-end benchmark
+  (``benchmarks/e2e``), which rescales for host speed and compares runs
+  in pairs.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "MANIFEST_VERSION",
     "build_manifest",
     "check_consistency",
-    "check_regressions",
     "format_table",
     "format_value",
     "render_csv",
@@ -358,96 +356,6 @@ def check_consistency(manifest: Mapping[str, Any]) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# Bench-regression detection
-# ----------------------------------------------------------------------
-
-def check_regressions(
-    manifest: Mapping[str, Any],
-    throughput_baseline: Mapping[str, Any] | None = None,
-    sweep_baseline: Mapping[str, Any] | None = None,
-    tolerance: float = 0.10,
-) -> tuple[list[str], list[str], list[str]]:
-    """Compare manifest rates to the committed BENCH baselines.
-
-    Returns ``(failures, skipped, passed)`` message lists.  A check only
-    engages when the manifest ran at comparable scale to the baseline
-    measurement -- at least half the baseline's per-core instruction
-    budget for the per-technique rate check, plus a *clean* sweep (no
-    degradation, retries or cache hits) of at least half the baseline's
-    unit count for the whole-sweep rate check.  Out-of-scale checks land
-    in ``skipped`` so a smoke sweep reports "skipped (scale)" rather
-    than a meaningless pass or fail.
-    """
-    failures: list[str] = []
-    skipped: list[str] = []
-    passed: list[str] = []
-    bench = manifest.get("bench", {})
-    scale = bench.get("instructions_per_core", 0)
-
-    if throughput_baseline is not None:
-        base = throughput_baseline.get(
-            "bench_end_to_end_simulation_rate", throughput_baseline
-        )
-        base_scale = base.get("instructions", 0)
-        if scale < 0.5 * base_scale:
-            skipped.append(
-                f"per-technique rate: skipped (scale): manifest ran "
-                f"{scale:,} instructions/core, baseline measured at "
-                f"{base_scale:,}"
-            )
-        else:
-            current = bench.get("per_technique", {})
-            for tech in sorted(set(current) & set(base.get("techniques", {}))):
-                cur = current[tech].get("minstr_per_s", 0.0)
-                ref = base["techniques"][tech].get("minstr_per_s", 0.0)
-                floor = ref * (1.0 - tolerance)
-                msg = (
-                    f"technique {tech}: {cur:.1f} Minstr/s vs baseline "
-                    f"{ref:.1f} (floor {floor:.1f})"
-                )
-                (failures if cur < floor else passed).append(msg)
-
-    if sweep_baseline is not None:
-        base = sweep_baseline.get("bench_sweep_throughput", sweep_baseline)
-        base_scale = base.get("instructions", 0)
-        base_units = base.get("workloads", 0)
-        units = bench.get("units", 0)
-        reasons = []
-        if not bench.get("clean", False):
-            reasons.append("sweep not clean (degraded/retried/cached)")
-        if units < 0.5 * base_units:
-            reasons.append(
-                f"{units} units vs baseline {base_units}"
-            )
-        if scale < 0.5 * base_scale:
-            reasons.append(
-                f"{scale:,} instructions/core vs baseline {base_scale:,}"
-            )
-        if reasons:
-            skipped.append(
-                "sweep rate: skipped (scale): " + "; ".join(reasons)
-            )
-        else:
-            # The sweep bench records per-unit work as instructions x
-            # (techniques + the baseline run each unit also simulates).
-            runs_per_unit = len(base.get("techniques", [])) + 1
-            pool_s = base.get("pool_seconds", 0.0)
-            ref = (
-                base_scale * base_units * runs_per_unit / pool_s / 1e6
-                if pool_s > 0
-                else 0.0
-            )
-            cur = bench.get("sim_minstr_per_s", 0.0)
-            floor = ref * (1.0 - tolerance)
-            msg = (
-                f"sweep rate: {cur:.1f} Minstr/s vs baseline {ref:.1f} "
-                f"(floor {floor:.1f})"
-            )
-            (failures if cur < floor else passed).append(msg)
-    return failures, skipped, passed
-
-
-# ----------------------------------------------------------------------
 # repro report renderers
 # ----------------------------------------------------------------------
 
@@ -513,7 +421,6 @@ def _retry_timeline_rows(manifest: Mapping[str, Any]) -> list[list[Any]]:
 
 def render_markdown(
     manifest: Mapping[str, Any],
-    checks: tuple[list[str], list[str], list[str]] | None = None,
     consistency: list[str] | None = None,
 ) -> str:
     """The ``repro report`` markdown document for a run manifest."""
@@ -668,19 +575,6 @@ def render_markdown(
             out.append(
                 "- ok: campaign totals equal the sum of per-unit truths"
             )
-    if checks is not None:
-        failures, skipped, passed = checks
-        out.append("")
-        out.append("## Bench regression check")
-        out.append("")
-        for msg in failures:
-            out.append(f"- REGRESSION: {msg}")
-        for msg in skipped:
-            out.append(f"- {msg}")
-        for msg in passed:
-            out.append(f"- ok: {msg}")
-        if not (failures or skipped or passed):
-            out.append("- no baselines supplied")
     out.append("")
     return "\n".join(out)
 

@@ -185,8 +185,7 @@ class System:
         #: When True (default), the fast loop may classify an eligible
         #: single-core run in bulk with the batch kernel
         #: (:mod:`repro.timing.batch_kernel`); False pins the scalar fast
-        #: loop (the throughput gate measures both).  Results are
-        #: bit-identical either way.
+        #: loop.  Results are bit-identical either way.
         self.batch_kernel = batch_kernel
         #: Kernel-selection counters: records serviced by the batch
         #: commit loop vs the scalar loops this run.  Exported as

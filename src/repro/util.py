@@ -1,10 +1,10 @@
 """Small shared utilities with no simulation dependencies.
 
 Lazy package exports (:func:`lazy_exports`), content fingerprints and
-crash-safe file writes.  Result files (CSV exports, benchmark
-baselines, result-cache entries, run manifests) must never be left
-half-written by a kill mid-write -- a truncated ``BENCH_*.json`` or
-cache entry would silently poison later runs.  :func:`atomic_write` provides the standard
+crash-safe file writes.  Result files (CSV exports, fault plans,
+result-cache entries, run manifests) must never be left half-written by
+a kill mid-write -- a truncated manifest or cache entry would silently
+poison later runs.  :func:`atomic_write` provides the standard
 write-to-temp + ``os.replace`` idiom: the destination either keeps its old
 content or atomically gains the complete new content, never anything in
 between.

@@ -93,6 +93,34 @@ class TestDrowsyReconfig:
         assert not cache.drowsy_flag
 
 
+class TestGatedWayInvariant:
+    """A gated way may hold a line only when gating retains data."""
+
+    def test_drowsy_gated_way_keeps_its_line(self, cache, mm):
+        ctl = ReconfigurationController(cache, mm, drowsy=True)
+        fill_module(cache, mm, 0)
+        ctl.apply([2, 4, 4, 4])
+        s = mm.followers_in(0)[0]
+        assert cache.sets[s].tags[3] is not None
+        cache.check_invariants()
+
+    def test_off_mode_line_in_gated_way_fails(self, cache, mm):
+        ctl = ReconfigurationController(cache, mm, drowsy=False)
+        fill_module(cache, mm, 0)
+        ctl.apply([2, 4, 4, 4])
+        cache.check_invariants()
+        # Plant a line, consistently mirrored, in a way the shrink gated.
+        s = mm.followers_in(0)[0]
+        cset = cache.sets[s]
+        assert cset.tags[3] is None
+        tag = cache.line_addr(s, 9)
+        cset.tags[3] = tag
+        cset.tag_map[tag] = 3
+        cache.state.valid[cache.state.gidx(s, 3)] = True
+        with pytest.raises(AssertionError, match="disabled way"):
+            cache.check_invariants()
+
+
 class TestDrowsyRefresh:
     def test_drowsy_lines_refresh_at_multiple(self):
         from repro.cache.block import LineState

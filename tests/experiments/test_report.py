@@ -1,8 +1,7 @@
-"""Tests for the table renderer, run manifests and regression checks."""
+"""Tests for the table renderer, run manifests and consistency checks."""
 
 import copy
 import json
-from pathlib import Path
 
 import pytest
 
@@ -13,15 +12,12 @@ from repro.experiments.report import (
     MANIFEST_VERSION,
     build_manifest,
     check_consistency,
-    check_regressions,
     format_table,
     format_value,
     render_csv,
     render_markdown,
     validate_manifest,
 )
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 WORKLOADS = ["gamess", "povray"]
 TECHNIQUES = ("esteem",)
@@ -196,64 +192,13 @@ class TestCheckConsistency:
         assert check_consistency(broken)
 
 
-class TestCheckRegressions:
-    def test_committed_baselines_skip_at_smoke_scale(self, manifest):
-        throughput = json.loads(
-            (REPO_ROOT / "BENCH_throughput.json").read_text()
-        )
-        sweep = json.loads((REPO_ROOT / "BENCH_sweep.json").read_text())
-        failures, skipped, passed = check_regressions(
-            manifest, throughput, sweep
-        )
-        assert failures == []
-        assert len(skipped) == 2
-        assert all("skipped (scale)" in s for s in skipped)
-
-    def _scaled_baseline(self, manifest, factor):
-        bench = manifest["bench"]
-        return {
-            "bench_end_to_end_simulation_rate": {
-                "instructions": bench["instructions_per_core"],
-                "techniques": {
-                    name: {"minstr_per_s": entry["minstr_per_s"] * factor}
-                    for name, entry in bench["per_technique"].items()
-                },
-            }
-        }
-
-    def test_matching_scale_baseline_passes(self, manifest):
-        baseline = self._scaled_baseline(manifest, factor=1.0)
-        failures, skipped, passed = check_regressions(manifest, baseline)
-        assert failures == []
-        assert len(passed) == len(manifest["bench"]["per_technique"])
-
-    def test_synthetically_regressed_baseline_fails(self, manifest):
-        baseline = self._scaled_baseline(manifest, factor=100.0)
-        failures, _skipped, _passed = check_regressions(manifest, baseline)
-        assert len(failures) == len(manifest["bench"]["per_technique"])
-        assert all("Minstr/s" in f for f in failures)
-
-    def test_tolerance_widens_the_floor(self, manifest):
-        baseline = self._scaled_baseline(manifest, factor=1.05)
-        strict, _, _ = check_regressions(manifest, baseline, tolerance=0.0)
-        loose, _, _ = check_regressions(manifest, baseline, tolerance=0.5)
-        assert strict and not loose
-
-    def test_no_baselines_means_no_checks(self, manifest):
-        assert check_regressions(manifest) == ([], [], [])
-
-
 class TestRenderers:
     def test_markdown_has_all_sections(self, manifest):
-        text = render_markdown(
-            manifest,
-            checks=([], ["sweep rate: skipped (scale): tiny"], []),
-            consistency=[],
-        )
+        text = render_markdown(manifest, consistency=[])
         for heading in ("# Sweep report", "## Summary",
                         "## Per-technique energy / performance",
                         "## Campaign telemetry", "## Simulation rates",
-                        "## Consistency", "## Bench regression check"):
+                        "## Consistency"):
             assert heading in text
         assert manifest["fingerprint"] in text
         assert "esteem" in text

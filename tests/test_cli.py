@@ -34,8 +34,8 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_bench_subcommand_removed(self, capsys):
-        # The throughput gate's one front end is
-        # benchmarks/check_throughput.py; `repro bench` is no command.
+        # Speed is measured by the end-to-end benchmark
+        # (benchmarks/e2e/run.py); `repro bench` is no command.
         with pytest.raises(SystemExit) as exc:
             main(["bench"])
         assert exc.value.code == 2
@@ -605,23 +605,25 @@ class TestReportCommand:
     def test_report_flags_parse(self):
         args = build_parser().parse_args(
             ["report", "m.json", "--format", "csv", "--output", "r.csv",
-             "--check", "--tolerance", "0.2",
-             "--bench-throughput", "t.json", "--bench-sweep", "s.json"]
+             "--check", "-q"]
         )
         assert args.command == "report"
         assert args.manifest == "m.json"
         assert args.format == "csv"
+        assert args.output == "r.csv"
         assert args.check is True
-        assert args.tolerance == 0.2
+        assert args.quiet is True
 
-    @pytest.mark.parametrize("value", ["-0.1", "1", "2"])
-    def test_out_of_range_tolerance_is_a_usage_error(self, value, capsys):
+    @pytest.mark.parametrize(
+        "flag", ["--tolerance", "--bench-throughput", "--bench-sweep"]
+    )
+    def test_removed_report_flags_rejected(self, flag, capsys):
+        # `report --check` is the manifest consistency check alone: it
+        # reads no rate baseline.
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(
-                ["report", "m.json", "--check", "--tolerance", value]
-            )
+            main(["report", "m.json", "--check", flag, "0.2"])
         assert exc.value.code == 2
-        assert "--tolerance" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
     @pytest.fixture(scope="class")
     def manifest(self, tmp_path_factory):
@@ -634,22 +636,30 @@ class TestReportCommand:
         assert code == 0
         return path
 
-    @pytest.mark.parametrize("flag", ["--bench-throughput", "--bench-sweep"])
-    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
-                             ids=["missing", "corrupt", "not-an-object"])
-    def test_named_baseline_must_load(
-        self, manifest, flag, content, capsys, tmp_path
-    ):
-        baseline = tmp_path / "baseline.json"
-        if content is not None:
-            baseline.write_text(content)
-        code = main(
-            ["report", str(manifest), "--check", flag, str(baseline), "-q"]
-        )
-        assert code == 2
+    def test_consistent_manifest_passes_check(self, manifest, capsys):
+        assert main(["report", str(manifest), "--check"]) == 0
         err = capsys.readouterr().err
-        assert "error: cannot read baseline" in err
-        assert str(baseline) in err
+        assert "check ok" in err
+        assert "INCONSISTENT" not in err
+
+    def test_inconsistent_manifest_fails_check(
+        self, manifest, capsys, tmp_path
+    ):
+        import json
+
+        # One merged telemetry counter no longer equals the sum of the
+        # per-unit truths.
+        broken = json.loads(manifest.read_text())
+        counters = broken["telemetry"]["counters"]
+        name = sorted(counters)[0]
+        counters[name] += 1
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken))
+        code = main(["report", str(path), "--check", "-q"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "INCONSISTENT" in err
+        assert name in err
 
     def test_unreadable_manifest_exits_2(self, capsys, tmp_path):
         code = main(["report", str(tmp_path / "missing.json"), "-q"])
@@ -764,8 +774,7 @@ class TestCampaignAcceptance:
         assert stats["stores"] == 8
         assert stats["hits"] == 0
 
-        # `repro report --check` passes against the committed baselines
-        # (scale-gated: a smoke sweep skips, never spuriously fails).
+        # `repro report --check` passes on the manifest as written ...
         report_path = tmp_path / "report.md"
         code = main(
             ["report", str(manifest_path), "--check",
@@ -777,27 +786,19 @@ class TestCampaignAcceptance:
         assert "TimeoutError" in text
         capsys.readouterr()
 
-        # ... and correctly fails on a synthetically-regressed baseline
-        # built at the manifest's own scale, so the gate engages.
-        bench = manifest["bench"]
-        fake = {
-            "bench_end_to_end_simulation_rate": {
-                "instructions": bench["instructions_per_core"],
-                "techniques": {
-                    name: {"minstr_per_s": entry["minstr_per_s"] * 100}
-                    for name, entry in bench["per_technique"].items()
-                },
-            }
-        }
-        fake_path = tmp_path / "fake_bench.json"
-        fake_path.write_text(json.dumps(fake))
+        # ... and fails once one merged counter disagrees with the
+        # per-unit truths.
+        counters = telem["counters"]
+        name = sorted(counters)[0]
+        counters[name] += 1
+        broken_path = tmp_path / "broken.json"
+        broken_path.write_text(json.dumps(manifest))
         code = main(
-            ["report", str(manifest_path), "--check",
-             "--bench-throughput", str(fake_path),
-             "--output", str(tmp_path / "regressed.md"), "-q"]
+            ["report", str(broken_path), "--check",
+             "--output", str(tmp_path / "broken.md"), "-q"]
         )
         assert code == 1
-        assert "REGRESSION" in capsys.readouterr().err
+        assert "INCONSISTENT" in capsys.readouterr().err
 
 
 class TestCachedStartup:

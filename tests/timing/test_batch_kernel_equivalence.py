@@ -108,10 +108,7 @@ def _assert_batch_identical(config, traces, technique, fault_plan):
     # maps and recency orders are written back when its commit loop
     # reaches the trace end.
     got_l2, want_l2 = batch_system.l2, ref_system.l2
-    if technique != "esteem-drowsy":
-        # Drowsy gating keeps lines in gated ways, which the invariant
-        # check forbids.
-        got_l2.check_invariants()
+    got_l2.check_invariants()
     for got, want in zip(got_l2.sets, want_l2.sets):
         assert (got.tags, got.tag_map, got.order) == (
             want.tags, want.tag_map, want.order,

@@ -5,8 +5,10 @@ pure performance transformation -- every counter, energy figure, timeline
 entry, and per-core statistic must match the retained reference loop
 (``reference_loop=True`` -> :meth:`System._run_reference`) *bit for bit*,
 including float accumulation order.  These tests run representative
-single- and dual-core workloads under several techniques on both paths
-and compare the complete :class:`~repro.timing.system.SystemResult`.
+single- and dual-core workloads under every technique in
+:data:`~repro.timing.result.TECHNIQUES` on both paths, compare the
+complete :class:`~repro.timing.system.SystemResult`, and check the fast
+run's L2 invariants.
 
 Any intentional change to service ordering or arithmetic must update both
 loops together; a mismatch here means the fast path silently diverged.
@@ -21,15 +23,11 @@ from repro.config import SimConfig
 from repro.edram.rpv import RefrintPolyphaseValid
 from repro.obs import EVENT_REFRESH_BURST, Tracer
 from repro.tech import TECHNOLOGIES, TechSystem
+from repro.timing.result import TECHNIQUES
 from repro.timing.system import System
 from repro.workloads.multiprog import get_mix
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import generate_trace
-
-# Techniques with distinct hot-path behaviour: baseline (no reconfig),
-# rpv (refresh period variation), esteem (reconfig + ATD profiling),
-# esteem-drowsy (gated ways retain data -> drowsy-hit path).
-TECHNIQUES = ("baseline", "rpv", "esteem", "esteem-drowsy")
 
 SINGLE_INSTRUCTIONS = 300_000
 DUAL_INSTRUCTIONS = 250_000
@@ -87,6 +85,7 @@ def _assert_identical(config, traces, technique):
     rf = _result_fields(ref_system.run())
     for key in ff:
         assert ff[key] == rf[key], f"{technique}: {key} diverged"
+    fast_system.l2.check_invariants()
     return fast_system, ref_system
 
 
