@@ -625,6 +625,35 @@ class TestReportCommand:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-0.1", "1", "2"])
+    def test_out_of_range_tolerance_is_a_usage_error(self, value, capsys):
+        # --tolerance is gone, so any value of it is a usage error.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["report", "m.json", "--check", "--tolerance", value]
+            )
+        assert exc.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--bench-throughput", "--bench-sweep"])
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                             ids=["missing", "corrupt", "not-an-object"])
+    def test_named_baseline_must_load(
+        self, manifest, flag, content, capsys, tmp_path
+    ):
+        # A rate baseline file can no longer be named at all: the check
+        # exits 2 on the flag and never reports a consistent manifest ok.
+        baseline = tmp_path / "baseline.json"
+        if content is not None:
+            baseline.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(manifest), "--check", flag, str(baseline),
+                  "-q"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "check ok" not in err
+
     @pytest.fixture(scope="class")
     def manifest(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("report") / "manifest.json"
