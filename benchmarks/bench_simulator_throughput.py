@@ -1,10 +1,12 @@
 """Microbenchmarks of the simulator itself (true pytest-benchmark timing).
 
-Three substrate hot paths, timed on their own: the L2 lookup/fill path,
-RPV's boundary count, by scan and by the fast loop's tally, and the batch
-kernel's build on a hit-dominated and a miss-dominated pass.  Useful for
-catching performance regressions in the substrate.  The end-to-end
-simulation rate per technique is measured by ``benchmarks/e2e/run.py``.
+Substrate paths, timed on their own: the L2 lookup/fill path, RPV's
+boundary count, by scan and by the fast loop's tally, the batch kernel's
+build on a hit-dominated and a miss-dominated pass, and ``System``
+construction (the warm-L2 image build and clone, plus ESTEEM's module
+layout).  Useful for catching performance regressions in the substrate.
+The end-to-end simulation rate per technique is measured by
+``benchmarks/e2e/run.py``.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ import numpy as np
 import pytest
 
 from repro.cache.cache import SetAssociativeCache
-from repro.config import CacheGeometry, RefreshConfig
+from repro.config import CacheGeometry, RefreshConfig, SimConfig
 from repro.edram.rpv import RefrintPolyphaseValid
 from repro.timing.batch_kernel import build_batch
+from repro.timing.system import _L2_IMAGE_CACHE, System, _warm_image
 from repro.workloads.trace import Trace
 
 
@@ -86,3 +89,65 @@ def bench_batch_build(benchmark, mix):
     )
     kb = benchmark(build_batch, cache, trace, 0, n)
     assert kb is not None
+
+
+@pytest.fixture
+def no_images():
+    """Warm-L2 images are process-global: start and end without any."""
+    _L2_IMAGE_CACHE.clear()
+    yield
+    _L2_IMAGE_CACHE.clear()
+
+
+#: Prefill targets on the paper's L2s: a partial footprint (3/8 of the
+#: lines plus a remainder, so two row shapes) and one filling the cache.
+_FOOTPRINTS = {
+    "partial": lambda lines: lines * 3 // 8 + 123,
+    "full": lambda lines: lines,
+}
+
+
+@pytest.mark.parametrize("image", ["empty", "warm"])
+@pytest.mark.parametrize("footprint", list(_FOOTPRINTS))
+@pytest.mark.parametrize("cores", [1, 2], ids=["4MB-single", "8MB-dual"])
+@pytest.mark.parametrize("technique", ["baseline", "esteem"])
+def bench_system_construction(
+    benchmark, no_images, technique, cores, footprint, image
+):
+    """One ``System`` construction on the paper-scale L2 of ``cores``.
+
+    ``empty`` clears the image cache before every round, so a round
+    builds the warm-L2 image and then clones it (a sweep's first unit
+    per footprint); ``warm`` builds it once up front, so rounds only
+    clone (every later unit).  ESTEEM adds its module layout, leader
+    marking and reconfiguration tables.
+    """
+    config = SimConfig.scaled(num_cores=cores)
+    lines = _FOOTPRINTS[footprint](config.l2.num_lines)
+    traces = [Trace(f"w{i}", footprint_lines=lines // cores) for i in range(cores)]
+
+    def construct():
+        return System(config, traces, technique)
+
+    if image == "empty":
+        sysm = benchmark.pedantic(
+            construct, setup=_L2_IMAGE_CACHE.clear, rounds=30, warmup_rounds=1
+        )
+    else:
+        construct()
+        sysm = benchmark(construct)
+    assert sysm.prefill_fraction == (lines // cores * cores) / config.l2.num_lines
+
+
+@pytest.mark.parametrize("lines", [0, 4_095, 24_371, 65_536, 100_000])
+def bench_warm_image_build(benchmark, lines):
+    """``_warm_image`` alone on the 4 MB L2: the per-footprint build.
+
+    Targets span no footprint, fewer lines than sets, a partial
+    footprint with a remainder, and a full and an over-full one (the
+    ``System`` clamps to the cache size, as here).
+    """
+    config = SimConfig.scaled()
+    target = min(lines, config.l2.num_lines)
+    image = benchmark(_warm_image, config.l2, config.refresh.rpv_phases, target)
+    assert int(image[2].sum()) == target

@@ -70,20 +70,11 @@ class LineState:
     def set_module_active_ways(
         self, first_set: int, last_set: int, n_active: int
     ) -> None:
-        """Mark ways ``[0, n_active)`` active for sets ``[first_set, last_set)``.
-
-        Leader sets inside the range can be re-marked fully active afterwards
-        with :meth:`set_set_fully_active`.
-        """
+        """Mark ways ``[0, n_active)`` active for sets ``[first_set, last_set)``."""
         a = self.associativity
         pattern = np.arange(a) < n_active
         view = self.active[first_set * a : last_set * a]
         view[:] = np.tile(pattern, last_set - first_set)
-
-    def set_set_fully_active(self, set_index: int) -> None:
-        """Mark every way of one set active (used for leader sets)."""
-        a = self.associativity
-        self.active[set_index * a : (set_index + 1) * a] = True
 
     def snapshot(self) -> dict[str, int]:
         """Cheap summary used by tests and debugging."""

@@ -418,12 +418,13 @@ class SetAssociativeCache:
         """A cache in its post-construction shape holding ``image``.
 
         ``image`` is ``(tags_rows, tag_maps, valid, dirty, last_window)``:
-        per-set ``tags`` lists and ``tag_map`` dicts plus the line-state
-        arrays.  Every way is active, recency order is untouched and no
-        set is a leader.  Cloning per-set lists and dicts is several times
-        cheaper than filling a cache line by line, which matters when a
-        sweep builds many systems over the same geometry.  The clone
-        shares nothing mutable with the image.
+        one ``tags`` list and one ``tag_map`` dict per set (sets may
+        reference the same objects) plus the line-state arrays.  Every
+        way is active, recency order is untouched and no set is a leader.
+        Cloning per-set lists and dicts is several times cheaper than
+        filling a cache line by line, which matters when a sweep builds
+        many systems over the same geometry.  Each set gets its own
+        copies, so the clone shares nothing mutable with the image.
         """
         self = cls.__new__(cls)
         self.geometry = geometry

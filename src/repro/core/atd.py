@@ -35,11 +35,16 @@ class ATDProfiler:
         self._attach()
 
     def _attach(self) -> None:
-        """Install the profiling hook into the cache's hot path."""
-        # Mark leader sets; they stay fully active forever.
-        leader_set = set(self.module_map.leaders())
-        for cset in self.cache.sets:
-            cset.is_leader = cset.index in leader_set
+        """Install the profiling hook into the cache's hot path.
+
+        Marks the map's leader sets, which stay fully active forever, and
+        touches no other set: the cache must come without leaders, as a
+        constructed cache with the default ``leader_every`` and a
+        :meth:`~repro.cache.cache.SetAssociativeCache.from_image` clone do.
+        """
+        sets = self.cache.sets
+        for s in self.module_map.leaders():
+            sets[s].is_leader = True
         self.cache.module_of_set = self.module_map.module_of_set_list()
         self.cache.profile_hist = self.hist
 

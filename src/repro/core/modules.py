@@ -12,7 +12,27 @@ towards the module the leader falls in, and leader sets never reconfigure.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 __all__ = ["ModuleMap"]
+
+
+@lru_cache(maxsize=16)
+def _layout(num_sets: int, num_modules: int, sampling_ratio: int) -> tuple:
+    """``(followers per module, set -> module)`` as read-only tuples.
+
+    Built once per geometry and process: every ESTEEM or selective-sets
+    construction over the same L2 reads the same tables.
+    """
+    spm = num_sets // num_modules
+    rs = sampling_ratio
+    return (
+        tuple(
+            tuple(s for s in range(f, f + spm) if s % rs)
+            for f in range(0, num_sets, spm)
+        ),
+        tuple(s // spm for s in range(num_sets)),
+    )
 
 
 class ModuleMap:
@@ -32,7 +52,10 @@ class ModuleMap:
                 "each module needs at least one leader set "
                 f"(sets/module={self.sets_per_module} < R_s={sampling_ratio})"
             )
-        self._leaders = [s for s in range(num_sets) if s % sampling_ratio == 0]
+        self._leaders = range(0, num_sets, sampling_ratio)
+        self._followers_in, self._module_of_set = _layout(
+            num_sets, num_modules, sampling_ratio
+        )
 
     # ------------------------------------------------------------------
 
@@ -54,18 +77,16 @@ class ModuleMap:
 
     def leaders_in(self, module: int) -> list[int]:
         first, last = self.set_range(module)
-        return [s for s in self._leaders if first <= s < last]
+        rs = self.sampling_ratio
+        return list(range(-(-first // rs) * rs, last, rs))
 
     def followers_in(self, module: int) -> list[int]:
         """Follower (reconfigurable) sets of ``module``."""
-        first, last = self.set_range(module)
-        rs = self.sampling_ratio
-        return [s for s in range(first, last) if s % rs != 0]
+        return list(self._followers_in[module])
 
     def module_of_set_list(self) -> list[int]:
         """Dense ``set -> module`` lookup table for the cache's hot path."""
-        spm = self.sets_per_module
-        return [s // spm for s in range(self.num_sets)]
+        return list(self._module_of_set)
 
     @property
     def num_leaders(self) -> int:

@@ -115,8 +115,8 @@ class ReconfigurationController:
             # Update the vectorised active mask for the refresh engine.
             first, last = mm.set_range(m)
             state.set_module_active_ways(first, last, new)
-            for s in mm.leaders_in(m):
-                state.set_set_fully_active(s)
+        # Leader sets never reconfigure: re-activate their rows in one go.
+        state.active.reshape(-1, a)[self._leader_sets_np] = True
 
         self.total_reconfigurations += 1
         return stats

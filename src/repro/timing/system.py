@@ -21,7 +21,6 @@ from __future__ import annotations
 import gc
 from collections import OrderedDict
 from functools import wraps
-from itertools import chain, repeat
 from math import inf, nextafter
 
 import numpy as np
@@ -70,7 +69,7 @@ __all__ = ["SIM_ENGINE_VERSION", "System", "SystemResult", "TECHNIQUES"]
 _CORE_OFFSET_SHIFT = 40
 
 #: Warm-L2 images keyed by (sets, ways, phases, prefill target).  For the
-#: 4 MB L2 a build costs ~10 ms and a clone ~3 ms, and a sweep constructs
+#: 4 MB L2 a build costs ~0.3 ms and a clone ~2 ms, and a sweep constructs
 #: many systems over few keys.  LRU: a hit moves its key to the end, and
 #: past 8 keys the least recently used one goes.
 _L2_IMAGE_CACHE: OrderedDict[tuple, tuple] = OrderedDict()
@@ -107,36 +106,36 @@ def _warm_image(geo: CacheGeometry, phases: int, target: int) -> tuple:
     The paper fast-forwards 10 B instructions and measures 400 M; by then
     a workload's distinct-line footprint (capped at the LLC capacity) sits
     in the cache as valid-but-stale data that the refresh policies must
-    keep alive.  ``target`` lines hold unique junk tags (valid, clean),
-    way-major: every set fills ``target // sets`` ways and the first
-    ``target % sets`` sets one more.  Hit/miss behaviour is unaffected --
-    junk is never hit and loses victim arbitration to invalid ways -- but
-    valid-line refresh counts (RPV, periodic-valid, ESTEEM) see it.
+    keep alive.  ``target`` junk lines (valid, clean) fill it way-major:
+    every set fills ``target // sets`` ways and the first ``target % sets``
+    sets one more.  Way ``w``'s junk tag is ``(2**45 + w) << set_bits`` in
+    every set -- unique within a set, shared across sets -- so the image
+    holds two prototype rows and tag maps, each referenced once per set.
+    No core issues an address that high, so junk is never hit and loses
+    victim arbitration to invalid ways, but valid-line refresh counts
+    (RPV, periodic-valid, ESTEEM) see it.
     """
     s_count = geo.num_sets
     a = geo.associativity
     full_ways, remainder = divmod(target, s_count)
     filled = np.arange(a) < (full_ways + (np.arange(s_count) < remainder))[:, None]
-    # A fabricated but self-consistent line address per way: maps back to
-    # its set and collides with no real workload line.
-    way_tags = ((1 << 45) + np.arange(a, dtype=np.int64)) << geo.set_index_bits
-    junk = way_tags[None, :] | np.arange(s_count, dtype=np.int64)[:, None]
-    rows = np.where(filled, junk, None).tolist()
-    way_ranges = chain(
-        repeat(range(full_ways + 1), remainder),
-        repeat(range(full_ways), s_count - remainder),
+    junk = [((1 << 45) + w) << geo.set_index_bits for w in range(a)]
+    (hi_row, hi_map), (lo_row, lo_map) = (
+        (junk[:k] + [None] * (a - k), dict(zip(junk[:k], range(k))))
+        for k in (full_ways + 1, full_ways)
     )
     valid = filled.reshape(-1)
-    # Stagger stale lines across the refresh phases: real steady-state data
-    # is phase-distributed, and synchronised stamps would make RPV refresh
-    # the whole cache in one burst window.
-    stamps = -(np.arange(valid.size, dtype=np.int64) % phases)
+    # Stagger stale lines across the refresh phases (a power of two, so
+    # ``&`` for ``%``): real steady-state data is phase-distributed, and
+    # synchronised stamps would make RPV refresh the whole cache at once.
+    stamps = -(np.arange(valid.size, dtype=np.int64) & (phases - 1))
+    stamps[~valid] = -1
     return (
-        rows,
-        list(map(dict, map(zip, rows, way_ranges))),
+        [hi_row] * remainder + [lo_row] * (s_count - remainder),
+        [hi_map] * remainder + [lo_map] * (s_count - remainder),
         valid,
         np.zeros(valid.size, dtype=bool),
-        np.where(valid, stamps, -1),
+        stamps,
     )
 
 

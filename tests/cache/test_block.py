@@ -39,12 +39,6 @@ class TestActiveMask:
         # Sets 4-7 untouched.
         assert state.active[16:].all()
 
-    def test_set_set_fully_active_overrides(self, state):
-        state.set_module_active_ways(0, 8, 1)
-        state.set_set_fully_active(3)
-        assert state.active[12:16].all()
-        assert not state.active[9]
-
     def test_active_fraction_after_gating(self, state):
         state.set_module_active_ways(0, 8, 1)
         assert state.active_fraction() == pytest.approx(0.25)

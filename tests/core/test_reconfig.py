@@ -78,8 +78,8 @@ class TestShrink:
         follower = mm.followers_in(0)[0]
         base = follower * 4
         assert list(state.active[base : base + 4]) == [True, False, False, False]
-        leader = mm.leaders_in(0)[0]
-        assert state.active[leader * 4 : leader * 4 + 4].all()
+        for leader in mm.leaders_in(0):
+            assert state.active[leader * 4 : leader * 4 + 4].all()
 
 
 class TestGrow:

@@ -23,7 +23,14 @@ from repro.config import (
     SimConfig,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.timing.system import _L2_IMAGE_CACHE, _L2_IMAGE_CACHE_MAX, System
+from repro.timing.system import (
+    _CORE_OFFSET_SHIFT,
+    _L2_IMAGE_CACHE,
+    _L2_IMAGE_CACHE_MAX,
+    System,
+)
+from repro.workloads.profiles import ALL_BENCHMARKS
+from repro.workloads.synthetic import generate_trace
 from repro.workloads.trace import Trace
 
 
@@ -64,7 +71,7 @@ def prefill_in_place(config: SimConfig, lines: int) -> tuple:
     full_ways, remainder = divmod(target, l2.num_sets)
     for s_idx, cset in enumerate(l2.sets):
         for way in range(full_ways + (s_idx < remainder)):
-            tag = (((1 << 45) + way) << l2.set_bits) | s_idx
+            tag = ((1 << 45) + way) << l2.set_bits
             g = cset.base + way
             cset.tags[way] = tag
             cset.tag_map[tag] = way
@@ -149,6 +156,57 @@ class TestCloneEqualsInPlacePrefill:
         sysm = System(config, [footprint(10, "a"), footprint(20, "b")], "baseline")
         assert cache_state(sysm.l2) == cache_state(spec)
         assert sysm.prefill_fraction == fraction
+
+
+class TestSharedPrototypes:
+    @given(case=geometries_and_targets())
+    @settings(max_examples=40, deadline=None)
+    def test_image_holds_at_most_two_rows_and_two_maps(self, case):
+        sets, ways, phases, target = case
+        _L2_IMAGE_CACHE.clear()
+        System(make_config(sets, ways, phases), [footprint(target)], "baseline")
+        ((rows, maps, *_),) = _L2_IMAGE_CACHE.values()
+        assert len(rows) == len(maps) == sets
+        assert len({id(row) for row in rows}) <= 2
+        assert len({id(tag_map) for tag_map in maps}) <= 2
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_no_junk_tag_is_an_issued_address(self, cores):
+        """Junk fills every way here; cores issue ``addr | core << 40``."""
+        config = SimConfig.scaled(num_cores=cores)
+        full = [footprint(config.l2.num_lines)] * cores
+        junk = set(System(config, full, "baseline").l2.resident_lines())
+        assert len(junk) == config.l2.associativity
+        issued = set()
+        for profile in ALL_BENCHMARKS:
+            addrs = generate_trace(profile, 50_000).addrs
+            assert int(addrs.max()) < 1 << _CORE_OFFSET_SHIFT
+            for core in range(cores):
+                issued.update((addrs | core << _CORE_OFFSET_SHIFT).tolist())
+        assert not junk & issued
+        assert min(junk) >= 1 << (_CORE_OFFSET_SHIFT + 1) > max(issued)
+
+
+class TestEsteemLeaderLayout:
+    @pytest.mark.parametrize("cores", [1, 2], ids=["4MB-single", "8MB-dual"])
+    def test_construction_matches_the_module_definitions(self, cores):
+        """Leaders are the sets ``s % R_s == 0``, modules contiguous ranges."""
+        config = SimConfig.scaled(num_cores=cores)
+        traces = [footprint(1_000, f"w{i}") for i in range(cores)]
+        for _ in range(2):  # the image build, then a clone of the cached one
+            sysm = System(config, traces, "esteem")
+            mm = sysm.esteem.module_map
+            rs, spm = mm.sampling_ratio, mm.sets_per_module
+            sets = range(config.l2.num_sets)
+            l2 = sysm.l2
+            assert [c.is_leader for c in l2.sets] == [s % rs == 0 for s in sets]
+            assert l2.module_of_set == [s // spm for s in sets]
+            for m in range(mm.num_modules):
+                module = range(m * spm, (m + 1) * spm)
+                followers = [s for s in module if s % rs]
+                assert sysm.esteem.reconfig._followers[m] == followers
+                assert mm.followers_in(m) == followers
+                assert mm.leaders_in(m) == [s for s in module if s % rs == 0]
 
 
 class TestCloneIsolation:
