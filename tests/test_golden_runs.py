@@ -1,10 +1,11 @@
 """Pinned simulator output for traced and technology runs.
 
 These sha256 digests pin what those runs produce -- the ``repro trace``
-event stream, a traced faulted run, and technology comparisons (a
+event stream, a traced faulted run, technology comparisons (a
 ``TechSystem`` with per-line write counts armed and, off eDRAM, a write
-penalty) -- so a change to how they are driven must leave every byte in
-place.  They were recorded when such runs took the reference loop
+penalty), and the techniques whose constants no other pin reaches
+(drowsy ESTEEM, ECC-extended refresh, selective-sets) -- so a change to
+how they are driven must leave every byte in place.  They were recorded when such runs took the reference loop
 (:meth:`System._run_reference <repro.timing.system.System._run_reference>`)
 and hold on the fast loop they take now.
 
@@ -21,6 +22,7 @@ import hashlib
 import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -43,6 +45,12 @@ FAULT_CFG = SimConfig.scaled(
 #: Technology comparisons.
 SMALL_INSTRUCTIONS = 300_000
 SMALL_CFG = SimConfig.scaled(instructions_per_core=SMALL_INSTRUCTIONS)
+#: Technique runs: a short interval, so sphinx closes seven intervals and
+#: the drowsy wake-up, leakage and retention constants, the ECC strength
+#: and overhead, and the selective-sets floor all reach the result.
+TECHNIQUE_CFG = SimConfig.scaled(
+    instructions_per_core=SMALL_INSTRUCTIONS, interval_cycles=100_000
+)
 
 
 def _sha(text: str) -> str:
@@ -90,11 +98,21 @@ def technology(name: str, technique: str) -> dict:
     return {"result_sha256": _result_digest(r.result)}
 
 
+def technique(name: str) -> dict:
+    # ``dataclasses.asdict``: the result-cache codec carries ESTEEM's
+    # timeline records only, not selective-sets' ``SetDecision``.
+    result = Runner(TECHNIQUE_CFG, seed=0).run("sphinx", name)
+    return {"result_sha256": _sha(json.dumps(asdict(result), sort_keys=True))}
+
+
 CASES = {
     "trace/h264ref/esteem/jsonl": cli_trace,
     "faults/gamess/esteem/traced": faulted_traced,
     "tech/edram/esteem": lambda: technology("edram", "esteem"),
     "tech/sttram/baseline": lambda: technology("sttram", "baseline"),
+    "technique/sphinx/ecc": lambda: technique("ecc"),
+    "technique/sphinx/esteem-drowsy": lambda: technique("esteem-drowsy"),
+    "technique/sphinx/selective-sets": lambda: technique("selective-sets"),
 }
 
 
