@@ -2,8 +2,8 @@
 
 The paper's ESTEEM discards gated ways' contents; its citation [32]
 (Morishita et al.) describes a power-down *data retention* mode that keeps
-state at reduced leakage.  We implemented that alternative
-(``gating_mode="drowsy"``): no flush on shrink, hits in drowsy ways pay a
+state at reduced leakage.  We implemented that alternative as the
+``esteem-drowsy`` technique: no flush on shrink, hits in drowsy ways pay a
 wake-up penalty, drowsy lines leak a fraction and refresh at a stretched
 retention period.
 

@@ -61,10 +61,9 @@ class SetAssociativeCache:
         Size / associativity / line size / latency bundle.
     name:
         Label used in reports ("L1D", "L2", ...).
-    leader_every:
-        When positive, every ``leader_every``-th set (set index divisible by
-        it) is marked as a leader set for the embedded ATD (Section 3.2).
-        Leader sets always keep every way enabled.
+
+    The cache comes without leader sets: an
+    :class:`~repro.core.atd.ATDProfiler` marks them (Section 3.2).
     """
 
     #: True when a gated way keeps its line (drowsy gating).  The drowsy
@@ -77,7 +76,6 @@ class SetAssociativeCache:
         self,
         geometry: CacheGeometry,
         name: str = "cache",
-        leader_every: int = 0,
     ) -> None:
         self.geometry = geometry
         self.name = name
@@ -90,10 +88,7 @@ class SetAssociativeCache:
         #: controller narrows it to a power-of-two subset of the sets.
         self.active_set_mask = s - 1
         self.set_bits = geometry.set_index_bits
-        self.sets: list[CacheSet] = [
-            CacheSet(i, a, is_leader=(leader_every > 0 and i % leader_every == 0))
-            for i in range(s)
-        ]
+        self.sets: list[CacheSet] = [CacheSet(i, a) for i in range(s)]
         self.state = LineState(s, a)
         self.stats = CacheStats(hits_by_position=[0] * a)
         # Optional profiling hook installed by the ESTEEM controller:

@@ -63,25 +63,22 @@ class CacheGeometry:
     size_bytes:
         Total data capacity.
     associativity:
-        Number of ways, ``A`` in the paper.
-    line_bytes:
-        Cache line size in bytes (64 in the paper).
+        Number of ways, ``A`` in the paper.  Lines are
+        :data:`LINE_SIZE_BYTES` long.
     latency_cycles:
         Access latency in core cycles.
     """
 
     size_bytes: int
     associativity: int
-    line_bytes: int = LINE_SIZE_BYTES
     latency_cycles: int = 12
 
     def __post_init__(self) -> None:
         _require(self.size_bytes > 0, "cache size must be positive")
         _require(self.associativity > 0, "associativity must be positive")
-        _require(_is_pow2(self.line_bytes), "line size must be a power of two")
-        lines = self.size_bytes // self.line_bytes
+        lines = self.size_bytes // LINE_SIZE_BYTES
         _require(
-            lines * self.line_bytes == self.size_bytes,
+            lines * LINE_SIZE_BYTES == self.size_bytes,
             "cache size must be a multiple of the line size",
         )
         _require(
@@ -93,7 +90,7 @@ class CacheGeometry:
     @property
     def num_lines(self) -> int:
         """Total number of cache lines (S * A)."""
-        return self.size_bytes // self.line_bytes
+        return self.size_bytes // LINE_SIZE_BYTES
 
     @property
     def num_sets(self) -> int:
@@ -139,8 +136,6 @@ class RefreshConfig:
     #: retention period, tolerating correctable bit errors.  Used by the
     #: "ecc" technique only.
     ecc_extension_factor: int = 4
-    ecc_correctable_bits: int = 1
-    ecc_overhead: float = 0.02
 
     def __post_init__(self) -> None:
         _require(self.retention_cycles > 0, "retention period must be positive")
@@ -156,8 +151,6 @@ class RefreshConfig:
             "retention period must divide evenly into RPV phases",
         )
         _require(self.ecc_extension_factor >= 1, "ECC extension must be >= 1")
-        _require(self.ecc_correctable_bits >= 0, "ECC strength must be >= 0")
-        _require(0.0 <= self.ecc_overhead < 1.0, "ECC overhead must be in [0,1)")
 
     @property
     def phase_cycles(self) -> int:
@@ -165,24 +158,20 @@ class RefreshConfig:
         return self.retention_cycles // self.rpv_phases
 
     @classmethod
-    def from_microseconds(
-        cls,
-        retention_us: float,
-        frequency_hz: float = DEFAULT_FREQUENCY_HZ,
-        **kwargs: Any,
-    ) -> "RefreshConfig":
+    def from_microseconds(cls, retention_us: float, **kwargs: Any) -> "RefreshConfig":
         """Build a refresh config from a retention period in microseconds.
 
-        The cycle count is rounded to a multiple of the phase count so the
-        polyphase windows divide it exactly.  A retention period that is
-        not positive is refused, not rounded up to one cycle per phase.
+        The cycle count (at :data:`DEFAULT_FREQUENCY_HZ`) is rounded to a
+        multiple of the phase count so the polyphase windows divide it
+        exactly.  A retention period that is not positive is refused, not
+        rounded up to one cycle per phase.
         """
         _require(
             retention_us > 0,
             f"retention must be positive, got {retention_us} us",
         )
         phases = kwargs.get("rpv_phases", cls.rpv_phases)
-        cycles = int(round(retention_us * 1e-6 * frequency_hz))
+        cycles = int(round(retention_us * 1e-6 * DEFAULT_FREQUENCY_HZ))
         cycles = max(phases, round(cycles / phases) * phases)
         return cls(retention_cycles=cycles, **kwargs)
 
@@ -193,8 +182,6 @@ class MemoryConfig:
 
     latency_cycles: int = 220
     bandwidth_bytes_per_sec: float = 10.0e9
-    frequency_hz: float = DEFAULT_FREQUENCY_HZ
-    line_bytes: int = LINE_SIZE_BYTES
 
     def __post_init__(self) -> None:
         _require(self.latency_cycles >= 0, "memory latency must be non-negative")
@@ -203,8 +190,8 @@ class MemoryConfig:
     @property
     def service_cycles(self) -> float:
         """Cycles the memory channel is occupied per line transfer."""
-        seconds = self.line_bytes / self.bandwidth_bytes_per_sec
-        return seconds * self.frequency_hz
+        seconds = LINE_SIZE_BYTES / self.bandwidth_bytes_per_sec
+        return seconds * DEFAULT_FREQUENCY_HZ
 
 
 @dataclass(frozen=True)
@@ -235,6 +222,9 @@ class EsteemConfig:
     nonlru_guard:
         Whether the non-LRU detection of Algorithm 1 (lines 4-13) is active.
         Disabling it is used by the ablation bench only.
+
+    Whether gated ways flush (the paper's scheme) or keep their data in a
+    drowsy state is the technique's choice: ``esteem`` or ``esteem-drowsy``.
     """
 
     alpha: float = 0.97
@@ -244,35 +234,9 @@ class EsteemConfig:
     interval_cycles: int = 10_000_000
     max_way_delta: int = 0
     nonlru_guard: bool = True
-    #: Way-gating mode: "off" discards gated ways' contents (the paper's
-    #: scheme); "drowsy" keeps data in a low-leakage retention state
-    #: (Morishita et al.'s power-down data-retention mode, the paper's
-    #: citation [32]) -- no flush on shrink, hits in drowsy ways pay a
-    #: wake-up penalty, drowsy lines leak a fraction and refresh at a
-    #: multiple of the retention period.
-    gating_mode: str = "off"
-    drowsy_leak_fraction: float = 0.25
-    drowsy_retention_multiplier: int = 4
-    drowsy_wakeup_cycles: float = 2.0
 
     def __post_init__(self) -> None:
         _require(0.0 < self.alpha <= 1.0, "alpha must be in (0, 1]")
-        _require(
-            self.gating_mode in ("off", "drowsy"),
-            "gating_mode must be 'off' or 'drowsy'",
-        )
-        _require(
-            0.0 < self.drowsy_leak_fraction < 1.0,
-            "drowsy leakage fraction must be in (0, 1)",
-        )
-        _require(
-            self.drowsy_retention_multiplier >= 1,
-            "drowsy retention multiplier must be at least 1",
-        )
-        _require(
-            self.drowsy_wakeup_cycles >= 0,
-            "drowsy wake-up penalty must be non-negative",
-        )
         _require(self.a_min >= 1, "a_min must be at least 1")
         _require(self.num_modules >= 1, "module count must be at least 1")
         _require(self.sampling_ratio >= 1, "sampling ratio must be at least 1")
@@ -308,11 +272,11 @@ class SimConfig:
     """Top-level simulated-system configuration.
 
     Combines the cache hierarchy, refresh machinery, main memory, and the
-    ESTEEM controller parameters, plus trace-scale knobs.
+    ESTEEM controller parameters, plus trace-scale knobs.  Cores run at
+    :data:`DEFAULT_FREQUENCY_HZ`; each core's base CPI comes from its trace.
     """
 
     num_cores: int = 1
-    frequency_hz: float = DEFAULT_FREQUENCY_HZ
     l2: CacheGeometry = field(
         default_factory=lambda: CacheGeometry(
             size_bytes=4 * 1024 * 1024, associativity=16, latency_cycles=12
@@ -321,15 +285,11 @@ class SimConfig:
     refresh: RefreshConfig = field(default_factory=RefreshConfig)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     esteem: EsteemConfig = field(default_factory=EsteemConfig)
-    #: Base cycles-per-instruction charged for non-memory work.
-    base_cpi: float = 1.0
     #: Instructions simulated per core (trace scale).
     instructions_per_core: int = 400_000_000
 
     def __post_init__(self) -> None:
         _require(self.num_cores in (1, 2), "the paper evaluates 1 and 2 cores")
-        _require(self.frequency_hz > 0, "frequency must be positive")
-        _require(self.base_cpi > 0, "base CPI must be positive")
         _require(self.instructions_per_core > 0, "instruction budget required")
         self.esteem.validate_for_cache(self.l2)
 
@@ -405,15 +365,14 @@ class SimConfig:
         return replace(self, l2=replace(self.l2, **overrides))
 
     def with_retention_us(self, retention_us: float) -> "SimConfig":
-        """Return a copy with a different retention period."""
-        refresh = RefreshConfig.from_microseconds(
-            retention_us,
-            self.frequency_hz,
-            num_banks=self.refresh.num_banks,
-            lines_per_refresh_burst=self.refresh.lines_per_refresh_burst,
-            rpv_phases=self.refresh.rpv_phases,
+        """Return a copy with a different retention period, every other
+        refresh field kept."""
+        cycles = RefreshConfig.from_microseconds(
+            retention_us, rpv_phases=self.refresh.rpv_phases
+        ).retention_cycles
+        return replace(
+            self, refresh=replace(self.refresh, retention_cycles=cycles)
         )
-        return replace(self, refresh=refresh)
 
     def describe(self) -> dict[str, Any]:
         """A flat dictionary of the headline parameters (for reports)."""
@@ -423,7 +382,9 @@ class SimConfig:
             "l2_ways": self.l2.associativity,
             "l2_sets": self.l2.num_sets,
             "retention_cycles": self.refresh.retention_cycles,
-            "retention_us": self.refresh.retention_cycles / self.frequency_hz * 1e6,
+            "retention_us": self.refresh.retention_cycles
+            / DEFAULT_FREQUENCY_HZ
+            * 1e6,
             "interval_cycles": self.esteem.interval_cycles,
             "alpha": self.esteem.alpha,
             "a_min": self.esteem.a_min,

@@ -39,7 +39,7 @@ class ATDProfiler:
 
         Marks the map's leader sets, which stay fully active forever, and
         touches no other set: the cache must come without leaders, as a
-        constructed cache with the default ``leader_every`` and a
+        constructed cache and a
         :meth:`~repro.cache.cache.SetAssociativeCache.from_image` clone do.
         """
         sets = self.cache.sets

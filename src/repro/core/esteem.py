@@ -31,11 +31,21 @@ from repro.obs.trace import (
     active_tracer,
 )
 
-__all__ = ["EsteemController", "IntervalDecision"]
+__all__ = ["DROWSY_LEAK_FRACTION", "EsteemController", "IntervalDecision"]
+
+#: Leakage of a drowsy (gated, data-retaining) line relative to an active
+#: one, in Morishita et al.'s power-down data-retention mode (the paper's
+#: citation [32]).
+DROWSY_LEAK_FRACTION = 0.25
 
 
 class EsteemController:
-    """Runs Algorithm 1 every interval and reconfigures the cache."""
+    """Runs Algorithm 1 every interval and reconfigures the cache.
+
+    ``drowsy`` selects the gating mode: off (the paper's scheme) discards
+    gated ways' contents; drowsy keeps them in a low-leakage retention
+    state -- no flush on shrink, and hits in drowsy ways pay a wake-up.
+    """
 
     def __init__(
         self,
@@ -43,6 +53,7 @@ class EsteemController:
         config: EsteemConfig,
         memory: MainMemory | None = None,
         tracer: Tracer | None = None,
+        drowsy: bool = False,
     ) -> None:
         config.validate_for_cache(cache.geometry)
         self.cache = cache
@@ -55,7 +66,7 @@ class EsteemController:
         )
         self.profiler = ATDProfiler(cache, self.module_map)
         self.reconfig = ReconfigurationController(
-            cache, self.module_map, drowsy=(config.gating_mode == "drowsy")
+            cache, self.module_map, drowsy=drowsy
         )
         #: Timeline of every interval decision (Figure 2 raw data).
         self.timeline: list[IntervalDecision] = []
@@ -166,19 +177,15 @@ class EsteemController:
         """Current effective F_A (leader sets included).
 
         In drowsy mode, gated-but-valid lines keep leaking at
-        ``drowsy_leak_fraction``, so the effective leakage fraction is
+        :data:`DROWSY_LEAK_FRACTION`, so the effective leakage fraction is
         ``active + leak_fraction * drowsy_valid``.
         """
         base = self.reconfig.active_fraction()
-        if self.config.gating_mode != "drowsy":
+        if not self.reconfig.drowsy:
             return base
         state = self.cache.state
         drowsy_valid = int((state.valid & ~state.active).sum())
-        extra = (
-            self.config.drowsy_leak_fraction
-            * drowsy_valid
-            / state.num_lines
-        )
+        extra = DROWSY_LEAK_FRACTION * drowsy_valid / state.num_lines
         return min(1.0, base + extra)
 
     def current_way_counts(self) -> tuple[int, ...]:

@@ -91,8 +91,3 @@ class ModuleMap:
     @property
     def num_leaders(self) -> int:
         return len(self._leaders)
-
-    @property
-    def followers_per_module(self) -> int:
-        """Follower-set count per module (uniform because R_s | sets/module)."""
-        return self.sets_per_module - self.sets_per_module // self.sampling_ratio

@@ -196,15 +196,7 @@ class ReconfigurationController:
 
     # ------------------------------------------------------------------
 
-    def active_line_count(self) -> int:
-        """Powered-on lines, counting leader sets as fully active."""
-        mm = self.module_map
-        a = self.cache.associativity
-        leaders_total = mm.num_leaders * a
-        followers = mm.followers_per_module
-        return leaders_total + sum(n * followers for n in self.current)
-
     def active_fraction(self) -> float:
-        """F_A including the always-on leader sets (Section 6.3)."""
-        total = self.cache.num_sets * self.cache.associativity
-        return self.active_line_count() / total
+        """F_A including the always-on leader sets (Section 6.3), read
+        from the line mask the refresh engine reads."""
+        return self.cache.state.active_fraction()

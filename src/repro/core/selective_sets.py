@@ -38,6 +38,10 @@ from repro.mem.dram import MainMemory
 
 __all__ = ["SelectiveSetsController", "SetDecision"]
 
+#: Smallest share of the sets the controller keeps on (rounded down to a
+#: power of two, at least one set).
+MIN_SET_FRACTION = 1.0 / 16.0
+
 
 @dataclass(frozen=True)
 class SetDecision:
@@ -62,10 +66,7 @@ class SelectiveSetsController:
         cache: SetAssociativeCache,
         config: EsteemConfig,
         memory: MainMemory | None = None,
-        min_set_fraction: float = 1.0 / 16.0,
     ) -> None:
-        if not 0.0 < min_set_fraction <= 1.0:
-            raise ValueError("min_set_fraction must be in (0, 1]")
         self.cache = cache
         self.config = config
         self.memory = memory
@@ -74,7 +75,7 @@ class SelectiveSetsController:
         self.module_map = ModuleMap(cache.num_sets, 1, config.sampling_ratio)
         self.profiler = ATDProfiler(cache, self.module_map)
         self.active_sets = cache.num_sets
-        self.min_sets = max(1, _floor_pow2(int(cache.num_sets * min_set_fraction)))
+        self.min_sets = max(1, _floor_pow2(int(cache.num_sets * MIN_SET_FRACTION)))
         self.timeline: list[SetDecision] = []
         self._interval_index = 0
         self._delta_transitions = 0

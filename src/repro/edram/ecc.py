@@ -7,7 +7,7 @@ Wilkerson et al.'s multi-bit ECC [45].  This engine models the idea so it
 can be compared against reconfiguration (ESTEEM) and scheduling (RPV)
 approaches:
 
-* Valid lines are refreshed only every ``extension_factor`` retention
+* Valid lines are refreshed only every ``ecc_extension_factor`` retention
   periods (refresh energy scales down by that factor).
 * Stretching a cell's time-between-refreshes makes weak cells drop bits.
   Per line and per (extended) refresh interval, the probability that more
@@ -19,7 +19,8 @@ approaches:
   bounds how far refresh can be stretched without write-through or
   scrubbing support.
 * ECC bits cost area and energy: SECDED on a 512-bit line adds ~2%
-  (``ecc_overhead``), charged on leakage and dynamic energy by the bench.
+  (:data:`ECC_OVERHEAD`), charged on L2 leakage and dynamic energy by the
+  simulated system.
 
 The per-bit failure model is deliberately simple (quadratic growth in the
 extension factor, calibrated so the energy/reliability crossover falls in
@@ -37,7 +38,18 @@ from repro.cache.cache import SetAssociativeCache
 from repro.config import LINE_SIZE_BYTES, RefreshConfig, TAG_BITS
 from repro.edram.refresh import RefreshEngine
 
-__all__ = ["EccExtendedRefresh", "uncorrectable_probability"]
+__all__ = [
+    "ECC_CORRECTABLE_BITS",
+    "ECC_OVERHEAD",
+    "EccExtendedRefresh",
+    "uncorrectable_probability",
+]
+
+#: Bit errors per line the code corrects (SECDED).
+ECC_CORRECTABLE_BITS = 1
+
+#: Share of L2 energy the ECC bits add (SECDED on a 512-bit line).
+ECC_OVERHEAD = 0.02
 
 #: Bits protected per line (data + tag).
 _LINE_BITS = LINE_SIZE_BYTES * 8 + TAG_BITS
@@ -47,7 +59,7 @@ _Q0 = 2.0e-6
 
 
 def uncorrectable_probability(
-    extension_factor: int, correctable_bits: int = 1
+    extension_factor: int, correctable_bits: int = ECC_CORRECTABLE_BITS
 ) -> float:
     """Probability a line accumulates more errors than ECC can correct.
 
@@ -73,7 +85,8 @@ def uncorrectable_probability(
 
 
 class EccExtendedRefresh(RefreshEngine):
-    """Refresh valid lines every ``extension_factor`` retention periods."""
+    """Refresh valid lines every ``config.ecc_extension_factor`` retention
+    periods."""
 
     name = "ecc-extended"
     #: Uncorrectable retention errors invalidate lines at boundaries,
@@ -86,25 +99,14 @@ class EccExtendedRefresh(RefreshEngine):
         state,
         config: RefreshConfig,
         cache: SetAssociativeCache,
-        extension_factor: int = 4,
-        correctable_bits: int = 1,
-        ecc_overhead: float = 0.02,
         seed: int = 0,
     ) -> None:
         if cache.state is not state:
             raise ValueError("cache and line state must belong together")
-        if extension_factor < 1:
-            raise ValueError("extension factor must be at least 1")
-        if not 0.0 <= ecc_overhead < 1.0:
-            raise ValueError("ECC overhead must be in [0, 1)")
-        # window_cycles depends on the factor; set it before the base init.
-        self.extension_factor = extension_factor
         super().__init__(state, config)
         self.cache = cache
-        self.correctable_bits = correctable_bits
-        self.ecc_overhead = ecc_overhead
         self.p_uncorrectable = uncorrectable_probability(
-            extension_factor, correctable_bits
+            config.ecc_extension_factor, ECC_CORRECTABLE_BITS
         )
         self._rng = np.random.default_rng(seed)
         #: Clean lines dropped due to uncorrectable errors.
@@ -114,7 +116,7 @@ class EccExtendedRefresh(RefreshEngine):
 
     @property
     def window_cycles(self) -> int:
-        return self.config.retention_cycles * self.extension_factor
+        return self.config.retention_cycles * self.config.ecc_extension_factor
 
     def _lines_to_refresh(self, boundary_cycle: int) -> int:
         state = self.state

@@ -31,6 +31,7 @@ from repro.edram.bank import BankedRefreshScheduler
 from repro.obs.trace import EVENT_REFRESH_BURST
 
 __all__ = [
+    "DROWSY_RETENTION_MULTIPLIER",
     "EsteemDrowsyRefresh",
     "EsteemValidActiveRefresh",
     "NoRefresh",
@@ -38,6 +39,10 @@ __all__ = [
     "PeriodicValidRefresh",
     "RefreshEngine",
 ]
+
+#: How much longer a drowsy line holds its data than an active one: the
+#: low-voltage retention state leaks its cells more slowly.
+DROWSY_RETENTION_MULTIPLIER = 4
 
 
 class RefreshEngine(ABC):
@@ -214,22 +219,17 @@ class EsteemDrowsyRefresh(EsteemValidActiveRefresh):
 
     In drowsy mode a gated way keeps its data in a low-voltage retention
     state (Morishita et al., the paper's [32]); the slower cell leakage
-    stretches the retention period by ``drowsy_retention_multiplier``, so
-    drowsy valid lines are refreshed only at every k-th retention boundary.
+    stretches the retention period by :data:`DROWSY_RETENTION_MULTIPLIER`,
+    so drowsy valid lines are refreshed only at every k-th retention
+    boundary.
     """
 
     name = "esteem-drowsy"
 
-    def __init__(self, state, config, retention_multiplier: int = 4) -> None:
-        super().__init__(state, config)
-        if retention_multiplier < 1:
-            raise ValueError("retention multiplier must be at least 1")
-        self.retention_multiplier = retention_multiplier
-
     def _lines_to_refresh(self, boundary_cycle: int) -> int:
         active = super()._lines_to_refresh(boundary_cycle)
         boundary_index = boundary_cycle // self.window_cycles
-        if boundary_index % self.retention_multiplier == 0:
+        if boundary_index % DROWSY_RETENTION_MULTIPLIER == 0:
             drowsy = int(
                 np.count_nonzero(self.state.valid & ~self.state.active)
             )

@@ -5,7 +5,7 @@ The paper's platform models main memory as a 220-cycle latency with
 (single-core) or 15 GB/s (dual-core) (Section 6.1).
 
 We model the memory channel as a single FIFO server: each line transfer
-occupies the channel for ``line_bytes / bandwidth`` seconds, arrivals queue
+occupies the channel for ``64 B / bandwidth`` seconds, arrivals queue
 behind it, and a demand read pays ``fixed latency + queueing delay``.
 Writebacks are *posted* -- they occupy channel bandwidth (and therefore
 delay later reads) but do not stall the issuing core, which matches the

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import SimConfig
+from repro.config import DEFAULT_FREQUENCY_HZ, SimConfig
 from repro.energy.params import EnergyParams
 from repro.tech.params import TechnologyParams
 from repro.timing.system import System, SystemResult
@@ -127,7 +127,7 @@ def evaluate_technology(
     lifetime = None
     if technology.write_endurance is not None:
         hottest = int(sysm.l2.write_counts.max())
-        seconds = result.total_cycles / config.frequency_hz
+        seconds = result.total_cycles / DEFAULT_FREQUENCY_HZ
         if hottest > 0 and seconds > 0:
             rate = hottest / seconds  # writes/s to the hottest line
             lifetime = technology.write_endurance / rate / _SECONDS_PER_YEAR

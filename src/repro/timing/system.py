@@ -26,7 +26,7 @@ from math import inf, nextafter
 import numpy as np
 
 from repro.cache.cache import SetAssociativeCache
-from repro.config import CacheGeometry, SimConfig
+from repro.config import DEFAULT_FREQUENCY_HZ, CacheGeometry, SimConfig
 from repro.core.esteem import EsteemController
 from repro.core.selective_sets import SelectiveSetsController
 from repro.edram.refresh import (
@@ -38,7 +38,7 @@ from repro.edram.refresh import (
     RefreshEngine,
 )
 from repro.edram.decay import CacheDecayRefresh
-from repro.edram.ecc import EccExtendedRefresh
+from repro.edram.ecc import ECC_CORRECTABLE_BITS, ECC_OVERHEAD, EccExtendedRefresh
 from repro.edram.rpd import RefrintPolyphaseDirty
 from repro.edram.rpv import RefrintPolyphaseValid
 from repro.energy.model import EnergyAccumulator, IntervalEnergyInputs
@@ -67,6 +67,9 @@ __all__ = ["SIM_ENGINE_VERSION", "System", "SystemResult", "TECHNIQUES"]
 #: Per-core address-space offset bit (keeps multiprogrammed address spaces
 #: disjoint without disturbing set indexing).
 _CORE_OFFSET_SHIFT = 40
+
+#: Cycles a hit pays to wake a drowsy way (``esteem-drowsy``).
+DROWSY_WAKEUP_CYCLES = 2.0
 
 #: Warm-L2 images keyed by (sets, ways, phases, prefill target).  For the
 #: 4 MB L2 a build costs ~0.3 ms and a clone ~2 ms, and a sweep constructs
@@ -161,8 +164,6 @@ class System:
             raise ValueError(
                 f"need {config.num_cores} traces, got {len(traces)}"
             )
-        if technique == "esteem-drowsy" and config.esteem.gating_mode != "drowsy":
-            config = config.with_esteem(gating_mode="drowsy")
         self.config = config
         self.technique = technique
         self.traces = traces
@@ -209,11 +210,7 @@ class System:
                 config.refresh,
                 self.workload,
                 technique,
-                correctable_bits=(
-                    config.refresh.ecc_correctable_bits
-                    if technique == "ecc"
-                    else 0
-                ),
+                correctable_bits=ECC_CORRECTABLE_BITS if technique == "ecc" else 0,
                 tracer=self.tracer,
                 metrics=self.metrics,
             )
@@ -223,7 +220,11 @@ class System:
         self.esteem: EsteemController | SelectiveSetsController | None = None
         if technique in ("esteem", "esteem-drowsy"):
             self.esteem = EsteemController(
-                self.l2, config.esteem, self.memory, tracer=self.tracer
+                self.l2,
+                config.esteem,
+                self.memory,
+                tracer=self.tracer,
+                drowsy=(technique == "esteem-drowsy"),
             )
         elif technique == "selective-sets":
             self.esteem = SelectiveSetsController(
@@ -235,7 +236,7 @@ class System:
         if technique == "ecc":
             # ECC bits cost area: charge them on L2 leakage and dynamic
             # energy (SECDED on a 512-bit line is ~2%).
-            overhead = 1.0 + config.refresh.ecc_overhead
+            overhead = 1.0 + ECC_OVERHEAD
             params = EnergyParams(
                 l2_dynamic_j=params.l2_dynamic_j * overhead,
                 l2_leakage_w=params.l2_leakage_w * overhead,
@@ -258,24 +259,13 @@ class System:
         if self.technique == "decay":
             return CacheDecayRefresh(state, refresh_cfg, self.l2)
         if self.technique == "ecc":
-            return EccExtendedRefresh(
-                state,
-                refresh_cfg,
-                self.l2,
-                extension_factor=refresh_cfg.ecc_extension_factor,
-                correctable_bits=refresh_cfg.ecc_correctable_bits,
-                ecc_overhead=refresh_cfg.ecc_overhead,
-            )
+            return EccExtendedRefresh(state, refresh_cfg, self.l2)
         if self.technique == "periodic-valid":
             return PeriodicValidRefresh(state, refresh_cfg)
         if self.technique == "no-refresh":
             return NoRefresh(state, refresh_cfg)
         if self.technique == "esteem-drowsy":
-            return EsteemDrowsyRefresh(
-                state,
-                refresh_cfg,
-                self.config.esteem.drowsy_retention_multiplier,
-            )
+            return EsteemDrowsyRefresh(state, refresh_cfg)
         # "esteem" and "selective-sets" refresh valid lines in the powered
         # portion only.
         return EsteemValidActiveRefresh(state, refresh_cfg)
@@ -433,7 +423,7 @@ class System:
         phase_cycles = engine.phase_cycles
         interval_cycles = cfg.esteem.interval_cycles
         l2_latency = cfg.l2.latency_cycles
-        drowsy_wakeup = cfg.esteem.drowsy_wakeup_cycles
+        drowsy_wakeup = DROWSY_WAKEUP_CYCLES
         # Cache internals (shared with access(); see cache.py hot path).
         sets = l2.sets
         a = l2.associativity
@@ -489,7 +479,7 @@ class System:
         # In drowsy gating mode lines survive in gated ways, so the
         # "every enabled way is resident" victim fast path below would
         # miscount residency from ``len(tag_map)``.
-        drowsy_mode = cfg.esteem.gating_mode == "drowsy"
+        drowsy_mode = l2.gated_ways_retain_data
 
         # --- batch-kernel eligibility, decided once per run -------------
         # The kernel precomputes hit/miss/victim/position for the rest of
@@ -1022,7 +1012,7 @@ class System:
         latency = self.config.l2.latency_cycles + self.engine.current_stall
         if l2.drowsy_flag:
             # Waking a drowsy way costs a couple of cycles.
-            latency += self.config.esteem.drowsy_wakeup_cycles
+            latency += DROWSY_WAKEUP_CYCLES
             l2.drowsy_flag = False
         if wb >= 0:
             self.memory.write(now)
@@ -1073,7 +1063,7 @@ class System:
         if deltas.cycles <= 0 and deltas.l2_hits == 0 and deltas.l2_misses == 0:
             return
         inputs = IntervalEnergyInputs(
-            seconds=deltas.cycles / self.config.frequency_hz,
+            seconds=deltas.cycles / DEFAULT_FREQUENCY_HZ,
             l2_hits=deltas.l2_hits,
             l2_misses=deltas.l2_misses,
             refreshes=deltas.refreshes,

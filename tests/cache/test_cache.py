@@ -4,6 +4,8 @@ import pytest
 
 from repro.cache.cache import SetAssociativeCache
 from repro.config import CacheGeometry
+from repro.core.atd import ATDProfiler
+from repro.core.modules import ModuleMap
 
 
 @pytest.fixture
@@ -217,10 +219,9 @@ class TestProbes:
 
 class TestLeaderProfilingHook:
     def test_leader_hits_recorded_per_module(self, tiny_geometry):
-        cache = SetAssociativeCache(tiny_geometry, leader_every=8)
-        hist = [[0] * 4 for _ in range(2)]
-        cache.profile_hist = hist
-        cache.module_of_set = [0] * 32 + [1] * 32
+        cache = SetAssociativeCache(tiny_geometry)
+        # Leaders every 8th set, two modules of 32 sets.
+        hist = ATDProfiler(cache, ModuleMap(64, 2, 8)).hist
         leader_addr = cache.line_addr(8, 5)  # set 8 is a leader, module 0
         cache.access(leader_addr, False)
         cache.access(leader_addr, False)
@@ -231,7 +232,8 @@ class TestLeaderProfilingHook:
         assert sum(map(sum, hist)) == 1  # follower hit not recorded
 
     def test_no_hook_no_crash(self, tiny_geometry):
-        cache = SetAssociativeCache(tiny_geometry, leader_every=8)
+        cache = SetAssociativeCache(tiny_geometry)
+        cache.sets[8].is_leader = True
         a = cache.line_addr(8, 3)
         cache.access(a, False)
         cache.access(a, False)  # leader hit without hook installed

@@ -132,21 +132,13 @@ class TestDrowsyRefresh:
             retention_cycles=1_000, num_banks=4,
             lines_per_refresh_burst=16, rpv_phases=4,
         )
-        eng = EsteemDrowsyRefresh(state, cfg, retention_multiplier=4)
+        eng = EsteemDrowsyRefresh(state, cfg)  # drowsy lines: every 4th
         eng.advance_to(1_000)  # boundary 1: active only
         assert eng.total_refreshes == 32
         eng.advance_to(3_000)  # boundaries 2, 3: active only
         assert eng.total_refreshes == 32 * 3
         eng.advance_to(4_000)  # boundary 4: active + drowsy
         assert eng.total_refreshes == 32 * 4 + 32
-
-    def test_multiplier_validated(self):
-        from repro.cache.block import LineState
-
-        state = LineState(num_sets=4, associativity=4)
-        cfg = RefreshConfig(retention_cycles=1_000)
-        with pytest.raises(ValueError):
-            EsteemDrowsyRefresh(state, cfg, retention_multiplier=0)
 
 
 class TestDrowsyEndToEnd:
@@ -181,7 +173,8 @@ class TestDrowsyEndToEnd:
         drowsy = System(small_sim_config, [trace], "esteem-drowsy").run()
         assert drowsy.refreshes >= off.refreshes
 
-    def test_config_override_applied(self, small_sim_config, trace):
-        sysm = System(small_sim_config, [trace], "esteem-drowsy")
-        assert sysm.config.esteem.gating_mode == "drowsy"
-        assert sysm.esteem.reconfig.drowsy
+    def test_technique_selects_gating(self, small_sim_config, trace):
+        for technique, drowsy in (("esteem", False), ("esteem-drowsy", True)):
+            sysm = System(small_sim_config, [trace], technique)
+            assert sysm.esteem.reconfig.drowsy is drowsy
+            assert sysm.l2.gated_ways_retain_data is drowsy

@@ -64,8 +64,7 @@ class TestLeaders:
             assert len(leaders) + len(followers) == mm.sets_per_module
 
     def test_followers_per_module(self, mm):
-        assert mm.followers_per_module == 28
-        assert len(mm.followers_in(2)) == 28
+        assert [len(mm.followers_in(m)) for m in range(4)] == [28] * 4
 
 
 class TestPaperGeometries:

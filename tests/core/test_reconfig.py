@@ -40,13 +40,13 @@ class TestShrink:
         fill_module(cache, mm, 0, dirty=False)
         stats = ctl.apply([2, 4, 4, 4])
         assert stats.writebacks == []
-        assert stats.clean_discards == 2 * mm.followers_per_module
+        assert stats.clean_discards == 2 * len(mm.followers_in(0))
         assert stats.modules_changed == 1
 
     def test_dirty_lines_written_back(self, cache, mm, ctl):
         fill_module(cache, mm, 0, dirty=True)
         stats = ctl.apply([3, 4, 4, 4])
-        assert len(stats.writebacks) == mm.followers_per_module
+        assert len(stats.writebacks) == len(mm.followers_in(0))
         # Every writeback address maps back into module 0's follower sets.
         for addr in stats.writebacks:
             s = cache.set_index(addr)
@@ -70,7 +70,7 @@ class TestShrink:
 
     def test_transition_count(self, cache, mm, ctl):
         stats = ctl.apply([1, 4, 4, 4])
-        assert stats.transitions == 3 * mm.followers_per_module
+        assert stats.transitions == 3 * len(mm.followers_in(0))
 
     def test_active_mask_updated(self, cache, mm, ctl):
         ctl.apply([1, 4, 4, 4])
@@ -89,7 +89,7 @@ class TestGrow:
         stats = ctl.apply([4, 4, 4, 4])
         assert stats.writebacks == []
         assert stats.clean_discards == 0
-        assert stats.transitions == 3 * mm.followers_per_module
+        assert stats.transitions == 3 * len(mm.followers_in(0))
 
     def test_grown_ways_usable(self, cache, mm, ctl):
         ctl.apply([1, 4, 4, 4])
@@ -113,9 +113,23 @@ class TestAccounting:
         expected = (8 * 4 + 56 * 1) / (64 * 4)
         assert ctl.active_fraction() == pytest.approx(expected)
 
-    def test_active_line_count_matches_mask(self, cache, mm, ctl):
+    def test_active_fraction_matches_mask(self, cache, mm, ctl):
         ctl.apply([2, 1, 4, 3])
-        assert ctl.active_line_count() == int(cache.state.active.sum())
+        assert ctl.active_fraction() == cache.state.active.mean()
+
+    def test_active_fraction_when_rs_does_not_divide_module(self):
+        # 4 MB L2: 512 sets per module, R_s = 3 leaves modules with 170
+        # or 171 leaders.  F_A is the powered share of the line mask.
+        cache = SetAssociativeCache(
+            CacheGeometry(size_bytes=4 * 1024 * 1024, associativity=16)
+        )
+        mm = ModuleMap(4096, 8, 3)
+        ctl = ReconfigurationController(cache, mm)
+        assert ctl.active_fraction() == 1.0
+        ctl.apply([4] * 8)
+        leaders = -(-4096 // 3)
+        expected = (leaders * 16 + (4096 - leaders) * 4) / (4096 * 16)
+        assert ctl.active_fraction() == expected == cache.state.active.mean()
 
     def test_invalid_decision_rejected(self, cache, mm, ctl):
         with pytest.raises(ValueError):

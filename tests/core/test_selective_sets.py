@@ -5,6 +5,7 @@ import pytest
 from repro.cache.cache import SetAssociativeCache
 from repro.config import CacheGeometry, EsteemConfig, MemoryConfig
 from repro.core.selective_sets import (
+    MIN_SET_FRACTION,
     SelectiveSetsController,
     _ceil_pow2,
     _floor_pow2,
@@ -77,17 +78,17 @@ class TestDecision:
         # 3/4 of 64 sets = 48 -> rounds up to 64 (full size).
         assert record.active_sets == 64
 
-    def test_min_fraction_floor(self, cache, config, memory):
-        ctl = SelectiveSetsController(
-            cache, config, memory, min_set_fraction=0.5
+    def test_min_fraction_floor(self, config, memory):
+        # 32 ways: one way covers the hits, i.e. 2 of 64 sets, below the
+        # 1/16 floor of 4 sets.
+        cache = SetAssociativeCache(
+            CacheGeometry(size_bytes=64 * 64 * 32, associativity=32)
         )
+        ctl = SelectiveSetsController(cache, config, memory)
         drive_mru_traffic(cache)
         record = ctl.on_interval_end(1_000)
-        assert record.active_sets >= 32
-
-    def test_invalid_min_fraction(self, cache, config, memory):
-        with pytest.raises(ValueError):
-            SelectiveSetsController(cache, config, memory, min_set_fraction=0.0)
+        assert record.target_ways == 1
+        assert record.active_sets == 64 * MIN_SET_FRACTION == 4
 
 
 class TestReconfigurationFlush:

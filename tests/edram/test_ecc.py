@@ -1,5 +1,7 @@
 """Unit tests for ECC-extended refresh."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cache.cache import SetAssociativeCache
@@ -48,11 +50,11 @@ class TestEngine:
         cache.state.valid[:] = True
         base = PeriodicValidRefresh(cache.state, cfg)
         ecc = EccExtendedRefresh(
-            cache.state, cfg, cache, extension_factor=4, correctable_bits=8
+            cache.state, replace(cfg, ecc_extension_factor=4), cache
         )
         base.advance_to(20_000)
         ecc.advance_to(20_000)
-        # Strong ECC -> ~no failures -> exactly 1/4 the refreshes.
+        # SECDED at k=4 -> ~no failures -> 1/4 the refreshes.
         assert ecc.total_refreshes * 4 == pytest.approx(
             base.total_refreshes, rel=0.05
         )
@@ -62,7 +64,7 @@ class TestEngine:
             for t in range(1, 5):
                 cache.access(cache.line_addr(s, t), False, window=0)
         ecc = EccExtendedRefresh(
-            cache.state, cfg, cache, extension_factor=16, seed=1
+            cache.state, replace(cfg, ecc_extension_factor=16), cache, seed=1
         )
         # Force a high failure probability for the test.
         ecc.p_uncorrectable = 0.5
@@ -77,7 +79,7 @@ class TestEngine:
         for s in range(16):
             cache.access(cache.line_addr(s, 1), True, window=0)  # dirty
         ecc = EccExtendedRefresh(
-            cache.state, cfg, cache, extension_factor=16, seed=1
+            cache.state, replace(cfg, ecc_extension_factor=16), cache, seed=1
         )
         ecc.p_uncorrectable = 1.0
         ecc.advance_to(16_000)
@@ -90,7 +92,9 @@ class TestEngine:
             for s in range(16):
                 for t in range(1, 5):
                     c.access(c.line_addr(s, t), False, window=0)
-            e = EccExtendedRefresh(c.state, cfg, c, extension_factor=16, seed=seed)
+            e = EccExtendedRefresh(
+                c.state, replace(cfg, ecc_extension_factor=16), c, seed=seed
+            )
             e.p_uncorrectable = 0.3
             e.advance_to(32_000)
             return e.corruption_invalidations
@@ -98,10 +102,8 @@ class TestEngine:
         assert run(7) == run(7)
 
     def test_validation(self, cache, cfg):
-        with pytest.raises(ValueError):
-            EccExtendedRefresh(cache.state, cfg, cache, extension_factor=0)
+        with pytest.raises(ValueError, match="ECC extension"):
+            replace(cfg, ecc_extension_factor=0)
         other = SetAssociativeCache(cache.geometry)
         with pytest.raises(ValueError):
             EccExtendedRefresh(other.state, cfg, cache)
-        with pytest.raises(ValueError):
-            EccExtendedRefresh(cache.state, cfg, cache, ecc_overhead=1.5)

@@ -1,5 +1,7 @@
 """Contract tests every refresh engine must satisfy."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cache.cache import SetAssociativeCache
@@ -34,12 +36,14 @@ def make_engine(name):
         "baseline": lambda: PeriodicAllRefresh(state, CFG),
         "periodic-valid": lambda: PeriodicValidRefresh(state, CFG),
         "esteem": lambda: EsteemValidActiveRefresh(state, CFG),
-        "esteem-drowsy": lambda: EsteemDrowsyRefresh(state, CFG, 4),
+        "esteem-drowsy": lambda: EsteemDrowsyRefresh(state, CFG),
         "no-refresh": lambda: NoRefresh(state, CFG),
         "rpv": lambda: RefrintPolyphaseValid(state, CFG),
         "rpd": lambda: RefrintPolyphaseDirty(state, CFG, cache),
         "decay": lambda: CacheDecayRefresh(state, CFG, cache, decay_windows=8),
-        "ecc": lambda: EccExtendedRefresh(state, CFG, cache, extension_factor=2),
+        "ecc": lambda: EccExtendedRefresh(
+            state, replace(CFG, ecc_extension_factor=2), cache
+        ),
     }
     return cache, builders[name]()
 

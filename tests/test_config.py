@@ -151,6 +151,16 @@ class TestSimConfig:
         # other refresh knobs preserved
         assert cfg.refresh.num_banks == 4
 
+    def test_with_retention_us_keeps_every_other_refresh_field(self):
+        refresh = RefreshConfig(
+            num_banks=2, lines_per_refresh_burst=64, rpv_phases=8,
+            ecc_extension_factor=2,
+        )
+        cfg = dataclasses.replace(SimConfig.scaled(), refresh=refresh)
+        assert cfg.with_retention_us(40.0).refresh == dataclasses.replace(
+            refresh, retention_cycles=80_000
+        )
+
     def test_invalid_combination_rejected_at_construction(self):
         with pytest.raises(ValueError):
             SimConfig(
@@ -176,3 +186,26 @@ class TestConfigFields:
         assert flat["esteem.alpha"] == 0.97
         assert flat["l2.associativity"] == 16
         assert flat["refresh.retention_cycles"] == 100_000
+        # Every settable value keys the result cache and the manifests:
+        # a new field is a decision, not a side effect.
+        assert sorted(config_fields(SimConfig())) == [
+            "esteem.a_min",
+            "esteem.alpha",
+            "esteem.interval_cycles",
+            "esteem.max_way_delta",
+            "esteem.nonlru_guard",
+            "esteem.num_modules",
+            "esteem.sampling_ratio",
+            "instructions_per_core",
+            "l2.associativity",
+            "l2.latency_cycles",
+            "l2.size_bytes",
+            "memory.bandwidth_bytes_per_sec",
+            "memory.latency_cycles",
+            "num_cores",
+            "refresh.ecc_extension_factor",
+            "refresh.lines_per_refresh_burst",
+            "refresh.num_banks",
+            "refresh.retention_cycles",
+            "refresh.rpv_phases",
+        ]
