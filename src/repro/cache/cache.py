@@ -269,7 +269,7 @@ class SetAssociativeCache:
         return tag, was_dirty
 
     def invalidate_all(self) -> None:
-        """Drop every line (no writebacks; test helper)."""
+        """Drop every line (no writebacks)."""
         for cset in self.sets:
             for way in range(self.associativity):
                 cset.tags[way] = None

@@ -114,6 +114,15 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     _add_esteem_args(parser)
 
 
+def _add_techniques(parser: argparse.ArgumentParser) -> None:
+    """``-t``, for ``run`` and ``sweep``: each use adds techniques.  The
+    default is filled in after parsing, as argparse extends a default
+    list instead of replacing it."""
+    parser.add_argument("-t", "--technique", action="extend", nargs="+",
+                        default=None, choices=TECHNIQUES,
+                        help="techniques to run (default: esteem rpv)")
+
+
 def _add_quiet(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="suppress stderr progress output")
@@ -691,10 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run techniques on one workload")
     run.add_argument("-w", "--workload", required=True,
                      help="benchmark name/acronym, or mix acronym with --cores 2")
-    run.add_argument(
-        "-t", "--technique", nargs="+", default=["esteem", "rpv"],
-        choices=[t for t in TECHNIQUES],
-    )
+    _add_techniques(run)
     _add_machine_args(run)
     run.set_defaults(handler=_cmd_run)
 
@@ -760,10 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="resilient multi-workload sweep with timeouts, retries and a "
              "result cache",
     )
-    swp.add_argument(
-        "-t", "--technique", nargs="+", default=["esteem", "rpv"],
-        choices=[t for t in TECHNIQUES],
-    )
+    _add_techniques(swp)
     swp.add_argument("--timeout", type=_positive_float, default=None,
                      help="per-attempt wall-clock timeout in seconds "
                           "(hung workers are terminated and retried)")
@@ -831,6 +834,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     from repro.obs.profile import Profiler
 
     args = build_parser().parse_args(argv)
+    if getattr(args, "technique", "") is None:
+        args.technique = ["esteem", "rpv"]
     # One profiler per command; ``--profile`` enables it and prints its
     # spans once the command returns.
     args.profiler = Profiler(enabled=getattr(args, "profile", False))

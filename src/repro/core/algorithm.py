@@ -43,11 +43,20 @@ class AlgorithmDecision:
 
 @dataclass(frozen=True)
 class IntervalDecision:
-    """Record of one interval's reconfiguration (drives Figure 2)."""
+    """Record of one interval's reconfiguration (drives Figure 2).
+
+    Both interval controllers write it: ESTEEM (selective-ways) and the
+    selective-sets alternative.  ``transitions`` is the interval's N_L,
+    which the owning system charges to the closing interval's energy.
+    """
 
     interval_index: int
     cycle: int
+    #: ESTEEM: the ways each module keeps on.  Selective-sets: a single
+    #: entry, Algorithm 1's way count for its one module, which the
+    #: controller rounds to a power-of-two set count (``active_fraction``).
     n_active_way: tuple[int, ...]
+    #: Algorithm 1's non-LRU flag per module.
     non_lru: tuple[bool, ...]
     active_fraction: float
     transitions: int

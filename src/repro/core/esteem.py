@@ -77,8 +77,6 @@ class EsteemController:
         #: timeline in ``repro trace`` output.
         self.fault_injector = None
         self._interval_index = 0
-        self._delta_transitions = 0
-        self._delta_flush_writebacks = 0
 
     # ------------------------------------------------------------------
 
@@ -106,8 +104,6 @@ class EsteemController:
                     wanted[m] = lo
 
         stats: ReconfigStats = self.reconfig.apply(wanted, window)
-        self._delta_transitions += stats.transitions
-        self._delta_flush_writebacks += len(stats.writebacks)
         if self.memory is not None:
             for _addr in stats.writebacks:
                 self.memory.write(now_cycle)
@@ -159,19 +155,6 @@ class EsteemController:
         return record
 
     # ------------------------------------------------------------------
-    # Interval accounting for the energy model
-    # ------------------------------------------------------------------
-
-    def take_transition_delta(self) -> int:
-        """N_L since the last call."""
-        delta = self._delta_transitions
-        self._delta_transitions = 0
-        return delta
-
-    def take_flush_writeback_delta(self) -> int:
-        delta = self._delta_flush_writebacks
-        self._delta_flush_writebacks = 0
-        return delta
 
     def active_fraction(self) -> float:
         """Current effective F_A (leader sets included).
@@ -187,6 +170,3 @@ class EsteemController:
         drowsy_valid = int((state.valid & ~state.active).sum())
         extra = DROWSY_LEAK_FRACTION * drowsy_valid / state.num_lines
         return min(1.0, base + extra)
-
-    def current_way_counts(self) -> tuple[int, ...]:
-        return tuple(self.reconfig.current)

@@ -25,37 +25,20 @@ drive either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.cache.cache import SetAssociativeCache
 from repro.config import EsteemConfig
-from repro.core.algorithm import esteem_decide
+from repro.core.algorithm import IntervalDecision, esteem_decide
 from repro.core.atd import ATDProfiler
 from repro.core.modules import ModuleMap
 from repro.mem.dram import MainMemory
 
-__all__ = ["SelectiveSetsController", "SetDecision"]
+__all__ = ["SelectiveSetsController"]
 
 #: Smallest share of the sets the controller keeps on (rounded down to a
 #: power of two, at least one set).
 MIN_SET_FRACTION = 1.0 / 16.0
-
-
-@dataclass(frozen=True)
-class SetDecision:
-    """One interval's selective-sets decision (timeline record)."""
-
-    interval_index: int
-    cycle: int
-    active_sets: int
-    active_fraction: float
-    transitions: int
-    flush_writebacks: int
-    clean_discards: int
-    #: Equivalent way-capacity target Algorithm 1 asked for (diagnostics).
-    target_ways: int
 
 
 class SelectiveSetsController:
@@ -76,15 +59,12 @@ class SelectiveSetsController:
         self.profiler = ATDProfiler(cache, self.module_map)
         self.active_sets = cache.num_sets
         self.min_sets = max(1, _floor_pow2(int(cache.num_sets * MIN_SET_FRACTION)))
-        self.timeline: list[SetDecision] = []
+        self.timeline: list[IntervalDecision] = []
         self._interval_index = 0
-        self._delta_transitions = 0
-        self._delta_flush_writebacks = 0
-        self.total_reconfigurations = 0
 
     # ------------------------------------------------------------------
 
-    def on_interval_end(self, now_cycle: int, window: int = 0) -> SetDecision:
+    def on_interval_end(self, now_cycle: int, window: int = 0) -> IntervalDecision:
         """Pick a power-of-two set count covering the alpha hit target."""
         cfg = self.config
         decision = esteem_decide(
@@ -108,21 +88,18 @@ class SelectiveSetsController:
             writebacks, discards = self._flush_all()
             transitions = abs(wanted_sets - self.active_sets) * self.cache.associativity
             self._apply_set_count(wanted_sets)
-            self.total_reconfigurations += 1
             if self.memory is not None and writebacks:
                 self.memory.write_many(now_cycle, writebacks)
-        self._delta_transitions += transitions
-        self._delta_flush_writebacks += writebacks
 
-        record = SetDecision(
+        record = IntervalDecision(
             interval_index=self._interval_index,
             cycle=now_cycle,
-            active_sets=self.active_sets,
+            n_active_way=(target_ways,),
+            non_lru=decision.non_lru,
             active_fraction=self.active_fraction(),
             transitions=transitions,
             flush_writebacks=writebacks,
             clean_discards=discards,
-            target_ways=target_ways,
         )
         self.timeline.append(record)
         self._interval_index += 1
@@ -137,18 +114,10 @@ class SelectiveSetsController:
         A set-count change redefines every line's index mapping (the
         paper's set-decoding objection), so nothing can stay resident.
         """
-        cache = self.cache
-        state = cache.state
+        state = self.cache.state
         dirty = int(np.count_nonzero(state.valid & state.dirty))
         clean = int(np.count_nonzero(state.valid & ~state.dirty))
-        for cset in cache.sets:
-            tags = cset.tags
-            for way in range(len(tags)):
-                tags[way] = None
-            cset.tag_map.clear()
-        state.valid[:] = False
-        state.dirty[:] = False
-        state.last_window[:] = -1
+        self.cache.invalidate_all()
         return dirty, clean
 
     def _apply_set_count(self, wanted_sets: int) -> None:
@@ -159,20 +128,6 @@ class SelectiveSetsController:
         state.active[: wanted_sets * a] = True
         state.active[wanted_sets * a :] = False
         self.active_sets = wanted_sets
-
-    # ------------------------------------------------------------------
-    # EsteemController-compatible accounting interface
-    # ------------------------------------------------------------------
-
-    def take_transition_delta(self) -> int:
-        delta = self._delta_transitions
-        self._delta_transitions = 0
-        return delta
-
-    def take_flush_writeback_delta(self) -> int:
-        delta = self._delta_flush_writebacks
-        self._delta_flush_writebacks = 0
-        return delta
 
     def active_fraction(self) -> float:
         return self.active_sets / self.cache.num_sets

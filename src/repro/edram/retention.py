@@ -17,13 +17,10 @@ from __future__ import annotations
 
 import math
 
-from repro.config import DEFAULT_FREQUENCY_HZ
-
 __all__ = [
     "RETENTION_AT_60C_US",
     "RETENTION_AT_105C_US",
     "TEMPERATURE_COEFFICIENT",
-    "retention_cycles",
     "retention_us",
     "temperature_for_retention_us",
 ]
@@ -51,13 +48,6 @@ def retention_us(temperature_c: float) -> float:
     return RETENTION_AT_60C_US * math.exp(
         -TEMPERATURE_COEFFICIENT * (temperature_c - 60.0)
     )
-
-
-def retention_cycles(
-    temperature_c: float, frequency_hz: float = DEFAULT_FREQUENCY_HZ
-) -> int:
-    """Retention period in core cycles at the given temperature."""
-    return int(round(retention_us(temperature_c) * 1e-6 * frequency_hz))
 
 
 def temperature_for_retention_us(target_us: float) -> float:

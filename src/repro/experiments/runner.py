@@ -15,7 +15,9 @@ simulates, so decoding cached results loads neither.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import (
+    TYPE_CHECKING, Any, Iterable, Mapping, get_origin, get_type_hints,
+)
 
 from repro.config import SimConfig
 from repro.core.algorithm import IntervalDecision
@@ -185,60 +187,43 @@ def technique_rollup(
 # Python's json module prints floats with repr (shortest round-trip
 # representation), so a serialised and re-loaded comparison is
 # *bit-for-bit* equal to the original -- a unit served from the cache is
-# exactly equivalent to running it again.  Tuples inside IntervalDecision
-# become JSON lists and are restored on load.
+# exactly equivalent to running it again.  Every nested record (cores,
+# energy, the interval controller's timeline) is walked field by field;
+# the timeline's tuple fields become JSON lists and are restored on load.
 # ----------------------------------------------------------------------
+
+#: IntervalDecision fields typed as tuples, resolved once per process.
+_DECISION_TUPLES = tuple(
+    name
+    for name, hint in get_type_hints(IntervalDecision).items()
+    if get_origin(hint) is tuple
+)
+
+
+def _fields_to_dict(record: Any) -> dict[str, Any]:
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def _system_result_to_dict(r: "SystemResult") -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for f in fields(r):
-        value = getattr(r, f.name)
-        if f.name == "cores":
-            value = [
-                {fld.name: getattr(c, fld.name) for fld in fields(CoreResult)}
-                for c in r.cores
-            ]
-        elif f.name == "energy":
-            value = {
-                fld.name: getattr(value, fld.name)
-                for fld in fields(EnergyBreakdown)
-            }
-        elif f.name == "timeline":
-            value = [
-                {
-                    "interval_index": d.interval_index,
-                    "cycle": d.cycle,
-                    "n_active_way": list(d.n_active_way),
-                    "non_lru": list(d.non_lru),
-                    "active_fraction": d.active_fraction,
-                    "transitions": d.transitions,
-                    "flush_writebacks": d.flush_writebacks,
-                    "clean_discards": d.clean_discards,
-                }
-                for d in value
-            ]
-        out[f.name] = value
+    out = _fields_to_dict(r)
+    out["cores"] = [_fields_to_dict(c) for c in r.cores]
+    out["energy"] = _fields_to_dict(r.energy)
+    out["timeline"] = [_fields_to_dict(d) for d in r.timeline]
     return out
+
+
+def _decision_from_dict(raw: Mapping[str, Any]) -> IntervalDecision:
+    kwargs = dict(raw)
+    for name in _DECISION_TUPLES:
+        kwargs[name] = tuple(kwargs[name])
+    return IntervalDecision(**kwargs)
 
 
 def _system_result_from_dict(raw: Mapping[str, Any]) -> "SystemResult":
     kwargs = dict(raw)
     kwargs["cores"] = [CoreResult(**c) for c in raw["cores"]]
     kwargs["energy"] = EnergyBreakdown(**raw["energy"])
-    kwargs["timeline"] = [
-        IntervalDecision(
-            interval_index=d["interval_index"],
-            cycle=d["cycle"],
-            n_active_way=tuple(d["n_active_way"]),
-            non_lru=tuple(d["non_lru"]),
-            active_fraction=d["active_fraction"],
-            transitions=d["transitions"],
-            flush_writebacks=d["flush_writebacks"],
-            clean_discards=d["clean_discards"],
-        )
-        for d in raw.get("timeline", [])
-    ]
+    kwargs["timeline"] = [_decision_from_dict(d) for d in raw.get("timeline", [])]
     return SystemResult(**kwargs)
 
 

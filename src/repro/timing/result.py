@@ -80,7 +80,8 @@ class SystemResult:
     energy: EnergyBreakdown
     mean_active_fraction: float
     intervals: int
-    #: ESTEEM reconfiguration records (empty for other techniques).
+    #: Interval-controller records: ESTEEM and selective-sets (empty for
+    #: other techniques).
     timeline: list[IntervalDecision] = field(default_factory=list)
     transitions: int = 0
     flush_writebacks: int = 0

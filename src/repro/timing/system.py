@@ -1036,9 +1036,9 @@ class System:
         """Account energy for the interval ending at ``boundary_cycle``.
 
         Order matters: the active fraction that held *during* the closing
-        interval is captured first, then (for ESTEEM, at real boundaries)
-        Algorithm 1 runs and reconfigures -- its flush writebacks and block
-        transitions are charged to the closing interval.
+        interval is captured first, then (at real boundaries) the interval
+        controller decides and reconfigures -- the block transitions its
+        record reports are charged to the closing interval.
         """
         esteem = self.esteem
         fa_during = esteem.active_fraction() if esteem else 1.0
@@ -1047,11 +1047,10 @@ class System:
             boundary_cycle, self.engine.take_writeback_delta()
         )
         transitions = 0
-        if esteem is not None:
-            if not final:
-                window = int(boundary_cycle) // self.engine.phase_cycles
-                esteem.on_interval_end(int(boundary_cycle), window)
-            transitions = esteem.take_transition_delta()
+        if esteem is not None and not final:
+            window = int(boundary_cycle) // self.engine.phase_cycles
+            record = esteem.on_interval_end(int(boundary_cycle), window)
+            transitions = record.transitions
         deltas = self.tracker.take(
             boundary_cycle,
             self.l2.stats.hits,

@@ -69,9 +69,9 @@ class TestIntervalDecision:
         assert ctl.active_fraction() == pytest.approx(expected)
 
     def test_transition_delta_accounting(self, cache, ctl):
-        ctl.on_interval_end(1_000)
-        assert ctl.take_transition_delta() == 3 * 14 * 4  # 3 ways x 14 followers x 4 modules
-        assert ctl.take_transition_delta() == 0
+        record = ctl.on_interval_end(1_000)
+        assert record.transitions == 3 * 14 * 4  # 3 ways x 14 followers x 4 modules
+        assert ctl.on_interval_end(2_000).transitions == 0
 
 
 class TestFlushTraffic:
@@ -84,7 +84,7 @@ class TestFlushTraffic:
         record = ctl.on_interval_end(1_000)
         assert record.flush_writebacks > 0
         assert memory.writes == before + record.flush_writebacks
-        assert ctl.take_flush_writeback_delta() == record.flush_writebacks
+        assert ctl.on_interval_end(2_000).flush_writebacks == 0
 
     def test_no_memory_without_injection(self, cache, config):
         ctl = EsteemController(cache, config, memory=None)

@@ -63,8 +63,9 @@ class TestDecision:
         drive_mru_traffic(cache)
         record = ctl.on_interval_end(1_000)
         # 1 of 4 ways covers the hits -> 16 of 64 sets.
-        assert record.active_sets == 16
-        assert record.target_ways == 1
+        assert record.active_fraction == 16 / 64
+        assert record.n_active_way == (1,)
+        assert record.non_lru == (False,)
         assert cache.active_set_mask == 15
 
     def test_power_of_two_rounding_up(self, cache, memory):
@@ -76,7 +77,8 @@ class TestDecision:
         drive_mru_traffic(cache)
         record = ctl.on_interval_end(1_000)
         # 3/4 of 64 sets = 48 -> rounds up to 64 (full size).
-        assert record.active_sets == 64
+        assert record.n_active_way == (3,)
+        assert record.active_fraction == 1.0
 
     def test_min_fraction_floor(self, config, memory):
         # 32 ways: one way covers the hits, i.e. 2 of 64 sets, below the
@@ -87,8 +89,8 @@ class TestDecision:
         ctl = SelectiveSetsController(cache, config, memory)
         drive_mru_traffic(cache)
         record = ctl.on_interval_end(1_000)
-        assert record.target_ways == 1
-        assert record.active_sets == 64 * MIN_SET_FRACTION == 4
+        assert record.n_active_way == (1,)
+        assert record.active_fraction == MIN_SET_FRACTION == 4 / 64
 
 
 class TestReconfigurationFlush:
@@ -96,7 +98,7 @@ class TestReconfigurationFlush:
         drive_mru_traffic(cache)
         assert cache.state.valid_count() > 0
         record = ctl.on_interval_end(1_000)
-        assert record.active_sets < 64
+        assert record.active_fraction < 1.0
         assert cache.state.valid_count() == 0
 
     def test_dirty_lines_written_back(self, cache, ctl, memory):
@@ -116,8 +118,8 @@ class TestReconfigurationFlush:
         ctl = SelectiveSetsController(cache, cfg, memory)
         drive_mru_traffic(cache)
         record = ctl.on_interval_end(1_000)  # a_min=4 -> full size, no change
-        assert record.active_sets == 64
-        assert record.flush_writebacks == 0
+        assert record.active_fraction == 1.0
+        assert record.transitions == record.flush_writebacks == 0
         assert cache.state.valid_count() > 0
 
     def test_accesses_remap_after_shrink(self, cache, ctl):
@@ -143,9 +145,11 @@ class TestAccounting:
 
     def test_transition_delta(self, cache, ctl):
         drive_mru_traffic(cache)
-        ctl.on_interval_end(1_000)
-        assert ctl.take_transition_delta() == (64 - 16) * 4
-        assert ctl.take_transition_delta() == 0
+        record = ctl.on_interval_end(1_000)
+        assert record.transitions == (64 - 16) * 4
+        assert record.clean_discards == cache.num_sets // 8
+        # No traffic: Algorithm 1 keeps 1 way, the set count holds.
+        assert ctl.on_interval_end(2_000).transitions == 0
 
     def test_timeline_grows(self, cache, ctl):
         ctl.on_interval_end(1_000)

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.config import RefreshConfig
 from repro.edram.retention import (
-    retention_cycles,
     retention_us,
     temperature_for_retention_us,
 )
@@ -17,11 +17,13 @@ class TestAnchors:
         assert retention_us(105.0) == pytest.approx(40.0)
 
     def test_retention_cycles_at_2ghz(self):
-        assert retention_cycles(60.0) == 100_000
-        assert retention_cycles(105.0) == 80_000
+        def cycles(temperature_c):
+            return RefreshConfig.from_microseconds(
+                retention_us(temperature_c)
+            ).retention_cycles
 
-    def test_retention_cycles_other_frequency(self):
-        assert retention_cycles(60.0, frequency_hz=1e9) == 50_000
+        assert cycles(60.0) == 100_000
+        assert cycles(105.0) == 80_000
 
 
 class TestShape:

@@ -4,9 +4,16 @@ Every technique the system knows, run on the same traces, with the
 relationships that must hold between them asserted in one place.
 """
 
+import json
+
 import pytest
 
 from repro.config import SimConfig
+from repro.experiments.runner import (
+    RunComparison,
+    comparison_from_dict,
+    comparison_to_dict,
+)
 from repro.timing.system import System, TECHNIQUES
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import generate_trace
@@ -70,6 +77,14 @@ class TestMatrix:
             assert results[tech].timeline, tech
         for tech in ("baseline", "rpv", "rpd", "decay"):
             assert results[tech].timeline == [], tech
+
+    def test_every_technique_round_trips_the_result_codec(self, results):
+        # What the result cache and the checkpoint log store must load
+        # back bit for bit, timeline records included.
+        for tech, res in results.items():
+            comp = RunComparison("sphinx", tech, res, results["baseline"])
+            raw = json.loads(json.dumps(comparison_to_dict(comp)))
+            assert comparison_from_dict(raw) == comp, tech
 
     def test_drowsy_never_flushes(self, results):
         assert results["esteem-drowsy"].flush_writebacks == 0

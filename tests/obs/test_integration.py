@@ -71,6 +71,15 @@ class TestTracing:
         energy = tracer.events(EVENT_INTERVAL_ENERGY)
         assert len(energy) == result.intervals
 
+    @pytest.mark.parametrize("technique", ["esteem", "selective-sets"])
+    def test_interval_energy_charges_every_transition(self, technique):
+        # Each close charges the N_L its controller's record reports.
+        tracer = Tracer()
+        result = _run(technique, tracer=tracer)
+        energy = tracer.events(EVENT_INTERVAL_ENERGY)
+        assert result.transitions > 0
+        assert sum(e.data["transitions"] for e in energy) == result.transitions
+
     def test_tracing_does_not_perturb_results(self):
         plain = _run()
         traced = _run(tracer=Tracer(), metrics=MetricsRegistry())

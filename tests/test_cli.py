@@ -99,6 +99,31 @@ class TestParser:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run -w gamess", "sweep"])
+    def test_repeated_technique_flag_extends(self, command):
+        args = build_parser().parse_args(
+            command.split() + ["-t", "esteem", "-t", "rpv", "ecc"]
+        )
+        assert args.technique == ["esteem", "rpv", "ecc"]
+
+    @pytest.mark.parametrize("command,handler", [
+        ("run -w gamess", "_cmd_run"), ("sweep", "_cmd_sweep"),
+    ])
+    def test_technique_default_applies_only_without_t(
+        self, command, handler, monkeypatch
+    ):
+        # argparse extends a default list: `-t ecc` must run ECC alone,
+        # not esteem, rpv and ecc.
+        import repro.cli
+
+        seen = []
+        monkeypatch.setattr(
+            repro.cli, handler, lambda args: seen.append(args.technique) or 0
+        )
+        assert main(command.split()) == 0
+        assert main(command.split() + ["-t", "ecc"]) == 0
+        assert seen == [["esteem", "rpv"], ["ecc"]]
+
     @pytest.mark.parametrize("argv", [
         "trace -w gamess --capacity 0",
         "overhead --sets 0",
@@ -441,6 +466,33 @@ class TestSweepCommand:
         assert "sweep: 1/1 workloads" in captured.out
         assert "esteem" in captured.out
         assert "sweep complete" in captured.err
+
+    def test_cached_selective_sets_sweep_reruns_from_the_cache(
+        self, capsys, tmp_path
+    ):
+        # Selective-sets results carry a non-empty timeline, which the
+        # result cache must store and serve back.
+        import json
+
+        def sweep(name):
+            manifest = tmp_path / f"{name}.json"
+            code = main(
+                ["sweep", "--workloads", "sphinx", "-t", "selective-sets",
+                 "--instructions", "1000000", "--jobs", "1",
+                 "--cache-dir", str(tmp_path / "cache"),
+                 "--csv", str(tmp_path / f"{name}.csv"),
+                 "--manifest", str(manifest), "-q"]
+            )
+            assert code == 0
+            out = capsys.readouterr().out.splitlines()
+            attempts = json.loads(manifest.read_text())["attempts"]
+            # The title notes cached units; the table below it must match.
+            return attempts, out[2:-2], (tmp_path / f"{name}.csv").read_text()
+
+        first, rerun = sweep("first"), sweep("rerun")
+        assert first[0] == 1 and rerun[0] == 0
+        assert rerun[1:] == first[1:]
+        assert "selective-sets" in "".join(first[1])
 
     def test_degraded_sweep_exits_3_with_manifest(self, capsys, tmp_path):
         import json

@@ -99,8 +99,7 @@ def technology(name: str, technique: str) -> dict:
 
 
 def technique(name: str) -> dict:
-    # ``dataclasses.asdict``: the result-cache codec carries ESTEEM's
-    # timeline records only, not selective-sets' ``SetDecision``.
+    # ``dataclasses.asdict`` of the result, timeline records included.
     result = Runner(TECHNIQUE_CFG, seed=0).run("sphinx", name)
     return {"result_sha256": _sha(json.dumps(asdict(result), sort_keys=True))}
 

@@ -97,8 +97,7 @@ class TestDampingShrinkOnly:
         ctl = EsteemController(cache, cfg)
         # Descend to 2 ways over two intervals (1/interval cap).
         ctl.on_interval_end(1_000)
-        ctl.on_interval_end(2_000)
-        assert ctl.current_way_counts() == (2, 2, 2, 2)
+        assert ctl.on_interval_end(2_000).n_active_way == (2, 2, 2, 2)
         # Now feed deep-position hits: demand jumps back to 4 ways, and the
         # cap must NOT slow the grow direction.
         for row in ctl.profiler.hist:
