@@ -1,10 +1,10 @@
 """Micro-benchmark: the observability layer's no-op cost.
 
-The instrumentation contract is that a ``System`` built without a
-tracer/registry/profiler pays only ``is not None`` guard tests on the hot
-path, so the end-to-end simulation rate (``benchmarks/e2e/run.py``)
-must stay within 2% of its pre-instrumentation numbers.  Two checks
-enforce that locally:
+The instrumentation contract is that a ``System`` built without a tracer
+or a metrics registry (``None``, the one way to turn either off) pays
+only ``is not None`` guard tests on the hot path, so the end-to-end
+simulation rate (``benchmarks/e2e/run.py``) must stay within 2% of its
+pre-instrumentation numbers.  Two checks enforce that locally:
 
 1. the measured aggregate guard cost of a full ESTEEM run (guard
    executions x per-guard cost) must be < 2% of the run's wall time, and

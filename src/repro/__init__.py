@@ -36,8 +36,7 @@ _EXPORTS = {
     "MetricsRegistry": "repro.obs.metrics",
     "ParallelWorkerError": "repro.experiments.parallel",
     "PeriodicAllRefresh": "repro.edram.refresh",
-    "Profiler": "repro.obs.profile",
-    "ProgressReporter": "repro.obs.profile",
+    "ProgressReporter": "repro.obs.campaign",
     "RefreshConfig": "repro.config",
     "RefrintPolyphaseDirty": "repro.edram.rpd",
     "RefrintPolyphaseValid": "repro.edram.rpv",

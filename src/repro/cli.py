@@ -14,13 +14,12 @@ Subcommands::
 
 Each command, and each figure and table number, accepts only the flags
 it reads.  The simulating commands take ``--instructions`` (trace
-scale), ``--seed`` and ``--profile`` (span timing report on stderr);
-``run``, ``trace``, ``sweep`` and ``figure 2`` also take ``--cores``,
-``--retention`` (us) and the ESTEEM knobs (``--alpha``, ``--a-min``,
-``--modules``, ``--interval``, ``--sampling-ratio``), which figures 3-6
-take on top of their own core count and retention.  A flag value the
-configuration rejects, or an unknown ``--workload``, is a usage error
-(exit 2).
+scale) and ``--seed``; ``run``, ``trace``, ``sweep`` and ``figure 2``
+also take ``--cores``, ``--retention`` (us) and the ESTEEM knobs
+(``--alpha``, ``--a-min``, ``--modules``, ``--interval``,
+``--sampling-ratio``), which figures 3-6 take on top of their own core
+count and retention.  A flag value the configuration rejects, or an
+unknown ``--workload``, is a usage error (exit 2).
 
 The sweep-shaped subcommands (``sweep``, ``figure`` 3-6 and ``table 3``)
 run their (workload, techniques) units through one engine,
@@ -30,7 +29,9 @@ silencing their stderr progress.  They consult a content-addressed
 result cache so unchanged units are never re-simulated, and the same
 command again finishes an interrupted one; ``--no-cache`` disables the
 cache and ``--cache-dir`` relocates it (default: ``$REPRO_CACHE_DIR`` or
-``~/.cache/repro/results``).
+``~/.cache/repro/results``).  A sweep's wall time, and each
+technique's, reach the user through ``sweep --manifest`` and ``repro
+report``.
 """
 
 from __future__ import annotations
@@ -85,13 +86,11 @@ def _non_negative_float(text: str) -> float:
 
 
 def _add_scale_args(parser: argparse.ArgumentParser) -> None:
-    """Trace scale, seed and span report, for every simulating command."""
+    """Trace scale and seed, for every simulating command."""
     parser.add_argument("--instructions", type=_positive_int,
                         default=8_000_000,
                         help="instructions simulated per core")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--profile", action="store_true",
-                        help="print a wall/CPU-time span report on stderr")
 
 
 def _add_esteem_args(parser: argparse.ArgumentParser) -> None:
@@ -244,10 +243,10 @@ def _run_sweep(
     """One :func:`resilient_sweep` for ``sweep``, ``figure`` or ``table``:
     ``(result, exit status)``.
 
-    The sweep is timed as one ``label`` span of ``args.profiler`` and,
-    with ``progress``, reports each unit on stderr under ``label``.  A
-    sweep that did not complete names its lost units on stderr; its exit
-    status is 3 when some failed, 4 when a signal stopped it, else 0.
+    With ``progress``, the sweep reports each unit on stderr under
+    ``label``.  A sweep that did not complete names its lost units on
+    stderr; its exit status is 3 when some failed, 4 when a signal
+    stopped it, else 0.
     ``options`` go to :func:`resilient_sweep` as they are.
     """
     from repro.experiments.parallel import resilient_sweep
@@ -258,11 +257,10 @@ def _run_sweep(
     reporter = CampaignDashboard(
         0, label=label, enabled=progress and not args.quiet
     )
-    with args.profiler.span(label):
-        result = resilient_sweep(
-            config, workloads, techniques, seed=args.seed, jobs=args.jobs,
-            progress=reporter, cache=cache, **options,
-        )
+    result = resilient_sweep(
+        config, workloads, techniques, seed=args.seed, jobs=args.jobs,
+        progress=reporter, cache=cache, **options,
+    )
     if result.skipped:
         print(
             f"SKIPPED: {len(result.skipped)} workload(s) cancelled:",
@@ -295,9 +293,7 @@ def _run_sweep(
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.runner import Runner
 
-    runner = Runner(
-        _workload_config(args), seed=args.seed, profiler=args.profiler
-    )
+    runner = Runner(_workload_config(args), seed=args.seed)
     rows = []
     for technique in args.technique:
         if technique == "baseline":
@@ -326,9 +322,7 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
     from repro.experiments.figures import fig2_reconfiguration_timeline
     from repro.experiments.runner import Runner
 
-    runner = Runner(
-        _workload_config(args), seed=args.seed, profiler=args.profiler
-    )
+    runner = Runner(_workload_config(args), seed=args.seed)
     _result, points = fig2_reconfiguration_timeline(runner, args.workload)
     rows = [
         [p.interval, p.active_ratio_pct, " ".join(map(str, p.ways_per_module))]
@@ -393,7 +387,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     """Table 3: one sweep per sensitivity row."""
     from repro.experiments.runner import aggregate
     from repro.experiments.tables import SENSITIVITY_VARIANTS
-    from repro.obs.profile import ProgressReporter
+    from repro.obs.campaign import ProgressReporter
 
     cores = 1 if args.system == "single" else 2
     config = SimConfig.scaled(
@@ -456,7 +450,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         config,
         seed=args.seed,
         tracer=tracer,
-        profiler=args.profiler,
         fault_plan=_load_plan(args),
     )
     result = runner.run(args.workload, args.technique)
@@ -831,18 +824,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    from repro.obs.profile import Profiler
-
     args = build_parser().parse_args(argv)
-    if getattr(args, "technique", "") is None:
-        args.technique = ["esteem", "rpv"]
-    # One profiler per command; ``--profile`` enables it and prints its
-    # spans once the command returns.
-    args.profiler = Profiler(enabled=getattr(args, "profile", False))
-    code = args.handler(args)
-    if args.profiler.enabled:
-        args.profiler.report(sys.stderr)
-    return code
+    if hasattr(args, "technique") and not isinstance(args.technique, str):
+        # ``run`` and ``sweep``: the default applies only without ``-t``,
+        # and a technique named twice runs once, in first-mention order.
+        techniques = args.technique or ["esteem", "rpv"]
+        args.technique = list(dict.fromkeys(techniques))
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

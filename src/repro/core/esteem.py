@@ -28,7 +28,6 @@ from repro.obs.trace import (
     EVENT_INTERVAL_DECISION,
     EVENT_RECONFIG_TRANSITION,
     Tracer,
-    active_tracer,
 )
 
 __all__ = ["DROWSY_LEAK_FRACTION", "EsteemController", "IntervalDecision"]
@@ -60,7 +59,7 @@ class EsteemController:
         self.config = config
         self.memory = memory
         #: Event tracer (``None`` when tracing is disabled).
-        self.tracer = active_tracer(tracer)
+        self.tracer = tracer
         self.module_map = ModuleMap(
             cache.num_sets, config.num_modules, config.sampling_ratio
         )

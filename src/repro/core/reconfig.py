@@ -63,7 +63,6 @@ class ReconfigurationController:
         # decisions; leader sets are excluded by forcing an empty range.
         self._leader_sets_np = np.asarray(module_map.leaders(), dtype=np.intp)
         self._way_idx = np.arange(a, dtype=np.int64)[None, :]
-        self.total_reconfigurations = 0
 
     # ------------------------------------------------------------------
 
@@ -117,8 +116,6 @@ class ReconfigurationController:
             state.set_module_active_ways(first, last, new)
         # Leader sets never reconfigure: re-activate their rows in one go.
         state.active.reshape(-1, a)[self._leader_sets_np] = True
-
-        self.total_reconfigurations += 1
         return stats
 
     def _flush_gated(self, n_active_way, stats: ReconfigStats) -> None:

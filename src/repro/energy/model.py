@@ -106,8 +106,8 @@ class EnergyBreakdown:
 class EnergyAccumulator:
     """Applies Eqs. (2)-(8) interval by interval.
 
-    When a :class:`~repro.obs.metrics.MetricsRegistry` is injected (and
-    enabled), per-interval joules and inputs are recorded under the
+    When a :class:`~repro.obs.metrics.MetricsRegistry` is injected,
+    per-interval joules and inputs are recorded under the
     ``energy.*`` metric names; with no registry the accumulator pays a
     single ``is not None`` test per interval.
     """
@@ -118,9 +118,7 @@ class EnergyAccumulator:
         self.params = params
         self.totals = EnergyBreakdown()
         self.intervals = 0
-        self._registry = (
-            registry if registry is not None and registry.enabled else None
-        )
+        self._registry = registry
 
     def add_interval(self, inputs: IntervalEnergyInputs) -> EnergyBreakdown:
         """Account one interval; returns that interval's breakdown."""

@@ -21,11 +21,6 @@ cap counts; sweep workers therefore :func:`discard` the traces a unit
 attached once it ends.  The most recent entry is always retained, even
 when it alone exceeds the cap: evicting the trace that was just
 inserted would guarantee regeneration thrash.
-
-Observability: cache hits/misses/evictions and generation time are
-recorded in the process-wide default metrics registry (``trace_cache.*``
-names), and a caller-supplied :class:`~repro.obs.profile.Profiler` gets
-one span per actual generation (cache misses only).
 """
 
 from __future__ import annotations
@@ -33,8 +28,6 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 
-from repro.obs.metrics import get_default_registry
-from repro.obs.profile import Profiler
 from repro.workloads.profiles import BenchmarkProfile
 from repro.workloads.synthetic import generate_trace
 from repro.workloads.trace import Trace
@@ -72,7 +65,7 @@ def max_bytes() -> int:
 
 
 def current_bytes() -> int:
-    """Column payload bytes currently held (for tests and gauges)."""
+    """Column payload bytes currently held."""
     return _CACHE_BYTES
 
 
@@ -88,47 +81,23 @@ def _insert(key: tuple[str, int, int], trace: Trace) -> None:
     _CACHE[key] = trace
     _CACHE_BYTES += _trace_nbytes(trace)
     cap = max_bytes()
-    registry = get_default_registry()
     while _CACHE_BYTES > cap and len(_CACHE) > 1:
         _evicted_key, evicted = _CACHE.popitem(last=False)
         _CACHE_BYTES -= _trace_nbytes(evicted)
-        registry.counter("trace_cache.evictions").inc()
-    registry.gauge("trace_cache.bytes").set(float(_CACHE_BYTES))
 
 
 def get_trace(
-    profile: BenchmarkProfile,
-    max_instructions: int,
-    seed: int,
-    profiler: Profiler | None = None,
+    profile: BenchmarkProfile, max_instructions: int, seed: int
 ) -> Trace:
     """Memoised :func:`repro.workloads.synthetic.generate_trace`."""
     key = (profile.name, max_instructions, seed)
     trace = _CACHE.get(key)
-    registry = get_default_registry()
     if trace is None:
-        registry.counter("trace_cache.misses").inc()
-        if profiler is not None and profiler.enabled:
-            with profiler.span(
-                f"trace.generate:{profile.name}",
-                instructions=max_instructions,
-                seed=seed,
-            ) as span:
-                trace = generate_trace(profile, max_instructions, seed=seed)
-            registry.histogram(
-                "trace_cache.generate_seconds", buckets=_GEN_BUCKETS
-            ).observe(span.wall_s)
-        else:
-            trace = generate_trace(profile, max_instructions, seed=seed)
+        trace = generate_trace(profile, max_instructions, seed=seed)
         _insert(key, trace)
     else:
         _CACHE.move_to_end(key)
-        registry.counter("trace_cache.hits").inc()
     return trace
-
-
-#: Generation-time histogram buckets (seconds).
-_GEN_BUCKETS = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 
 def put(
@@ -139,13 +108,13 @@ def put(
     Sweep workers receive the parent's already-generated traces as
     shared-memory handles and install them here, so a
     worker never regenerates a trace the parent (or an earlier sweep) has
-    built.  Counts as neither a hit nor a miss.
+    built.
     """
     _insert((profile_name, max_instructions, seed), trace)
 
 
 def contains(profile_name: str, max_instructions: int, seed: int) -> bool:
-    """Whether a trace is cached (touches LRU recency, no hit/miss count).
+    """Whether a trace is cached (touches LRU recency).
 
     Sweep workers use this to keep a trace inherited across the fork
     instead of attaching the same shared segment again.
@@ -158,7 +127,7 @@ def contains(profile_name: str, max_instructions: int, seed: int) -> bool:
 
 
 def discard(profile_name: str, max_instructions: int, seed: int) -> None:
-    """Drop one trace, if cached (counts as no eviction).
+    """Drop one trace, if cached.
 
     A sweep worker drops the traces a unit installed once the unit ends,
     so their uncounted retire views do not outlive it.

@@ -30,9 +30,9 @@ finished: the same sweep again, its finished units served from the
 cache.
 
 Observability: with ``progress=True`` (or a custom
-:class:`~repro.obs.profile.ProgressReporter`) each completed workload
+:class:`~repro.obs.campaign.ProgressReporter`) each completed workload
 prints a progress + ETA line to stderr; each worker times its own unit
-with a profiling span and the wall time rides back with the results.
+and the wall time rides back with the results.
 Worker failures surface as :class:`ParallelWorkerError` naming the failing
 workload, with the worker-side traceback in the message -- not as a bare
 unpicklable exception from a worker process.
@@ -57,10 +57,10 @@ from repro.experiments.runner import RunComparison, Runner, profiles_for
 from repro.faults.plan import FaultPlan
 from repro.obs.campaign import (
     CampaignAggregator,
+    ProgressReporter,
     current_worker_obs,
     telemetry_from_message,
 )
-from repro.obs.profile import Profiler, ProgressReporter
 
 __all__ = [
     "FailedWorkload",
@@ -158,7 +158,6 @@ def _workload_task(
     installed = [key for key in preloaded if not _trace_cache.contains(*key)]
     for key in installed:
         _trace_cache.put(*key, Trace.from_shm(preloaded[key]))
-    profiler = Profiler()
     # Under the resilient harness's worker observation context (see
     # repro.obs.campaign) the unit runs with a fresh per-attempt metrics
     # registry and attributes its counters per technique -- the baseline
@@ -169,20 +168,20 @@ def _workload_task(
         obs.technique_span if obs is not None else lambda _name: nullcontext()
     )
     try:
-        with profiler.span(f"worker:{workload}") as span:
-            runner = Runner(
-                config,
-                seed=seed,
-                fault_plan=fault_plan,
-                metrics=obs.registry if obs is not None else None,
-            )
-            with technique_span("baseline"):
-                runner.baseline(workload)
-            comparisons = []
-            for technique in techniques:
-                with technique_span(technique):
-                    comparisons.append(runner.compare(workload, technique))
-        return comparisons, span.wall_s
+        start = time.perf_counter()
+        runner = Runner(
+            config,
+            seed=seed,
+            fault_plan=fault_plan,
+            metrics=obs.registry if obs is not None else None,
+        )
+        with technique_span("baseline"):
+            runner.baseline(workload)
+        comparisons = []
+        for technique in techniques:
+            with technique_span(technique):
+                comparisons.append(runner.compare(workload, technique))
+        return comparisons, time.perf_counter() - start
     except ParallelWorkerError:
         raise
     except Exception as exc:

@@ -56,7 +56,6 @@ from repro.obs.campaign import (
     end_worker_obs,
     install_sigterm_flush,
 )
-from repro.obs.metrics import get_default_registry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workloads.trace import Trace
@@ -317,7 +316,6 @@ class WorkerPool:
         proc.start()
         child_conn.close()
         self.workers_spawned += 1
-        get_default_registry().counter("sweep_pool.spawned").inc()
         return parent_conn, proc
 
     def _reap(self, conn, proc) -> None:
@@ -333,7 +331,6 @@ class WorkerPool:
             except OSError:
                 pass
         self.workers_recycled += 1
-        get_default_registry().counter("sweep_pool.recycled").inc()
 
     # -- executor protocol ---------------------------------------------
 

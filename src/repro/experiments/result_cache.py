@@ -24,8 +24,9 @@ units.
 
 The cache directory is shared state between runs, so writes are atomic
 (write-to-temp + rename) and reads treat any undecodable entry as a miss
-rather than an error.  ``sweep_cache.{hits,misses,stores,corrupt}``
-counters land in the process-wide metrics registry.
+rather than an error.  Each :class:`ResultCache` counts its own hits,
+misses, stores and corrupt entries; :meth:`ResultCache.stats` puts them
+in the sweep manifest.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from repro.experiments.runner import (
     profiles_for,
 )
 from repro.faults.plan import FaultPlan
-from repro.obs.metrics import get_default_registry
 from repro.timing.result import SIM_ENGINE_VERSION
 from repro.util import atomic_write_json, stable_fingerprint
 
@@ -130,8 +130,7 @@ class ResultCache:
 
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
-        # Instance-level tallies (the process-wide sweep_cache.* counters
-        # aggregate across caches; these feed one campaign's manifest).
+        # Probe tallies; they feed one campaign's manifest.
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -153,12 +152,10 @@ class ResultCache:
 
     def get(self, fingerprint: str) -> list[RunComparison] | None:
         """The unit's comparisons, or ``None`` on miss/corruption."""
-        registry = get_default_registry()
         try:
             text = self._path(fingerprint).read_text(encoding="utf-8")
         except (FileNotFoundError, OSError):
             self.misses += 1
-            registry.counter("sweep_cache.misses").inc()
             return None
         try:
             payload = json.loads(text)
@@ -173,11 +170,8 @@ class ResultCache:
         except Exception:
             self.corrupt += 1
             self.misses += 1
-            registry.counter("sweep_cache.corrupt").inc()
-            registry.counter("sweep_cache.misses").inc()
             return None
         self.hits += 1
-        registry.counter("sweep_cache.hits").inc()
         return comparisons
 
     def put(self, fingerprint: str, comparisons: list[RunComparison]) -> None:
@@ -193,4 +187,3 @@ class ResultCache:
         except OSError:
             return
         self.stores += 1
-        get_default_registry().counter("sweep_cache.stores").inc()

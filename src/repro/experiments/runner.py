@@ -24,8 +24,7 @@ from repro.core.algorithm import IntervalDecision
 from repro.energy.model import EnergyBreakdown
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import Profiler
-from repro.obs.trace import Tracer, active_tracer
+from repro.obs.trace import Tracer
 from repro.metrics.speedup import (
     arithmetic_mean,
     fair_speedup,
@@ -250,11 +249,10 @@ def comparison_from_dict(raw: Mapping[str, Any]) -> RunComparison:
 class Runner:
     """Runs workloads under a configuration, reusing traces and baselines.
 
-    Observability (all optional, no-op by default): an injected
+    Observability (both optional, off when ``None``): an injected
     :class:`~repro.obs.trace.Tracer` records structured events from every
-    simulated system, a :class:`~repro.obs.metrics.MetricsRegistry`
-    accumulates run counters, and a :class:`~repro.obs.profile.Profiler`
-    times each ``(workload, technique)`` run as a span.
+    simulated system, and a :class:`~repro.obs.metrics.MetricsRegistry`
+    accumulates run counters.
     """
 
     def __init__(
@@ -263,7 +261,6 @@ class Runner:
         seed: int = 0,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        profiler: Profiler | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         self.config = config if config is not None else SimConfig.scaled()
@@ -271,13 +268,8 @@ class Runner:
         #: Optional fault plan applied to every simulated system (Plane 1
         #: hardware faults; the sweep harness consumes Plane 2 itself).
         self.fault_plan = fault_plan
-        self.tracer = active_tracer(tracer)
-        self.metrics = (
-            metrics if metrics is not None and metrics.enabled else None
-        )
-        self.profiler = (
-            profiler if profiler is not None and profiler.enabled else None
-        )
+        self.tracer = tracer
+        self.metrics = metrics
         # Baseline results are reused across techniques for one workload.
         self._baseline_cache: dict[str, SystemResult] = {}
 
@@ -295,7 +287,7 @@ class Runner:
 
         budget = self.config.instructions_per_core
         return [
-            _trace_cache.get_trace(p, budget, self.seed, profiler=self.profiler)
+            _trace_cache.get_trace(p, budget, self.seed)
             for p in profiles_for(self.config, workload)
         ]
 
@@ -314,7 +306,6 @@ class Runner:
             technique,
             tracer=self.tracer,
             metrics=self.metrics,
-            profiler=self.profiler,
             fault_plan=self.fault_plan,
         )
         return system.run()

@@ -3,37 +3,37 @@
 Three zero-dependency layers:
 
 * :mod:`repro.obs.metrics` -- counters, gauges, fixed-bucket histograms in
-  a :class:`~repro.obs.metrics.MetricsRegistry` (plus a process-wide
-  default and a shared no-op registry);
+  a :class:`~repro.obs.metrics.MetricsRegistry`;
 * :mod:`repro.obs.trace` -- a structured event :class:`~repro.obs.trace.
   Tracer` with a bounded ring buffer and JSONL export, fed by the
   simulation loop (interval decisions, refresh bursts, reconfigurations,
   per-interval energy inputs, memory-queue stalls);
-* :mod:`repro.obs.profile` -- wall/CPU-time spans and sweep progress/ETA
+* :mod:`repro.obs.campaign` -- per-attempt worker telemetry, its
+  campaign roll-up into the sweep manifest, and sweep progress/ETA
   reporting.
 
-Everything is injectable and defaults to off: ``System``, ``Runner`` and
-the parallel sweep accept a tracer/registry/profiler and pay a single
-``is not None`` test per instrumentation point when none is given.
+Both instruments are injected and off by default: ``System``, ``Runner``
+and the parallel sweep take a tracer and a registry, and ``None`` (the
+default) means off, at the cost of one ``is not None`` test per
+instrumentation point.  Timings reach the user one way: worker
+telemetry, rolled up by :class:`~repro.obs.campaign.CampaignAggregator`
+into the manifest that ``repro report`` prints.
 """
 
 from repro.obs.campaign import (
     CampaignAggregator,
     CampaignDashboard,
+    ProgressReporter,
     WorkerAborted,
     WorkerObs,
+    format_seconds,
 )
 from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
-    NULL_REGISTRY,
-    get_default_registry,
-    set_default_registry,
 )
-from repro.obs.profile import Profiler, ProgressReporter, Span, format_seconds
 from repro.obs.trace import (
     EVENT_FAULT_INJECT,
     EVENT_INTERVAL_DECISION,
@@ -43,30 +43,21 @@ from repro.obs.trace import (
     EVENT_REFRESH_BURST,
     EVENT_SIM_END,
     EVENT_SIM_START,
-    NULL_TRACER,
-    NullTracer,
     TraceEvent,
     Tracer,
-    active_tracer,
 )
 
 __all__ = [
     "CampaignAggregator",
     "CampaignDashboard",
+    "ProgressReporter",
     "WorkerAborted",
     "WorkerObs",
+    "format_seconds",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-    "get_default_registry",
-    "set_default_registry",
-    "Profiler",
-    "ProgressReporter",
-    "Span",
-    "format_seconds",
     "EVENT_FAULT_INJECT",
     "EVENT_INTERVAL_DECISION",
     "EVENT_INTERVAL_ENERGY",
@@ -75,9 +66,6 @@ __all__ = [
     "EVENT_REFRESH_BURST",
     "EVENT_SIM_END",
     "EVENT_SIM_START",
-    "NULL_TRACER",
-    "NullTracer",
     "TraceEvent",
     "Tracer",
-    "active_tracer",
 ]

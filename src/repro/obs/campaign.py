@@ -25,32 +25,35 @@ that carries them home and rolls them up:
   on the order units complete in, and an empty snapshot changes
   nothing), gauges are kept per-unit only (a "last write wins" value has
   no meaningful sum).
-* **Display** -- :class:`CampaignDashboard` is a
-  :class:`~repro.obs.profile.ProgressReporter` that renders the campaign
-  live on a TTY (units done/running/failed, aggregate simulation rate,
-  cache-hit ratio, worker recycles, ETA) and degrades to the classic
-  line-per-unit reporter on non-interactive streams.
+* **Display** -- :class:`ProgressReporter` prints per-unit progress with
+  an ETA to stderr during a sweep; :class:`CampaignDashboard` is a
+  :class:`ProgressReporter` that renders the campaign live on a TTY
+  (units done/running/failed, aggregate simulation rate, cache-hit
+  ratio, worker recycles, ETA) and degrades to the classic line-per-unit
+  reporter on non-interactive streams.
 """
 
 from __future__ import annotations
 
 import signal
+import sys
 import time
 from contextlib import contextmanager
-from typing import Any, Iterator, Mapping
+from typing import IO, Any, Iterator, Mapping
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profile import ProgressReporter, format_seconds
 
 __all__ = [
     "CampaignAggregator",
     "CampaignDashboard",
+    "ProgressReporter",
     "TELEMETRY_VERSION",
     "WorkerAborted",
     "WorkerObs",
     "begin_worker_obs",
     "current_worker_obs",
     "end_worker_obs",
+    "format_seconds",
     "install_sigterm_flush",
     "is_telemetry",
     "merge_counter_maps",
@@ -379,8 +382,91 @@ class CampaignAggregator:
 
 
 # ----------------------------------------------------------------------
-# Live dashboard
+# Progress reporting and the live dashboard
 # ----------------------------------------------------------------------
+
+
+class ProgressReporter:
+    """Per-unit progress + ETA lines on stderr for long sweeps.
+
+    Parameters
+    ----------
+    total:
+        Number of units expected.
+    label:
+        Sweep name used as the line prefix.
+    stream:
+        Output stream (stderr by default).
+    enabled:
+        When False every method is a no-op.
+    """
+
+    def __init__(
+        self,
+        total: int,
+        label: str = "sweep",
+        stream: IO[str] | None = None,
+        enabled: bool = True,
+    ) -> None:
+        if total < 0:
+            raise ValueError("total must be non-negative")
+        self.total = total
+        self.label = label
+        self.stream = stream if stream is not None else sys.stderr
+        self.enabled = enabled
+        self.done = 0
+        self._start = time.perf_counter()
+
+    def status(self, **fields: Any) -> None:
+        """Campaign-level status update hook (no-op here).
+
+        The resilient sweep pushes live aggregate fields (units running,
+        failures, retries, worker recycles, simulated instructions,
+        cache-hit ratio) through this seam;
+        :class:`CampaignDashboard` renders them.
+        """
+
+    def advance(self, unit: str, seconds: float | None = None) -> None:
+        """Mark one unit finished and print progress + ETA."""
+        self.done += 1
+        if not self.enabled:
+            return
+        elapsed = time.perf_counter() - self._start
+        remaining = max(self.total - self.done, 0)
+        eta = elapsed / self.done * remaining if self.done else 0.0
+        took = f" in {format_seconds(seconds)}" if seconds is not None else ""
+        print(
+            f"{self.label}: [{self.done}/{self.total}] {unit} done{took}, "
+            f"elapsed {format_seconds(elapsed)}, ETA {format_seconds(eta)}",
+            file=self.stream,
+            flush=True,
+        )
+
+    def finish(self) -> None:
+        if not self.enabled:
+            return
+        elapsed = time.perf_counter() - self._start
+        print(
+            f"{self.label}: finished {self.done}/{self.total} units "
+            f"in {format_seconds(elapsed)}",
+            file=self.stream,
+            flush=True,
+        )
+
+
+def format_seconds(seconds: float) -> str:
+    """Human-compact duration: ``950ms``, ``12.3s``, ``4m10s``."""
+    if seconds < 0:
+        return "-" + format_seconds(-seconds)
+    if seconds < 1.0:
+        return f"{seconds * 1000:.0f}ms"
+    if seconds < 60.0:
+        return f"{seconds:.2f}s"
+    minutes, secs = divmod(seconds, 60.0)
+    if minutes < 60:
+        return f"{int(minutes)}m{secs:02.0f}s"
+    hours, minutes = divmod(int(minutes), 60)
+    return f"{hours}h{minutes:02d}m"
 
 
 class CampaignDashboard(ProgressReporter):

@@ -6,11 +6,10 @@ idempotent by name, so library code can write
 
     registry.counter("l2.hits").inc()
 
-without caring whether the instrument already exists.  A process-wide
-default registry (:func:`get_default_registry`) serves code that has no
-injection point; performance-critical code should instead accept a
-registry parameter and default it to :data:`NULL_REGISTRY`, whose
-instruments are shared no-ops (every method is a constant-time pass).
+without caring whether the instrument already exists.  Code that records
+metrics takes a registry parameter that defaults to ``None``, meaning
+off: the caller injects a registry to observe, and the one metrics path
+is a sweep worker's per-attempt registry (see :mod:`repro.obs.campaign`).
 """
 
 from __future__ import annotations
@@ -24,10 +23,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-    "get_default_registry",
-    "set_default_registry",
 ]
 
 #: Default histogram bucket upper bounds (powers of four, generic enough
@@ -139,10 +134,6 @@ class Histogram:
 class MetricsRegistry:
     """Named instrument store; instrument creation is idempotent."""
 
-    #: Real registries record; the null registry reports False so hot
-    #: paths can skip work entirely.
-    enabled: bool = True
-
     def __init__(self) -> None:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
         self._lock = threading.Lock()
@@ -203,80 +194,3 @@ class MetricsRegistry:
     def clear(self) -> None:
         with self._lock:
             self._instruments.clear()
-
-
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, amount: float) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-class NullRegistry(MetricsRegistry):
-    """No-op registry: hands out shared do-nothing instruments.
-
-    Instruments record nothing and ``snapshot()`` is always empty, so a
-    ``NullRegistry`` can be passed anywhere a real registry is accepted
-    with near-zero cost.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._counter = _NullCounter("null")
-        self._gauge = _NullGauge("null")
-        self._histogram = _NullHistogram("null", (1.0,))
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._counter
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._gauge
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-        help: str = "",
-    ) -> Histogram:
-        return self._histogram
-
-    def snapshot(self) -> dict[str, dict[str, Any]]:
-        return {}
-
-
-#: Shared process-wide no-op registry (the default injection value).
-NULL_REGISTRY = NullRegistry()
-
-_default_registry = MetricsRegistry()
-
-
-def get_default_registry() -> MetricsRegistry:
-    """The process-wide default registry (always a real one)."""
-    return _default_registry
-
-
-def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-wide default registry; returns the previous one."""
-    global _default_registry
-    previous = _default_registry
-    _default_registry = registry
-    return previous

@@ -20,11 +20,8 @@ Event types (the ``type`` field of every event):
 ``fault.inject``          one per injected eDRAM fault (see ``repro.faults``)
 ========================  =====================================================
 
-Hot-path contract: simulation code stores the injected tracer as ``None``
-when tracing is disabled (see :func:`active_tracer`), so the disabled cost
-is a single ``is not None`` test.  :data:`NULL_TRACER` is a shared no-op
-accepted anywhere a tracer is, for callers that prefer never passing
-``None`` explicitly.
+Hot-path contract: tracing is off when the injected tracer is ``None``,
+so the disabled cost is a single ``is not None`` test.
 """
 
 from __future__ import annotations
@@ -45,11 +42,8 @@ __all__ = [
     "EVENT_REFRESH_BURST",
     "EVENT_SIM_END",
     "EVENT_SIM_START",
-    "NULL_TRACER",
-    "NullTracer",
     "TraceEvent",
     "Tracer",
-    "active_tracer",
 ]
 
 EVENT_SIM_START = "sim.start"
@@ -102,8 +96,6 @@ class Tracer:
         Ring-buffer size; the oldest events are dropped once exceeded
         (``dropped`` counts how many).
     """
-
-    enabled: bool = True
 
     def __init__(self, capacity: int = 65_536) -> None:
         if capacity < 1:
@@ -193,33 +185,6 @@ class Tracer:
     def read_jsonl(lines: Iterable[str]) -> list[TraceEvent]:
         """Parse JSONL lines back into events (round-trip helper)."""
         return [TraceEvent.from_json(ln) for ln in lines if ln.strip()]
-
-
-class NullTracer(Tracer):
-    """Do-nothing tracer; ``emit`` is a constant-time no-op."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(capacity=1)
-
-    def emit(self, type: str, cycle: float, **data: Any) -> None:
-        pass
-
-
-#: Shared no-op tracer instance.
-NULL_TRACER = NullTracer()
-
-
-def active_tracer(tracer: Tracer | None) -> Tracer | None:
-    """Normalise an injected tracer for hot-path storage.
-
-    Returns ``None`` for ``None`` or any disabled tracer so the caller can
-    guard instrumentation with a plain ``if self._tracer is not None``.
-    """
-    if tracer is None or not tracer.enabled:
-        return None
-    return tracer
 
 
 def _compact(value: Any) -> str:

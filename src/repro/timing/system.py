@@ -48,14 +48,12 @@ from repro.faults.plan import FaultPlan
 from repro.mem.dram import MainMemory
 from repro.metrics.stats import IntervalTracker
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import Profiler
 from repro.obs.trace import (
     EVENT_INTERVAL_ENERGY,
     EVENT_MSHR_STALL,
     EVENT_SIM_END,
     EVENT_SIM_START,
     Tracer,
-    active_tracer,
 )
 from repro.timing.batch_kernel import build_batch
 from repro.timing.core_model import CoreState
@@ -153,7 +151,6 @@ class System:
         technique: str = "baseline",
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        profiler: Profiler | None = None,
         reference_loop: bool = False,
         fault_plan: FaultPlan | None = None,
         batch_kernel: bool = True,
@@ -168,16 +165,10 @@ class System:
         self.technique = technique
         self.traces = traces
         self.workload = "-".join(t.name for t in traces)
-        # Observability is injectable and off by default; disabled
-        # instruments are normalised to None so the hot loop's only cost
-        # is an ``is not None`` test.
-        self.tracer = active_tracer(tracer)
-        self.metrics = (
-            metrics if metrics is not None and metrics.enabled else None
-        )
-        self.profiler = (
-            profiler if profiler is not None and profiler.enabled else None
-        )
+        # Observability is injectable and off (None) by default, so the
+        # hot loop's only cost is an ``is not None`` test.
+        self.tracer = tracer
+        self.metrics = metrics
         #: When True, :meth:`run` uses the straight-line per-record
         #: reference loop instead of the fast loop, traced or not.  The
         #: equivalence tests run both and assert identical results.
@@ -300,21 +291,6 @@ class System:
     def run(self) -> SystemResult:
         """Simulate until every core finishes its first trace pass.
 
-        The cyclic garbage collector is paused for the duration, as it
-        is for construction (see :func:`_gc_paused`).
-        """
-        if self.profiler is not None:
-            with self.profiler.span(
-                f"system.run:{self.workload}:{self.technique}",
-                workload=self.workload,
-                technique=self.technique,
-            ):
-                return self._run()
-        return self._run()
-
-    def _run(self) -> SystemResult:
-        """Build the cores, drive the selected loop, produce the result.
-
         Two loops implement identical semantics, events included (verified
         bit-identical by ``tests/timing/test_fast_loop_equivalence.py``):
 
@@ -324,6 +300,9 @@ class System:
           traced or not.  It skips all maintenance work until the
           smallest core clock crosses the *event horizon*,
           ``min(next_interval, engine.next_boundary)``.
+
+        The cyclic garbage collector is paused for the duration, as it
+        is for construction (see :func:`_gc_paused`).
         """
         cores = [
             CoreState(i, trace, i << _CORE_OFFSET_SHIFT)

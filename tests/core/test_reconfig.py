@@ -105,7 +105,6 @@ class TestAccounting:
         stats = ctl.apply([4, 4, 4, 4])
         assert stats.transitions == 0
         assert stats.modules_changed == 0
-        assert ctl.total_reconfigurations == 0
 
     def test_active_fraction_includes_leaders(self, cache, mm, ctl):
         ctl.apply([1, 1, 1, 1])

@@ -16,7 +16,6 @@ from repro.experiments.result_cache import (
 )
 from repro.experiments.runner import Runner
 from repro.faults import FaultPlan
-from repro.obs.metrics import get_default_registry
 
 CFG_KW = dict(instructions_per_core=200_000, interval_cycles=100_000)
 
@@ -24,10 +23,6 @@ CFG_KW = dict(instructions_per_core=200_000, interval_cycles=100_000)
 def config(**overrides):
     kw = {**CFG_KW, **overrides}
     return SimConfig.scaled(**kw)
-
-
-def counter(name: str) -> int:
-    return get_default_registry().counter(name).value
 
 
 class TestFingerprint:
@@ -125,16 +120,16 @@ class TestResultCache:
         assert hit == comparisons  # dataclass equality: every float exact
 
     def test_absent_fingerprint_is_a_miss(self, tmp_path):
-        misses = counter("sweep_cache.misses")
-        assert ResultCache(tmp_path).get("0" * 64) is None
-        assert counter("sweep_cache.misses") == misses + 1
+        cache = ResultCache(tmp_path)
+        assert cache.get("0" * 64) is None
+        assert cache.stats()["misses"] == 1
 
     def test_corrupt_json_is_a_counted_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         (tmp_path / ("a" * 64 + ".json")).write_text("{not json", "utf-8")
-        corrupt = counter("sweep_cache.corrupt")
         assert cache.get("a" * 64) is None
-        assert counter("sweep_cache.corrupt") == corrupt + 1
+        stats = cache.stats()
+        assert (stats["corrupt"], stats["misses"]) == (1, 1)
 
     def test_wrong_magic_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -156,9 +151,9 @@ class TestResultCache:
         assert cache.get("c" * 64) is None
 
     def test_store_counter_increments(self, tmp_path):
-        stores = counter("sweep_cache.stores")
-        ResultCache(tmp_path).put("e" * 64, [])
-        assert counter("sweep_cache.stores") == stores + 1
+        cache = ResultCache(tmp_path)
+        cache.put("e" * 64, [])
+        assert cache.stats()["stores"] == 1
 
 
 class TestSweepIntegration:

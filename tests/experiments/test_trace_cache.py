@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.experiments import _trace_cache as tc
-from repro.obs.metrics import get_default_registry
 from repro.workloads.profiles import get_profile
 from repro.workloads.trace import Trace
 
@@ -24,10 +23,6 @@ def synthetic_trace(name: str, n: int) -> Trace:
         writes=np.zeros(n, dtype=bool),
         gaps=np.ones(n, dtype=np.int64),
     )
-
-
-def evictions() -> int:
-    return get_default_registry().counter("trace_cache.evictions").value
 
 
 class TestByteCap:
@@ -99,16 +94,17 @@ class TestEviction:
 
     def test_eviction_counter_increments(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE_BYTES", str(17 * 1500))
-        before = evictions()
         tc.put("a", 100, 0, synthetic_trace("a", 1000))
         tc.put("b", 100, 0, synthetic_trace("b", 1000))  # evicts "a"
+        assert not tc.contains("a", 100, 0)
+        assert tc.contains("b", 100, 0)
         tc.put("c", 100, 0, synthetic_trace("c", 1000))  # evicts "b"
-        assert evictions() - before == 2
+        assert not tc.contains("b", 100, 0)
+        assert tc.contains("c", 100, 0)
 
     def test_bytes_gauge_reflects_current_payload(self):
         tc.put("a", 100, 0, synthetic_trace("a", 1000))
-        gauge = get_default_registry().gauge("trace_cache.bytes")
-        assert gauge.value == float(17 * 1000)
+        assert tc.current_bytes() == 17 * 1000
 
     def test_clear_resets_accounting(self):
         tc.put("a", 100, 0, synthetic_trace("a", 1000))

@@ -1,4 +1,5 @@
-"""Tests for campaign telemetry: snapshots, merge semantics, dashboard.
+"""Tests for campaign telemetry: snapshots, merge semantics, progress
+reporting and the dashboard.
 
 The aggregator tests pin what the campaign rollup relies on: pool
 workers finish units in no fixed order, so folding them in any order
@@ -17,12 +18,14 @@ import pytest
 from repro.obs.campaign import (
     CampaignAggregator,
     CampaignDashboard,
+    ProgressReporter,
     TELEMETRY_VERSION,
     WorkerAborted,
     WorkerObs,
     begin_worker_obs,
     current_worker_obs,
     end_worker_obs,
+    format_seconds,
     install_sigterm_flush,
     is_telemetry,
     merge_counter_maps,
@@ -216,6 +219,41 @@ class TestSigtermFlush:
                 raise WorkerAborted("terminated")
             except Exception:  # noqa: BLE001 - the point of the test
                 pytest.fail("WorkerAborted must not be an Exception")
+
+
+class TestProgressReporter:
+    def test_progress_lines_with_eta(self):
+        sink = io.StringIO()
+        rep = ProgressReporter(3, label="sweep", stream=sink)
+        rep.advance("gamess", 0.5)
+        rep.advance("povray")
+        rep.finish()
+        out = sink.getvalue()
+        assert "[1/3] gamess done in 500ms" in out
+        assert "[2/3] povray done," in out
+        assert "ETA" in out
+        assert "finished 2/3" in out
+
+    def test_disabled_reporter_is_silent(self):
+        sink = io.StringIO()
+        rep = ProgressReporter(2, stream=sink, enabled=False)
+        rep.advance("x")
+        rep.finish()
+        assert sink.getvalue() == ""
+        assert rep.done == 1
+
+    def test_negative_total_rejected(self):
+        with pytest.raises(ValueError):
+            ProgressReporter(-1)
+
+
+class TestFormatSeconds:
+    def test_ranges(self):
+        assert format_seconds(0.95) == "950ms"
+        assert format_seconds(12.34) == "12.34s"
+        assert format_seconds(250) == "4m10s"
+        assert format_seconds(3700) == "1h01m"
+        assert format_seconds(-2) == "-2.00s"
 
 
 class _TtyStream(io.StringIO):

@@ -5,7 +5,6 @@ from dataclasses import replace
 import pytest
 
 from repro.config import SimConfig
-from repro.experiments.runner import Runner
 from repro.faults import FaultPlan
 from repro.obs import (
     EVENT_FAULT_INJECT,
@@ -16,7 +15,6 @@ from repro.obs import (
     EVENT_SIM_END,
     EVENT_SIM_START,
     MetricsRegistry,
-    Profiler,
     Tracer,
 )
 from repro.timing.system import System
@@ -27,11 +25,9 @@ from repro.workloads.synthetic import generate_trace
 CFG = SimConfig.scaled(instructions_per_core=600_000)
 
 
-def _run(technique="esteem", tracer=None, metrics=None, profiler=None):
+def _run(technique="esteem", tracer=None, metrics=None):
     trace = generate_trace(get_profile("h264ref"), CFG.instructions_per_core, seed=0)
-    system = System(
-        CFG, [trace], technique, tracer=tracer, metrics=metrics, profiler=profiler
-    )
+    system = System(CFG, [trace], technique, tracer=tracer, metrics=metrics)
     return system.run()
 
 
@@ -90,12 +86,13 @@ class TestTracing:
         assert traced.energy.total_j == pytest.approx(plain.energy.total_j)
 
     def test_disabled_tracer_normalised_to_none(self):
-        from repro.obs import NULL_TRACER
-
+        # No tracer is the one way to say "off": nothing below the system
+        # holds one either.
         trace = generate_trace(get_profile("gamess"), 300_000, seed=0)
-        system = System(CFG, [trace], "esteem", tracer=NULL_TRACER)
+        system = System(CFG, [trace], "esteem")
         assert system.tracer is None
         assert system.engine.tracer is None
+        assert system.esteem.tracer is None
 
 
 def _sphinx_narrow_channel():
@@ -230,18 +227,3 @@ class TestMetrics:
         assert snap["energy.total_j"]["value"] == pytest.approx(
             result.energy.total_j
         )
-
-
-class TestProfiling:
-    def test_runner_records_spans(self):
-        prof = Profiler()
-        runner = Runner(
-            SimConfig.scaled(instructions_per_core=300_000),
-            seed=3,
-            profiler=prof,
-        )
-        runner.compare("gamess", "esteem")
-        names = [s.name for s in prof.spans]
-        assert any(n.startswith("trace.generate:gamess") for n in names)
-        assert "system.run:gamess:esteem" in names
-        assert "system.run:gamess:baseline" in names

@@ -7,10 +7,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
-    NULL_REGISTRY,
-    get_default_registry,
-    set_default_registry,
 )
 
 
@@ -93,27 +89,3 @@ class TestRegistry:
         reg.counter("x").inc()
         reg.clear()
         assert reg.names() == []
-
-
-class TestNullRegistry:
-    def test_disabled_and_silent(self):
-        reg = NullRegistry()
-        assert reg.enabled is False
-        reg.counter("x").inc(10)
-        reg.gauge("y").set(1.0)
-        reg.histogram("z").observe(5.0)
-        assert reg.snapshot() == {}
-
-    def test_shared_instance_exists(self):
-        assert NULL_REGISTRY.enabled is False
-
-
-class TestDefaultRegistry:
-    def test_swap_and_restore(self):
-        mine = MetricsRegistry()
-        previous = set_default_registry(mine)
-        try:
-            assert get_default_registry() is mine
-        finally:
-            set_default_registry(previous)
-        assert get_default_registry() is previous

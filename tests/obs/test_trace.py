@@ -7,11 +7,8 @@ import pytest
 from repro.obs.trace import (
     EVENT_INTERVAL_DECISION,
     EVENT_REFRESH_BURST,
-    NULL_TRACER,
-    NullTracer,
     TraceEvent,
     Tracer,
-    active_tracer,
 )
 
 
@@ -96,19 +93,3 @@ class TestJsonl:
         text = t.format_pretty()
         assert "b" in text
         assert "1 earlier events dropped" in text
-
-
-class TestNullTracer:
-    def test_noop_identity(self):
-        t = NullTracer()
-        assert t.enabled is False
-        t.emit("a", 1, x=1)
-        assert len(t) == 0
-        assert t.to_jsonl() == ""
-
-    def test_active_tracer_normalisation(self):
-        real = Tracer()
-        assert active_tracer(real) is real
-        assert active_tracer(None) is None
-        assert active_tracer(NULL_TRACER) is None
-        assert active_tracer(NullTracer()) is None

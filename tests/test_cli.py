@@ -1,7 +1,5 @@
 """Tests for the command-line interface."""
 
-import re
-
 import pytest
 
 from repro.cli import build_parser, main
@@ -123,6 +121,28 @@ class TestParser:
         assert main(command.split()) == 0
         assert main(command.split() + ["-t", "ecc"]) == 0
         assert seen == [["esteem", "rpv"], ["ecc"]]
+
+    def test_run_prints_one_row_per_technique(self, capsys):
+        # A technique named twice runs once, in first-mention order.
+        code = main(["run", "-w", "gamess", "-t", "rpv", "esteem",
+                     "-t", "rpv", "esteem", "--instructions", "50000"])
+        assert code == 0
+        rows = [
+            line.split()[0] for line in capsys.readouterr().out.splitlines()
+            if line.split()[:1] in (["rpv"], ["esteem"])
+        ]
+        assert rows == ["rpv", "esteem"]
+
+    def test_sweep_counts_each_workload_once(self, capsys):
+        code = main(["sweep", "-t", "esteem", "-t", "esteem",
+                     "--workloads", "gamess", "--instructions", "50000",
+                     "--jobs", "1", "--no-cache", "-q"])
+        assert code == 0
+        rows = [
+            line.split() for line in capsys.readouterr().out.splitlines()
+            if line.startswith("esteem ")
+        ]
+        assert [row[:2] for row in rows] == [["esteem", "1"]]
 
     @pytest.mark.parametrize("argv", [
         "trace -w gamess --capacity 0",
@@ -411,26 +431,24 @@ class TestCommands:
         assert capsys.readouterr().err == ""
 
     def test_run_profile_reports_spans(self, capsys):
-        code = main(
-            ["run", "-w", "gamess", "-t", "esteem", "--profile",
-             "--instructions", "300000"]
-        )
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "system.run:gamess:esteem" in err
+        # --profile is gone: timings reach the user through the sweep
+        # manifest and `repro report`, so the flag is a usage error.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "-w", "gamess", "-t", "esteem", "--profile",
+                  "--instructions", "300000"])
+        assert exc.value.code == 2
+        assert "--profile" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv,span", [
-        (["sweep", "-t", "esteem"], "sweep"),
-        (["figure", "3"], "figure 3"),
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "-t", "esteem"], ["figure", "3"],
     ], ids=["sweep", "figure"])
-    def test_sweep_profile_reports_its_span(self, argv, span, capsys):
-        code = main(
-            argv + ["--workloads", "gamess", "--instructions", "50000",
-                    "--jobs", "1", "--no-cache", "--profile", "-q"]
-        )
-        assert code == 0
-        err = capsys.readouterr().err
-        assert re.search(rf"^{span}\s+\S+\s+\S+\s+\d+%$", err, re.M), err
+    def test_sweep_profile_reports_its_span(self, argv, capsys):
+        # A sweep's wall time and per-technique time are in its manifest.
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workloads", "gamess", "--instructions", "50000",
+                         "--jobs", "1", "--no-cache", "--profile", "-q"])
+        assert exc.value.code == 2
+        assert "--profile" in capsys.readouterr().err
 
     def test_table3_progress_on_stderr(self, capsys):
         code = main(
