@@ -41,7 +41,7 @@ import time
 from contextlib import contextmanager
 from typing import IO, Any, Iterator, Mapping
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 
 __all__ = [
     "CampaignAggregator",

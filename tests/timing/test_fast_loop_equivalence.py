@@ -1,7 +1,8 @@
 """Golden equivalence: fast chunked loop vs the straight-line reference.
 
-The event-horizon fast path (:meth:`repro.timing.system.System._run`) is a
-pure performance transformation -- every counter, energy figure, timeline
+The event-horizon fast path
+(:meth:`repro.timing.system.System._run_fast`) is a pure performance
+transformation -- every counter, energy figure, timeline
 entry, and per-core statistic must match the retained reference loop
 (``reference_loop=True`` -> :meth:`System._run_reference`) *bit for bit*,
 including float accumulation order.  These tests run representative
