@@ -99,7 +99,6 @@ def run_scenario() -> dict:
             jobs=2,
             timeout_s=5.0,
             retries=2,
-            backoff_s=0.1,
             plan=PLAN,
             cache=ResultCache(cache_dir),
         )
@@ -113,10 +112,8 @@ def run_scenario() -> dict:
         assert sorted(chaos_result.completed) == ["gamess", "h264ref"]
         assert chaos_result.retries >= 2, "crash and hang must each retry"
 
-        # Telemetry survival (ISSUE 6): successful units ship full
-        # snapshots, the timed-out attempt salvages a partial one over
-        # the SIGTERM flush, and the hard crash is recorded as lost --
-        # never silently absent from the manifest.
+        # Telemetry: each finished unit ships its snapshot, and only
+        # finished units are merged into the campaign totals.
         telem = chaos_result.telemetry
         assert sorted(telem["per_unit"]) == ["gamess", "h264ref"]
         assert telem["counters"]["sim.instructions"] > 0
@@ -124,18 +121,8 @@ def run_scenario() -> dict:
         by_attempt = {
             (t["workload"], t["attempt"]): t for t in chaos_result.timeline
         }
-        assert by_attempt[("gamess", 1)]["telemetry"] == "lost", (
-            "a worker that dies via os._exit cannot flush telemetry"
-        )
-        assert by_attempt[("gamess", 2)]["telemetry"] == "ok"
         hang_first = by_attempt[("h264ref", 1)]
         assert hang_first["exc_type"] == "TimeoutError"
-        assert hang_first["telemetry"] == "partial", (
-            "the terminated worker's SIGTERM flush must salvage a "
-            "partial snapshot"
-        )
-        assert by_attempt[("h264ref", 2)]["telemetry"] == "ok"
-        assert chaos_result.failed[0].telemetry == "lost"
 
         # Survivors must be bit-for-bit identical to a clean sequential
         # run under the same Plane-1 hardware faults.
@@ -164,7 +151,6 @@ def run_scenario() -> dict:
             jobs=2,
             timeout_s=5.0,
             retries=0,
-            backoff_s=0.1,
             checkpoint=ckpt_path,
             plan=PLAN,
             cache=ResultCache(cache_dir),
@@ -201,7 +187,6 @@ def run_scenario() -> dict:
         "cached": sorted(rerun.cached),
         "fault_events": n_fault_events,
         "telemetry_units": sorted(chaos_result.telemetry["per_unit"]),
-        "salvaged_partial": hang_first["telemetry"],
     }
 
 
@@ -219,7 +204,7 @@ def _sweep_cmd(ckpt: str, manifest: str, plan: str, cache: str) -> list[str]:
         sys.executable, "-m", "repro", "sweep",
         "--workloads", INTERRUPT_WORKLOADS, "-t", "esteem",
         "--instructions", str(INSTRUCTIONS), "--jobs", "1",
-        "--timeout", "5", "--retries", "2", "--backoff", "0.1",
+        "--timeout", "5", "--retries", "2",
         "--inject", plan, "--cache-dir", cache,
         "--checkpoint", ckpt, "--manifest", manifest, "-q",
     ]

@@ -77,14 +77,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _non_negative_float(text: str) -> float:
-    """A number of at least 0, for ``sweep --backoff``."""
-    value = float(text)
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
-
-
 def _add_scale_args(parser: argparse.ArgumentParser) -> None:
     """Trace scale and seed, for every simulating command."""
     parser.add_argument("--instructions", type=_positive_int,
@@ -212,9 +204,10 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _workloads(args: argparse.Namespace, cores: int) -> list[str]:
-    """``--workloads``, else every Table 1 workload for ``cores``."""
+    """``--workloads``, else every Table 1 workload for ``cores``.  A
+    workload named twice runs once, in first-mention order."""
     if args.workloads:
-        return args.workloads.split(",")
+        return list(dict.fromkeys(args.workloads.split(",")))
     if cores == 1:
         return [b.name for b in ALL_BENCHMARKS]
     return [m.acronym for m in DUAL_CORE_MIXES]
@@ -504,7 +497,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args, "sweep", config, workloads, tuple(args.technique), cache,
         timeout_s=args.timeout,
         retries=args.retries,
-        backoff_s=args.backoff,
         checkpoint=args.checkpoint,
         plan=plan,
     )
@@ -766,9 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--retries", type=_non_negative_int, default=2,
                      help="retry budget per workload for transient "
                           "failures (default: 2)")
-    swp.add_argument("--backoff", type=_non_negative_float, default=0.5,
-                     help="base retry backoff in seconds, doubled per "
-                          "attempt (default: 0.5)")
     swp.add_argument("--checkpoint", default=None, metavar="FILE.jsonl",
                      help="log each finished workload's results to this "
                           "JSONL file, started afresh")

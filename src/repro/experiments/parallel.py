@@ -17,7 +17,9 @@ dispatches units to one engine, the
 workers that amortise interpreter start, module imports and memoised
 warm-L2 images across units, receive traces zero-copy as shared-memory
 handles, and are recycled only on crash or hang.  The
-timeout/retry/degradation state machine lives in this module; the
+timeout/retry/degradation state machine lives in this module: a failed
+attempt goes straight back on the queue or is abandoned, and a finished
+attempt's telemetry is the only telemetry the sweep keeps.  The
 sequential :class:`~repro.experiments.runner.Runner` is its bit-for-bit
 reference.
 
@@ -59,7 +61,6 @@ from repro.obs.campaign import (
     CampaignAggregator,
     ProgressReporter,
     current_worker_obs,
-    telemetry_from_message,
 )
 
 __all__ = [
@@ -200,18 +201,12 @@ def _workload_task(
 
 @dataclass(frozen=True)
 class FailedWorkload:
-    """Manifest entry for a unit the sweep could not complete.
-
-    ``telemetry`` records how much observability survived the final
-    attempt: ``"partial"`` when the dying worker flushed a SIGTERM
-    snapshot, ``"lost"`` when it died mute (hard crash).
-    """
+    """Manifest entry for a unit the sweep could not complete."""
 
     workload: str
     attempts: int
     exc_type: str
     detail: str
-    telemetry: str = "lost"
 
 
 @dataclass(frozen=True)
@@ -242,11 +237,11 @@ class SweepResult:
 
     Campaign telemetry: ``timeline`` holds one record per attempt (and
     per cached unit) with wall-clock offsets relative to the
-    sweep start, so a report can reconstruct the retry/backoff history;
+    sweep start, so a report can reconstruct the retry history;
     ``telemetry`` is the merged :class:`~repro.obs.campaign.
-    CampaignAggregator` state (campaign counter/histogram totals,
-    per-technique and per-unit rollups, and which units lost their
-    telemetry); ``wall_s`` is the whole sweep's wall time.
+    CampaignAggregator` state of the finished units (campaign
+    counter/histogram totals, per-technique and per-unit rollups);
+    ``wall_s`` is the whole sweep's wall time.
     """
 
     comparisons: dict[str, list[RunComparison]]
@@ -288,7 +283,6 @@ class SweepResult:
                     "attempts": f.attempts,
                     "exc_type": f.exc_type,
                     "detail": f.detail,
-                    "telemetry": f.telemetry,
                 }
                 for f in self.failed
             ],
@@ -310,14 +304,6 @@ class _Unit:
     fingerprint: str = ""
     shm_keys: tuple = ()
     attempt: int = 0  # attempts already consumed
-    last_telemetry: str = "lost"  # obs outcome of the latest attempt
-
-
-def _telemetry_status(telemetry: Any) -> str:
-    """Manifest label for an attempt's telemetry: ok / partial / lost."""
-    if telemetry is None:
-        return "lost"
-    return "partial" if telemetry.get("partial") else "ok"
 
 
 def _validate_unit_result(payload: Any) -> tuple[list[RunComparison], float] | None:
@@ -389,7 +375,6 @@ def resilient_sweep(
     jobs: int | None = None,
     timeout_s: float | None = None,
     retries: int = 2,
-    backoff_s: float = 0.5,
     checkpoint: str | os.PathLike | None = None,
     plan: FaultPlan | None = None,
     progress: bool | ProgressReporter = False,
@@ -406,10 +391,9 @@ def resilient_sweep(
     crashed worker is recycled, every other worker stays warm.  Failed
     attempts are classified by exception type: transient ones
     (:data:`TRANSIENT_EXC_TYPES`: crashes, timeouts, corrupt results,
-    broken pipes) are retried up to ``retries`` times with exponential
-    backoff (``backoff_s * 2**(attempt-1)``); deterministic ones fail
-    fast, because a unit that raised ``ValueError`` once will raise it
-    on every retry.
+    broken pipes) go straight back on the queue, up to ``retries`` times;
+    deterministic ones fail fast, because a unit that raised
+    ``ValueError`` once will raise it on every retry.
 
     A unit's traces are generated and exported to shared memory when it
     is first dispatched, so the first workers start while the parent
@@ -436,13 +420,12 @@ def resilient_sweep(
     True.  Callers decide whether partial results are acceptable.
 
     Campaign telemetry: every worker attempt runs under a fresh
-    per-attempt metrics registry and ships its snapshot back with the
-    wire message -- including partial snapshots flushed on SIGTERM when the
-    harness aborts a hung attempt.  Snapshots of *successful* attempts
-    merge into the campaign totals (so the merged counters are exactly
-    the sum of the per-unit truths); failed attempts keep their
-    partial/lost status in the per-attempt ``timeline``.  Progress
-    reporters receive live aggregate fields through
+    per-attempt metrics registry, and a finished attempt ships its
+    snapshot back with its result.  Those snapshots merge into the
+    campaign totals (so the merged counters are exactly the sum of the
+    per-unit truths); a failed, timed-out or cancelled attempt ships
+    none and leaves only its record in the per-attempt ``timeline``.
+    Progress reporters receive live aggregate fields through
     ``reporter.status(...)`` (see
     :class:`~repro.obs.campaign.CampaignDashboard`).
 
@@ -454,8 +437,11 @@ def resilient_sweep(
     result -- never silently dropped -- and the result's ``interrupted``
     carries the signal name so the CLI can exit with a distinct code.  A
     signal sent to the whole process group (``timeout``, ``kill -TERM
-    -PGID``) also reaches the workers: they ignore SIGINT, and an attempt
-    a SIGTERM aborts is cancelled the same way, never failed.
+    -PGID``) also reaches the workers: they ignore SIGINT and die by the
+    default SIGTERM.  An attempt that did not finish is cancelled the
+    same way, never failed, when the parent saw a signal or when its
+    worker died with ``exitcode == -SIGTERM`` -- the latter also covers
+    a SIGTERM sent to one worker alone.
     """
     from repro.experiments.pool import SharedTraceStore, WorkerPool
 
@@ -471,8 +457,6 @@ def resilient_sweep(
         raise ValueError("retries must be non-negative")
     if timeout_s is not None and timeout_s <= 0:
         raise ValueError("timeout must be positive")
-    if backoff_s < 0:
-        raise ValueError("backoff must be non-negative")
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
     jobs = min(jobs, len(workload_list))
 
@@ -509,7 +493,6 @@ def resilient_sweep(
         exc_type: str,
         start_s: float,
         end_s: float,
-        telemetry_status: str,
         in_flight: bool = False,
     ) -> None:
         entry = {
@@ -520,7 +503,6 @@ def resilient_sweep(
             "start_s": round(start_s, 6),
             "end_s": round(end_s, 6),
             "wall_s": round(end_s - start_s, 6),
-            "telemetry": telemetry_status,
         }
         if in_flight:
             # The attempt was cancelled mid-run by a signal -- it
@@ -543,7 +525,7 @@ def resilient_sweep(
             cached.append(w)
             if ckpt is not None:
                 ckpt.record(hit)
-            note(w, 0, "cached", "", rel_now(), rel_now(), "none")
+            note(w, 0, "cached", "", rel_now(), rel_now())
             reporter.advance(f"{w} (cached)", 0.0)
             continue
         units.append(_Unit(index=i, workload=w, fingerprint=unit_fp))
@@ -580,8 +562,6 @@ def resilient_sweep(
     interrupted: str | None = None
     # conn -> (unit, deadline | None, started_at)
     running: dict[Any, tuple[_Unit, float | None, float]] = {}
-    # (ready_time, unit) entries waiting out their backoff.
-    backing_off: list[tuple[float, _Unit]] = []
 
     def push_status() -> None:
         reporter.status(
@@ -607,8 +587,7 @@ def resilient_sweep(
         nonlocal total_retries
         if exc_type in TRANSIENT_EXC_TYPES and unit.attempt <= retries:
             total_retries += 1
-            delay = backoff_s * 2 ** (unit.attempt - 1)
-            backing_off.append((time.monotonic() + delay, unit))
+            units.append(unit)
             outcome = "retry"
         else:
             failed.append(
@@ -617,13 +596,12 @@ def resilient_sweep(
                     attempts=unit.attempt,
                     exc_type=exc_type,
                     detail=detail,
-                    telemetry=unit.last_telemetry,
                 )
             )
             outcome = "failed"
         note(
             unit.workload, unit.attempt, outcome, exc_type,
-            started_s, rel_now(), unit.last_telemetry,
+            started_s, rel_now(),
         )
         if outcome != "retry":
             settle(unit)
@@ -632,12 +610,7 @@ def resilient_sweep(
     def retire(conn) -> tuple[_Unit, float]:
         """Abort an in-flight attempt: ``(unit, started_s)``."""
         unit, _deadline, started_s = running.pop(conn)
-        # abort() SIGTERMs the worker and waits briefly for the partial
-        # telemetry snapshot its abort handler flushes.
-        salvage = executor_obj.abort(conn)
-        unit.last_telemetry = _telemetry_status(
-            telemetry_from_message(salvage)
-        )
+        executor_obj.abort(conn)
         return unit, started_s
 
     def cancel_remaining(cut: list[tuple[_Unit, float]]) -> None:
@@ -647,21 +620,18 @@ def resilient_sweep(
         ``cut`` holds the ``(unit, started_s)`` attempts a signal has
         already stopped.
         """
-        # In-flight attempts carry their start time; queued and
-        # backing-off units never started this attempt (``None``).
+        # In-flight attempts carry their start time; queued units never
+        # started this attempt (``None``).
         cancelled: list[tuple[_Unit, float | None]] = list(cut)
         cancelled += [retire(conn) for conn in list(running)]
         cancelled += [(u, None) for u in units]
-        cancelled += [(u, None) for _, u in backing_off]
         units.clear()
-        backing_off.clear()
         for unit, started_s in cancelled:
             in_flight = started_s is not None
             skipped.append(SkippedWorkload(unit.workload, unit.attempt))
             note(
                 unit.workload, unit.attempt, "skipped-interrupt", "",
                 started_s if in_flight else rel_now(), rel_now(),
-                unit.last_telemetry if in_flight else "none",
                 in_flight=in_flight,
             )
             settle(unit)
@@ -670,16 +640,13 @@ def resilient_sweep(
     watch = ParentSignalWatch()
     try:
         with watch:
-            while units or backing_off or running:
+            while units or running:
                 # Graceful drain: handlers only set a flag, so a signal
                 # can never land mid-write.
                 if watch.signame is not None:
                     interrupted = watch.signame
                     cancel_remaining([])
                     break
-                now = time.monotonic()
-                units.extend(u for t, u in backing_off if t <= now)
-                backing_off[:] = [(t, u) for t, u in backing_off if t > now]
                 while units and len(running) < jobs:
                     unit = units.popleft()
                     if unit.task is None:  # retries reuse the prepared task
@@ -694,42 +661,33 @@ def resilient_sweep(
                         else None
                     )
                     running[conn] = (unit, deadline, rel_now())
-                if not running:
-                    if backing_off:
-                        wake = min(t for t, _ in backing_off)
-                        wait = min(wake - time.monotonic(), 0.25)
-                        time.sleep(max(0.0, wait))
-                    continue
-                # Block until a worker reports, dies, or a deadline /
-                # backoff expiry needs attention.  Capped at 250ms so the
-                # interrupt flag is polled promptly (PEP 475 retries the
-                # wait after a non-raising signal handler).
+                # Block until a worker reports, dies, or a deadline needs
+                # attention.  Capped at 250ms so the interrupt flag is
+                # polled promptly (PEP 475 retries the wait after a
+                # non-raising signal handler).
                 deadlines = [
                     d for _, d, _s in running.values() if d is not None
                 ]
-                wake_times = deadlines + [t for t, _ in backing_off]
                 wait_timeout = 0.25
-                if wake_times:
+                if deadlines:
                     wait_timeout = max(
-                        0.0, min(min(wake_times) - time.monotonic(), 0.25)
+                        0.0, min(min(deadlines) - time.monotonic(), 0.25)
                     )
                 ready = pipe_wait(list(running), timeout=wait_timeout)
                 cut: list[tuple[_Unit, float]] = []
                 for conn in ready:
                     unit, _deadline, started_s = running.pop(conn)
                     message, exitcode = executor_obj.finish(conn)
-                    telemetry = telemetry_from_message(message)
-                    unit.last_telemetry = _telemetry_status(telemetry)
                     tag = message[0] if message is not None else None
-                    if tag == "aborted" or (
-                        tag != "ok" and watch.signame is not None
+                    if tag != "ok" and (
+                        watch.signame is not None
+                        or exitcode == -signal.SIGTERM
                     ):
-                        # The parent's own aborts are consumed by
-                        # WorkerPool.abort, so a signal sent to the
-                        # whole process group stopped this attempt (or,
-                        # once the parent is signalled, may have killed
-                        # it before its handlers were installed): it is
-                        # cancelled with the rest, never failed.
+                        # The parent's own aborts never reach this loop
+                        # (WorkerPool.abort reaps them), so a SIGTERM
+                        # killed this worker from outside, or the parent
+                        # itself was signalled: the attempt is cancelled
+                        # with the rest, never failed.
                         cut.append((unit, started_s))
                     elif message is None:
                         dispose(
@@ -740,7 +698,7 @@ def resilient_sweep(
                             started_s,
                         )
                     elif tag != "ok":
-                        _tag, exc_type, detail, *_rest = message
+                        _tag, exc_type, detail = message
                         dispose(unit, exc_type, detail, started_s)
                     elif (
                         validated := _validate_unit_result(message[1])
@@ -760,13 +718,13 @@ def resilient_sweep(
                             ckpt.record(comparisons)
                         if cache is not None and unit.fingerprint:
                             cache.put(unit.fingerprint, comparisons)
-                        # Only successful attempts feed the campaign
-                        # totals: merged counters stay the exact sum of
-                        # the units that produced results.
-                        agg.add_unit(unit.workload, telemetry)
+                        # Only finished attempts carry telemetry: merged
+                        # counters stay the exact sum of the units that
+                        # produced results.
+                        agg.add_unit(unit.workload, message[2])
                         note(
                             unit.workload, unit.attempt, "ok", "",
-                            started_s, rel_now(), unit.last_telemetry,
+                            started_s, rel_now(),
                         )
                         reporter.advance(unit.workload, wall_s)
                 if cut:

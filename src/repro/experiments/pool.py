@@ -13,8 +13,8 @@ module keeps those costs amortised:
   memoised warm-L2 images, so only the first unit a worker sees pays
   setup; the traces a unit attaches are dropped when it ends.  A
   worker is *recycled* (discarded and lazily replaced) only when it
-  crashes (pipe EOF) or hangs (the harness aborts it at its per-attempt
-  timeout); a unit that merely raises keeps its worker warm.
+  crashes (pipe EOF) or hangs (the harness terminates it at its
+  per-attempt timeout); a unit that merely raises keeps its worker warm.
 * :class:`SharedTraceStore` -- parent-side refcounted export of traces
   into named ``multiprocessing.shared_memory`` segments, so workers
   attach multi-million-record columns zero-copy instead of receiving a
@@ -28,15 +28,13 @@ module keeps those costs amortised:
 path, which ``repro sweep``, ``repro figure`` and ``repro table`` run
 on -- drives the pool through four calls: ``start()`` returns a pollable
 connection, ``finish()`` receives the attempt's message (``None`` means
-the worker died without reporting), ``abort()`` terminates a hung
-attempt -- waiting briefly for the SIGTERM-flushed partial telemetry
-message the worker's abort handler tries to send, and returning that
-salvage (or ``None``) -- and ``close()`` tears everything down.  A
-request is ``(task, attempt)`` (``None`` stops the worker); wire
-messages carry a telemetry snapshot as their last element (see
-:mod:`repro.obs.campaign`).  The harness's timeout/retry/cache
-semantics live entirely in
-:func:`repro.experiments.parallel.resilient_sweep`.
+the worker died without reporting, and its exit code says how),
+``abort()`` terminates a hung attempt, and ``close()`` tears everything
+down.  A request is ``(task, attempt)`` (``None`` stops the worker); the
+reply is ``("ok", payload, telemetry)`` or ``("error", exc_type,
+detail)``.  A worker takes SIGTERM's default action, so a terminated
+worker dies mute.  The harness's timeout/retry/cache semantics live
+entirely in :func:`repro.experiments.parallel.resilient_sweep`.
 """
 
 from __future__ import annotations
@@ -50,12 +48,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.experiments.parallel import ParallelWorkerError, _workload_task
 from repro.faults.chaos import ChaosWorkerProxy
-from repro.obs.campaign import (
-    WorkerAborted,
-    begin_worker_obs,
-    end_worker_obs,
-    install_sigterm_flush,
-)
+from repro.obs.campaign import begin_worker_obs, end_worker_obs
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workloads.trace import Trace
@@ -74,19 +67,6 @@ def _recv(conn) -> Any:
         return conn.recv()
     except (EOFError, OSError):
         return None
-
-
-def _drain_salvage(conn, timeout: float = 0.5) -> Any:
-    """Poll briefly for an aborted worker's salvage message.
-
-    ``None`` when nothing arrives in time (telemetry is then *lost*).
-    """
-    try:
-        if not conn.poll(timeout):
-            return None
-    except (EOFError, OSError):
-        return None
-    return _recv(conn)
 
 
 # ----------------------------------------------------------------------
@@ -188,36 +168,26 @@ def _attempt_message(task: tuple, attempt: int) -> tuple:
     validation to catch, ``raise`` surfaces as a deterministic error
     message.
 
-    Every message carries the attempt's telemetry snapshot as its last
-    element: ``("ok", payload, telemetry)`` on success, ``("error",
-    exc_type, detail, telemetry)`` on failure, and ``("aborted",
-    exc_type, detail, telemetry)`` when a SIGTERM stopped the attempt
-    mid-flight -- the snapshot is then flagged *partial* and
-    holds whatever the unit had flushed before dying.  Telemetry rides
-    outside the validated result payload, so a chaos-corrupted result
-    cannot corrupt its own telemetry.
+    A finished attempt replies ``("ok", payload, telemetry)``, where
+    ``telemetry`` is the attempt's
+    :meth:`~repro.obs.campaign.WorkerObs.snapshot`; a failed one replies
+    ``("error", exc_type, detail)``.  Telemetry rides outside the
+    validated result payload, so a chaos-corrupted result cannot corrupt
+    its own telemetry.
     """
     _config, workload, _techniques, _seed, _preloaded, plan = task
     obs = begin_worker_obs()
     try:
-        try:
-            if plan is not None and plan.has_chaos():
-                proxy = ChaosWorkerProxy(plan, workload, attempt)
-                result = proxy(lambda: _workload_task(task))
-            else:
-                result = _workload_task(task)
-            return ("ok", result, obs.snapshot(partial=False))
-        except WorkerAborted as exc:
-            return ("aborted", "WorkerAborted", str(exc), obs.snapshot(partial=True))
-        except ParallelWorkerError as exc:
-            return ("error", exc.exc_type, exc.detail, obs.snapshot(partial=True))
-        except BaseException as exc:  # noqa: BLE001 -- must not die silently
-            return (
-                "error",
-                type(exc).__name__,
-                traceback.format_exc(),
-                obs.snapshot(partial=True),
-            )
+        if plan is not None and plan.has_chaos():
+            proxy = ChaosWorkerProxy(plan, workload, attempt)
+            result = proxy(lambda: _workload_task(task))
+        else:
+            result = _workload_task(task)
+        return ("ok", result, obs.snapshot())
+    except ParallelWorkerError as exc:
+        return ("error", exc.exc_type, exc.detail)
+    except BaseException as exc:  # noqa: BLE001 -- must not die silently
+        return ("error", type(exc).__name__, traceback.format_exc())
     finally:
         end_worker_obs()
 
@@ -239,34 +209,23 @@ def _pool_worker_main(conn) -> None:
     gc.freeze()
     # A Ctrl-C reaches the whole foreground process group; only the
     # parent acts on it, by aborting the attempts it wants stopped.
+    # SIGTERM takes its default action, not the parent's handler the
+    # fork inherited: the worker dies at once.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # SIGTERM (the harness aborting a hung attempt, or a signal sent to
-    # the whole process group) raises WorkerAborted so the in-flight
-    # attempt can flush a final partial telemetry snapshot instead of
-    # dying mute.
-    install_sigterm_flush()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         while True:
             try:
                 request = conn.recv()
             except (EOFError, OSError):
                 break
-            except WorkerAborted:
-                break
             if request is None:
                 break
             task, attempt = request
-            message = _attempt_message(task, attempt)
             try:
-                conn.send(message)
-            except (BrokenPipeError, OSError, WorkerAborted):
+                conn.send(_attempt_message(task, attempt))
+            except (BrokenPipeError, OSError):
                 break
-            if message[0] == "aborted":
-                # This worker was told to stop; exit promptly so the
-                # parent's reap join does not have to escalate.
-                break
-    except WorkerAborted:
-        pass
     finally:
         try:
             conn.close()
@@ -360,8 +319,9 @@ class WorkerPool:
         """Receive an attempt's ``(message, exitcode)``.
 
         ``message is None`` means the worker died without reporting (it
-        is reaped and counted recycled; ``exitcode`` carries its status).
-        Otherwise the worker goes back to the idle list, still warm.
+        is reaped and counted recycled; ``exitcode`` carries its status,
+        ``-signal.SIGTERM`` for a worker a SIGTERM killed).  Otherwise
+        the worker goes back to the idle list, still warm.
         """
         proc = self._busy.pop(conn)
         message = _recv(conn)
@@ -371,20 +331,11 @@ class WorkerPool:
         self._idle.append((conn, proc))
         return message, None
 
-    def abort(self, conn) -> Any:
-        """Terminate a (presumed hung) attempt; the worker is recycled.
-
-        The worker's SIGTERM handler gives the dying attempt a moment to
-        flush a final partial telemetry message; ``abort`` waits briefly
-        for that salvage and returns it
-        (``None`` when nothing arrived -- the attempt's telemetry is
-        then *lost*).
-        """
+    def abort(self, conn) -> None:
+        """Terminate a (presumed hung) attempt; the worker is recycled."""
         proc = self._busy.pop(conn)
         proc.terminate()
-        salvage = _drain_salvage(conn)
         self._reap(conn, proc)
-        return salvage
 
     def close(self) -> None:
         """Stop idle workers gracefully, kill busy ones, drop all pipes."""

@@ -97,8 +97,10 @@ MANIFEST_KIND = "repro-sweep-manifest"
 #: executor block, the deadline and the skip reason: a signal is the one
 #: way a unit is skipped.  v5 dropped the list of units read back from a
 #: checkpoint, its timeline outcome and the checkpoint path: a rerun over
-#: the result cache is the one way to finish a sweep.
-MANIFEST_VERSION = 5
+#: the result cache is the one way to finish a sweep.  v6 dropped the
+#: per-attempt and per-failure telemetry labels and the list of units
+#: whose telemetry was lost: only finished units carry telemetry.
+MANIFEST_VERSION = 6
 
 
 def build_manifest(
@@ -173,7 +175,6 @@ def build_manifest(
         not manifest.get("degraded", False)
         and manifest.get("retries", 0) == 0
         and not manifest.get("cached")
-        and not telemetry.get("lost")
     )
     manifest["bench"] = {
         "instructions_per_core": config.instructions_per_core,
@@ -397,8 +398,8 @@ _AGGREGATE_HEADERS = [
 
 
 def _retry_timeline_rows(manifest: Mapping[str, Any]) -> list[list[Any]]:
-    """Attempt history for every unit that was retried, failed or timed
-    out -- the retry/backoff timeline."""
+    """Attempt history for every unit that was retried, failed or
+    cancelled -- the retry timeline."""
     eventful = {
         t.get("workload")
         for t in manifest.get("timeline", [])
@@ -413,7 +414,7 @@ def _retry_timeline_rows(manifest: Mapping[str, Any]) -> list[list[Any]]:
             [
                 t.get("workload"), t.get("attempt"), t.get("outcome"),
                 t.get("exc_type") or "-", t.get("start_s"), t.get("end_s"),
-                t.get("wall_s"), t.get("telemetry"),
+                t.get("wall_s"),
             ]
         )
     return rows
@@ -477,7 +478,7 @@ def render_markdown(
     )
     out.append(_md_table(
         ["units merged", "runs", "instructions", "records", "L2 hit rate",
-         "batch share", "refresh lines", "faults", "lost"],
+         "batch share", "refresh lines", "faults"],
         [[
             rollup.get("units_merged", 0),
             format_value(rollup.get("runs", 0.0), 0),
@@ -487,7 +488,6 @@ def render_markdown(
             rollup.get("kernel_batch_share", 0.0),
             format_value(rollup.get("refresh_lines", 0.0), 0),
             faults,
-            ", ".join(telemetry.get("lost", [])) or "none",
         ]],
     ))
     per_tech = bench.get("per_technique", {})
@@ -513,11 +513,11 @@ def render_markdown(
     retry_rows = _retry_timeline_rows(manifest)
     if retry_rows:
         out.append("")
-        out.append("## Retry / backoff timeline")
+        out.append("## Retry timeline")
         out.append("")
         out.append(_md_table(
             ["workload", "attempt", "outcome", "exc type", "start s",
-             "end s", "wall s", "telemetry"],
+             "end s", "wall s"],
             retry_rows,
         ))
     if manifest.get("failed"):
@@ -525,10 +525,10 @@ def render_markdown(
         out.append("## Failures")
         out.append("")
         out.append(_md_table(
-            ["workload", "attempts", "exc type", "telemetry", "detail"],
+            ["workload", "attempts", "exc type", "detail"],
             [
                 [f.get("workload"), f.get("attempts"), f.get("exc_type"),
-                 f.get("telemetry"), f.get("detail")]
+                 f.get("detail")]
                 for f in manifest.get("failed", [])
             ],
         ))

@@ -19,8 +19,8 @@ sweep worker.  Before (and after) running the unit it consults the
     Runs the unit to completion, then mangles the result so the
     harness's result validation rejects it.
 ``kill``
-    ``SIGKILL`` to self -- the hardest crash there is: no exit handler,
-    no SIGTERM flush, telemetry unconditionally lost.
+    ``SIGKILL`` to self -- the hardest crash there is: no exit handler
+    runs and no message reaches the parent.
 
 These are exactly the failure modes the resilient sweep harness must
 survive; the proxy exists so tests and benchmarks can script them

@@ -24,7 +24,6 @@ from repro.obs.campaign import (
     CampaignAggregator,
     CampaignDashboard,
     ProgressReporter,
-    WorkerAborted,
     WorkerObs,
     format_seconds,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "CampaignAggregator",
     "CampaignDashboard",
     "ProgressReporter",
-    "WorkerAborted",
     "WorkerObs",
     "format_seconds",
     "Counter",

@@ -11,15 +11,11 @@ that carries them home and rolls them up:
   are exact deltas, and campaign totals are exact sums of per-unit
   truths) and per-technique counter/wall-time attribution via
   :meth:`WorkerObs.technique_span`.  :meth:`WorkerObs.snapshot` is the
-  picklable ``WorkerTelemetry`` payload that rides the executor wire
-  protocol -- it is O(#instruments), never O(records), so shipping it
-  costs microseconds even after multi-million-record units.
-* **Abort path** -- :func:`install_sigterm_flush` rebinds SIGTERM to
-  raise :class:`WorkerAborted` (a ``BaseException``, so it pierces the
-  unit's ``except Exception`` handlers), letting a worker that the
-  harness terminates at its per-attempt timeout flush its last partial
-  snapshot before dying.  A worker that could not flush (hard crash,
-  ``os._exit``) is recorded as ``telemetry: "lost"`` in the manifest.
+  picklable payload that rides a finished attempt's ``("ok", payload,
+  snapshot)`` message -- it is O(#instruments), never O(records), so
+  shipping it costs microseconds even after multi-million-record units.
+  A failed, timed-out or crashed attempt ships no telemetry: only
+  finished units count.
 * **Parent side** -- :class:`CampaignAggregator` folds snapshots in:
   counters add, histograms add bucket-wise (so the totals do not depend
   on the order units complete in, and an empty snapshot changes
@@ -35,7 +31,6 @@ that carries them home and rolls them up:
 
 from __future__ import annotations
 
-import signal
 import sys
 import time
 from contextlib import contextmanager
@@ -47,53 +42,14 @@ __all__ = [
     "CampaignAggregator",
     "CampaignDashboard",
     "ProgressReporter",
-    "TELEMETRY_VERSION",
-    "WorkerAborted",
     "WorkerObs",
     "begin_worker_obs",
     "current_worker_obs",
     "end_worker_obs",
     "format_seconds",
-    "install_sigterm_flush",
-    "is_telemetry",
     "merge_counter_maps",
     "merge_histogram_states",
-    "telemetry_from_message",
 ]
-
-#: Version stamp carried by every worker snapshot so a parent can reject
-#: payloads produced by an incompatible worker build.
-TELEMETRY_VERSION = 1
-
-
-class WorkerAborted(BaseException):
-    """Raised in a worker when the harness terminates it (SIGTERM).
-
-    Deliberately a ``BaseException``: the unit code's ``except
-    Exception`` error folding must not swallow an abort -- it has to
-    reach the attempt loop, which flushes a final partial telemetry
-    snapshot and exits.
-    """
-
-
-def _raise_worker_aborted(signum, frame):  # pragma: no cover - signal path
-    raise WorkerAborted(f"terminated by signal {signum}")
-
-
-def install_sigterm_flush() -> bool:
-    """Rebind SIGTERM to raise :class:`WorkerAborted`; True on success.
-
-    Only the main thread of a process may set signal handlers; callers
-    in exotic contexts get ``False`` and simply keep the default
-    die-immediately behaviour (telemetry is then lost, which the parent
-    already tolerates).
-    """
-    try:
-        signal.signal(signal.SIGTERM, _raise_worker_aborted)
-        return True
-    except (ValueError, OSError):
-        return False
-
 
 # ----------------------------------------------------------------------
 # Worker-side observation context
@@ -143,15 +99,13 @@ class WorkerObs:
                 if delta:
                     counters[name] = counters.get(name, 0.0) + delta
 
-    def snapshot(self, partial: bool = False) -> dict[str, Any]:
-        """The picklable ``WorkerTelemetry`` payload for the wire.
+    def snapshot(self) -> dict[str, Any]:
+        """The picklable telemetry payload of a finished attempt.
 
         O(#instruments): it walks the registry's instrument table, never
         anything proportional to the number of simulated records.
         """
         return {
-            "v": TELEMETRY_VERSION,
-            "partial": bool(partial),
             "metrics": self.registry.snapshot(),
             "per_technique": {
                 name: {
@@ -179,41 +133,6 @@ def end_worker_obs() -> None:
     """Drop the attempt's observation context."""
     global _ACTIVE_OBS
     _ACTIVE_OBS = None
-
-
-# ----------------------------------------------------------------------
-# Wire helpers
-# ----------------------------------------------------------------------
-
-
-def is_telemetry(payload: Any) -> bool:
-    """Whether ``payload`` looks like a current-version worker snapshot."""
-    return (
-        isinstance(payload, dict)
-        and payload.get("v") == TELEMETRY_VERSION
-        and isinstance(payload.get("metrics"), dict)
-        and isinstance(payload.get("partial"), bool)
-    )
-
-
-def telemetry_from_message(message: Any) -> dict[str, Any] | None:
-    """Extract the telemetry payload from an executor wire message.
-
-    Messages are ``("ok", payload, telemetry)`` or ``("error"|"aborted",
-    exc_type, detail, telemetry)``; anything else (including the old
-    telemetry-less shapes and ``None`` for a crashed worker) yields
-    ``None``.  The telemetry rides *outside* the validated result
-    payload, so a chaos-corrupted result does not corrupt its telemetry.
-    """
-    if not isinstance(message, tuple) or len(message) < 3:
-        return None
-    if message[0] == "ok":
-        candidate = message[2]
-    elif message[0] in ("error", "aborted") and len(message) >= 4:
-        candidate = message[3]
-    else:
-        return None
-    return candidate if is_telemetry(candidate) else None
 
 
 # ----------------------------------------------------------------------
@@ -306,21 +225,15 @@ class CampaignAggregator:
         self.histograms: dict[str, dict[str, Any]] = {}
         self.per_unit: dict[str, dict[str, Any]] = {}
         self.per_technique: dict[str, dict[str, Any]] = {}
-        self.lost: list[str] = []
         self.units_merged = 0
 
     # -- accumulation ---------------------------------------------------
 
-    def add_unit(self, unit: str, telemetry: Any) -> bool:
-        """Fold one unit's snapshot in; False (and ``lost``) if absent."""
-        if not is_telemetry(telemetry):
-            if unit not in self.lost:
-                self.lost.append(unit)
-            return False
+    def add_unit(self, unit: str, telemetry: Mapping[str, Any]) -> None:
+        """Fold one finished unit's :meth:`WorkerObs.snapshot` in."""
         counters, gauges, histograms = _split_metrics(telemetry["metrics"])
         per_technique = telemetry.get("per_technique", {})
         entry: dict[str, Any] = {
-            "partial": telemetry["partial"],
             "counters": counters,
             "gauges": gauges,
             "histograms": histograms,
@@ -339,7 +252,6 @@ class CampaignAggregator:
             self.per_technique, per_technique
         )
         self.units_merged += 1
-        return True
 
     # -- rollups --------------------------------------------------------
 
@@ -376,7 +288,6 @@ class CampaignAggregator:
                 k: self.per_technique[k] for k in sorted(self.per_technique)
             },
             "per_unit": {k: self.per_unit[k] for k in sorted(self.per_unit)},
-            "lost": list(self.lost),
             "rollup": self.rollup(),
         }
 

@@ -169,28 +169,9 @@ class MetricsRegistry:
             name, lambda: Histogram(name, buckets, help), Histogram
         )
 
-    def names(self) -> list[str]:
-        return sorted(self._instruments)
-
     def snapshot(self) -> dict[str, dict[str, Any]]:
         """All instruments as plain dictionaries, keyed by name."""
         return {
             name: inst.as_dict()
             for name, inst in sorted(self._instruments.items())
         }
-
-    def format_text(self) -> str:
-        """One ``name value`` line per instrument (counters/gauges) plus
-        ``name_count`` / ``name_sum`` lines for histograms."""
-        lines: list[str] = []
-        for name, inst in sorted(self._instruments.items()):
-            if isinstance(inst, Histogram):
-                lines.append(f"{name}_count {inst.total}")
-                lines.append(f"{name}_sum {inst.sum:g}")
-            else:
-                lines.append(f"{name} {inst.value:g}")
-        return "\n".join(lines)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._instruments.clear()

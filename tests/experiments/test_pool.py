@@ -76,7 +76,7 @@ class TestRecycling:
         plan = FaultPlan(chaos={"gamess": ("crash",)})
         result = resilient_sweep(
             config(), ["gamess"], ("esteem",), jobs=1,
-            retries=2, backoff_s=0.01, plan=plan,
+            retries=2, plan=plan,
         )
         assert not result.degraded
         assert result.retries == 1
@@ -87,7 +87,7 @@ class TestRecycling:
         plan = FaultPlan(chaos={"gamess": ("hang",)}, hang_seconds=60.0)
         result = resilient_sweep(
             config(), ["gamess"], ("esteem",), jobs=1,
-            timeout_s=2.0, retries=2, backoff_s=0.01, plan=plan,
+            timeout_s=2.0, retries=2, plan=plan,
         )
         assert not result.degraded
         assert result.retries == 1
@@ -100,7 +100,7 @@ class TestRecycling:
         plan = FaultPlan(chaos={"povray": ("raise", "raise", "raise")})
         result = resilient_sweep(
             config(), ["gamess", "povray", "h264ref"], ("esteem",),
-            jobs=1, retries=2, backoff_s=0.01, plan=plan,
+            jobs=1, retries=2, plan=plan,
         )
         assert result.degraded
         assert [f.workload for f in result.failed] == ["povray"]
@@ -123,7 +123,7 @@ class TestShmLifecycle:
         plan = FaultPlan(chaos={"gamess": ("crash",)})
         resilient_sweep(
             config(), ["gamess"], ("esteem",), jobs=1,
-            retries=2, backoff_s=0.01, plan=plan,
+            retries=2, plan=plan,
         )
         fresh = new_segments(before)
         assert fresh
@@ -135,7 +135,7 @@ class TestShmLifecycle:
         plan = FaultPlan(chaos={"gamess": ("hang",)}, hang_seconds=60.0)
         resilient_sweep(
             config(), ["gamess"], ("esteem",), jobs=1,
-            timeout_s=2.0, retries=2, backoff_s=0.01, plan=plan,
+            timeout_s=2.0, retries=2, plan=plan,
         )
         fresh = new_segments(before)
         assert fresh
@@ -147,7 +147,7 @@ class TestShmLifecycle:
         plan = FaultPlan(chaos={"gamess": ("crash",) * 8})
         result = resilient_sweep(
             config(), ["gamess"], ("esteem",), jobs=1,
-            retries=1, backoff_s=0.01, plan=plan,
+            retries=1, plan=plan,
         )
         assert result.degraded
         assert poolmod.active_shm_segments() == []
@@ -227,7 +227,7 @@ class TestLazyPreparation:
                 instructions_per_core=50_000, interval_cycles=100_000
             ),
             ["gamess"], ("esteem",), jobs=1,
-            timeout_s=1.0, retries=2, backoff_s=0.01,
+            timeout_s=1.0, retries=2,
         )
         assert not result.degraded
         assert result.attempts == 1 and result.retries == 0

@@ -207,15 +207,15 @@ class TestRenderers:
         broken = copy.deepcopy(manifest)
         broken["failed"] = [{
             "workload": "mcf", "attempts": 3, "exc_type": "WorkerCrash",
-            "detail": "died", "telemetry": "lost",
+            "detail": "died",
         }]
         broken["timeline"].append({
             "workload": "mcf", "attempt": 1, "outcome": "retry",
             "exc_type": "WorkerCrash", "start_s": 0.0, "end_s": 1.0,
-            "wall_s": 1.0, "telemetry": "lost",
+            "wall_s": 1.0,
         })
         text = render_markdown(broken)
-        assert "## Retry / backoff timeline" in text
+        assert "## Retry timeline" in text
         assert "## Failures" in text
         assert "WorkerCrash" in text
 

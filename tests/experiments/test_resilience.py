@@ -9,6 +9,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -20,6 +21,7 @@ from repro.experiments.parallel import (
     ParallelWorkerError,
     resilient_sweep,
 )
+from repro.experiments import pool as poolmod
 from repro.experiments.pool import active_shm_segments
 from repro.experiments.result_cache import ResultCache
 from repro.experiments.runner import (
@@ -76,7 +78,8 @@ class TestCleanSweep:
             resilient_sweep(config(), ["gamess"], ("esteem",), timeout_s=0)
 
     @pytest.mark.parametrize(
-        "bad", [{"backoff_s": -1.0}], ids=["backoff_s"],
+        "bad", [{"retries": -1}, {"timeout_s": 0}],
+        ids=["retries", "timeout_s"],
     )
     def test_negative_knobs_rejected_before_any_worker(
         self, bad, monkeypatch
@@ -99,7 +102,7 @@ class TestRetries:
         plan = FaultPlan(chaos={"gamess": ("crash",)})
         result = resilient_sweep(
             cfg, ["gamess"], ("esteem",), jobs=1,
-            retries=2, backoff_s=0.01, plan=plan,
+            retries=2, plan=plan,
         )
         assert not result.degraded
         assert result.attempts == 2 and result.retries == 1
@@ -113,7 +116,7 @@ class TestRetries:
         plan = FaultPlan(chaos={"gamess": ("hang",)}, hang_seconds=60.0)
         result = resilient_sweep(
             cfg, ["gamess"], ("esteem",), jobs=1,
-            timeout_s=2.0, retries=2, backoff_s=0.01, plan=plan,
+            timeout_s=2.0, retries=2, plan=plan,
         )
         assert not result.degraded
         assert result.retries == 1
@@ -125,25 +128,12 @@ class TestRetries:
         plan = FaultPlan(chaos={"gamess": ("corrupt",)})
         result = resilient_sweep(
             cfg, ["gamess"], ("esteem",), jobs=1,
-            retries=2, backoff_s=0.01, plan=plan,
+            retries=2, plan=plan,
         )
         assert not result.degraded
         assert result.retries == 1
         ref = Runner(cfg).compare("gamess", "esteem")
         assert result.comparisons["esteem"][0].result == ref.result
-
-    def test_backoff_doubles_per_attempt(self):
-        # Retry n waits backoff_s * 2**(n-1) after the failure it follows.
-        plan = FaultPlan(chaos={"gamess": ("crash", "crash")})
-        result = resilient_sweep(
-            config(), ["gamess"], ("esteem",), jobs=1,
-            retries=2, backoff_s=0.2, plan=plan,
-        )
-        assert not result.degraded
-        first, second, third = result.timeline
-        assert (first["outcome"], second["outcome"]) == ("retry", "retry")
-        assert second["start_s"] - first["end_s"] >= 0.2 - 0.01
-        assert third["start_s"] - second["end_s"] >= 0.4 - 0.01
 
     def test_deterministic_failure_fails_fast(self):
         # A scripted ChaosError is a stand-in for a unit that raises the
@@ -152,7 +142,7 @@ class TestRetries:
         plan = FaultPlan(chaos={"gamess": ("raise", "raise", "raise")})
         result = resilient_sweep(
             cfg, ["gamess"], ("esteem",), jobs=1,
-            retries=5, backoff_s=0.01, plan=plan,
+            retries=5, plan=plan,
         )
         assert result.degraded
         assert result.attempts == 1 and result.retries == 0
@@ -167,7 +157,7 @@ class TestDegradation:
         plan = FaultPlan(chaos={"povray": ("crash",) * 8})
         result = resilient_sweep(
             cfg, ["gamess", "povray"], ("esteem",), jobs=2,
-            retries=1, backoff_s=0.01, plan=plan,
+            retries=1, plan=plan,
         )
         assert result.degraded
         assert result.completed == ["gamess"]
@@ -187,7 +177,7 @@ class TestDegradation:
         plan = FaultPlan(chaos={"povray": ("crash",) * 8})
         result = resilient_sweep(
             cfg, ["gamess", "povray"], ("esteem",), jobs=2,
-            retries=0, backoff_s=0.01, plan=plan,
+            retries=0, plan=plan,
         )
         ref = Runner(cfg).compare("gamess", "esteem")
         (comp,) = result.comparisons["esteem"]
@@ -201,7 +191,7 @@ class TestCampaignTelemetry:
         )
         telem = result.telemetry
         assert sorted(telem["per_unit"]) == ["gamess", "povray"]
-        assert telem["lost"] == []
+        assert "lost" not in telem
         assert telem["rollup"]["units_merged"] == 2
         # Merged campaign counters are the exact sum of per-unit truths
         # (integer-valued counters never round under float addition).
@@ -234,7 +224,7 @@ class TestCampaignTelemetry:
         assert len(result.timeline) == 2
         for entry in result.timeline:
             assert entry["outcome"] == "ok"
-            assert entry["telemetry"] == "ok"
+            assert "telemetry" not in entry
             assert 0 <= entry["start_s"] <= entry["end_s"] <= result.wall_s
             assert entry["wall_s"] == pytest.approx(
                 entry["end_s"] - entry["start_s"], abs=1e-5
@@ -244,39 +234,25 @@ class TestCampaignTelemetry:
         plan = FaultPlan(chaos={"gamess": ("crash",)})
         result = resilient_sweep(
             config(), ["gamess"], ("esteem",), jobs=1,
-            retries=2, backoff_s=0.01, plan=plan,
+            retries=2, plan=plan,
         )
-        outcomes = [
-            (t["attempt"], t["outcome"], t["telemetry"])
-            for t in result.timeline
-        ]
-        assert outcomes == [(1, "retry", "lost"), (2, "ok", "ok")]
+        outcomes = [(t["attempt"], t["outcome"]) for t in result.timeline]
+        assert outcomes == [(1, "retry"), (2, "ok")]
         # Only the successful attempt feeds the campaign totals.
         assert result.telemetry["rollup"]["units_merged"] == 1
         assert result.telemetry["counters"]["sim.runs"] == 2
-
-    def test_sigterm_flush_salvages_partial_telemetry_on_timeout(self):
-        plan = FaultPlan(chaos={"gamess": ("hang",)}, hang_seconds=60.0)
-        result = resilient_sweep(
-            config(), ["gamess"], ("esteem",), jobs=1,
-            timeout_s=2.0, retries=2, backoff_s=0.01, plan=plan,
-        )
-        first = result.timeline[0]
-        assert first["outcome"] == "retry"
-        assert first["exc_type"] == "TimeoutError"
-        assert first["telemetry"] == "partial"
 
     def test_failed_workload_records_telemetry_status(self):
         plan = FaultPlan(chaos={"povray": ("crash",) * 8})
         result = resilient_sweep(
             config(), ["gamess", "povray"], ("esteem",), jobs=2,
-            retries=0, backoff_s=0.01, plan=plan,
+            retries=0, plan=plan,
         )
         (failure,) = result.failed
-        assert failure.telemetry == "lost"
+        assert failure.workload == "povray"
         manifest = result.manifest()
         json.dumps(manifest)
-        assert manifest["failed"][0]["telemetry"] == "lost"
+        assert "telemetry" not in manifest["failed"][0]
         assert manifest["telemetry"]["rollup"]["units_merged"] == 1
 
     def test_cached_units_noted_without_attempts(self, tmp_path):
@@ -289,7 +265,6 @@ class TestCampaignTelemetry:
         assert rerun.attempts == 0
         (entry,) = rerun.timeline
         assert entry["outcome"] == "cached"
-        assert entry["telemetry"] == "none"
         assert rerun.telemetry["rollup"]["units_merged"] == 0
 
 
@@ -305,7 +280,7 @@ class TestCacheRerun:
         plan = FaultPlan(chaos={"povray": ("crash",) * 8})
         first = resilient_sweep(
             cfg, ["gamess", "povray"], ("esteem",), jobs=1,
-            retries=0, backoff_s=0.01, plan=plan, cache=cache,
+            retries=0, plan=plan, cache=cache,
         )
         assert first.completed == ["gamess"]
         # Second pass with the same parameters: gamess comes back from
@@ -440,27 +415,68 @@ class TestCheckpointFormat:
 
 class TestHardCrashContainment:
     def test_sigkill_contained_recycled_no_leaks(self):
-        # SIGKILL gives the worker no chance to flush anything: the
-        # parent must see a mute death (telemetry lost), recycle the
-        # worker, retry to success, and leave no process or shared
-        # memory behind.
+        # SIGKILL gives the worker no chance to report anything: the
+        # parent must see a mute death, recycle the worker, retry to
+        # success, and leave no process or shared memory behind.
         cfg = config()
         plan = FaultPlan(chaos={"gamess": ("kill",)})
         children_before = set(multiprocessing.active_children())
         result = resilient_sweep(
             cfg, ["gamess"], ("esteem",), jobs=1,
-            retries=2, backoff_s=0.01, plan=plan,
+            retries=2, plan=plan,
         )
         assert not result.degraded
         first = result.timeline[0]
         assert first["outcome"] == "retry"
         assert first["exc_type"] == "WorkerCrash"
-        assert first["telemetry"] == "lost"
         assert result.workers_recycled >= 1
         ref = Runner(cfg).compare("gamess", "esteem")
         assert result.comparisons["esteem"][0].result == ref.result
         leaked = set(multiprocessing.active_children()) - children_before
         assert not leaked, f"leaked worker processes: {leaked}"
+        assert active_shm_segments() == []
+
+
+class TestWorkerSigterm:
+    """A SIGTERM sent to one worker alone, the parent not signalled,
+    cancels the attempt in flight as a signal to the whole group does:
+    the worker dies by the default action, and its ``-SIGTERM`` exit code
+    marks the attempt cut, not crashed."""
+
+    def test_sigterm_to_one_worker_skips_its_unit(self, monkeypatch):
+        plan = FaultPlan(chaos={"gamess": ("hang",)}, hang_seconds=30.0)
+        spawned = []
+        real_spawn = poolmod.WorkerPool._spawn
+
+        def spawn(self):
+            conn, proc = real_spawn(self)
+            spawned.append(proc)
+            return conn, proc
+
+        def kill_the_worker():
+            give_up = time.monotonic() + 60.0
+            while not spawned and time.monotonic() < give_up:
+                time.sleep(0.05)
+            time.sleep(1.0)  # the attempt is in its scripted hang
+            os.kill(spawned[0].pid, signal.SIGTERM)
+
+        monkeypatch.setattr(poolmod.WorkerPool, "_spawn", spawn)
+        killer = threading.Thread(target=kill_the_worker)
+        killer.start()
+        try:
+            result = resilient_sweep(
+                config(), ["gamess"], ("esteem",), jobs=1,
+                retries=2, plan=plan,
+            )
+        finally:
+            killer.join()
+        assert result.interrupted == "SIGTERM"
+        assert result.failed == []
+        assert result.retries == 0
+        assert [s.workload for s in result.skipped] == ["gamess"]
+        (record,) = result.timeline
+        assert record["outcome"] == "skipped-interrupt"
+        assert record["in_flight"] is True
         assert active_shm_segments() == []
 
 

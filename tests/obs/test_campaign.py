@@ -11,7 +11,6 @@ consistency check exploits.
 
 import io
 import itertools
-import signal
 
 import pytest
 
@@ -19,22 +18,17 @@ from repro.obs.campaign import (
     CampaignAggregator,
     CampaignDashboard,
     ProgressReporter,
-    TELEMETRY_VERSION,
-    WorkerAborted,
     WorkerObs,
     begin_worker_obs,
     current_worker_obs,
     end_worker_obs,
     format_seconds,
-    install_sigterm_flush,
-    is_telemetry,
     merge_counter_maps,
     merge_histogram_states,
-    telemetry_from_message,
 )
 
 
-def make_snapshot(counters=(), histogram=(), partial=False):
+def make_snapshot(counters=(), histogram=()):
     """A real WorkerObs snapshot with the given integer counter values."""
     obs = WorkerObs()
     for name, value in counters:
@@ -43,7 +37,7 @@ def make_snapshot(counters=(), histogram=(), partial=False):
         h = obs.registry.histogram(name, buckets=(1.0, 10.0))
         for v in observations:
             h.observe(v)
-    return obs.snapshot(partial=partial)
+    return obs.snapshot()
 
 
 def agg_of(*unit_snapshots):
@@ -119,14 +113,6 @@ class TestAggregatorAlgebra:
         assert agg.counters["faults.corrected"] == 5
         assert agg.histograms["lat"]["count"] == 6
 
-    def test_lost_units_recorded_not_merged(self):
-        agg = agg_of(SNAP_A)
-        assert agg.add_unit("mute", None) is False
-        assert agg.add_unit("garbled", {"v": 999}) is False
-        assert agg.lost == ["mute", "garbled"]
-        assert agg.units_merged == 1
-        assert "mute" not in agg.per_unit
-
     def test_rollup_headlines(self):
         agg = agg_of(SNAP_A, SNAP_B, SNAP_C)
         roll = agg.rollup()
@@ -158,12 +144,6 @@ class TestWorkerObs:
         assert per["rpv"]["counters"]["sim.instructions"] == 500
         assert per["esteem"]["wall_s"] >= 0.0
 
-    def test_snapshot_partial_flag_and_version(self):
-        snap = WorkerObs().snapshot(partial=True)
-        assert snap["v"] == TELEMETRY_VERSION
-        assert snap["partial"] is True
-        assert is_telemetry(snap)
-
     def test_begin_current_end_lifecycle(self):
         assert current_worker_obs() is None
         obs = begin_worker_obs()
@@ -172,53 +152,6 @@ class TestWorkerObs:
         finally:
             end_worker_obs()
         assert current_worker_obs() is None
-
-
-class TestWireHelpers:
-    def test_ok_message_carries_telemetry_in_slot_2(self):
-        snap = make_snapshot(counters=[("sim.runs", 1)])
-        assert telemetry_from_message(("ok", object(), snap)) == snap
-
-    def test_error_and_aborted_messages_carry_it_in_slot_3(self):
-        snap = make_snapshot(partial=True)
-        assert telemetry_from_message(("error", "ValueError", "x", snap)) == snap
-        assert (
-            telemetry_from_message(("aborted", "WorkerAborted", "y", snap))
-            == snap
-        )
-
-    def test_crash_and_garbage_yield_none(self):
-        assert telemetry_from_message(None) is None
-        assert telemetry_from_message(("ok", object())) is None
-        assert telemetry_from_message(("ok", object(), {"v": 2})) is None
-        assert telemetry_from_message(("error", "T", "d")) is None
-        assert telemetry_from_message("nonsense") is None
-
-    def test_is_telemetry_rejects_wrong_shapes(self):
-        assert not is_telemetry({})
-        assert not is_telemetry({"v": TELEMETRY_VERSION})
-        assert not is_telemetry(
-            {"v": TELEMETRY_VERSION, "metrics": {}, "partial": "yes"}
-        )
-
-
-class TestSigtermFlush:
-    def test_install_rebinds_and_raises(self):
-        previous = signal.getsignal(signal.SIGTERM)
-        try:
-            assert install_sigterm_flush() is True
-            handler = signal.getsignal(signal.SIGTERM)
-            with pytest.raises(WorkerAborted):
-                handler(signal.SIGTERM, None)
-        finally:
-            signal.signal(signal.SIGTERM, previous)
-
-    def test_worker_aborted_pierces_except_exception(self):
-        with pytest.raises(WorkerAborted):
-            try:
-                raise WorkerAborted("terminated")
-            except Exception:  # noqa: BLE001 - the point of the test
-                pytest.fail("WorkerAborted must not be an Exception")
 
 
 class TestProgressReporter:

@@ -80,12 +80,3 @@ class TestRegistry:
         assert snap["runs"]["value"] == 3
         assert snap["fa"]["value"] == 0.5
         assert snap["lat"]["count"] == 1
-        text = reg.format_text()
-        assert "runs 3" in text
-        assert "lat_count 1" in text
-
-    def test_clear(self):
-        reg = MetricsRegistry()
-        reg.counter("x").inc()
-        reg.clear()
-        assert reg.names() == []

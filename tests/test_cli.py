@@ -144,6 +144,22 @@ class TestParser:
         ]
         assert [row[:2] for row in rows] == [["esteem", "1"]]
 
+    def test_sweep_runs_a_workload_named_twice_once(self, capsys, tmp_path):
+        # Telemetry is kept per workload, so a unit run twice would count
+        # twice in the merged totals and once in the per-unit entries.
+        manifest = tmp_path / "m.json"
+        code = main(["sweep", "--workloads", "gamess,gamess", "-t", "esteem",
+                     "--instructions", "50000", "--jobs", "1", "--no-cache",
+                     "--manifest", str(manifest), "-q"])
+        assert code == 0
+        rows = [
+            line.split() for line in capsys.readouterr().out.splitlines()
+            if line.startswith("esteem ")
+        ]
+        assert [row[:2] for row in rows] == [["esteem", "1"]]
+        assert main(["report", str(manifest), "--check", "-q"]) == 0
+        assert "INCONSISTENT" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         "trace -w gamess --capacity 0",
         "overhead --sets 0",
@@ -464,7 +480,7 @@ class TestSweepCommand:
     def test_sweep_flags_parse(self):
         args = build_parser().parse_args(
             ["sweep", "--workloads", "gamess,povray", "-t", "esteem",
-             "--timeout", "5", "--retries", "1", "--backoff", "0.1",
+             "--timeout", "5", "--retries", "1",
              "--checkpoint", "c.jsonl",
              "--inject", "plan.json", "--manifest", "m.json"]
         )
@@ -523,7 +539,7 @@ class TestSweepCommand:
         code = main(
             ["sweep", "--workloads", "gamess", "-t", "esteem",
              "--instructions", "200000", "--retries", "1",
-             "--backoff", "0.01", "--inject", str(plan_path),
+             "--inject", str(plan_path),
              "--manifest", str(manifest_path), "-q"]
         )
         assert code == 3
@@ -551,7 +567,7 @@ class TestSweepCommand:
         code = main(
             ["sweep", "--workloads", "gamess,povray", "-t", "esteem",
              "--instructions", "200000", "--retries", "2",
-             "--backoff", "0.01", "--inject", str(plan_path),
+             "--inject", str(plan_path),
              "--manifest", str(manifest_path), "-q"]
         )
         assert code == 3
@@ -571,14 +587,14 @@ class TestSweepCommand:
     def test_supervision_flags_parse(self):
         args = build_parser().parse_args(
             ["sweep", "--workloads", "gamess", "--timeout", "30",
-             "--retries", "4", "--backoff", "0.25"]
+             "--retries", "4"]
         )
-        assert (args.timeout, args.retries, args.backoff) == (30.0, 4, 0.25)
+        assert (args.timeout, args.retries) == (30.0, 4)
 
     @pytest.mark.parametrize(
         "flag",
         ["--heartbeat", "--quarantine-after", "--deadline", "--trace-events",
-         "--resume"],
+         "--resume", "--backoff"],
     )
     def test_removed_supervision_flags_rejected(self, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -594,7 +610,6 @@ class TestSweepCommand:
             ("--timeout", "nan", "must be positive"),
             ("--retries", "-1", "must be non-negative"),
             ("--retries", "1.5", "invalid _non_negative_int value"),
-            ("--backoff", "-1", "must be non-negative"),
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(base + [flag, value])
@@ -801,6 +816,9 @@ class TestReportCommand:
     def test_v4_manifest_rejected(self, capsys, tmp_path):
         self._rejects_manifest_version(4, capsys, tmp_path)
 
+    def test_v5_manifest_rejected(self, capsys, tmp_path):
+        self._rejects_manifest_version(5, capsys, tmp_path)
+
 
 class TestCampaignAcceptance:
     """ISSUE 6 acceptance: an 8-unit chaos sweep produces a manifest whose
@@ -826,7 +844,7 @@ class TestCampaignAcceptance:
         code = main(
             ["sweep", "--workloads", self.WORKLOADS, "-t", "esteem", "rpv",
              "--jobs", "4", "--instructions", "60000", "--timeout", "3",
-             "--retries", "2", "--backoff", "0.1",
+             "--retries", "2",
              "--inject", str(plan_path),
              "--cache-dir", str(tmp_path / "cache"),
              "--manifest", str(manifest_path), "-q"]
@@ -881,7 +899,7 @@ class TestCampaignAcceptance:
         )
         assert code == 0, capsys.readouterr().err
         text = report_path.read_text()
-        assert "## Retry / backoff timeline" in text
+        assert "## Retry timeline" in text
         assert "TimeoutError" in text
         capsys.readouterr()
 
